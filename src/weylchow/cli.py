@@ -26,6 +26,7 @@ from .errors import (
 )
 from .rootdata import DynkinType, build_root_system
 from .schubert import (
+    ChowClass,
     chern_tangent,
     class_from_json,
     class_to_json,
@@ -64,6 +65,14 @@ def _parse_profile(text):
         return tuple(int(x) for x in text.split(",") if x.strip() != "")
     except ValueError:
         raise UsageError(f"cannot parse profile {text!r}") from None
+
+
+def _graded_piece(classes, i):
+    """Degree i of a graded list of classes; the zero class above its top degree."""
+    if i < len(classes):
+        return classes[i]
+    c0 = classes[0]
+    return ChowClass(c0.type_name, c0.theta, c0.ring, {})
 
 
 def _build_parser():
@@ -178,7 +187,7 @@ def _dispatch(args) -> str:
         classes = chern_tangent(rs, theta, max_codim=args.codim, ring=ring)
         ct = coset_reps(rs, theta)
         if args.codim is not None:
-            return class_to_json(classes[args.codim], ct)
+            return class_to_json(_graded_piece(classes, args.codim), ct)
         return json.dumps(
             [json.loads(class_to_json(c, ct)) for c in classes], sort_keys=True
         )
@@ -192,10 +201,7 @@ def _dispatch(args) -> str:
         ct = coset_reps(rs, theta)
         graded = steenrod_total(cls, up_to=args.i)
         if args.i is not None:
-            piece = graded[args.i] if args.i < len(graded) else graded[0].copy()
-            if args.i >= len(graded):
-                piece.coeffs = {}
-            return class_to_json(piece, ct)
+            return class_to_json(_graded_piece(graded, args.i), ct)
         return json.dumps(
             [json.loads(class_to_json(c, ct)) for c in graded], sort_keys=True
         )

@@ -17,6 +17,7 @@ action and divided differences are the two nonstandard operations:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd
 
 from .errors import InternalComputationError
@@ -74,9 +75,6 @@ class Polynomial:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_part(self, d):
-        return Polynomial(self.rs, {e: c for e, c in self.terms.items() if sum(e) == d})
-
     def graded_parts(self):
         out = {}
         for e, c in self.terms.items():
@@ -131,23 +129,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def mul_truncated(self, other, max_degree):
-        """Product discarding all monomials of total degree > max_degree."""
-        out = {}
-        n = self.rs.rank
-        for ea, ca in self.terms.items():
-            da = sum(ea)
-            for eb, cb in other.terms.items():
-                if da + sum(eb) > max_degree:
-                    continue
-                e = tuple(ea[k] + eb[k] for k in range(n))
-                v = out.get(e, 0) + ca * cb
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-        return Polynomial(self.rs, out)
-
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.terms == other.terms
 
@@ -175,9 +156,6 @@ class Polynomial:
         return Polynomial(self.rs, out)
 
     # -- Weyl action and divided differences ------------------------------
-
-    def _alpha_power(self, i, k):
-        return _alpha_powers(self.rs, i, k)
 
     def reflect(self, i):
         """Apply s_i (0-based i): substitute x_i -> x_i - alpha_i."""
@@ -276,49 +254,33 @@ class Polynomial:
 
 
 # -- cached monomial images ------------------------------------------------
-
-_alpha_pow_cache: dict = {}
-_xma_pow_cache: dict = {}
-_divdiff_cache: dict = {}
+# Keyed by the RootSystem object: build_root_system returns one instance per type.
 
 
+@cache
 def _alpha_powers(rs, i, k):
     """alpha_i^k as a term dict (0-based i)."""
-    key = (rs.type.name(), i, k)
-    hit = _alpha_pow_cache.get(key)
-    if hit is not None:
-        return hit
     if k == 0:
-        out = {(0,) * rs.rank: 1}
-    else:
-        alpha = Polynomial.linear_form(rs, rs.alpha_omega(i))
-        out = (Polynomial(rs, _alpha_powers(rs, i, k - 1)) * alpha).terms
-    _alpha_pow_cache[key] = out
-    return out
+        return {(0,) * rs.rank: 1}
+    alpha = Polynomial.linear_form(rs, rs.alpha_omega(i))
+    return (Polynomial(rs, _alpha_powers(rs, i, k - 1)) * alpha).terms
 
 
+@cache
 def _x_minus_alpha_power(rs, i, k):
     """(x_i - alpha_i)^k as a term dict."""
-    key = (rs.type.name(), i, k)
-    hit = _xma_pow_cache.get(key)
-    if hit is not None:
-        return hit
     xi = Polynomial.variable(rs, i + 1)
     alpha = Polynomial.linear_form(rs, rs.alpha_omega(i))
     base = xi - alpha
     acc = Polynomial.one(rs)
     for _ in range(k):
         acc = acc * base
-    _xma_pow_cache[key] = acc.terms
     return acc.terms
 
 
+@cache
 def _divdiff_power(rs, i, k):
     """D_i(x_i^k) = sum_{j=1..k} (-1)^(j+1) C(k,j) x_i^(k-j) alpha_i^(j-1)."""
-    key = (rs.type.name(), i, k)
-    hit = _divdiff_cache.get(key)
-    if hit is not None:
-        return hit
     n = rs.rank
     acc = {}
     for j in range(1, k + 1):
@@ -330,7 +292,6 @@ def _divdiff_power(rs, i, k):
                 acc[e] = v
             else:
                 del acc[e]
-    _divdiff_cache[key] = acc
     return acc
 
 

@@ -90,13 +90,6 @@ class DynkinType:
             return "1"
         return "x".join(f"{f}{r}" for f, r in self.components)
 
-    def canonical(self) -> "DynkinType":
-        """Components sorted by (family, rank); used for type equality tests."""
-        return DynkinType(tuple(sorted(self.components)))
-
-    def same_type(self, other: "DynkinType") -> bool:
-        return self.canonical() == other.canonical()
-
     def component_ranges(self):
         """Yield (family, rank, offset) with vertices offset+1..offset+rank."""
         off = 0
@@ -196,10 +189,6 @@ class PositiveRoot:
     coroot: tuple      # coordinates of beta^vee over the simple coroots
     height: int
 
-    def coroot_pairing(self, weight) -> int:
-        """<weight, beta^vee> for weight given in omega-coordinates."""
-        return sum(c * w for c, w in zip(self.coroot, weight))
-
 
 class RootSystem:
     """Immutable root-system data for a (possibly reducible) Dynkin type."""
@@ -217,16 +206,6 @@ class RootSystem:
         self.cartan = tuple(tuple(row) for row in cartan)
         self.symmetrizer = _symmetrizer(cartan, n) if n else ()
         self.positive_roots = self._close_positive_roots()
-        self._root_index = {pr.root: k for k, pr in enumerate(self.positive_roots)}
-        # s_i as an n x n matrix on omega-coordinates, kept for external use;
-        # reflect_weight below is the fast path used internally.
-        self.simple_reflection_on_weights = tuple(
-            tuple(
-                tuple((1 if j == k else 0) - (self.cartan[j][i] if k == i else 0) for k in range(n))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
         self.rho = tuple([1] * n)
 
     # -- coordinates ---------------------------------------------------
@@ -308,9 +287,6 @@ class RootSystem:
                     coroot.append(num // norm if num else 0)
                 out.append(PositiveRoot(root=c, omega=omega, coroot=tuple(coroot), height=h))
         return tuple(out)
-
-    def is_positive_root(self, c) -> bool:
-        return c in self._root_index
 
     def num_positive_roots(self) -> int:
         return len(self.positive_roots)

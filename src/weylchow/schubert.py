@@ -27,10 +27,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from . import univar
-from .errors import InternalComputationError, UsageError
+from .errors import InternalComputationError, ResourceLimitError, UsageError
 from .polynomial import Polynomial, elementary_symmetric_classes
 from .rootdata import RootSystem, build_root_system, root_subsystem, weyl_degrees
 from .weyl import CosetTable, WeylElement, _canonical_from_image, coset_reps
@@ -243,7 +244,7 @@ def divided_difference(rs: RootSystem, word, u: Polynomial) -> Polynomial:
 
 
 class _FlagContext:
-    """Cached per-(type, theta) machinery: coset table, generators, preimage grids."""
+    """Per-(root system, theta) machinery: coset table, generators, preimage grids, memos."""
 
     GRID_LIMIT = 4000  # safety valve on grid enumeration
 
@@ -257,8 +258,10 @@ class _FlagContext:
         self._grid = {}          # degree -> (pivot_exps, pivot_polys, blocks for solving)
         self._basis_preimage = {}
         self._pair_memo = {}
-        self._chern = {}         # ring -> list of ChowClass up to some codim
-        self._chern_upto = {}
+        # Grow-on-demand memos: an entry computed up to bound b serves requests <= b.
+        self._chern = {}          # ring -> [c_0, ..., c_b]
+        self._phi_cache = {}      # basis index -> (b, Phi pieces up to offset b)
+        self._steenrod_cache = {}  # basis index -> (b, S^0..S^b pieces)
 
     # -- invariant generators -----------------------------------------
 
@@ -339,7 +342,9 @@ class _FlagContext:
 
         rec(0, d, [])
         if len(out) > self.GRID_LIMIT:
-            raise InternalComputationError(f"preimage grid too large at degree {d}")
+            raise ResourceLimitError(
+                f"preimage grid of {len(out)} products at degree {d} exceeds {self.GRID_LIMIT}"
+            )
 
         def sparsity(exps):
             heavy = sum(e * degs[j] for j, e in enumerate(exps) if degs[j] > 1)
@@ -436,10 +441,12 @@ class _FlagContext:
 
     def chern_classes(self, max_codim=None, ring="Z"):
         """Graded Chern classes of the tangent bundle, c_0 .. c_max_codim."""
+        if max_codim is not None and max_codim < 0:
+            raise UsageError(f"codimension must be nonnegative, got {max_codim}")
         top = self.dim if max_codim is None else min(max_codim, self.dim)
-        cached_top = self._chern_upto.get(ring, -1)
-        if cached_top >= top:
-            return self._chern[ring][: top + 1]
+        cached = self._chern.get(ring)
+        if cached is not None and len(cached) > top:
+            return cached[: top + 1]
         theta_set = set(self.theta)
         U = [pr for pr in self.rs.positive_roots
              if any(pr.root[j] for j in range(self.rs.rank) if (j + 1) not in theta_set)]
@@ -463,7 +470,6 @@ class _FlagContext:
                 cls = ChowClass(self.rs.type.name(), self.theta, ring, {})
             out.append(cls)
         self._chern[ring] = out
-        self._chern_upto[ring] = top
         return out
 
 
@@ -492,7 +498,7 @@ def _invert_matrix(rows):
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col]), None)
         if piv is None:
-            raise InternalComputationError("singular preimage matrix")
+            raise InternalComputationError("singular matrix")
         a[col], a[piv] = a[piv], a[col]
         f = a[col][col]
         a[col] = [x / f for x in a[col]]
@@ -503,16 +509,14 @@ def _invert_matrix(rows):
     return [row[n:] for row in a]
 
 
-_ctx_cache: dict = {}
-
-
 def flag_context(rs: RootSystem, theta) -> _FlagContext:
-    key = (rs.type.name(), tuple(sorted(set(theta))))
-    ctx = _ctx_cache.get(key)
-    if ctx is None:
-        ctx = _FlagContext(rs, theta)
-        _ctx_cache[key] = ctx
-    return ctx
+    """The shared _FlagContext of G/P_Theta (cached per root system and theta)."""
+    return _flag_context(rs, tuple(sorted(set(theta))))
+
+
+@cache
+def _flag_context(rs: RootSystem, theta: tuple) -> _FlagContext:
+    return _FlagContext(rs, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -530,21 +534,11 @@ def _sub_fundamental_seeds(rs: RootSystem, theta):
     """Fundamental weights of <Theta> in ambient omega-coordinates, integer-scaled."""
     theta = tuple(sorted(set(theta)))
     m = len(theta)
+    # seed j solves sum_k A[i][k] c_k = delta_ij over i, k in theta: column j of A_Theta^-1
+    inv = _invert_matrix([[rs.cartan[i - 1][k - 1] for k in theta] for i in theta])
     seeds = []
     for j in range(m):
-        # solve sum_k A[i][k] c_k = delta_ij over k,i in theta
-        a = [[Fraction(rs.cartan[theta[i] - 1][theta[k] - 1]) for k in range(m)]
-             + [Fraction(1 if i == j else 0)] for i in range(m)]
-        for col in range(m):
-            piv = next(r for r in range(col, m) if a[r][col])
-            a[col], a[piv] = a[piv], a[col]
-            f = a[col][col]
-            a[col] = [x / f for x in a[col]]
-            for r in range(m):
-                if r != col and a[r][col]:
-                    g = a[r][col]
-                    a[r] = [x - g * y for x, y in zip(a[r], a[col])]
-        c = [a[i][m] for i in range(m)]
+        c = [inv[k][j] for k in range(m)]
         coords = [Fraction(0)] * rs.rank
         for k in range(m):
             if c[k]:

@@ -37,12 +37,13 @@ with short words.
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 
 from .errors import CalibrationError, InternalComputationError, ResourceLimitError, UsageError
 from .polynomial import Polynomial
 from .rootdata import RootSystem, build_root_system
-from .schubert import ChowClass, _normalize, char_map, preimage
+from .schubert import ChowClass, _normalize, char_map, flag_context, preimage
 from .weyl import WeylElement, _canonical_from_image, coset_reps
 
 #: maximal reduced-word length for direct ring expansion (2^l basis monomials)
@@ -282,9 +283,6 @@ def bs_pushforward(ring: BottSamelsonRing, elem, theta) -> ChowClass:
 # Calibration of the Wu-formula convention
 
 
-_calibrated_convention = None
-
-
 def _substitute_total_square_mod2(P: Polynomial) -> Polynomial:
     """x^e |-> prod_j x_j^{e_j} (1+x_j)^{e_j} mod 2 (the image of S on divisors)."""
     rs = P.rs
@@ -362,11 +360,9 @@ def _direct_steenrod_pieces(rs, theta, idx, convention, up_to=None, word=None):
     return out
 
 
+@cache
 def _calibrate():
     """Pick the Wu convention matching the divisor oracle on A2 and A3 flags."""
-    global _calibrated_convention
-    if _calibrated_convention is not None:
-        return _calibrated_convention
     survivors = {"I", "II"}
     for name in ("A2", "A3"):
         rs = build_root_system(name)
@@ -382,26 +378,21 @@ def _calibrate():
                 raise CalibrationError(
                     "neither Wu convention reproduces the divisor-generated oracle"
                 )
-    _calibrated_convention = sorted(survivors)[0]
-    return _calibrated_convention
+    return sorted(survivors)[0]
 
 
 # ---------------------------------------------------------------------------
 # Phi classes and the duality route
 
 
-_phi_cache: dict = {}
-_steenrod_cache: dict = {}
-
-
 def _phi_pieces(rs, theta, idx, max_offset):
     """Graded pieces of Phi([X_idx]) = pi_*(c(T_Z)^{-+1}), convention-matched."""
     conv = _calibrate()
-    key = (rs.type.name(), tuple(sorted(theta)), idx)
-    hit = _phi_cache.get(key)
+    ctx = flag_context(rs, theta)
+    hit = ctx._phi_cache.get(idx)
     if hit is not None and hit[0] >= max_offset:
         return hit[1]
-    ct = coset_reps(rs, theta)
+    ct = ctx.ct
     word = ct.reps[idx].word
     if len(word) > DIRECT_WORD_LIMIT:
         raise ResourceLimitError(
@@ -420,7 +411,7 @@ def _phi_pieces(rs, theta, idx, max_offset):
             raise InternalComputationError("Phi normalization failed")
         if not cls.is_zero():
             out[d] = cls
-    _phi_cache[key] = (max_offset, out)
+    ctx._phi_cache[idx] = (max_offset, out)
     return out
 
 
@@ -462,11 +453,11 @@ def _steenrod_by_duality(rs, theta, idx, up_to):
 def steenrod_basis_element(rs, theta, idx, up_to=None):
     """Graded Steenrod pieces {i: S^i} of one mod-2 basis class (cached)."""
     conv = _calibrate()
-    ct = coset_reps(rs, theta)
+    ctx = flag_context(rs, theta)
+    ct = ctx.ct
     codim = ct.codim(idx)
     want = codim if up_to is None else min(up_to, codim)
-    key = (rs.type.name(), tuple(sorted(theta)), idx)
-    hit = _steenrod_cache.get(key)
+    hit = ctx._steenrod_cache.get(idx)
     if hit is not None and hit[0] >= want:
         return {d: c for d, c in hit[1].items() if d <= want}
     word_len = ct.reps[idx].length
@@ -479,7 +470,7 @@ def steenrod_basis_element(rs, theta, idx, up_to=None):
             f"S^<= {want} of a codimension-{codim} class (word length {word_len}) "
             "is out of reach: neither the direct ring nor the duality route fits"
         )
-    _steenrod_cache[key] = (want, out)
+    ctx._steenrod_cache[idx] = (want, out)
     return out
 
 
@@ -492,6 +483,8 @@ def steenrod_total(cls: ChowClass, up_to=None):
     """
     if cls.ring != "Z/2":
         raise UsageError("steenrod_total expects a Z/2 class")
+    if up_to is not None and up_to < 0:
+        raise UsageError(f"Steenrod degree must be nonnegative, got {up_to}")
     rs = build_root_system(cls.type_name)
     ct = coset_reps(rs, cls.theta)
     if cls.is_zero():

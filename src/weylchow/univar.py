@@ -89,11 +89,6 @@ def divide_exact(p: TPoly, q: TPoly, what: str = "polynomial") -> TPoly:
     return quot
 
 
-def cyclotomic_ratio(d: int) -> TPoly:
-    """(t^d - 1)/(t - 1) = 1 + t + ... + t^(d-1)."""
-    return tuple([1] * d)
-
-
 def t_power_minus_one(d: int) -> TPoly:
     return tpoly([-1] + [0] * (d - 1) + [1])
 

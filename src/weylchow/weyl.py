@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
+from math import prod
 
 from .errors import ResourceLimitError, UsageError
-from .rootdata import RootSystem
+from .rootdata import RootSystem, root_subsystem, weyl_degrees
 
 DEFAULT_COSET_CAP = 10_000_000
 
@@ -101,11 +103,6 @@ class WeylElement:
         return f"w{list(self.word)}"
 
 
-def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
-    """Product ab in canonical form."""
-    return a * b
-
-
 def longest_element(rs: RootSystem, theta) -> WeylElement:
     """Longest element of W_Theta by greedy ascent; theta = all vertices gives w0.
 
@@ -141,6 +138,12 @@ class CosetTable:
                 raise UsageError(f"vertex {i} out of range 1..{rs.rank}")
         self.rs = rs
         self.theta = theta
+        # |W^Theta| = prod degrees(W) / prod degrees(W_Theta), known before any BFS
+        size = prod(weyl_degrees(rs.type)) // prod(weyl_degrees(root_subsystem(rs, theta).type))
+        if size > cap:
+            raise ResourceLimitError(
+                f"|W^Theta| = {size} exceeds cap {cap} for type {rs.type.name()}, theta={list(theta)}"
+            )
         theta_set = set(theta)
         lam = tuple(0 if (j + 1) in theta_set else 1 for j in range(rs.rank))
 
@@ -232,17 +235,14 @@ class CosetTable:
         return tuple(out)
 
 
-_coset_cache: dict = {}
+def coset_reps(rs: RootSystem, theta) -> CosetTable:
+    """Enumerate W^Theta (cached per root system and set of theta vertices)."""
+    return _coset_table(rs, tuple(sorted(set(theta))))
 
 
-def coset_reps(rs: RootSystem, theta, cap: int = DEFAULT_COSET_CAP) -> CosetTable:
-    """Enumerate W^Theta (cached per (type, theta))."""
-    key = (rs.type.name(), tuple(sorted(set(theta))))
-    tbl = _coset_cache.get(key)
-    if tbl is None:
-        tbl = CosetTable(rs, theta, cap=cap)
-        _coset_cache[key] = tbl
-    return tbl
+@cache
+def _coset_table(rs: RootSystem, theta: tuple) -> CosetTable:
+    return CosetTable(rs, theta)
 
 
 @dataclass(frozen=True)
@@ -315,6 +315,6 @@ def all_reduced_words(rs: RootSystem, w: WeylElement):
     return out
 
 
-def enumerate_group(rs: RootSystem, cap: int = DEFAULT_COSET_CAP):
+def enumerate_group(rs: RootSystem):
     """All elements of W as a CosetTable with empty theta."""
-    return coset_reps(rs, (), cap=cap)
+    return coset_reps(rs, ())

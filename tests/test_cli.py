@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -46,6 +47,10 @@ def test_chern_command():
     assert code == 0
     data = json.loads(out)
     assert data[1]["terms"] == [{"word": [], "coeff": 2}]
+    # above the dimension the Chern class is zero
+    code, out = run(["chern", "--type", "A2", "--codim", "7"])
+    assert code == 0
+    assert json.loads(out)["terms"] == []
 
 
 def test_steenrod_command():
@@ -142,6 +147,11 @@ def test_usage_errors_exit_2():
     assert code == 2
     code, out = run(["nonsense"])
     assert code == 2
+    code, out = run(["chern", "--type", "A2", "--codim", "-1"])
+    assert code == 2
+    cls = json.dumps({"type": "A2", "theta": [], "ring": "Z/2", "terms": [{"word": [1], "coeff": 1}]})
+    code, out = run(["steenrod", "--type", "A2", "--theta", "", "--class", cls, "--i", "-1"])
+    assert code == 2
 
 
 def test_resource_cap_exit_3():
@@ -162,6 +172,13 @@ def test_resource_cap_exit_3():
         assert code == 3
     finally:
         cli.build_root_system = old
+
+
+def test_coset_cap_checked_before_enumeration():
+    t0 = time.perf_counter()
+    code, out = run(["cosets", "--type", "E8", "--theta", ""])
+    assert code == 3
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_internal_error_exit_4():

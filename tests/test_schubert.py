@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 
 from weylchow import univar
-from weylchow.errors import UsageError
+from weylchow.errors import ResourceLimitError, UsageError
 from weylchow.polynomial import Polynomial
 from weylchow.rootdata import build_root_system
 from weylchow.schubert import (
     ChowClass,
+    _FlagContext,
     char_map,
     chern_tangent,
     class_from_json,
@@ -337,6 +338,33 @@ def test_chern_top_is_euler_characteristic():
         ct = coset_reps(rs, ())
         top = chern_tangent(rs, ())[ct.max_length]
         assert top.coeffs == {0: chi}
+
+
+def test_chern_memo_serves_smaller_and_larger_requests():
+    rs = build_root_system("B3")
+    theta = (2, 3)
+    fresh = {m: _FlagContext(rs, theta).chern_classes(max_codim=m, ring="Z/2") for m in (2, 4)}
+    down = _FlagContext(rs, theta)
+    down.chern_classes(max_codim=4, ring="Z/2")
+    assert down.chern_classes(max_codim=2, ring="Z/2") == fresh[2]
+    up = _FlagContext(rs, theta)
+    up.chern_classes(max_codim=2, ring="Z/2")
+    assert up.chern_classes(max_codim=4, ring="Z/2") == fresh[4]
+    with pytest.raises(UsageError):
+        chern_tangent(rs, theta, max_codim=-1)
+
+
+def test_theta_orderings_share_cache_entries():
+    rs = build_root_system("A3")
+    assert coset_reps(rs, [2, 1]) is coset_reps(rs, (1, 2))
+    assert flag_context(rs, [2, 1]) is flag_context(rs, (1, 2))
+
+
+def test_grid_limit_is_a_resource_error(monkeypatch):
+    monkeypatch.setattr(_FlagContext, "GRID_LIMIT", 1)
+    ctx = _FlagContext(build_root_system("B3"), (2, 3))  # degree 2: omega_1^2 and one quadric
+    with pytest.raises(ResourceLimitError):
+        ctx.grid(2)
 
 
 def test_grading_rank_profile_matches_poincare():

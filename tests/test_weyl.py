@@ -14,7 +14,6 @@ from weylchow.weyl import (
     hasse_to_dot,
     hasse_to_json,
     longest_element,
-    multiply,
 )
 
 
@@ -37,14 +36,14 @@ def exhaustive_elements(rs):
 def test_multiply_involution():
     rs = build_root_system("A2")
     s1 = WeylElement.from_word(rs, [1])
-    assert multiply(s1, s1) == WeylElement.identity(rs)
+    assert s1 * s1 == WeylElement.identity(rs)
 
 
 def test_multiply_a2_canonical_lex_least():
     rs = build_root_system("A2")
     a = WeylElement.from_word(rs, [1, 2])
     b = WeylElement.from_word(rs, [1])
-    prod = multiply(a, b)
+    prod = a * b
     assert prod.length == 3
     assert prod.word == (1, 2, 1)  # lex-least among {[1,2,1],[2,1,2]}
     assert WeylElement.from_word(rs, [2, 1, 2]) == prod
@@ -54,7 +53,7 @@ def test_multiply_b2_reaches_w0():
     rs = build_root_system("B2")
     a = WeylElement.from_word(rs, [1, 2, 1])
     b = WeylElement.from_word(rs, [2])
-    prod = multiply(a, b)
+    prod = a * b
     assert prod.length == 4
     assert prod == longest_element(rs, [1, 2])
 
