@@ -224,8 +224,11 @@ def _dispatch(args) -> str:
     if args.command == "automaton":
         text = args.omega
         if text.startswith("@"):
-            with open(text[1:], "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(text[1:], "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise UsageError(f"cannot read omega file: {exc}") from exc
         try:
             subsets = json.loads(text)
             subsets = [tuple(int(x) for x in s) for s in subsets]

@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, isqrt
 
 from . import univar
 from .errors import InternalComputationError, ResourceLimitError, UsageError
@@ -89,13 +89,20 @@ class ChowClass:
         )
 
 
+@cache
 def _ring_modulus(ring: str):
+    """None for Z and Q, p for Z/p; a non-prime p is a usage error (inverses mod p need a field)."""
     if ring in ("Z", "Q"):
         return None
     if ring.startswith("Z/"):
-        p = int(ring[2:])
-        if p < 2:
-            raise UsageError(f"bad ring {ring!r}")
+        try:
+            p = int(ring[2:])
+        except ValueError:
+            raise UsageError(f"bad ring {ring!r}") from None
+        # trial division stays fast below the cap, which no torsion prime comes
+        # near, and the cache spares _normalize from repeating it for every class
+        if not 2 <= p < 1 << 31 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            raise UsageError(f"bad ring {ring!r}: the modulus must be a prime below 2^31")
         return p
     raise UsageError(f"unknown ring {ring!r}")
 
@@ -156,13 +163,26 @@ def class_from_json(text: str) -> ChowClass:
                 raise UsageError(f"word {word} is not a minimal coset representative")
             if term.get("dual"):
                 k = ct.dual_index(k)
-            c = term.get("coeff", 1)
-            if isinstance(c, str):
-                c = Fraction(c)
-            coeffs[k] = coeffs.get(k, 0) + c
+            coeffs[k] = coeffs.get(k, 0) + _coefficient_from_json(term.get("coeff", 1))
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed class JSON: {exc}") from exc
+    p = _ring_modulus(ring)
+    for c in coeffs.values():
+        den = c.denominator if isinstance(c, Fraction) else 1
+        if p is not None and den % p == 0:
+            raise UsageError(f"coefficient {c} has a denominator that is not invertible in {ring}")
+        if ring == "Z" and den != 1:
+            raise UsageError(f"coefficient {c} is not an integer, as ring Z requires")
     return _normalize(ChowClass(type_name, theta, ring, coeffs))
+
+
+def _coefficient_from_json(c):
+    """An exact coefficient: a JSON integer or a rational string such as "-3/4"."""
+    if isinstance(c, int) and not isinstance(c, bool):
+        return c
+    if isinstance(c, str):
+        return Fraction(c)
+    raise UsageError(f"coefficient {c!r} must be an integer or a rational string")
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +301,6 @@ class _FlagContext:
         """
         ct = self.ct
         dmax = P.degree() if max_len is None else min(P.degree(), max_len)
-        zero_exp = (0,) * self.rs.rank
         out = {}
         prev = {}
         cur = {}
@@ -300,7 +319,7 @@ class _FlagContext:
                 prev = cur
                 cur = {}
             cur[k] = q
-            c = q.terms.get(zero_exp, 0)
+            c = q.terms.get(0, 0)  # the packed key of the constant monomial
             if c:
                 out[k] = c
         return out
@@ -457,11 +476,9 @@ class _FlagContext:
                 img = self.rs.reflect_root(i - 1, pr.root)
                 if img not in uset:
                     raise InternalComputationError("unipotent-radical roots not Theta-stable")
-        es = elementary_symmetric_classes(self.rs, [pr.omega for pr in U], top)
-        p = _ring_modulus(ring)
-        total = Polynomial.zero(self.rs)
-        for e in es:
-            total = total + (e.reduce_mod(p) if p else e)
+        es = elementary_symmetric_classes(self.rs, [pr.omega for pr in U], top, _ring_modulus(ring))
+        # the e_k have distinct degrees, so their terms never collide
+        total = Polynomial(self.rs, {m: c for e in es for m, c in e.terms.items()})
         graded = self.char_map_graded(total, ring=ring, max_codim=top)
         out = []
         for dgr in range(top + 1):

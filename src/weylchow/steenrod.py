@@ -41,7 +41,7 @@ from functools import cache
 from math import comb
 
 from .errors import CalibrationError, InternalComputationError, ResourceLimitError, UsageError
-from .polynomial import Polynomial
+from .polynomial import Polynomial, unpack_monomial
 from .rootdata import RootSystem, build_root_system
 from .schubert import ChowClass, _normalize, char_map, flag_context, preimage
 from .weyl import WeylElement, _canonical_from_image, coset_reps
@@ -291,16 +291,14 @@ def _substitute_total_square_mod2(P: Polynomial) -> Polynomial:
         if c % 2 == 0:
             continue
         acc = Polynomial.one(rs)
-        for j, ej in enumerate(e):
+        for j, ej in enumerate(unpack_monomial(e, rs.rank)):
             if not ej:
                 continue
             piece = Polynomial.zero(rs)
             for t in range(ej + 1):
                 if comb(ej, t) % 2:
-                    piece = piece + Polynomial(
-                        rs,
-                        {tuple((ej + t) if k == j else 0 for k in range(rs.rank)): 1},
-                    )
+                    exps = [ej + t if k == j else 0 for k in range(rs.rank)]
+                    piece = piece + Polynomial.monomial(rs, exps)
             acc = (acc * piece).reduce_mod(2)
         out = (out + acc).reduce_mod(2)
     return out

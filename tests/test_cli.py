@@ -154,6 +154,44 @@ def test_usage_errors_exit_2():
     assert code == 2
 
 
+def _a2_class(ring, coeff):
+    return json.dumps({"type": "A2", "theta": [], "ring": ring, "terms": [{"word": [1], "coeff": coeff}]})
+
+
+def test_inexact_coefficients_exit_2():
+    # a float (or a bool, which Python treats as an int) must not enter exact arithmetic
+    for coeff in (1.5, 1.0, True):
+        code, out = run(["mult", "--type", "A2", "--a", _a2_class("Z", coeff), "--b", _a2_class("Z", 1)])
+        assert code == 2, coeff
+        assert out.startswith("usage error")
+    code, out = run(["mult", "--type", "A2", "--a", _a2_class("Q", "-3/4"), "--b", _a2_class("Q", 1)])
+    assert code == 0
+
+
+def test_non_prime_moduli_exit_2():
+    assert run(["chern", "--type", "A2", "--mod", "4"])[0] == 2
+    assert run(["chern", "--type", "A2", "--mod", "3"])[0] == 0
+    # 2^61 - 1 is prime but above the cap, so it is refused without trial division
+    for ring in ("Z/4", "Z/1", "Z/x", "Z/%d" % ((1 << 61) - 1)):
+        code, out = run(["mult", "--type", "A2", "--a", _a2_class(ring, 1), "--b", _a2_class(ring, 1)])
+        assert code == 2, ring
+
+
+def test_non_invertible_denominators_exit_2():
+    for ring in ("Z/2", "Z"):
+        code, out = run(["mult", "--type", "A2", "--a", _a2_class(ring, "1/2"), "--b", _a2_class(ring, 1)])
+        assert code == 2, ring
+        assert out.startswith("usage error")
+    code, out = run(["mult", "--type", "A2", "--a", _a2_class("Z/3", "1/2"), "--b", _a2_class("Z/3", 1)])
+    assert code == 0
+
+
+def test_missing_omega_file_exit_2(tmp_path):
+    code, out = run(["automaton", "--type", "A2", "--omega", "@" + str(tmp_path / "missing.json")])
+    assert code == 2
+    assert out.startswith("usage error")
+
+
 def test_resource_cap_exit_3():
     # a full E6 Weyl enumeration is far beyond a tiny cap; easiest trigger is
     # the steenrod route on a class that fits neither strategy -- use cosets

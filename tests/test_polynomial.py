@@ -1,12 +1,21 @@
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weylchow.errors import InternalComputationError
 from weylchow.polynomial import (
+    MASK,
     Polynomial,
     elementary_symmetric_classes,
     exact_divide_by_linear,
+    pack_monomial,
     series_inverse,
+    unpack_monomial,
 )
 from weylchow.rootdata import build_root_system
+from weylchow.schubert import ChowClass, _normalize, flag_context
 
 
 def w(rs, i):
@@ -126,6 +135,74 @@ def test_series_inverse():
             j = d - k
             if j <= 3:
                 total = total + pk * inv[j]
-    for e, c in total.terms.items():
-        if sum(e) <= 3:
-            assert c == (1 if sum(e) == 0 else 0)
+    for d, part in total.graded_parts().items():
+        if d <= 3:
+            assert part == (Polynomial.one(rs) if d == 0 else Polynomial.zero(rs))
+
+
+# -- packed kernel ------------------------------------------------------------
+
+
+@st.composite
+def polys(draw, max_deg=3, max_terms=4):
+    """A root system from A2, B2, G2, E6 and a list of random polynomials on it."""
+    rs = build_root_system(draw(st.sampled_from(["A2", "B2", "G2", "E6"])))
+    exps = st.lists(st.integers(0, max_deg), min_size=rs.rank, max_size=rs.rank).filter(
+        lambda e: sum(e) <= max_deg
+    )
+    term = st.tuples(exps, st.integers(-3, 3))
+    out = []
+    for _ in range(3):
+        p = Polynomial.zero(rs)
+        for e, c in draw(st.lists(term, max_size=max_terms)):
+            p = p + Polynomial.monomial(rs, e, c)
+        out.append(p)
+    return rs, out, draw(st.integers(0, rs.rank - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys())
+def test_kernel_properties(case):
+    rs, (f, g, h), i = case
+    alpha = Polynomial.linear_form(rs, rs.alpha_omega(i))
+    assert f.divided_difference(i) == exact_divide_by_linear(f - f.reflect(i), alpha, pivot=i)
+    assert (f * g).divided_difference(i) == (
+        f.divided_difference(i) * g + f.reflect(i) * g.divided_difference(i)
+    )
+    assert f.reflect(i).reflect(i) == f
+    assert f * g == g * f
+    assert (f * g) * h == f * (g * h)
+
+
+def test_pack_round_trip_and_degree_order():
+    rs = build_root_system("E6")
+    e = (3, 0, 1, 0, 0, 2)
+    assert unpack_monomial(pack_monomial(e), rs.rank) == e
+    assert Polynomial.monomial(rs, e).degree() == 6
+    # int order on packed keys sorts by total degree first
+    assert pack_monomial((0, 0, 0, 0, 0, 2)) < pack_monomial((3, 0, 0, 0, 0, 0))
+
+
+def test_exponent_overflow_raises():
+    rs = build_root_system("A2")
+    x = Polynomial.monomial(rs, (MASK, 0))
+    assert x.degree() == MASK
+    with pytest.raises(InternalComputationError):
+        Polynomial.monomial(rs, (MASK + 1, 0))
+    with pytest.raises(InternalComputationError):
+        Polynomial.monomial(rs, (MASK, 1))
+    half = Polynomial.monomial(rs, ((MASK + 1) // 2, 0))
+    with pytest.raises(InternalComputationError):
+        half * half
+    with pytest.raises(InternalComputationError):
+        x * Polynomial.variable(rs, 2)
+
+
+@pytest.mark.parametrize("type_name, theta", [("E6", (2, 3, 4, 5, 6)), ("F4", (1, 2, 3))])
+def test_mod2_chern_matches_integral_reduced(type_name, theta):
+    ctx = flag_context(build_root_system(type_name), theta)
+    integral = ctx.chern_classes(ring="Z")
+    mod2 = ctx.chern_classes(ring="Z/2")
+    assert len(integral) == len(mod2) == ctx.dim + 1
+    for a, b in zip(integral, mod2):
+        assert _normalize(ChowClass(a.type_name, a.theta, "Z/2", dict(a.coeffs))) == b
