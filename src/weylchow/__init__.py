@@ -10,6 +10,8 @@ Modules:
   cli       - batch command line over everything
 """
 
+__version__ = "0.1.0"
+
 from .errors import (
     CalibrationError,
     InternalComputationError,
@@ -61,5 +63,3 @@ from .titsjinv import (
     predicted_rational_poincare,
     profile_factor,
 )
-
-__version__ = "0.1.0"

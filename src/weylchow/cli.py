@@ -4,9 +4,12 @@ Exit codes: 0 success, 2 usage error, 3 resource cap exceeded,
 4 internal assertion (a mathematical invariant was violated).
 
 With --cache-dir, the full output of a successful invocation is stored
-under a content-addressed key (hash of the normalized argument vector) and
-replayed byte-identically on reruns; this is what makes repeated heavy
-E7 queries cheap.
+under a content-addressed key (hash of the package version and the
+parsed arguments) and replayed byte-identically on reruns; this is what
+makes repeated heavy E7 queries cheap.  An entry is written to a temporary
+file and renamed into place, so an interrupted write never leaves a
+truncated entry; a cache that cannot be written costs only the replay,
+not the answer.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 import os
 import sys
 
-from . import univar
+from . import __version__, univar
 from .errors import (
     InternalComputationError,
     ResourceLimitError,
@@ -276,9 +279,9 @@ def run(argv):
         return 2, "usage error: invalid arguments"
     cache_file = None
     if getattr(args, "cache_dir", None):
-        key = hashlib.sha256(
-            json.dumps([a for a in argv if not a.startswith("--cache-dir")]).encode()
-        ).hexdigest()
+        # the parsed arguments, so the cache directory's own path is not part of the key
+        request = {k: v for k, v in vars(args).items() if k != "cache_dir"}
+        key = hashlib.sha256(json.dumps([__version__, request], sort_keys=True).encode()).hexdigest()
         cache_file = os.path.join(args.cache_dir, key + ".out")
         if os.path.exists(cache_file):
             with open(cache_file, "r", encoding="utf-8") as fh:
@@ -294,9 +297,17 @@ def run(argv):
     except WeylchowError as exc:
         return 4, f"internal error: {exc}"
     if cache_file:
-        os.makedirs(args.cache_dir, exist_ok=True)
-        with open(cache_file, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        tmp = f"{cache_file}.{os.getpid()}.tmp"  # same directory, so the rename is atomic
+        try:
+            os.makedirs(args.cache_dir, exist_ok=True)
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(out)
+            os.replace(tmp, cache_file)
+        except OSError:
+            pass  # the answer stands; only its replay is lost
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
     return 0, out
 
 

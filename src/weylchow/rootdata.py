@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from .errors import UsageError
 
@@ -31,6 +32,14 @@ _EXCEPTIONAL_DEGREES = {
     ("F", 4): (2, 6, 8, 12),
     ("G", 2): (2, 6),
 }
+
+
+def is_small_prime(p: int) -> bool:
+    """True for a prime p below 2^31.
+
+    Trial division stays fast below the cap, which no torsion prime comes near.
+    """
+    return 2 <= p < 1 << 31 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def _check_family_rank(family: str, rank: int) -> None:

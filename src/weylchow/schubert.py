@@ -28,12 +28,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt
+from math import gcd
 
 from . import univar
 from .errors import InternalComputationError, ResourceLimitError, UsageError
 from .polynomial import Polynomial, elementary_symmetric_classes
-from .rootdata import RootSystem, build_root_system, root_subsystem, weyl_degrees
+from .rootdata import RootSystem, build_root_system, is_small_prime, root_subsystem, weyl_degrees
 from .weyl import CosetTable, WeylElement, _canonical_from_image, coset_reps
 
 
@@ -99,9 +99,8 @@ def _ring_modulus(ring: str):
             p = int(ring[2:])
         except ValueError:
             raise UsageError(f"bad ring {ring!r}") from None
-        # trial division stays fast below the cap, which no torsion prime comes
-        # near, and the cache spares _normalize from repeating it for every class
-        if not 2 <= p < 1 << 31 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        # the cache spares _normalize from repeating the test for every class
+        if not is_small_prime(p):
             raise UsageError(f"bad ring {ring!r}: the modulus must be a prime below 2^31")
         return p
     raise UsageError(f"unknown ring {ring!r}")

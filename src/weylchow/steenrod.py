@@ -18,10 +18,11 @@ The total operation on a pushed fundamental class is a Wu-type formula
     (II)  S([X_w]) = pi_*( pi^* c(T_X)^{-1} . c(T_Z) ),
 
 everything evaluated inside the resolution ring mod 2 (pullbacks of line
-bundles are explicit linear combinations of the D_j).  Which convention is
-correct is not decided on paper: both are evaluated against the
-divisor-generated closed form on type-A flag varieties and the matching
-one is locked in; disagreement raises CalibrationError.
+bundles are explicit linear combinations of the D_j).  Convention I is the
+one that reproduces the divisor-generated closed form on type-A flag
+varieties (II disagrees on A3); it is fixed as WU_CONVENTION and checked
+against that closed form on A2 and A3 before the first answer, and a
+disagreement raises CalibrationError.
 
 For basis classes whose reduced word is too long to expand a 2^l ring, the
 graded pieces are recovered from duality pairings: with Phi(u) :=
@@ -49,195 +50,140 @@ from .weyl import WeylElement, _canonical_from_image, coset_reps
 #: maximal reduced-word length for direct ring expansion (2^l basis monomials)
 DIRECT_WORD_LIMIT = 18
 
+#: the Wu-type formula below that matches the type-A divisor oracle (II fails on A3)
+WU_CONVENTION = "I"
+
 
 class BottSamelsonRing:
-    """CH of the Bott-Samelson resolution of a reduced word, over Z or Z/2.
+    """CH of the Bott-Samelson resolution of a reduced word, mod 2.
 
-    Elements are dicts {bitmask: coeff} over square-free divisor monomials;
-    bit j set means the factor D_{j+1} is present.
+    An element is a set of square-free divisor monomials, each a bitmask
+    (bit j set means the factor D_{j+1} is present); addition is symmetric
+    difference.
     """
 
-    def __init__(self, rs: RootSystem, word, modulus=None):
+    def __init__(self, rs: RootSystem, word):
         word = tuple(int(i) for i in word)
         self.rs = rs
         self.word = word
         self.length = len(word)
-        self.modulus = modulus
         # reducedness check: appending each letter must go up in length
         y = rs.rho
         for i in word:
             if y[i - 1] < 0:
                 raise UsageError(f"word {list(word)} is not reduced")
             y = rs.reflect_weight(i - 1, y)
+        # nu[j]: the positions k < j whose Cartan pairing in nu_j is odd
         self.nu = []
         for j in range(self.length):
             mu = rs.alpha_omega(word[j] - 1)
-            form = {}
+            odd = []
             for k in range(j - 1, -1, -1):
-                c = mu[word[k] - 1]
-                if modulus:
-                    c %= modulus
-                if c:
-                    form[k] = c
+                if mu[word[k] - 1] % 2:
+                    odd.append(k)
                 mu = rs.reflect_weight(word[k] - 1, mu)
-            self.nu.append(form)
+            self.nu.append(tuple(odd))
         self._divmemo = {}
 
     def one(self):
-        return {0: 1}
-
-    def zero(self):
-        return {}
+        return {0}
 
     def _mul_div_mask(self, k, mask):
-        """D_{k+1} times the square-free monomial `mask`, rewritten square-free."""
+        """D_{k+1} times the square-free monomial `mask`, as a tuple of square-free masks."""
         bit = 1 << k
         if not mask & bit:
-            return {mask | bit: 1}
+            return (mask | bit,)
         low = mask & (bit * 2 - 1)
         key = (k, low)
         hit = self._divmemo.get(key)
         if hit is None:
-            out = {}
-            for m, c in self.nu[k].items():
-                for mm, cc in self._mul_div_mask(m, low).items():
-                    v = out.get(mm, 0) + c * cc
-                    if self.modulus:
-                        v %= self.modulus
-                    if v:
-                        out[mm] = v
-                    else:
-                        out.pop(mm, None)
-            hit = out
-            self._divmemo[key] = hit
+            out = set()
+            for m in self.nu[k]:
+                out.symmetric_difference_update(self._mul_div_mask(m, low))
+            hit = self._divmemo[key] = tuple(out)
         high = mask ^ low
         if not high:
             return hit
-        return {mm | high: c for mm, c in hit.items()}
+        return tuple(mm | high for mm in hit)
 
     def mul_divisor(self, elem, k, max_degree=None):
-        out = {}
-        for mask, c in elem.items():
-            for mm, cc in self._mul_div_mask(k, mask).items():
-                if max_degree is not None and mm.bit_count() > max_degree:
-                    continue
-                v = out.get(mm, 0) + c * cc
-                if self.modulus:
-                    v %= self.modulus
-                if v:
-                    out[mm] = v
-                else:
-                    out.pop(mm, None)
+        # D_{k+1} raises the degree of every monomial by exactly one
+        out = set()
+        for mask in elem:
+            if max_degree is None or mask.bit_count() < max_degree:
+                out.symmetric_difference_update(self._mul_div_mask(k, mask))
         return out
 
     def mul_linear(self, elem, form, max_degree=None):
-        """Multiply by a linear combination of divisors {position: coeff}."""
-        out = {}
-        for k, ck in form.items():
-            if not ck:
-                continue
-            part = self.mul_divisor(elem, k, max_degree=max_degree)
-            for mm, cc in part.items():
-                v = out.get(mm, 0) + ck * cc
-                if self.modulus:
-                    v %= self.modulus
-                if v:
-                    out[mm] = v
-                else:
-                    out.pop(mm, None)
-        return out
-
-    def add(self, a, b):
-        out = dict(a)
-        for mask, c in b.items():
-            v = out.get(mask, 0) + c
-            if self.modulus:
-                v %= self.modulus
-            if v:
-                out[mask] = v
-            else:
-                out.pop(mask, None)
+        """Multiply by the sum of the divisors at the positions in `form`."""
+        out = set()
+        for k in form:
+            out ^= self.mul_divisor(elem, k, max_degree=max_degree)
         return out
 
     def mul(self, a, b, max_degree=None):
-        out = {}
         if len(a) > len(b):
             a, b = b, a
-        for amask, ac in a.items():
-            for bmask, bc in b.items():
-                c = ac * bc
-                if self.modulus:
-                    c %= self.modulus
-                if not c:
-                    continue
-                term = {bmask: c}
-                m = amask
-                while m and term:
-                    k = (m & -m).bit_length() - 1
-                    term = self.mul_divisor(term, k, max_degree=max_degree)
-                    m &= m - 1
-                for mm, cc in term.items():
-                    v = out.get(mm, 0) + cc
-                    if self.modulus:
-                        v %= self.modulus
-                    if v:
-                        out[mm] = v
-                    else:
-                        out.pop(mm, None)
+        out = set()
+        for amask in a:
+            term = b
+            m = amask
+            while m and term:
+                k = (m & -m).bit_length() - 1
+                term = self.mul_divisor(term, k, max_degree=max_degree)
+                m &= m - 1
+            out ^= term
         return out
 
     def mul_one_plus_series(self, elem, form, exponent, max_degree):
-        """Multiply by (1 + form)^exponent truncated; exponent is +1 or -1."""
-        if exponent == 1:
-            return self.add(elem, self.mul_linear(elem, form, max_degree=max_degree))
-        # (1+x)^{-1} = 1 - x + x^2 - ... ; mod 2 signs vanish but keep them exact
-        acc = dict(elem)
+        """Multiply by (1 + form)^exponent truncated; exponent is +1 or -1.
+
+        Mod 2, (1 + x)^{-1} = 1 + x + x^2 + ...
+        """
+        acc = set(elem)
         term = elem
-        for _ in range(max_degree + 1):
+        for _ in range(max_degree + 1 if exponent == -1 else 1):
             term = self.mul_linear(term, form, max_degree=max_degree)
             if not term:
                 break
-            term = {m: -c for m, c in term.items()} if not self.modulus else term
-            acc = self.add(acc, term)
+            acc ^= term
         return acc
 
     def pull_weight_class(self, mu):
-        """c_1 of the pullback of the line bundle of weight mu, as {position: coeff}.
+        """c_1 of the pullback of the line bundle of weight mu, as a tuple of positions.
 
-        Coefficient at D_k is <s_{i_{k+1}} ... s_{i_l}(mu), alpha_{i_k}^vee>.
+        The coefficient at D_k is <s_{i_{k+1}} ... s_{i_l}(mu), alpha_{i_k}^vee>;
+        the positions kept are those where it is odd.
         """
-        out = {}
+        out = []
         v = tuple(mu)
         for k in range(self.length - 1, -1, -1):
-            c = v[self.word[k] - 1]
-            if self.modulus:
-                c %= self.modulus
-            if c:
-                out[k] = c
+            if v[self.word[k] - 1] % 2:
+                out.append(k)
             v = self.rs.reflect_weight(self.word[k] - 1, v)
-        return out
+        return tuple(out)
 
     def graded_piece(self, elem, d):
-        return {m: c for m, c in elem.items() if m.bit_count() == d}
+        return {m for m in elem if m.bit_count() == d}
 
 
 def steenrod_on_bs(ring: BottSamelsonRing, elem):
     """The ring endomorphism generated by D |-> D + D^2 (the total square)."""
-    out = ring.zero()
-    for mask, c in elem.items():
-        term = {0: c}
+    out = set()
+    for mask in elem:
+        term = {0}
         m = mask
         while m:
             k = (m & -m).bit_length() - 1
             term = ring.mul_divisor(term, k)
-            term = ring.add(term, ring.mul_linear(term, {k: 1}))  # * (1 + D_k)
+            term ^= ring.mul_divisor(term, k)  # * (1 + D_k)
             m &= m - 1
-        out = ring.add(out, term)
+        out ^= term
     return out
 
 
 def bs_pushforward(ring: BottSamelsonRing, elem, theta) -> ChowClass:
-    """Push square-free monomials to Schubert classes on G/P_Theta.
+    """Push square-free monomials to mod-2 Schubert classes on G/P_Theta.
 
     The monomial prod_{j in T} D_j is the sub-resolution on positions
     S = complement(T); it pushes to [X_v] when the subword at S is reduced
@@ -246,10 +192,8 @@ def bs_pushforward(ring: BottSamelsonRing, elem, theta) -> ChowClass:
     rs = ring.rs
     ct = coset_reps(rs, theta)
     theta_set = set(ct.theta)
-    ring_tag = f"Z/{ring.modulus}" if ring.modulus else "Z"
-    out = {}
-    full = (1 << ring.length) - 1
-    for mask, c in elem.items():
+    out = set()
+    for mask in elem:
         positions = [p for p in range(ring.length) if not (mask >> p) & 1]
         y = rs.rho  # tracks u^{-1}(rho) while letters are appended on the right
         ok = True
@@ -269,14 +213,8 @@ def bs_pushforward(ring: BottSamelsonRing, elem, theta) -> ChowClass:
         k = ct.index.get(u.word)
         if k is None:
             raise InternalComputationError("pushforward image is not a coset representative")
-        v = out.get(k, 0) + c
-        if ring.modulus:
-            v %= ring.modulus
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
-    return _normalize(ChowClass(rs.type.name(), ct.theta, ring_tag, out))
+        out ^= {k}
+    return ChowClass(rs.type.name(), ct.theta, "Z/2", dict.fromkeys(out, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +271,7 @@ def _direct_steenrod_pieces(rs, theta, idx, convention, up_to=None, word=None):
         word = ct.reps[idx].word
     codim = ct.codim(idx)
     emax = codim if up_to is None else min(up_to, codim)
-    ring = BottSamelsonRing(rs, word, modulus=2)
+    ring = BottSamelsonRing(rs, word)
     theta_set = set(ct.theta)
     # pulled-back tangent factors of the base: one per root in the unipotent radical
     u_roots = [
@@ -360,23 +298,17 @@ def _direct_steenrod_pieces(rs, theta, idx, convention, up_to=None, word=None):
 
 @cache
 def _calibrate():
-    """Pick the Wu convention matching the divisor oracle on A2 and A3 flags."""
-    survivors = {"I", "II"}
+    """Check WU_CONVENTION against the divisor oracle on every A2 and A3 flag class."""
     for name in ("A2", "A3"):
         rs = build_root_system(name)
-        ct = coset_reps(rs, ())
-        for idx in range(len(ct)):
-            want = _oracle_steenrod_divisor_generated(rs, idx)
-            for conv in sorted(survivors):
-                got = _direct_steenrod_pieces(rs, (), idx, conv)
-                got = {d: c for d, c in got.items() if not c.is_zero()}
-                if got != want:
-                    survivors = survivors - {conv}
-            if not survivors:
+        for idx in range(len(coset_reps(rs, ()))):
+            got = _direct_steenrod_pieces(rs, (), idx, WU_CONVENTION)
+            if got != _oracle_steenrod_divisor_generated(rs, idx):
                 raise CalibrationError(
-                    "neither Wu convention reproduces the divisor-generated oracle"
+                    f"Wu convention {WU_CONVENTION} disagrees with the divisor-generated "
+                    f"oracle on {name} class {idx}"
                 )
-    return sorted(survivors)[0]
+    return WU_CONVENTION
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +328,7 @@ def _phi_pieces(rs, theta, idx, max_offset):
         raise ResourceLimitError(
             f"Bott-Samelson word of length {len(word)} exceeds the direct limit"
         )
-    ring = BottSamelsonRing(rs, word, modulus=2)
+    ring = BottSamelsonRing(rs, word)
     sigma = -1 if conv == "I" else 1
     elem = ring.one()
     for j in range(ring.length):
@@ -489,23 +421,19 @@ def steenrod_total(cls: ChowClass, up_to=None):
         return [cls.copy()]
     top = max(ct.codim(k) for k in cls.coeffs)
     want = top if up_to is None else min(up_to, top)
-    pieces = [dict() for _ in range(want + 1)]
+    pieces = [set() for _ in range(want + 1)]
     for k, c in cls.coeffs.items():
         if c % 2 == 0:
             continue
-        graded = steenrod_basis_element(rs, cls.theta, k, up_to=want)
-        for d, piece in graded.items():
-            if d > want:
-                continue
-            tgt = pieces[d]
-            for v, cv in piece.coeffs.items():
-                tgt[v] = (tgt.get(v, 0) + cv) % 2
-    return [
-        _normalize(ChowClass(cls.type_name, cls.theta, "Z/2", {v: c for v, c in p.items() if c}))
-        for p in pieces
-    ]
+        for d, piece in steenrod_basis_element(rs, cls.theta, k, up_to=want).items():
+            if d <= want:
+                pieces[d].symmetric_difference_update(piece.coeffs)
+    return [ChowClass(cls.type_name, cls.theta, "Z/2", dict.fromkeys(p, 1)) for p in pieces]
 
 
 def wu_convention():
-    """The calibrated convention name ("I": S(f_* a) = c(T_Y) f_*(c(T_X)^{-1} S(a)))."""
+    """The Wu convention name, checked against the oracle on first use.
+
+    "I": S(f_* a) = c(T_Y) f_*(c(T_X)^{-1} S(a)).
+    """
     return _calibrate()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import univar
 from .errors import UsageError
-from .rootdata import DynkinType, RootSystem, build_root_system, root_subsystem
+from .rootdata import DynkinType, RootSystem, build_root_system, is_small_prime, root_subsystem
 
 
 @dataclass(frozen=True)
@@ -331,8 +331,8 @@ def kac_entry(dtype, p: int) -> KacEntry:
     """Embedded (d_i, k_i) table; non-torsion primes give the empty entry."""
     if isinstance(dtype, str):
         dtype = DynkinType.parse(dtype)
-    if p < 2:
-        raise UsageError("p must be a prime")
+    if not is_small_prime(p):
+        raise UsageError(f"p must be a prime below 2^31, got {p}")
     pairs = []
     for family, rank in dtype.components:
         pairs.extend(_simple_kac_pairs(family, rank, p))

@@ -140,6 +140,12 @@ def test_jinv_commands():
     assert code == 0 and json.loads(out)["generically_split"] is True
 
 
+def test_jinv_non_prime_p_exit_2():
+    for p in ("4", "9", "1"):
+        code, out = run(["jinv", "--type", "E6", "--p", p, "--profile", "", "rhs"])
+        assert code == 2 and out.startswith("usage error"), p
+
+
 def test_usage_errors_exit_2():
     code, out = run(["poincare", "--type", "Q9"])
     assert code == 2
@@ -246,3 +252,44 @@ def test_cache_dir(tmp_path):
     assert code1 == code2 == 0
     assert out1 == out2
     assert list(tmp_path.iterdir())
+
+
+def test_cache_dir_interrupted_write_leaves_no_entry(tmp_path, monkeypatch):
+    from weylchow import cli
+
+    args = ["--cache-dir", str(tmp_path), "poincare", "--type", "B2", "--theta", ""]
+    calls = []
+    dispatch = cli._dispatch
+    monkeypatch.setattr(cli, "_dispatch", lambda a: calls.append(a) or dispatch(a))
+
+    def fail_replace(src, dst):
+        raise OSError("disk full")
+
+    answer = (0, "1+2t+2t^2+2t^3+t^4")
+    with monkeypatch.context() as m:
+        m.setattr(cli.os, "replace", fail_replace)
+        assert run(args) == answer
+    assert list(tmp_path.iterdir()) == []
+    assert run(args) == answer
+    assert len(calls) == 2
+    assert [f.suffix for f in tmp_path.iterdir()] == [".out"]
+    assert run(args) == answer
+    assert len(calls) == 2
+
+
+def test_cache_entries_survive_a_moved_cache_dir(tmp_path):
+    args = ["poincare", "--type", "A2", "--theta", ""]
+    assert run(["--cache-dir", str(tmp_path / "a")] + args)[0] == 0
+    (tmp_path / "a").rename(tmp_path / "b")
+    assert run(["--cache-dir", str(tmp_path / "b")] + args)[0] == 0
+    assert len(list((tmp_path / "b").iterdir())) == 1
+
+
+def test_cache_key_includes_version(tmp_path, monkeypatch):
+    from weylchow import cli
+
+    args = ["--cache-dir", str(tmp_path), "poincare", "--type", "A2", "--theta", ""]
+    run(args)
+    monkeypatch.setattr(cli, "__version__", "0.0.0-other")
+    run(args)
+    assert len(list(tmp_path.iterdir())) == 2
