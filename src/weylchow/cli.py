@@ -5,11 +5,11 @@ Exit codes: 0 success, 2 usage error, 3 resource cap exceeded,
 
 With --cache-dir, the full output of a successful invocation is stored
 under a content-addressed key (hash of the package version and the
-parsed arguments) and replayed byte-identically on reruns; this is what
-makes repeated heavy E7 queries cheap.  An entry is written to a temporary
-file and renamed into place, so an interrupted write never leaves a
-truncated entry; a cache that cannot be written costs only the replay,
-not the answer.
+parsed arguments, with an `@file` omega read in) and replayed
+byte-identically on reruns; this is what makes repeated heavy E7 queries
+cheap.  An entry is written to a temporary file and renamed into place,
+so an interrupted write never leaves a truncated entry; a cache that
+cannot be written costs only the replay, not the answer.
 """
 
 from __future__ import annotations
@@ -225,15 +225,8 @@ def _dispatch(args) -> str:
         return hasse_to_dot(h) if args.format == "dot" else hasse_to_json(h)
 
     if args.command == "automaton":
-        text = args.omega
-        if text.startswith("@"):
-            try:
-                with open(text[1:], "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except (OSError, UnicodeDecodeError) as exc:
-                raise UsageError(f"cannot read omega file: {exc}") from exc
         try:
-            subsets = json.loads(text)
+            subsets = json.loads(args.omega)
             subsets = [tuple(int(x) for x in s) for s in subsets]
         except (ValueError, TypeError) as exc:
             raise UsageError(f"malformed omega JSON: {exc}") from exc
@@ -268,6 +261,39 @@ def _dispatch(args) -> str:
     raise UsageError(f"unknown command {args.command!r}")
 
 
+def _run_cached(args) -> str:
+    """Dispatch, replaying from and storing into --cache-dir when one is given."""
+    if args.command == "automaton" and args.omega.startswith("@"):
+        # read before the key is taken, so the key covers the file's contents, not its path
+        try:
+            with open(args.omega[1:], "r", encoding="utf-8") as fh:
+                args.omega = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read omega file: {exc}") from exc
+    if not args.cache_dir:
+        return _dispatch(args)
+    # the parsed arguments, so the cache directory's own path is not part of the key
+    request = {k: v for k, v in vars(args).items() if k != "cache_dir"}
+    key = hashlib.sha256(json.dumps([__version__, request], sort_keys=True).encode()).hexdigest()
+    cache_file = os.path.join(args.cache_dir, key + ".out")
+    if os.path.exists(cache_file):
+        with open(cache_file, "r", encoding="utf-8") as fh:
+            return fh.read()
+    out = _dispatch(args)
+    tmp = f"{cache_file}.{os.getpid()}.tmp"  # same directory, so the rename is atomic
+    try:
+        os.makedirs(args.cache_dir, exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(out)
+        os.replace(tmp, cache_file)
+    except OSError:
+        pass  # the answer stands; only its replay is lost
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return out
+
+
 def run(argv):
     """Execute one invocation; returns (exit_code, output_text)."""
     parser = _build_parser()
@@ -277,17 +303,8 @@ def run(argv):
         if exc.code == 0:  # --help
             return 0, ""
         return 2, "usage error: invalid arguments"
-    cache_file = None
-    if getattr(args, "cache_dir", None):
-        # the parsed arguments, so the cache directory's own path is not part of the key
-        request = {k: v for k, v in vars(args).items() if k != "cache_dir"}
-        key = hashlib.sha256(json.dumps([__version__, request], sort_keys=True).encode()).hexdigest()
-        cache_file = os.path.join(args.cache_dir, key + ".out")
-        if os.path.exists(cache_file):
-            with open(cache_file, "r", encoding="utf-8") as fh:
-                return 0, fh.read()
     try:
-        out = _dispatch(args)
+        return 0, _run_cached(args)
     except UsageError as exc:
         return 2, f"usage error: {exc}"
     except ResourceLimitError as exc:
@@ -296,19 +313,6 @@ def run(argv):
         return 4, f"internal assertion failed: {exc}"
     except WeylchowError as exc:
         return 4, f"internal error: {exc}"
-    if cache_file:
-        tmp = f"{cache_file}.{os.getpid()}.tmp"  # same directory, so the rename is atomic
-        try:
-            os.makedirs(args.cache_dir, exist_ok=True)
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(out)
-            os.replace(tmp, cache_file)
-        except OSError:
-            pass  # the answer stands; only its replay is lost
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    return 0, out
 
 
 def main():

@@ -151,6 +151,8 @@ def class_from_json(text: str) -> ChowClass:
         type_name = data["type"]
         theta = tuple(sorted(data.get("theta", [])))
         ring = data.get("ring", "Z")
+        if not isinstance(ring, str):
+            raise UsageError(f"ring {ring!r} must be a string such as \"Z/2\"")
         rs = build_root_system(type_name)
         ct = coset_reps(rs, theta)
         coeffs: dict = {}

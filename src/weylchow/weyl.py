@@ -10,7 +10,13 @@ it falls out of a greedy descent on the rho-image, because
 
 Coset representatives W^Theta are enumerated by breadth-first search on
 the W-orbit of lambda_Theta = sum of omega_i over i not in Theta, whose
-stabilizer is exactly W_Theta.
+stabilizer is exactly W_Theta.  The same sign test drives it: at a
+representative w with p = w(lambda_Theta), p_i > 0 makes s_i w the next
+longer representative and p_i = 0 means s_i fixes p, so each BFS step
+follows only the ascents.  A new representative's word and rho-image come
+from its BFS parent with one letter and one reflection; the Hasse diagram
+is read off the table's lambda-points, and the Poincare dual w0 w w_Theta
+is the representative at w0(p).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import prod
 
-from .errors import ResourceLimitError, UsageError
+from .errors import InternalComputationError, ResourceLimitError, UsageError
 from .rootdata import RootSystem, root_subsystem, weyl_degrees
 
 DEFAULT_COSET_CAP = 10_000_000
@@ -124,11 +130,19 @@ def longest_element(rs: RootSystem, theta) -> WeylElement:
 
 
 class CosetTable:
-    """Minimal-length representatives of W/W_Theta with BFS structure.
+    """Minimal-length representatives of W/W_Theta, built one reflection per edge.
 
     reps are ordered by (length, canonical word); `parent` and `parent_label`
     record the BFS tree (rep = s_label * parent), which downstream code uses
-    to evaluate composed divided differences with shared work.
+    to evaluate composed divided differences with shared work; `_points`
+    maps each lambda_Theta-image to its rep's position, in table order.
+
+    The lex-least word of a new point q is (i,) + word(s_i q) for the least
+    i with q_i < 0, the greedy rule `_canonical_from_image` applies to rho.
+    Scanning labels increasingly and, per label, the previous layer in table
+    order meets each new point first through that least label, in (label,
+    parent position) order, which is word order: layers come out sorted
+    without comparing words.
     """
 
     def __init__(self, rs: RootSystem, theta, cap: int = DEFAULT_COSET_CAP):
@@ -147,48 +161,43 @@ class CosetTable:
         theta_set = set(theta)
         lam = tuple(0 if (j + 1) in theta_set else 1 for j in range(rs.rank))
 
-        # BFS on the orbit of lambda_Theta; each new point's lex-least word is
-        # min over predecessors of (i,) + parent word, realized by scanning
-        # parents in word order and labels increasingly.
-        start = lam
-        info = {start: ((), None, None)}  # point -> (word, parent_point, label)
-        layers = [[start]]
-        count = 1
-        while layers[-1]:
-            nxt = {}
-            prev_layer = sorted(layers[-1], key=lambda p: info[p][0])
-            for p in prev_layer:
-                wp = info[p][0]
-                for i in range(1, rs.rank + 1):
-                    q = rs.reflect_weight(i - 1, p)
-                    if q == p or q in info:
-                        continue
-                    cand = (i,) + wp
-                    if q not in nxt or cand < nxt[q][0]:
-                        nxt[q] = (cand, p, i)
-            for q, rec in nxt.items():
-                info[q] = rec
-            count += len(nxt)
-            if count > cap:
+        reflect = rs.reflect_weight
+        points = {lam: 0}     # lambda-image -> position, in table order
+        order = [lam]
+        parent = [-1]
+        parent_label = [0]
+        start = 0
+        while start < len(order):
+            end = len(order)
+            for i in range(rs.rank):
+                for k in range(start, end):
+                    p = order[k]
+                    if p[i] > 0:
+                        q = reflect(i, p)
+                        if q not in points:
+                            points[q] = len(order)
+                            order.append(q)
+                            parent.append(k)
+                            parent_label.append(i + 1)
+            if len(order) > cap:
                 raise ResourceLimitError(
                     f"|W^Theta| exceeds cap {cap} for type {rs.type.name()}, theta={list(theta)}"
                 )
-            layers.append(sorted(nxt.keys(), key=lambda p: info[p][0]))
-        layers.pop()
+            start = end
 
-        order = []
-        for layer in layers:
-            order.extend(layer)
-        self.reps = tuple(
-            WeylElement(rs, info[p][0], apply_word(rs, info[p][0], rs.rho)) for p in order
-        )
-        self.index = {w.word: k for k, w in enumerate(self.reps)}
-        point_pos = {p: k for k, p in enumerate(order)}
-        self.parent = tuple(
-            point_pos[info[p][1]] if info[p][1] is not None else -1 for p in order
-        )
-        self.parent_label = tuple(info[p][2] if info[p][2] is not None else 0 for p in order)
-        self._points = point_pos
+        reps = [WeylElement.identity(rs)]
+        for k in range(1, len(order)):
+            up = reps[parent[k]]
+            label = parent_label[k]
+            reps.append(
+                WeylElement(rs, (label,) + up.word, reflect(label - 1, up.rho_image))
+            )
+        self.reps = tuple(reps)
+        # positions shared with `points`, so no second int object per rep
+        self.index = {w.word: k for w, k in zip(self.reps, points.values())}
+        self.parent = tuple(parent)
+        self.parent_label = tuple(parent_label)
+        self._points = points
         self.w0 = longest_element(rs, range(1, rs.rank + 1))
         self.w_theta = longest_element(rs, theta)
         self._dual = None
@@ -205,25 +214,25 @@ class CosetTable:
         """Codimension of the basis class [X_w] for rep index k."""
         return self.max_length - self.reps[k].length
 
-    def rep_of(self, w: WeylElement) -> int:
-        """Index of the minimal representative of the coset w W_Theta."""
-        p = apply_word(self.rs, w.word, self._lambda())
-        k = self._points.get(p)
-        if k is None:
-            raise AssertionError("coset projection failed")
-        return k
-
-    def _lambda(self):
-        theta_set = set(self.theta)
-        return tuple(0 if (j + 1) in theta_set else 1 for j in range(self.rs.rank))
-
     def dual_index(self, k: int) -> int:
-        """Index of w0 * w_k * w_theta, the Poincaré-dual basis element."""
+        """Index of w0 * w_k * w_theta, the Poincaré-dual basis element.
+
+        w_theta fixes lambda_Theta, so that element maps it to w0(p) with
+        p = w_k(lambda_Theta): the dual is the rep at w0(p), and w0 acts on
+        weights through the matrix whose columns are the images of the
+        omega basis vectors.
+        """
         if self._dual is None:
+            rank = self.rs.rank
+            cols = [self.w0.act(tuple(int(i == j) for i in range(rank))) for j in range(rank)]
+            rows = [[(j, c[i]) for j, c in enumerate(cols) if c[i]] for i in range(rank)]
+            points = self._points
             dual = []
-            for w in self.reps:
-                u = (self.w0 * w) * self.w_theta
-                dual.append(self.index[u.word])
+            for p in points:
+                k_dual = points.get(tuple(sum(c * p[j] for j, c in row) for row in rows))
+                if k_dual is None:
+                    raise InternalComputationError("w0 maps a coset point outside the orbit")
+                dual.append(k_dual)
             self._dual = tuple(dual)
         return self._dual[k]
 
@@ -257,20 +266,17 @@ class HasseDiagram:
 
 
 def hasse_diagram(ct: CosetTable) -> HasseDiagram:
-    rs = ct.rs
-    lam = ct._lambda()
-    points = [apply_word(rs, w.word, lam) for w in ct.reps]
-    pos = {p: k for k, p in enumerate(points)}
+    """Edges k -> pos(s_i p) for every lambda-image p of the table with p_i > 0."""
+    reflect = ct.rs.reflect_weight
+    points = ct._points
     edges = []
-    for k, w in enumerate(ct.reps):
-        p = points[k]
-        for i in range(1, rs.rank + 1):
-            q = rs.reflect_weight(i - 1, p)
-            if q == p:
-                continue
-            m = pos.get(q)
-            if m is not None and ct.reps[m].length == w.length + 1:
-                edges.append((k, m, i))
+    for k, p in enumerate(points):
+        for i, pi in enumerate(p):
+            if pi > 0:
+                m = points.get(reflect(i, p))
+                if m is None:
+                    raise InternalComputationError("an ascent leaves the coset table")
+                edges.append((k, m, i + 1))
     edges.sort()
     return HasseDiagram(theta=ct.theta, vertices=tuple(range(len(ct.reps))), edges=tuple(edges), table=ct)
 

@@ -2,6 +2,8 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylchow.cli import run
 
@@ -192,6 +194,12 @@ def test_non_invertible_denominators_exit_2():
     assert code == 0
 
 
+def test_non_string_ring_exit_2():
+    for ring in (2, ["Z"], None):
+        code, out = run(["mult", "--type", "A2", "--a", _a2_class(ring, 1), "--b", _a2_class("Z", 1)])
+        assert code == 2 and out.startswith("usage error"), ring
+
+
 def test_missing_omega_file_exit_2(tmp_path):
     code, out = run(["automaton", "--type", "A2", "--omega", "@" + str(tmp_path / "missing.json")])
     assert code == 2
@@ -293,3 +301,108 @@ def test_cache_key_includes_version(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "__version__", "0.0.0-other")
     run(args)
     assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_cache_key_follows_omega_file_contents(tmp_path):
+    omega = tmp_path / "omega.json"
+    args = ["--cache-dir", str(tmp_path / "cache"), "automaton", "--type", "B3",
+            "--omega", "@" + str(omega), "--format", "dot"]
+    outputs = []
+    for subsets in ([[], [1], [1, 2], [1, 2, 3]], [[], [3], [1, 3], [1, 2, 3]]):
+        omega.write_text(json.dumps(subsets))
+        direct = run(["automaton", "--type", "B3", "--omega", json.dumps(subsets), "--format", "dot"])
+        assert direct[0] == 0
+        assert run(args) == direct
+        outputs.append(direct[1])
+    assert outputs[0] != outputs[1]
+    omega.unlink()
+    code, out = run(args)
+    assert code == 2 and out.startswith("usage error")
+
+
+# --- argv fuzzing -----------------------------------------------------------
+# Types of rank <= 4 and names that do not parse or are out of range.  F4 is
+# left out of chern, steenrod and mult, where its full flag takes seconds.
+_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2",
+          "A1xA1", "A2xB2", "1", "", "Q9", "A0", "B1", "D2", "E9", "x", "A"]
+_SLOW_ON_F4 = ("chern", "steenrod", "mult")
+_junk = st.sampled_from(["", "x", "1,,2", "-1", "1.5", "[", "{}", "null", "2e3", "@", " "])
+_ints = st.integers(min_value=-3, max_value=12)
+_int_args = st.sampled_from([str(n) for n in range(-3, 13)] + ["", "x", "1.5"])
+_vertices = st.one_of(
+    st.just(""),
+    st.lists(st.integers(min_value=-1, max_value=6), max_size=5).map(lambda v: ",".join(map(str, v))),
+    _junk,
+)
+_formats = st.sampled_from(["json", "dot", "svg"])
+
+
+def _json_text(value):
+    return st.one_of(value.map(json.dumps), _junk)
+
+
+def _class(type_name):
+    """Class JSON, usually on the full flag of the --type under test."""
+    letter = st.sampled_from([1, 2, 1, 2, 3, 0, 5])
+    term = st.fixed_dictionaries(
+        {"word": st.one_of(st.lists(letter, max_size=4), st.sampled_from([[1.0], ["1"], 3, None]))},
+        optional={"coeff": st.one_of(_ints, st.sampled_from(["1/3", "-2", "x", 1.5, True, None])),
+                  "dual": st.booleans()},
+    )
+    theta = st.lists(st.one_of(letter, st.sampled_from([1.5, "1", None])), max_size=3)
+    return _json_text(st.fixed_dictionaries(
+        {"type": st.sampled_from([type_name] * len(_TYPES) + _TYPES)},
+        optional={"theta": theta,
+                  "ring": st.sampled_from(["Z/2"] * 3 + ["Z", "Q", "Z/3", "Z/4", "Z/x", 2, ["Z"]]),
+                  "terms": st.lists(term, max_size=3)},
+    ))
+
+
+_omega = st.one_of(
+    _json_text(st.lists(st.lists(st.integers(min_value=-1, max_value=5), max_size=4), max_size=5)),
+    st.sampled_from(['[[],[1],[1,2],[1,2,3]]', '[[],[3],[1,3],[1,2,3]]', '[[],[1,2,3,4]]']),
+)
+
+
+def _options(command, type_name):
+    """command -> its options; None marks a flag without a value."""
+    return {
+        "cosets": {"--theta": _vertices},
+        "poincare": {"--theta": _vertices},
+        "mult": {"--theta": _vertices, "--a": _class(type_name), "--b": _class(type_name)},
+        "chern": {"--theta": _vertices, "--codim": _int_args, "--mod": _int_args},
+        "steenrod": {"--theta": _vertices, "--class": _class(type_name), "--i": _int_args},
+        "decompose": {"--theta": _vertices, "--circled": _vertices, "--rost": None, "--format": _formats},
+        "hasse": {"--theta": _vertices, "--format": _formats},
+        "automaton": {"--omega": _omega, "--format": _formats},
+        "jinv": {"--p": _int_args, "--profile": _vertices, "--theta": _vertices, "--vertex": _int_args,
+                 "action": st.sampled_from(["rhs", "predict", "gensplit", "other"])},
+    }.get(command, {})
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["roots", "cosets", "poincare", "mult", "chern", "steenrod",
+                                    "decompose", "hasse", "automaton", "jinv", "nonsense"]))
+    type_name = draw(st.sampled_from(_TYPES if command in _SLOW_ON_F4 else _TYPES + ["F4"] * 3))
+    argv = [command]
+    if draw(st.integers(min_value=0, max_value=9)):
+        argv += ["--type", type_name]
+    for option, values in _options(command, type_name).items():
+        if not draw(st.integers(min_value=0, max_value=7)):
+            continue  # leave the option out, required or not
+        if option == "action":
+            argv.append(draw(values))
+        elif values is None:
+            argv.append(option)
+        else:
+            argv += [option, draw(values)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argvs())
+def test_any_argv_maps_to_a_documented_exit_code(argv):
+    code, out = run(argv)
+    assert code in (0, 2, 3, 4)
+    assert isinstance(out, str)

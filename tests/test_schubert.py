@@ -393,3 +393,30 @@ def test_class_json_roundtrip():
     )
     got = class_from_json(js2)
     assert got.coeffs == {ct.dual_index(1): 1}
+
+
+@pytest.mark.parametrize(
+    "name,theta",
+    [("F4", (1, 2, 3)), ("F4", (2, 3, 4)), ("E6", (2, 3, 4, 5, 6)), ("E6", (1, 2, 3, 4, 5))],
+    ids=["F4/P4", "F4/P1", "E6/P1", "E6/P6"],
+)
+def test_poly_and_pairing_routes_agree(name, theta):
+    # the pairing route pairs against the dual class [Z_v] of every v through
+    # dual_index; the polynomial route reads the product off the delta sweep,
+    # so a wrong dual shows up as a mismatch
+    from weylchow.schubert import _multiply_by_pairings, _multiply_poly_route
+
+    rs = build_root_system(name)
+    ctx = flag_context(rs, theta)
+    by_codim = {}
+    for k in range(len(ctx.ct)):
+        by_codim.setdefault(ctx.ct.codim(k), []).append(k)
+    rng = random.Random(5)
+    for ring in ("Z", "Z/2"):
+        for da in range(1, ctx.dim):
+            for db in range(da, ctx.dim - da):
+                a = ChowClass(rs.type.name(), ctx.theta, ring, {rng.choice(by_codim[da]): 1})
+                b = ChowClass(rs.type.name(), ctx.theta, ring, {rng.choice(by_codim[db]): 1})
+                poly = _multiply_poly_route(ctx, a, b, da + db, ring)
+                pairs = _multiply_by_pairings(ctx, a, b, da, db, ring)
+                assert poly.coeffs == pairs.coeffs, (ring, da, db)

@@ -8,6 +8,7 @@ from weylchow.weyl import (
     CosetTable,
     WeylElement,
     all_reduced_words,
+    apply_word,
     coset_reps,
     enumerate_group,
     hasse_diagram,
@@ -248,3 +249,44 @@ def test_weyl_order_matches_degree_product_rank_le_4():
     for name in ("A2", "B2", "G2", "A3", "B3", "C3", "A4", "B4", "D4", "F4"):
         rs = build_root_system(name)
         assert len(enumerate_group(rs)) == math.prod(weyl_degrees(name))
+
+
+def _every_theta(rs):
+    for r in range(rs.rank + 1):
+        yield from itertools.combinations(range(1, rs.rank + 1), r)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4", "F4"])
+def test_coset_table_matches_definitions(name):
+    # every fact the table derives from the BFS, against its definition
+    rs = build_root_system(name)
+    thetas = [(2, 3, 4), (1, 2, 3), (2, 3), (1, 2, 4), (1, 3, 4)] if name == "F4" else _every_theta(rs)
+    for theta in thetas:
+        ct = coset_reps(rs, theta)
+        lam = tuple(0 if j + 1 in theta else 1 for j in range(rs.rank))
+        points = [apply_word(rs, w.word, lam) for w in ct.reps]
+        assert len(set(points)) == len(ct)
+        pos = {p: k for k, p in enumerate(points)}
+        edges = set()
+        for k, w in enumerate(ct.reps):
+            assert w.word == min(all_reduced_words(rs, w))
+            assert w.rho_image == apply_word(rs, w.word, rs.rho)
+            if k:
+                assert w.word == (ct.parent_label[k],) + ct.reps[ct.parent[k]].word
+            dual = (ct.w0 * w) * ct.w_theta
+            assert ct.dual_index(k) == ct.index[dual.word]
+            for i in range(rs.rank):
+                m = pos.get(rs.reflect_weight(i, points[k]))
+                if m is not None and ct.reps[m].length == w.length + 1:
+                    edges.add((k, m, i + 1))
+        assert set(hasse_diagram(ct).edges) == edges
+
+
+def test_e6_full_flag_table():
+    ct = coset_reps(build_root_system("E6"), ())
+    assert len(ct) == 51840
+    assert ct.graded_counts() == (
+        1, 6, 20, 50, 105, 195, 329, 514, 754, 1048, 1389, 1765, 2159, 2549, 2911, 3222, 3461,
+        3611, 3662, 3611, 3461, 3222, 2911, 2549, 2159, 1765, 1389, 1048, 754, 514, 329, 195,
+        105, 50, 20, 6, 1,
+    )
