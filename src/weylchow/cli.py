@@ -226,10 +226,13 @@ def _dispatch(args) -> str:
 
     if args.command == "automaton":
         try:
-            subsets = json.loads(args.omega)
-            subsets = [tuple(int(x) for x in s) for s in subsets]
+            subsets = [tuple(s) for s in json.loads(args.omega)]
         except (ValueError, TypeError) as exc:
             raise UsageError(f"malformed omega JSON: {exc}") from exc
+        for s in subsets:
+            for x in s:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise UsageError(f"omega vertex {x!r} must be an integer")
         omega = HigherIndexSet.build(DynkinType.parse(args.type), subsets)
         a = automaton(omega)
         if args.format == "dot":

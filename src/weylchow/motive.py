@@ -181,7 +181,7 @@ def decomposition_to_dot(rs, theta, circled) -> str:
 # Correspondences
 
 
-@dataclass
+@dataclass(frozen=True)
 class Correspondence:
     """A sum of product cycles sum_i a_i x b_i on X x X over Z/p."""
 

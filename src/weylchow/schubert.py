@@ -41,17 +41,39 @@ from .weyl import CosetTable, WeylElement, _canonical_from_image, coset_reps
 # Chow classes
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChowClass:
-    """A sparse element of CH*(G/P_Theta) over the Schubert basis."""
+    """A sparse element of CH*(G/P_Theta) over the Schubert basis.
+
+    Immutable, and normalized when built: over Z/p every coefficient is
+    reduced into [0, p) (a Fraction through the inverse of its denominator),
+    over Z an integral Fraction becomes an int, over Q values are kept as
+    given, and zero coefficients are dropped.
+    """
 
     type_name: str
     theta: tuple
     ring: str                 # "Z", "Q", or "Z/p"
     coeffs: dict              # basis index -> coefficient
 
-    def copy(self):
-        return ChowClass(self.type_name, self.theta, self.ring, dict(self.coeffs))
+    def __post_init__(self):
+        p = _ring_modulus(self.ring)
+        out = {}
+        for k, c in self.coeffs.items():
+            if p is not None:
+                if isinstance(c, Fraction):
+                    if c.denominator % p == 0:
+                        raise InternalComputationError(f"denominator not invertible mod {p}")
+                    c = c.numerator * pow(c.denominator, -1, p)
+                c = c % p
+            elif self.ring == "Z":
+                if isinstance(c, Fraction):
+                    if c.denominator != 1:
+                        raise InternalComputationError("non-integral coefficient in Z-class")
+                    c = int(c)
+            if c:
+                out[k] = c
+        object.__setattr__(self, "coeffs", out)
 
     def is_zero(self):
         return not self.coeffs
@@ -69,24 +91,11 @@ class ChowClass:
         _check_compatible(self, other)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            v = out.get(k, 0) + c
-            out[k] = v
-        cls = ChowClass(self.type_name, self.theta, self.ring, out)
-        return _normalize(cls)
+            out[k] = out.get(k, 0) + c
+        return ChowClass(self.type_name, self.theta, self.ring, out)
 
     def scale(self, c):
-        return _normalize(
-            ChowClass(self.type_name, self.theta, self.ring, {k: c * v for k, v in self.coeffs.items()})
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChowClass)
-            and self.type_name == other.type_name
-            and self.theta == other.theta
-            and self.ring == other.ring
-            and self.coeffs == other.coeffs
-        )
+        return ChowClass(self.type_name, self.theta, self.ring, {k: c * v for k, v in self.coeffs.items()})
 
 
 @cache
@@ -99,32 +108,11 @@ def _ring_modulus(ring: str):
             p = int(ring[2:])
         except ValueError:
             raise UsageError(f"bad ring {ring!r}") from None
-        # the cache spares _normalize from repeating the test for every class
+        # the cache spares ChowClass construction from repeating the test for every class
         if not is_small_prime(p):
             raise UsageError(f"bad ring {ring!r}: the modulus must be a prime below 2^31")
         return p
     raise UsageError(f"unknown ring {ring!r}")
-
-
-def _normalize(cls: ChowClass) -> ChowClass:
-    p = _ring_modulus(cls.ring)
-    out = {}
-    for k, c in cls.coeffs.items():
-        if p is not None:
-            if isinstance(c, Fraction):
-                if c.denominator % p == 0:
-                    raise InternalComputationError(f"denominator not invertible mod {p}")
-                c = c.numerator * pow(c.denominator, -1, p)
-            c = c % p
-        elif cls.ring == "Z":
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise InternalComputationError("non-integral coefficient in Z-class")
-                c = int(c)
-        if c:
-            out[k] = c
-    cls.coeffs = out
-    return cls
 
 
 def _check_compatible(a: ChowClass, b: ChowClass):
@@ -174,7 +162,7 @@ def class_from_json(text: str) -> ChowClass:
             raise UsageError(f"coefficient {c} has a denominator that is not invertible in {ring}")
         if ring == "Z" and den != 1:
             raise UsageError(f"coefficient {c} is not an integer, as ring Z requires")
-    return _normalize(ChowClass(type_name, theta, ring, coeffs))
+    return ChowClass(type_name, theta, ring, coeffs)
 
 
 def _coefficient_from_json(c):
@@ -248,7 +236,7 @@ def pieri_multiply(rs: RootSystem, alpha: int, w: WeylElement) -> ChowClass:
         if coeff:
             k = ct.index[word]
             out[k] = out.get(k, 0) + coeff
-    return _normalize(ChowClass(rs.type.name(), (), "Z", out))
+    return ChowClass(rs.type.name(), (), "Z", out)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +325,7 @@ class _FlagContext:
             d = self.ct.reps[k].length
             graded.setdefault(d, {})[self.ct.dual_index(k)] = c
         return {
-            d: _normalize(ChowClass(self.rs.type.name(), self.theta, ring, coeffs))
+            d: ChowClass(self.rs.type.name(), self.theta, ring, coeffs)
             for d, coeffs in sorted(graded.items())
         }
 
@@ -676,10 +664,8 @@ def char_map(rs: RootSystem, theta, u: Polynomial, check: bool = True) -> ChowCl
     graded = ctx.char_map_graded(u)
     cls = graded.get(u.degree(), ChowClass(rs.type.name(), ctx.theta, "Q", {}))
     if all(not isinstance(c, Fraction) or c.denominator == 1 for c in cls.coeffs.values()):
-        cls = ChowClass(cls.type_name, cls.theta, "Z", {k: int(c) for k, c in cls.coeffs.items()})
-    else:
-        cls.ring = "Q"
-    return _normalize(cls)
+        return ChowClass(cls.type_name, cls.theta, "Z", cls.coeffs)
+    return cls
 
 
 def preimage(cls: ChowClass) -> Polynomial:
@@ -712,15 +698,14 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
     for da, ca in parts_a.items():
         for db, cb in parts_b.items():
             total = total + _multiply_homogeneous(ctx, ca, cb, da, db)
-    return _normalize(total)
+    return total
 
 
 def _graded_parts(cls: ChowClass, ctx: _FlagContext):
-    out = {}
+    by_codim = {}
     for k, c in cls.coeffs.items():
-        d = ctx.ct.codim(k)
-        out.setdefault(d, ChowClass(cls.type_name, cls.theta, cls.ring, {})).coeffs[k] = c
-    return out
+        by_codim.setdefault(ctx.ct.codim(k), {})[k] = c
+    return {d: ChowClass(cls.type_name, cls.theta, cls.ring, cf) for d, cf in by_codim.items()}
 
 
 def _poly_limit(dim: int) -> int:
@@ -741,17 +726,17 @@ def _multiply_homogeneous(ctx, a, b, da, db):
         return a.scale(c)
     if k == ctx.dim:
         val = _pairing(ctx, a, b)
-        return _normalize(ChowClass(a.type_name, a.theta, ring, {0: val} if val else {}))
+        return ChowClass(a.type_name, a.theta, ring, {0: val})
     memo_key = (_freeze(a), _freeze(b))
     hit = ctx._pair_memo.get(memo_key)
     if hit is not None:
-        return hit.copy()
+        return hit
     limit = _poly_limit(ctx.dim)
     if k <= limit or max(da, db) < ctx.dim - limit:
         out = _multiply_poly_route(ctx, a, b, k, ring)
     else:
         out = _multiply_by_pairings(ctx, a, b, da, db, ring)
-    ctx._pair_memo[memo_key] = out.copy()
+    ctx._pair_memo[memo_key] = out
     return out
 
 
@@ -781,10 +766,8 @@ def _multiply_poly_route(ctx, a, b, k, ring):
     coeffs = {}
     for idx, c in scalars.items():
         if ctx.ct.reps[idx].length == k:
-            v = Fraction(c, den)
-            if v:
-                coeffs[ctx.ct.dual_index(idx)] = v
-    return _normalize(ChowClass(a.type_name, a.theta, ring, coeffs))
+            coeffs[ctx.ct.dual_index(idx)] = Fraction(c, den)
+    return ChowClass(a.type_name, a.theta, ring, coeffs)
 
 
 def _multiply_by_pairings(ctx, a, b, da, db, ring):
@@ -802,10 +785,8 @@ def _multiply_by_pairings(ctx, a, b, da, db, ring):
             continue
         zv = ChowClass(a.type_name, a.theta, ring, {ctx.ct.dual_index(v): 1})
         inner = _multiply_homogeneous(ctx, b, zv, db, ctx.dim - k)
-        val = _pairing(ctx, a, inner)
-        if val:
-            out[v] = val
-    return _normalize(ChowClass(a.type_name, a.theta, ring, out))
+        out[v] = _pairing(ctx, a, inner)
+    return ChowClass(a.type_name, a.theta, ring, out)
 
 
 def pullback_to_flags(cls: ChowClass) -> ChowClass:
@@ -817,7 +798,7 @@ def pullback_to_flags(cls: ChowClass) -> ChowClass:
     for k, c in cls.coeffs.items():
         w = ctx.ct.reps[k] * ctx.ct.w_theta
         out[flags.index[w.word]] = c
-    return _normalize(ChowClass(cls.type_name, (), cls.ring, out))
+    return ChowClass(cls.type_name, (), cls.ring, out)
 
 
 def chern_tangent(rs: RootSystem, theta, max_codim=None, ring="Z"):

@@ -44,7 +44,7 @@ from math import comb
 from .errors import CalibrationError, InternalComputationError, ResourceLimitError, UsageError
 from .polynomial import Polynomial, unpack_monomial
 from .rootdata import RootSystem, build_root_system
-from .schubert import ChowClass, _normalize, char_map, flag_context, preimage
+from .schubert import ChowClass, char_map, flag_context, preimage
 from .weyl import WeylElement, _canonical_from_image, coset_reps
 
 #: maximal reduced-word length for direct ring expansion (2^l basis monomials)
@@ -254,7 +254,7 @@ def _oracle_steenrod_divisor_generated(rs: RootSystem, idx):
     graded = {}
     for d, piece in subbed.graded_parts().items():
         img = char_map(rs, (), piece, check=False)
-        img2 = _normalize(ChowClass(rs.type.name(), (), "Z/2", dict(img.coeffs)))
+        img2 = ChowClass(rs.type.name(), (), "Z/2", img.coeffs)
         if not img2.is_zero():
             graded[d - ct.codim(idx)] = img2
     return graded
@@ -374,7 +374,7 @@ def _steenrod_by_duality(rs, theta, idx, up_to):
                 coeffs[ct.dual_index(u)] = val
         known[m] = coeffs
     return {
-        m: _normalize(ChowClass(rs.type.name(), ct.theta, "Z/2", dict(cf)))
+        m: ChowClass(rs.type.name(), ct.theta, "Z/2", cf)
         for m, cf in known.items()
         if cf
     }
@@ -418,7 +418,7 @@ def steenrod_total(cls: ChowClass, up_to=None):
     rs = build_root_system(cls.type_name)
     ct = coset_reps(rs, cls.theta)
     if cls.is_zero():
-        return [cls.copy()]
+        return [cls]
     top = max(ct.codim(k) for k in cls.coeffs)
     want = top if up_to is None else min(up_to, top)
     pieces = [set() for _ in range(want + 1)]

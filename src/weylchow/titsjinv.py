@@ -74,6 +74,11 @@ class HigherIndexSet:
     indices: tuple  # tuple of sorted circled-subset tuples
 
     def __post_init__(self):
+        n = self.type.rank
+        for m in self.indices:
+            for i in m:
+                if not 1 <= i <= n:
+                    raise UsageError(f"circled vertex {i} out of range 1..{n}")
         members = [set(m) for m in self.indices]
         minimal = [m for m in members if not any(o < m for o in members)]
         if len(minimal) != 1:

@@ -65,8 +65,10 @@ class WeylElement:
 
     @staticmethod
     def from_word(rs: RootSystem, word) -> "WeylElement":
-        word = tuple(int(i) for i in word)
+        word = tuple(word)
         for i in word:
+            if not isinstance(i, int) or isinstance(i, bool):
+                raise UsageError(f"letter {i!r} must be an integer")
             if not 1 <= i <= rs.rank:
                 raise UsageError(f"letter {i} out of range 1..{rs.rank}")
         v = apply_word(rs, word, rs.rho)
@@ -83,15 +85,6 @@ class WeylElement:
     def act(self, v):
         """Image of a weight vector under this element."""
         return apply_word(self.rs, self.word, v)
-
-    def act_root(self, c):
-        """Image of a vector in simple-root coordinates."""
-        for i in reversed(self.word):
-            c = self.rs.reflect_root(i - 1, c)
-        return c
-
-    def inverse(self) -> "WeylElement":
-        return WeylElement.from_word(self.rs, tuple(reversed(self.word)))
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rs is not other.rs:
@@ -319,8 +312,3 @@ def all_reduced_words(rs: RootSystem, w: WeylElement):
 
     rec(w.rho_image, [])
     return out
-
-
-def enumerate_group(rs: RootSystem):
-    """All elements of W as a CosetTable with empty theta."""
-    return coset_reps(rs, ())

@@ -176,6 +176,30 @@ def test_inexact_coefficients_exit_2():
     assert code == 0
 
 
+def test_non_integer_word_letters_exit_2():
+    # a letter is an exact integer: 1.9 is not truncated, true and "2" are not coerced
+    for word in ([1.9, 2], [1.0], [True], ["2"]):
+        cls = json.dumps({"type": "A2", "theta": [], "ring": "Z/2", "terms": [{"word": word, "coeff": 1}]})
+        for argv in (
+            ["mult", "--type", "A2", "--a", cls, "--b", _a2_class("Z/2", 1)],
+            ["steenrod", "--type", "A2", "--class", cls],
+        ):
+            code, out = run(argv)
+            assert code == 2 and out.startswith("usage error"), (word, argv[0])
+
+
+def test_automaton_omega_vertices_are_integers_in_range():
+    for omega in (
+        "[[],[1,2,3,99]]",
+        "[[],[0,1,2,3]]",
+        "[[],[1.7],[1,2],[1,2,3]]",
+        "[[],[1],[1,2],[true,2,3]]",
+        '[[],["1"],[1,2],[1,2,3]]',
+    ):
+        code, out = run(["automaton", "--type", "B3", "--omega", omega])
+        assert code == 2 and out.startswith("usage error"), omega
+
+
 def test_non_prime_moduli_exit_2():
     assert run(["chern", "--type", "A2", "--mod", "4"])[0] == 2
     assert run(["chern", "--type", "A2", "--mod", "3"])[0] == 0

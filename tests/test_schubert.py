@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from weylchow import univar
-from weylchow.errors import ResourceLimitError, UsageError
+from weylchow.errors import InternalComputationError, ResourceLimitError, UsageError
 from weylchow.polynomial import Polynomial
 from weylchow.rootdata import build_root_system
 from weylchow.schubert import (
@@ -376,6 +376,45 @@ def test_grading_rank_profile_matches_poincare():
     for k in range(len(ct)):
         counts[ct.codim(k)] += 1
     assert tuple(counts) == g
+
+
+def test_chow_class_value_contract():
+    from dataclasses import FrozenInstanceError
+
+    cls = ChowClass("A2", (), "Z/2", {0: 3, 1: 0})
+    assert cls.coeffs == {0: 1}
+    with pytest.raises(FrozenInstanceError):
+        cls.ring = "Z"
+    with pytest.raises(FrozenInstanceError):
+        cls.coeffs = {}
+    assert ChowClass("A2", (), "Z/3", {0: Fraction(1, 2)}).coeffs == {0: 2}
+    z = ChowClass("A2", (), "Z", {0: Fraction(4, 2)})
+    assert z.coeffs == {0: 2} and type(z.coeffs[0]) is int
+    for ring in ("Z", "Z/2"):
+        with pytest.raises(InternalComputationError):
+            ChowClass("A2", (), ring, {0: Fraction(1, 2)})
+    q = ChowClass("A2", (), "Q", {0: Fraction(2, 1)})
+    assert type(q.coeffs[0]) is Fraction
+
+
+def test_pair_memo_serves_the_same_product(monkeypatch):
+    import weylchow.schubert as schubert
+
+    rs = build_root_system("B3")
+    ct = flag_context(rs, ()).ct
+    c2 = [k for k in range(len(ct)) if ct.codim(k) == 2]
+    c3 = [k for k in range(len(ct)) if ct.codim(k) == 3]
+    a = ChowClass("B3", (), "Z", {c2[0]: 1, c2[1]: 3})
+    b = ChowClass("B3", (), "Z", {c3[0]: 2, c3[2]: 1})
+    first = multiply(a, b)
+    assert not first.is_zero()
+
+    def recompute(*args):
+        raise AssertionError("product recomputed instead of served from the pair memo")
+
+    monkeypatch.setattr(schubert, "_multiply_poly_route", recompute)
+    monkeypatch.setattr(schubert, "_multiply_by_pairings", recompute)
+    assert multiply(a, b) == first
 
 
 def test_class_json_roundtrip():
