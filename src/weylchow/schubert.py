@@ -745,14 +745,16 @@ def _freeze(cls):
 
 
 def _pairing(ctx, a, b):
-    """Coefficient of the point class in a product of complementary classes."""
+    """Coefficient of the point class in a product of complementary classes.
+
+    Not reduced mod p: the ChowClass it is stored in reduces it.
+    """
     total = 0
     for k, c in a.coeffs.items():
         d = b.coeffs.get(ctx.ct.dual_index(k))
         if d:
             total += c * d
-    p = _ring_modulus(a.ring)
-    return total % p if p is not None else total
+    return total
 
 
 def _multiply_poly_route(ctx, a, b, k, ring):
