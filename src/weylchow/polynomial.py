@@ -345,45 +345,3 @@ def elementary_symmetric_classes(rs, forms, max_degree, modulus=None):
                 e = es[k] + es[k - 1] * gamma
                 es[k] = e.reduce_mod(modulus) if modulus else e
     return es
-
-
-def series_inverse(parts, rs, max_degree):
-    """Inverse of 1 + parts[1] + parts[2] + ... as a truncated graded series.
-
-    parts: dict or list where parts[d] is the degree-d Polynomial; the
-    degree-0 part must be 1.
-    """
-    inv = [Polynomial.one(rs)] + [Polynomial.zero(rs) for _ in range(max_degree)]
-    for d in range(1, max_degree + 1):
-        acc = Polynomial.zero(rs)
-        for k in range(1, d + 1):
-            pk = parts[k] if k < len(parts) else Polynomial.zero(rs)
-            if not pk.is_zero() and not inv[d - k].is_zero():
-                acc = acc + pk * inv[d - k]
-        inv[d] = -acc
-    return inv
-
-
-def exact_divide_by_linear(u: Polynomial, form: Polynomial, pivot: int) -> Polynomial:
-    """Division of u by a linear form with nonzero pivot coefficient.
-
-    Used as an independent cross-check of the divided-difference formula.
-    Raises InternalComputationError on a nonzero remainder.
-    """
-    rs = u.rs
-    n = rs.rank
-    unit = _unit(rs, pivot)
-    cpiv = form.terms.get(unit, 0)
-    if not cpiv:
-        raise InternalComputationError("pivot variable absent from divisor")
-    rem = Polynomial(rs, dict(u.terms))
-    quot = Polynomial.zero(rs)
-    while not rem.is_zero():
-        e, c = max(rem.terms.items(), key=lambda t: (
-            (t[0] >> (BITS * pivot)) & MASK, unpack_monomial(t[0], n)))
-        if not (e >> (BITS * pivot)) & MASK:
-            raise InternalComputationError("nonzero remainder in linear division")
-        q = Polynomial(rs, {e - unit: Fraction(c, 1) / cpiv})
-        quot = quot + q
-        rem = rem - q * form
-    return quot.map_fractions()

@@ -137,7 +137,12 @@ def class_from_json(text: str) -> ChowClass:
     try:
         data = json.loads(text)
         type_name = data["type"]
-        theta = tuple(sorted(data.get("theta", [])))
+        theta = data.get("theta", [])
+        if not isinstance(theta, list) or any(
+            not isinstance(i, int) or isinstance(i, bool) for i in theta
+        ):
+            raise UsageError(f"theta {theta!r} must be a list of integer vertices")
+        theta = tuple(sorted(theta))
         ring = data.get("ring", "Z")
         if not isinstance(ring, str):
             raise UsageError(f"ring {ring!r} must be a string such as \"Z/2\"")
@@ -150,7 +155,10 @@ def class_from_json(text: str) -> ChowClass:
             k = ct.index.get(w.word)
             if k is None:
                 raise UsageError(f"word {word} is not a minimal coset representative")
-            if term.get("dual"):
+            dual = term.get("dual", False)
+            if not isinstance(dual, bool):
+                raise UsageError(f"dual flag {dual!r} must be true or false")
+            if dual:
                 k = ct.dual_index(k)
             coeffs[k] = coeffs.get(k, 0) + _coefficient_from_json(term.get("coeff", 1))
     except (KeyError, TypeError, ValueError) as exc:

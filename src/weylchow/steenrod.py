@@ -12,6 +12,14 @@ position set; such a monomial pushes forward to [X_v] exactly when the
 complementary subword is reduced with product v a minimal coset
 representative, and to 0 otherwise.
 
+Over Z/2 a ring element is one int bitset over the 2^l square-free
+monomials, so addition is xor.  Multiplying by a linear form is one sweep
+from the top position down that uses D_k^2 = D_k nu_k; a handful of
+big-int operations per position replaces any per-monomial work.  The
+pushforward walks the subwords of each ring once, right to left, taking
+only letters that are ascents of W^Theta, up to the largest degree asked
+for.
+
 The total operation on a pushed fundamental class is a Wu-type formula
 
     (I)   S([X_w]) = pi_*( pi^* c(T_X) . c(T_Z)^{-1} ),   or
@@ -45,7 +53,7 @@ from .errors import CalibrationError, InternalComputationError, ResourceLimitErr
 from .polynomial import Polynomial, unpack_monomial
 from .rootdata import RootSystem, build_root_system
 from .schubert import ChowClass, char_map, flag_context, preimage
-from .weyl import WeylElement, _canonical_from_image, coset_reps
+from .weyl import CosetTable, coset_reps
 
 #: maximal reduced-word length for direct ring expansion (2^l basis monomials)
 DIRECT_WORD_LIMIT = 18
@@ -57,13 +65,20 @@ WU_CONVENTION = "I"
 class BottSamelsonRing:
     """CH of the Bott-Samelson resolution of a reduced word, mod 2.
 
-    An element is a set of square-free divisor monomials, each a bitmask
-    (bit j set means the factor D_{j+1} is present); addition is symmetric
-    difference.
+    An element is one int bitset: bit m is set when the square-free monomial
+    with divisor mask m (bit j of m set means the factor D_{j+1} is present)
+    occurs; addition is xor.  The selectors are built once per ring:
+    clear[k] holds the masks without bit k, deg[d] those with d bits, and
+    below[d] those with fewer than d bits.
     """
 
     def __init__(self, rs: RootSystem, word):
         word = tuple(int(i) for i in word)
+        if len(word) > DIRECT_WORD_LIMIT:
+            raise ResourceLimitError(
+                f"Bott-Samelson word of length {len(word)} exceeds the direct limit "
+                f"{DIRECT_WORD_LIMIT}"
+            )
         self.rs = rs
         self.word = word
         self.length = len(word)
@@ -83,49 +98,75 @@ class BottSamelsonRing:
                     odd.append(k)
                 mu = rs.reflect_weight(word[k] - 1, mu)
             self.nu.append(tuple(odd))
-        self._divmemo = {}
+        n = 1 << self.length
+        # masks without bit k: runs of 2^k set bits with period 2^(k+1), doubled up to n bits
+        self.clear = []
+        for k in range(self.length):
+            sel, width = (1 << (1 << k)) - 1, 2 << k
+            while width < n:
+                sel |= sel << width
+                width <<= 1
+            self.clear.append(sel)
+        # deg[d]: masks with d bits, grown one position at a time
+        deg = [1]
+        for k in range(self.length):
+            deg = [a | (b << (1 << k)) for a, b in zip(deg + [0], [0] + deg)]
+        self.deg = deg
+        self.below = [0]
+        for piece in deg:
+            self.below.append(self.below[-1] | piece)
 
     def one(self):
-        return {0}
+        return 1
 
-    def _mul_div_mask(self, k, mask):
-        """D_{k+1} times the square-free monomial `mask`, as a tuple of square-free masks."""
-        bit = 1 << k
-        if not mask & bit:
-            return (mask | bit,)
-        low = mask & (bit * 2 - 1)
-        key = (k, low)
-        hit = self._divmemo.get(key)
-        if hit is None:
-            out = set()
-            for m in self.nu[k]:
-                out.symmetric_difference_update(self._mul_div_mask(m, low))
-            hit = self._divmemo[key] = tuple(out)
-        high = mask ^ low
-        if not high:
-            return hit
-        return tuple(mm | high for mm in hit)
-
-    def mul_divisor(self, elem, k, max_degree=None):
-        # D_{k+1} raises the degree of every monomial by exactly one
-        out = set()
-        for mask in elem:
-            if max_degree is None or mask.bit_count() < max_degree:
-                out.symmetric_difference_update(self._mul_div_mask(k, mask))
+    @staticmethod
+    def masks(elem):
+        """The divisor masks of the monomials in `elem`, increasing."""
+        bits = bin(elem)[:1:-1]
+        out = []
+        m = bits.find("1")
+        while m >= 0:
+            out.append(m)
+            m = bits.find("1", m + 1)
         return out
 
+    def mul_divisor(self, elem, k, max_degree=None):
+        return self.mul_linear(elem, (k,), max_degree=max_degree)
+
     def mul_linear(self, elem, form, max_degree=None):
-        """Multiply by the sum of the divisors at the positions in `form`."""
-        out = set()
+        """Multiply by the sum of the divisors at the positions in `form`.
+
+        pending[k] is what is still to be multiplied by D_k.  Its monomials
+        without D_k just gain it (a shift by 2^k); on the rest
+        D_k^2 = D_k nu_k, so they move on to pending[m] for m in nu[k], all
+        below k: one sweep from the top position down finishes the product.
+        Each factor raises the degree by one, so truncating to max_degree
+        drops the monomials of degree max_degree and above first.
+        """
+        if max_degree is not None and max_degree <= self.length:
+            elem &= self.below[max(max_degree, 0)]
+        if not elem or not form:
+            return 0
+        pending = [0] * (max(form) + 1)
         for k in form:
-            out ^= self.mul_divisor(elem, k, max_degree=max_degree)
+            pending[k] ^= elem
+        out = 0
+        for k in range(len(pending) - 1, -1, -1):
+            x = pending[k]
+            if x:
+                low = x & self.clear[k]
+                out ^= low << (1 << k)
+                x ^= low
+                if x:
+                    for m in self.nu[k]:
+                        pending[m] ^= x
         return out
 
     def mul(self, a, b, max_degree=None):
-        if len(a) > len(b):
+        if a.bit_count() > b.bit_count():
             a, b = b, a
-        out = set()
-        for amask in a:
+        out = 0
+        for amask in self.masks(a):
             term = b
             m = amask
             while m and term:
@@ -140,7 +181,7 @@ class BottSamelsonRing:
 
         Mod 2, (1 + x)^{-1} = 1 + x + x^2 + ...
         """
-        acc = set(elem)
+        acc = elem
         term = elem
         for _ in range(max_degree + 1 if exponent == -1 else 1):
             term = self.mul_linear(term, form, max_degree=max_degree)
@@ -164,14 +205,14 @@ class BottSamelsonRing:
         return tuple(out)
 
     def graded_piece(self, elem, d):
-        return {m for m in elem if m.bit_count() == d}
+        return elem & self.deg[d] if 0 <= d <= self.length else 0
 
 
 def steenrod_on_bs(ring: BottSamelsonRing, elem):
     """The ring endomorphism generated by D |-> D + D^2 (the total square)."""
-    out = set()
-    for mask in elem:
-        term = {0}
+    out = 0
+    for mask in ring.masks(elem):
+        term = 1
         m = mask
         while m:
             k = (m & -m).bit_length() - 1
@@ -182,39 +223,74 @@ def steenrod_on_bs(ring: BottSamelsonRing, elem):
     return out
 
 
-def bs_pushforward(ring: BottSamelsonRing, elem, theta) -> ChowClass:
+def _subword_images(ring: BottSamelsonRing, ct: CosetTable, top: int) -> dict:
+    """mask -> coset position, for the masks of degree <= top that push forward to a class.
+
+    The subword at the positions outside the mask is walked right to left,
+    prepending letters to u, with p = u(lambda_Theta).  Every right factor
+    of a reduced word of a minimal representative is again one, so the
+    walk only takes letter j when p_j > 0, the ascents of W^Theta (p_j < 0
+    makes the subword non-reduced, p_j = 0 leaves W^Theta); each subtree
+    that breaks this pushes forward to 0 and is cut.  Masks sharing their
+    high positions share the walk up to there.
+    """
+    reflect = ring.rs.reflect_weight
+    points = ct._points
+    word = ring.word
+    out = {}
+    stack = [(ring.length - 1, ct.lam, 0, top)]
+    while stack:
+        pos, p, mask, spare = stack.pop()
+        if pos < 0:
+            k = points.get(p)
+            if k is None:
+                raise InternalComputationError("pushforward image is not a coset representative")
+            out[mask] = k
+            continue
+        j = word[pos] - 1
+        if spare:
+            stack.append((pos - 1, p, mask | (1 << pos), spare - 1))
+        if p[j] > 0:
+            stack.append((pos - 1, reflect(j, p), mask, spare))
+    return out
+
+
+def bs_pushforward(ring: BottSamelsonRing, masks, theta) -> ChowClass:
     """Push square-free monomials to mod-2 Schubert classes on G/P_Theta.
+
+    `masks` is a collection (a set or a list such as `ring.masks(elem)`) of
+    the monomials' divisor masks.
 
     The monomial prod_{j in T} D_j is the sub-resolution on positions
     S = complement(T); it pushes to [X_v] when the subword at S is reduced
-    and its product v is a minimal coset representative, else to 0.
+    and its product v is a minimal coset representative, else to 0.  The
+    subwords are walked once, up to the largest degree among the masks.
     """
-    rs = ring.rs
-    ct = coset_reps(rs, theta)
-    theta_set = set(ct.theta)
+    ct = coset_reps(ring.rs, theta)
+    top = max((m.bit_count() for m in masks), default=0)
+    images = _subword_images(ring, ct, top)
     out = set()
-    for mask in elem:
-        positions = [p for p in range(ring.length) if not (mask >> p) & 1]
-        y = rs.rho  # tracks u^{-1}(rho) while letters are appended on the right
-        ok = True
-        for p in positions:
-            j = ring.word[p]
-            if y[j - 1] < 0:
-                ok = False
-                break
-            y = rs.reflect_weight(j - 1, y)
-        if not ok:
-            continue
-        if any(y[s - 1] < 0 for s in theta_set):
-            continue  # product not a minimal representative
-        # y = u^{-1}(rho); reversing a reduced word of u^{-1} gives one of u
-        inv_word = _canonical_from_image(rs, y)
-        u = WeylElement.from_word(rs, tuple(reversed(inv_word)))
-        k = ct.index.get(u.word)
-        if k is None:
-            raise InternalComputationError("pushforward image is not a coset representative")
-        out ^= {k}
-    return ChowClass(rs.type.name(), ct.theta, "Z/2", dict.fromkeys(out, 1))
+    for m in masks:
+        k = images.get(m)
+        if k is not None:
+            out ^= {k}
+    return ChowClass(ring.rs.type.name(), ct.theta, "Z/2", dict.fromkeys(out, 1))
+
+
+def _pushed_pieces(ring: BottSamelsonRing, elem, ct: CosetTable, idx):
+    """{d: pi_* of the degree-d part of elem}, nonzero pieces only.
+
+    A degree-d monomial lands in codimension codim(idx) + d, so one push of
+    the whole element is split by codimension; degree 0 must give [X_idx].
+    """
+    base = ct.codim(idx)
+    graded = {}
+    for k in bs_pushforward(ring, ring.masks(elem), ct.theta).coeffs:
+        graded.setdefault(ct.codim(k) - base, {})[k] = 1
+    if graded.get(0) != {idx: 1}:
+        raise InternalComputationError("resolution is not birational onto its image")
+    name = ring.rs.type.name()
+    return {d: ChowClass(name, ct.theta, "Z/2", graded[d]) for d in sorted(graded)}
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +361,7 @@ def _direct_steenrod_pieces(rs, theta, idx, convention, up_to=None, word=None):
         elem = ring.mul_one_plus_series(elem, form, eps, emax)
     for j in range(ring.length):
         elem = ring.mul_one_plus_series(elem, ring.nu[j], -eps, emax)
-    out = {}
-    for d in range(emax + 1):
-        piece = ring.graded_piece(elem, d)
-        cls = bs_pushforward(ring, piece, ct.theta)
-        if d == 0 and cls.coeffs != {idx: 1}:
-            raise InternalComputationError("resolution is not birational onto its image")
-        if not cls.is_zero():
-            out[d] = cls
-    return out
+    return _pushed_pieces(ring, elem, ct, idx)
 
 
 @cache
@@ -323,24 +391,12 @@ def _phi_pieces(rs, theta, idx, max_offset):
     if hit is not None and hit[0] >= max_offset:
         return hit[1]
     ct = ctx.ct
-    word = ct.reps[idx].word
-    if len(word) > DIRECT_WORD_LIMIT:
-        raise ResourceLimitError(
-            f"Bott-Samelson word of length {len(word)} exceeds the direct limit"
-        )
-    ring = BottSamelsonRing(rs, word)
+    ring = BottSamelsonRing(rs, ct.reps[idx].word)
     sigma = -1 if conv == "I" else 1
     elem = ring.one()
     for j in range(ring.length):
         elem = ring.mul_one_plus_series(elem, ring.nu[j], sigma, max_offset)
-    out = {}
-    for d in range(max_offset + 1):
-        piece = ring.graded_piece(elem, d)
-        cls = bs_pushforward(ring, piece, ct.theta)
-        if d == 0 and cls.coeffs != {idx: 1}:
-            raise InternalComputationError("Phi normalization failed")
-        if not cls.is_zero():
-            out[d] = cls
+    out = _pushed_pieces(ring, elem, ct, idx)
     ctx._phi_cache[idx] = (max_offset, out)
     return out
 

@@ -128,7 +128,8 @@ class CosetTable:
     reps are ordered by (length, canonical word); `parent` and `parent_label`
     record the BFS tree (rep = s_label * parent), which downstream code uses
     to evaluate composed divided differences with shared work; `_points`
-    maps each lambda_Theta-image to its rep's position, in table order.
+    maps each lambda_Theta-image to its rep's position, in table order, and
+    `lam` is lambda_Theta itself.
 
     The lex-least word of a new point q is (i,) + word(s_i q) for the least
     i with q_i < 0, the greedy rule `_canonical_from_image` applies to rho.
@@ -191,6 +192,7 @@ class CosetTable:
         self.parent = tuple(parent)
         self.parent_label = tuple(parent_label)
         self._points = points
+        self.lam = lam
         self.w0 = longest_element(rs, range(1, rs.rank + 1))
         self.w_theta = longest_element(rs, theta)
         self._dual = None
@@ -296,19 +298,3 @@ def hasse_to_json(h: HasseDiagram) -> str:
         "edges": [{"from": a, "to": b, "label": i} for a, b, i in h.edges],
     }
     return json.dumps(payload, sort_keys=True)
-
-
-def all_reduced_words(rs: RootSystem, w: WeylElement):
-    """Every reduced word of w (exponential; for small-rank tests only)."""
-    out = []
-
-    def rec(v, acc):
-        if v == rs.rho:
-            out.append(tuple(acc))
-            return
-        for i in range(rs.rank):
-            if v[i] < 0:
-                rec(rs.reflect_weight(i, v), acc + [i + 1])
-
-    rec(w.rho_image, [])
-    return out

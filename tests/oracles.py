@@ -1,0 +1,64 @@
+"""Slow, independent reference implementations that only the tests use."""
+
+from fractions import Fraction
+
+from weylchow.errors import InternalComputationError
+from weylchow.polynomial import BITS, MASK, Polynomial, _unit, unpack_monomial
+
+
+def all_reduced_words(rs, w):
+    """Every reduced word of w (exponential; for small-rank tests only)."""
+    out = []
+
+    def rec(v, acc):
+        if v == rs.rho:
+            out.append(tuple(acc))
+            return
+        for i in range(rs.rank):
+            if v[i] < 0:
+                rec(rs.reflect_weight(i, v), acc + [i + 1])
+
+    rec(w.rho_image, [])
+    return out
+
+
+def series_inverse(parts, rs, max_degree):
+    """Inverse of 1 + parts[1] + parts[2] + ... as a truncated graded series.
+
+    parts: dict or list where parts[d] is the degree-d Polynomial; the
+    degree-0 part must be 1.
+    """
+    inv = [Polynomial.one(rs)] + [Polynomial.zero(rs) for _ in range(max_degree)]
+    for d in range(1, max_degree + 1):
+        acc = Polynomial.zero(rs)
+        for k in range(1, d + 1):
+            pk = parts[k] if k < len(parts) else Polynomial.zero(rs)
+            if not pk.is_zero() and not inv[d - k].is_zero():
+                acc = acc + pk * inv[d - k]
+        inv[d] = -acc
+    return inv
+
+
+def exact_divide_by_linear(u: Polynomial, form: Polynomial, pivot: int) -> Polynomial:
+    """Division of u by a linear form with nonzero pivot coefficient.
+
+    An independent cross-check of the divided-difference formula.
+    Raises InternalComputationError on a nonzero remainder.
+    """
+    rs = u.rs
+    n = rs.rank
+    unit = _unit(rs, pivot)
+    cpiv = form.terms.get(unit, 0)
+    if not cpiv:
+        raise InternalComputationError("pivot variable absent from divisor")
+    rem = Polynomial(rs, dict(u.terms))
+    quot = Polynomial.zero(rs)
+    while not rem.is_zero():
+        e, c = max(rem.terms.items(), key=lambda t: (
+            (t[0] >> (BITS * pivot)) & MASK, unpack_monomial(t[0], n)))
+        if not (e >> (BITS * pivot)) & MASK:
+            raise InternalComputationError("nonzero remainder in linear division")
+        q = Polynomial(rs, {e - unit: Fraction(c, 1) / cpiv})
+        quot = quot + q
+        rem = rem - q * form
+    return quot.map_fractions()

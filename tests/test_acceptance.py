@@ -43,7 +43,9 @@ from weylchow.titsjinv import (
     predicted_rational_poincare,
     profile_factor,
 )
-from weylchow.weyl import WeylElement, all_reduced_words, coset_reps
+from weylchow.weyl import WeylElement, coset_reps
+
+from oracles import all_reduced_words
 
 E7_THETA_P1 = (2, 3, 4, 5, 6, 7)
 E7_THETA_P7 = (1, 2, 3, 4, 5, 6)

@@ -188,6 +188,34 @@ def test_non_integer_word_letters_exit_2():
             assert code == 2 and out.startswith("usage error"), (word, argv[0])
 
 
+def test_non_integer_theta_vertices_exit_2():
+    # theta entries are JSON integers: true is not vertex 1, 2.0 and "2" are not coerced
+    for theta in ([True, 2], [1, 2.0], ["2"], "12"):
+        cls = json.dumps({"type": "B3", "theta": theta, "ring": "Z/2", "terms": [{"word": [3], "coeff": 1}]})
+        for argv in (
+            ["mult", "--type", "B3", "--theta", "1,2", "--a", cls, "--b", cls],
+            ["steenrod", "--type", "B3", "--theta", "1,2", "--class", cls],
+        ):
+            code, out = run(argv)
+            assert code == 2 and out.startswith("usage error"), (theta, argv[0])
+
+
+def test_non_bool_dual_flags_exit_2():
+    for dual in (1.5, "x", 1, 0, None):
+        cls = json.dumps({"type": "B3", "theta": [], "ring": "Z/2",
+                          "terms": [{"word": [3], "coeff": 1, "dual": dual}]})
+        code, out = run(["steenrod", "--type", "B3", "--class", cls])
+        assert code == 2 and out.startswith("usage error"), dual
+    # the two JSON booleans still work, and false is the default
+    plain = json.dumps({"type": "B3", "theta": [], "ring": "Z/2", "terms": [{"word": [3], "coeff": 1}]})
+    for dual, same in ((False, True), (True, False)):
+        cls = json.dumps({"type": "B3", "theta": [], "ring": "Z/2",
+                          "terms": [{"word": [3], "coeff": 1, "dual": dual}]})
+        code, out = run(["steenrod", "--type", "B3", "--class", cls])
+        assert code == 0
+        assert (out == run(["steenrod", "--type", "B3", "--class", plain])[1]) == same
+
+
 def test_automaton_omega_vertices_are_integers_in_range():
     for omega in (
         "[[],[1,2,3,99]]",

@@ -9,13 +9,13 @@ from weylchow.polynomial import (
     MASK,
     Polynomial,
     elementary_symmetric_classes,
-    exact_divide_by_linear,
     pack_monomial,
-    series_inverse,
     unpack_monomial,
 )
 from weylchow.rootdata import build_root_system
 from weylchow.schubert import ChowClass, flag_context
+
+from oracles import exact_divide_by_linear, series_inverse
 
 
 def w(rs, i):

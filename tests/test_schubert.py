@@ -26,7 +26,9 @@ from weylchow.schubert import (
     preimage,
     pullback_to_flags,
 )
-from weylchow.weyl import WeylElement, all_reduced_words, coset_reps
+from weylchow.weyl import WeylElement, coset_reps
+
+from oracles import all_reduced_words
 
 
 def basis_class(rs, theta, k, ring="Z"):

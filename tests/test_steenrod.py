@@ -1,13 +1,16 @@
 import itertools
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylchow.errors import UsageError
+from weylchow import steenrod
+from weylchow.errors import InternalComputationError, ResourceLimitError, UsageError
 from weylchow.rootdata import build_root_system
 from weylchow.schubert import ChowClass, multiply
 from weylchow.steenrod import (
+    DIRECT_WORD_LIMIT,
     BottSamelsonRing,
     _direct_steenrod_pieces,
     _oracle_steenrod_divisor_generated,
@@ -16,7 +19,9 @@ from weylchow.steenrod import (
     steenrod_total,
     wu_convention,
 )
-from weylchow.weyl import WeylElement, coset_reps
+from weylchow.weyl import CosetTable, WeylElement, coset_reps, longest_element
+
+from oracles import all_reduced_words
 
 
 def mod2_basis(rs, theta, k):
@@ -27,6 +32,58 @@ def to_mod2(cls):
     return ChowClass(cls.type_name, cls.theta, "Z/2", {k: c % 2 for k, c in cls.coeffs.items() if c % 2})
 
 
+def bits(masks):
+    """A ring element from a set of divisor masks."""
+    return sum(1 << m for m in set(masks))
+
+
+def mul_div_mask(ring, k, mask, memo):
+    """D_{k+1} times the square-free monomial `mask`, as a set of masks, one monomial at a time.
+
+    With bit k set, D_k^2 = D_k nu_k sends the part of the mask at positions
+    <= k through the divisors of nu_k; the positions above k ride along.
+    """
+    bit = 1 << k
+    if not mask & bit:
+        return {mask | bit}
+    low = mask & (bit * 2 - 1)
+    if (k, low) not in memo:
+        out = set()
+        for m in ring.nu[k]:
+            out ^= mul_div_mask(ring, m, low, memo)
+        memo[k, low] = out
+    return {mm | (mask ^ low) for mm in memo[k, low]}
+
+
+def oracle_mul_linear(ring, elem, form, max_degree=None):
+    out, memo = set(), {}
+    for k in form:
+        for mask in ring.masks(elem):
+            if max_degree is None or mask.bit_count() < max_degree:
+                out ^= mul_div_mask(ring, k, mask, memo)
+    return bits(out)
+
+
+def oracle_mul_one_plus_series(ring, elem, form, exponent, max_degree):
+    acc = term = elem
+    for _ in range(max_degree + 1 if exponent == -1 else 1):
+        term = oracle_mul_linear(ring, term, form, max_degree)
+        acc ^= term
+    return acc
+
+
+def oracle_pushforward(ring, masks, theta):
+    """Coset positions hit an odd number of times, replaying each mask's subword on its own."""
+    ct = coset_reps(ring.rs, theta)
+    out = set()
+    for mask in masks:
+        sub = [ring.word[p] for p in range(ring.length) if not mask >> p & 1]
+        u = WeylElement.from_word(ring.rs, sub)
+        if u.length == len(sub) and u.word in ct.index:
+            out ^= {ct.index[u.word]}
+    return out
+
+
 def test_bs_ring_dimension_and_relations():
     rs = build_root_system("A2")
     ring = BottSamelsonRing(rs, (1, 2))
@@ -34,8 +91,8 @@ def test_bs_ring_dimension_and_relations():
     # word, is D_2^2 = D_1 D_2 mod 2
     assert ring.nu[0] == ()
     assert ring.nu[1] == (0,)
-    sq = ring.mul_divisor({0b10}, 1)
-    assert sq == {0b11}
+    sq = ring.mul_divisor(bits({0b10}), 1)
+    assert sq == bits({0b11})
     # module rank 2^l: the four square-free monomials are independent
     assert ring.length == 2
 
@@ -46,13 +103,29 @@ def test_bs_ring_rejects_nonreduced():
         BottSamelsonRing(rs, (1, 1))
 
 
+def test_bs_ring_word_length_capped_before_allocation():
+    # 2^l-bit selectors for the 63 letters of w0 in E7 could not be allocated:
+    # the cap must refuse the word first, on every route into the ring
+    rs = build_root_system("E7")
+    w0 = longest_element(rs, range(1, 8))
+    assert w0.length == 63
+    with pytest.raises(ResourceLimitError):
+        BottSamelsonRing(rs, w0.word)
+    with pytest.raises(ResourceLimitError):
+        _direct_steenrod_pieces(rs, (2, 3, 4, 5, 6, 7), 0, wu_convention(), word=w0.word)
+    word = w0.word[:DIRECT_WORD_LIMIT + 1]
+    with pytest.raises(ResourceLimitError):
+        BottSamelsonRing(rs, word)
+    assert BottSamelsonRing(rs, word[:DIRECT_WORD_LIMIT]).length == DIRECT_WORD_LIMIT
+
+
 def test_bs_ring_commutative_associative():
     rs = build_root_system("B2")
     ring = BottSamelsonRing(rs, (1, 2, 1, 2))
     elems = [
-        {0b0001},
-        {0b0010, 0b0100},
-        {0b1000, 0b0001},
+        bits({0b0001}),
+        bits({0b0010, 0b0100}),
+        bits({0b1000, 0b0001}),
     ]
     for a, b in itertools.product(elems, elems):
         assert ring.mul(a, b) == ring.mul(b, a)
@@ -66,11 +139,11 @@ def test_steenrod_on_bs_axioms():
     one = ring.one()
     assert steenrod_on_bs(ring, one) == one
     # S(D_j) = D_j + D_j^2
-    d1 = {0b01}
+    d1 = bits({0b01})
     img = steenrod_on_bs(ring, d1)
     assert img == d1 ^ ring.mul(d1, d1)
     # multiplicativity on a product of divisors
-    d2 = {0b10}
+    d2 = bits({0b10})
     prod = ring.mul(d1, d2)
     assert steenrod_on_bs(ring, prod) == ring.mul(
         steenrod_on_bs(ring, d1), steenrod_on_bs(ring, d2)
@@ -82,7 +155,7 @@ def test_bs_pushforward_a2_examples():
     ct = coset_reps(rs, ())
     ring = BottSamelsonRing(rs, (1, 2))
     # fundamental class -> [X_{s1 s2}]
-    full = bs_pushforward(ring, ring.one(), ())
+    full = bs_pushforward(ring, ring.masks(ring.one()), ())
     assert full.coeffs == {ct.index[(1, 2)]: 1}
     # divisors push to the two length-1 Schubert classes
     d1 = bs_pushforward(ring, {0b01}, ())
@@ -102,6 +175,17 @@ def test_bs_pushforward_nonreduced_subword_dies():
     assert cls.is_zero()
 
 
+def test_bs_pushforward_point_outside_table_raises(monkeypatch):
+    # a subword product whose lambda-point the coset table lacks is an internal error
+    rs = build_root_system("A2")
+    ct = CosetTable(rs, ())
+    ct._points.pop(next(reversed(ct._points)))
+    monkeypatch.setattr(steenrod, "coset_reps", lambda rs, theta: ct)
+    ring = BottSamelsonRing(rs, (1, 2, 1))
+    with pytest.raises(InternalComputationError):
+        bs_pushforward(ring, {0}, ())
+
+
 @st.composite
 def bs_elements(draw, max_masks=5):
     """A ring on a reduced word of A3, B3 or G2 and three random mod-2 elements of it."""
@@ -109,7 +193,7 @@ def bs_elements(draw, max_masks=5):
     word = draw(st.sampled_from([w.word for w in coset_reps(rs, ()).reps]))
     ring = BottSamelsonRing(rs, word)
     masks = st.integers(0, (1 << ring.length) - 1)
-    return ring, [draw(st.sets(masks, max_size=max_masks)) for _ in range(3)]
+    return ring, [bits(draw(st.sets(masks, max_size=max_masks))) for _ in range(3)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,7 +206,51 @@ def test_bs_ring_properties(case):
     assert steenrod_on_bs(ring, ring.mul(a, b)) == ring.mul(
         steenrod_on_bs(ring, a), steenrod_on_bs(ring, b)
     )
-    assert a ^ a == set()
+    assert a ^ a == 0
+
+
+@cache
+def _oracle_words(name):
+    """Every full-flag word of A3, B3 and G2; for E6, one word of length 10."""
+    rs = build_root_system(name)
+    if name == "E6":
+        return [next(w.word for w in coset_reps(rs, (2, 3, 4, 5, 6)).reps if w.length == 10)]
+    return [w.word for w in coset_reps(rs, ()).reps]
+
+
+@st.composite
+def bs_cases(draw):
+    """A ring, an element, a linear form, a truncation degree and a theta."""
+    name = draw(st.sampled_from(["A3", "B3", "G2", "E6"]))
+    word = draw(st.sampled_from(_oracle_words(name)))
+    rs = build_root_system(name)
+    ring = BottSamelsonRing(rs, word)
+    elem = bits(draw(st.sets(st.integers(0, (1 << ring.length) - 1), max_size=12)))
+    form = tuple(sorted(draw(st.sets(st.integers(0, max(ring.length - 1, 0)), max_size=4))))
+    if not ring.length:
+        form = ()
+    max_degree = draw(st.one_of(st.none(), st.integers(0, ring.length + 1)))
+    theta = tuple(sorted(draw(st.sets(st.integers(1, rs.rank), max_size=rs.rank - 1))))
+    return ring, elem, form, max_degree, theta
+
+
+@settings(max_examples=150, deadline=None)
+@given(bs_cases())
+def test_bs_ring_matches_per_mask_oracles(case):
+    ring, elem, form, max_degree, theta = case
+    assert ring.mul_linear(elem, form, max_degree) == oracle_mul_linear(ring, elem, form, max_degree)
+    top = ring.length if max_degree is None else max_degree
+    for exponent in (1, -1):
+        assert ring.mul_one_plus_series(elem, form, exponent, top) == (
+            oracle_mul_one_plus_series(ring, elem, form, exponent, top)
+        )
+    masks = ring.masks(elem)
+    assert bits(masks) == elem
+    for d in range(ring.length + 1):
+        assert ring.masks(ring.graded_piece(elem, d)) == [m for m in masks if m.bit_count() == d]
+    got = bs_pushforward(ring, masks, theta)
+    assert set(got.coeffs) == oracle_pushforward(ring, masks, theta)
+    assert set(got.coeffs.values()) <= {1}
 
 
 def test_calibration_picks_a_convention():
@@ -238,8 +366,6 @@ def test_steenrod_total_requires_mod2():
 def test_steenrod_word_independent():
     # recomputing through a different reduced word of the same element gives
     # the same graded operation
-    from weylchow.weyl import all_reduced_words
-
     conv = wu_convention()
     for name in ("A2", "B2"):
         rs = build_root_system(name)

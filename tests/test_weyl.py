@@ -7,7 +7,6 @@ from weylchow.rootdata import build_root_system
 from weylchow.weyl import (
     CosetTable,
     WeylElement,
-    all_reduced_words,
     apply_word,
     coset_reps,
     hasse_diagram,
@@ -15,6 +14,8 @@ from weylchow.weyl import (
     hasse_to_json,
     longest_element,
 )
+
+from oracles import all_reduced_words
 
 
 def exhaustive_elements(rs):
