@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import univar
 from .errors import UsageError
-from .rootdata import DynkinType, RootSystem, root_subsystem
+from .rootdata import DynkinType, RootSystem, build_root_system, root_subsystem
 from .schubert import ChowClass, _ring_modulus
 from .weyl import coset_reps, hasse_diagram
 
@@ -217,8 +217,6 @@ class Correspondence:
 
 
 def _ct_of(q: Correspondence):
-    from .rootdata import build_root_system
-
     rs = build_root_system(q.type_name)
     return rs, coset_reps(rs, q.theta)
 
@@ -265,8 +263,6 @@ def compose(q1: Correspondence, q2: Correspondence) -> Correspondence:
 
 def diagonal(type_name, theta, ring="Z/2") -> Correspondence:
     """Delta_X = sum_w [X_w] x [Z_w], the identity of composition."""
-    from .rootdata import build_root_system
-
     rs = build_root_system(type_name)
     ct = coset_reps(rs, tuple(sorted(set(theta))))
     pairs = []

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, gcd
+from math import comb
 
 from .errors import InternalComputationError
 from .rootdata import RootSystem
@@ -236,20 +236,6 @@ class Polynomial:
 
     # -- coefficient handling ---------------------------------------------
 
-    def common_denominator(self):
-        d = 1
-        for c in self.terms.values():
-            if isinstance(c, Fraction):
-                d = d * c.denominator // gcd(d, c.denominator)
-        return d
-
-    def to_integer(self):
-        """Return (D, P) with D a positive int and P integer-coefficient, self = P/D."""
-        d = self.common_denominator()
-        if d == 1:
-            return 1, Polynomial(self.rs, {e: int(c) for e, c in self.terms.items()})
-        return d, Polynomial(self.rs, {e: int(c * d) for e, c in self.terms.items()})
-
     def reduce_mod(self, p):
         out = {}
         for e, c in self.terms.items():
@@ -260,15 +246,6 @@ class Polynomial:
             v = c % p
             if v:
                 out[e] = v
-        return Polynomial(self.rs, out)
-
-    def map_fractions(self):
-        """Normalize Fraction coefficients with denominator 1 to ints."""
-        out = {}
-        for e, c in self.terms.items():
-            if isinstance(c, Fraction) and c.denominator == 1:
-                c = int(c)
-            out[e] = c
         return Polynomial(self.rs, out)
 
     def __repr__(self):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import UsageError
 
@@ -173,19 +173,11 @@ def _symmetrizer(cartan, n):
                     d[j] = q
                     stack.append(j)
     # clear denominators per component and normalize minimum to 1
-    from math import gcd
-
-    vals = []
-    for x in d:
-        f = Fraction(x)
-        vals.append(f)
     lcm = 1
-    for f in vals:
+    for f in d:
         lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in vals]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    ints = [int(f * lcm) for f in d]
+    g = gcd(*ints)
     return tuple(v // g for v in ints)
 
 

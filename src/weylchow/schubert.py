@@ -4,12 +4,17 @@ Basis classes [X_w] are indexed by positions in the CosetTable of W^Theta;
 codim [X_w] = dim X - l(w), so index 0 (the identity) is the point class
 and the longest representative is the fundamental class.
 
-Multiplication follows the characteristic-map procedure: find rational
-preimages of both factors among products of W_Theta-invariant generator
-polynomials, multiply in the polynomial ring, and push back through the
-characteristic map
+Multiplication follows the characteristic-map procedure: find preimages of
+both factors among products of W_Theta-invariant generator polynomials,
+multiply in the polynomial ring, and push back through the characteristic
+map
 
     c(u) = sum over w in W^Theta with l(w) = deg u of Delta_w(u) [X_{w0 w wt}].
+
+The generators are integral, so the images of their products are integer
+vectors; one fraction-free elimination per degree picks the pivot products
+and gives D M^-1 for their image matrix M, and a preimage is an integer
+polynomial over one denominator.
 
 Complementary-degree products short-circuit through Poincaré duality
 (which is the same answer, by the duality formula itself), and products
@@ -27,14 +32,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import gcd
+from functools import cache, cached_property
+from math import gcd, lcm
 
 from . import univar
 from .errors import InternalComputationError, ResourceLimitError, UsageError
 from .polynomial import Polynomial, elementary_symmetric_classes
 from .rootdata import RootSystem, build_root_system, is_small_prime, root_subsystem, weyl_degrees
-from .weyl import CosetTable, WeylElement, _canonical_from_image, coset_reps
+from .weyl import CosetTable, WeylElement, _canonical_from_image, checked_word, coset_reps
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +258,7 @@ def pieri_multiply(rs: RootSystem, alpha: int, w: WeylElement) -> ChowClass:
 
 def divided_difference(rs: RootSystem, word, u: Polynomial) -> Polynomial:
     """Delta_{s_{i1}} o ... o Delta_{s_ik} applied to u (word need not be reduced)."""
-    for i in reversed(tuple(word)):
-        if not 1 <= i <= rs.rank:
-            raise UsageError(f"letter {i} out of range")
+    for i in reversed(checked_word(rs, word)):
         u = u.divided_difference(i - 1)
     return u
 
@@ -270,10 +273,8 @@ class _FlagContext:
         self.theta = tuple(sorted(set(theta)))
         self.ct = coset_reps(rs, self.theta)
         self.dim = self.ct.max_length
-        self.poincare = poincare_polynomial(rs, self.theta)
         self._gens = None
-        self._grid = {}          # degree -> (pivot_exps, pivot_polys, blocks for solving)
-        self._basis_preimage = {}
+        self._grid = {}          # degree -> (pivots, pos_index, D, A)
         self._pair_memo = {}
         # Grow-on-demand memos: an entry computed up to bound b serves requests <= b.
         self._chern = {}          # ring -> [c_0, ..., c_b]
@@ -380,78 +381,93 @@ class _FlagContext:
     def grid(self, d):
         """Pivot products spanning CH^d tensor Q, with a solver for preimages.
 
-        Products are imaged one by one in sparsity order until the images
-        span; the rest of the grid is never touched.
+        Products are imaged one by one in sparsity order, through one integer
+        elimination, until the images span; the rest of the grid is never
+        touched.  Returns (pivots, pos_index, D, A): pivots[j] = (exps, P_j),
+        pos_index maps a basis index of codimension d to its column, and
+        A = D M^-1 is integral for M the image matrix of the pivots (row j is
+        the image of P_j).  A M = D I is re-verified exactly against the raw
+        images before the grid is stored, which certifies char_map of every
+        preimage built from it (char_map is linear).
         """
         hit = self._grid.get(d)
         if hit is not None:
             return hit
-        target_rank = self.poincare[d] if d < len(self.poincare) else 0
         positions = [k for k in range(len(self.ct)) if self.ct.codim(k) == d]
         pos_index = {k: t for t, k in enumerate(positions)}
-        pivots = []       # (exps, Polynomial, image vector over positions)
-        rows = []         # row-echelon scratch: list of (vector, combo index)
-        if target_rank == 0:
-            self._grid[d] = ([], positions, [])
-            return self._grid[d]
+        n = len(positions)
+        pivots = []       # (exps, Polynomial)
+        images = []       # integer image vector over positions, one per pivot
+        elim = _Echelon(n)
         for exps in self._grid_products(d):
             P = self._product_poly(exps)
-            den, IP = P.to_integer()
-            scalars = self.delta_scalars(IP)
-            vec = [Fraction(0)] * len(positions)
-            for k, c in scalars.items():
-                if self.ct.reps[k].length == d:
-                    vec[pos_index[self.ct.dual_index(k)]] = Fraction(c, den)
-            if _adds_rank(rows, vec):
-                pivots.append((exps, P, tuple(vec)))
-                if len(pivots) == target_rank:
+            vec = [0] * n
+            for k, c in self.delta_scalars(P).items():  # P is homogeneous: only l(w) = d survives
+                vec[pos_index[self.ct.dual_index(k)]] = c
+            if elim.add(vec):
+                pivots.append((exps, P))
+                images.append(vec)
+                if len(pivots) == n:
                     break
-        if len(pivots) < target_rank:
+        if len(pivots) < n:
             raise InternalComputationError(
-                f"invariant products do not span CH^{d} (rank {len(pivots)} < {target_rank})"
+                f"invariant products do not span CH^{d} (rank {len(pivots)} < {n})"
             )
-        inv = _invert_matrix([list(p[2]) for p in pivots])
-        self._grid[d] = (pivots, positions, inv)
+        D, A = elim.inverse()
+        for t in range(n):
+            for s in range(n):
+                if sum(A[t][j] * images[j][s] for j in range(n)) != (D if s == t else 0):
+                    raise InternalComputationError("preimage verification failed")
+        self._grid[d] = (pivots, pos_index, D, A)
         return self._grid[d]
 
-    def basis_preimages(self, d):
-        """Preimage polynomials for every basis class of codimension d.
+    def preimage_of(self, cls: ChowClass):
+        """(den, U): an integer polynomial U with char_map(U / den) = cls.
 
-        The linear identity sum_j inv[j][t] * image_j = e_t is re-verified
-        exactly, which certifies char_map(preimage) = class for each basis
-        element (char_map is linear and the images were computed by it).
+        den > 0 and gcd(den, content U) = 1; cls must be homogeneous.  A Z/p
+        coefficient is read as its integer representative in [0, p) (any lift
+        works, c is functorial in coefficients).  With L the common
+        denominator of the coefficients, x = sum_k L c_k A[t_k] and
+        U = sum_j x_j P_j over the pivot products, so U / (D L) is the
+        preimage before the common content is divided out.
         """
-        hit = self._basis_preimage.get(d)
-        if hit is not None:
-            return hit
-        pivots, positions, inv = self.grid(d)
-        out = {}
-        for t, k in enumerate(positions):
-            # x with sum_j x_j image_j = e_t is row t of the inverse matrix
-            u = Polynomial.zero(self.rs)
-            for j in range(len(pivots)):
-                c = inv[t][j]
-                if c:
-                    u = u + pivots[j][1].scale(c)
-            check = [
-                sum(inv[t][j] * pivots[j][2][s] for j in range(len(pivots)))
-                for s in range(len(positions))
-            ]
-            if any(check[s] != (1 if s == t else 0) for s in range(len(positions))):
-                raise InternalComputationError("preimage verification failed")
-            out[k] = u.map_fractions()
-        self._basis_preimage[d] = out
-        return out
-
-    def preimage_of(self, cls: ChowClass) -> Polynomial:
         d = cls.codim(self.ct)
         if d is None:
-            return Polynomial.zero(self.rs)
-        pre = self.basis_preimages(d)
-        u = Polynomial.zero(self.rs)
+            return 1, Polynomial.zero(self.rs)
+        pivots, pos_index, D, A = self.grid(d)
+        L = lcm(*(c.denominator for c in cls.coeffs.values()))
+        x = [0] * len(pivots)
         for k, c in cls.coeffs.items():
-            u = u + pre[k].scale(c)
-        return u
+            c = c.numerator * (L // c.denominator)
+            for j, a in enumerate(A[pos_index[k]]):
+                x[j] += c * a
+        acc = {}
+        for (_, P), xj in zip(pivots, x):
+            if xj:
+                for m, c in P.terms.items():
+                    acc[m] = acc.get(m, 0) + xj * c
+        g = gcd(D * L, *acc.values())
+        return D * L // g, Polynomial(self.rs, {m: c // g for m, c in acc.items() if c})
+
+    # -- unipotent radical --------------------------------------------------
+
+    @cached_property
+    def unipotent_roots(self):
+        """Positive roots with support outside theta: the roots of the unipotent radical.
+
+        W_Theta permutes them (it fixes the theta-span and Phi+ minus the
+        simple thetas); this is checked.
+        """
+        rs = self.rs
+        theta_set = set(self.theta)
+        U = [pr for pr in rs.positive_roots
+             if any(pr.root[j] for j in range(rs.rank) if (j + 1) not in theta_set)]
+        uset = {pr.root for pr in U}
+        for i in self.theta:
+            for pr in U:
+                if rs.reflect_root(i - 1, pr.root) not in uset:
+                    raise InternalComputationError("unipotent-radical roots not Theta-stable")
+        return U
 
     # -- Chern classes ----------------------------------------------------
 
@@ -463,17 +479,8 @@ class _FlagContext:
         cached = self._chern.get(ring)
         if cached is not None and len(cached) > top:
             return cached[: top + 1]
-        theta_set = set(self.theta)
-        U = [pr for pr in self.rs.positive_roots
-             if any(pr.root[j] for j in range(self.rs.rank) if (j + 1) not in theta_set)]
-        # W_Theta permutes U (it fixes the theta-span and Phi+ minus simple thetas)
-        uset = {pr.root for pr in U}
-        for i in self.theta:
-            for pr in U:
-                img = self.rs.reflect_root(i - 1, pr.root)
-                if img not in uset:
-                    raise InternalComputationError("unipotent-radical roots not Theta-stable")
-        es = elementary_symmetric_classes(self.rs, [pr.omega for pr in U], top, _ring_modulus(ring))
+        forms = [pr.omega for pr in self.unipotent_roots]
+        es = elementary_symmetric_classes(self.rs, forms, top, _ring_modulus(ring))
         # the e_k have distinct degrees, so their terms never collide
         total = Polynomial(self.rs, {m: c for e in es for m, c in e.terms.items()})
         graded = self.char_map_graded(total, ring=ring, max_codim=top)
@@ -487,40 +494,54 @@ class _FlagContext:
         return out
 
 
-def _adds_rank(rows, vec):
-    """Row-echelon insert; True if vec was independent of current rows."""
-    v = list(vec)
-    for pivot_col, pivot_row in rows:
-        c = v[pivot_col]
-        if c:
-            f = c / pivot_row[pivot_col]
-            for i in range(len(v)):
-                if pivot_row[i]:
-                    v[i] -= f * pivot_row[i]
-    for i, c in enumerate(v):
-        if c:
-            rows.append((i, v))
-            return True
-    return False
+class _Echelon:
+    """Fraction-free Gauss-Jordan elimination over the integers.
 
+    Like Bareiss (Math. Comp. 1968) it never leaves Z, but each row is kept
+    primitive by dividing out its content.  The rows are in reduced echelon
+    form, keyed by pivot column, and each row [v | a] carries in a the
+    combination of the accepted inputs that gives v, so a M = v for M the
+    matrix whose j-th row is the j-th accepted input.
+    """
 
-def _invert_matrix(rows):
-    """Exact inverse of a square matrix over the rationals."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if j == i else 0) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
+    def __init__(self, n):
+        self.n = n
+        self.rows = {}   # pivot column -> primitive row of 2n ints
+
+    def add(self, vec) -> bool:
+        """Insert an integer vector of length n; True if it was independent of the rows so far."""
+        n = self.n
+        if len(self.rows) == n:  # full rank: every vector is dependent
+            return False
+        r = list(vec) + [0] * n
+        r[n + len(self.rows)] = 1
+        for p, row in self.rows.items():
+            c = r[p]
+            if c:
+                r = _primitive([row[p] * x - c * y for x, y in zip(r, row)])
+        q = next((i for i in range(n) if r[i]), None)
+        if q is None:
+            return False
+        for p, row in self.rows.items():
+            c = row[q]
+            if c:
+                self.rows[p] = _primitive([r[q] * x - c * y for x, y in zip(row, r)])
+        self.rows[q] = r
+        return True
+
+    def inverse(self):
+        """(D, A) with D > 0 and A = D M^-1 integral, once n inputs are accepted."""
+        n = self.n
+        if len(self.rows) < n:
             raise InternalComputationError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        f = a[col][col]
-        a[col] = [x / f for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                g = a[r][col]
-                a[r] = [x - g * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+        # at full rank row p is [a_p e_p | a_p (row p of M^-1)]
+        D = lcm(*(row[p] for p, row in self.rows.items()))
+        return D, [[D // row[p] * y for y in row[n:]] for p, row in sorted(self.rows.items())]
+
+
+def _primitive(row):
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def flag_context(rs: RootSystem, theta) -> _FlagContext:
@@ -548,21 +569,18 @@ def _sub_fundamental_seeds(rs: RootSystem, theta):
     """Fundamental weights of <Theta> in ambient omega-coordinates, integer-scaled."""
     theta = tuple(sorted(set(theta)))
     m = len(theta)
-    # seed j solves sum_k A[i][k] c_k = delta_ij over i, k in theta: column j of A_Theta^-1
-    inv = _invert_matrix([[rs.cartan[i - 1][k - 1] for k in theta] for i in theta])
+    # seed j solves sum_k A[i][k] c_k = delta_ij over i, k in theta: column j of A_Theta^-1,
+    # here D A_Theta^-1; dividing by gcd(D, content) leaves the least integer multiple
+    elim = _Echelon(m)
+    for i in theta:
+        elim.add([rs.cartan[i - 1][k - 1] for k in theta])
+    D, inv = elim.inverse()
+    alphas = [rs.alpha_omega(i - 1) for i in theta]
     seeds = []
     for j in range(m):
-        c = [inv[k][j] for k in range(m)]
-        coords = [Fraction(0)] * rs.rank
-        for k in range(m):
-            if c[k]:
-                alpha = rs.alpha_omega(theta[k] - 1)
-                for t in range(rs.rank):
-                    coords[t] += c[k] * alpha[t]
-        den = 1
-        for x in coords:
-            den = den * x.denominator // gcd(den, x.denominator)
-        seeds.append(tuple(int(x * den) for x in coords))
+        coords = [sum(inv[k][j] * alphas[k][t] for k in range(m)) for t in range(rs.rank)]
+        g = gcd(D, *coords)
+        seeds.append(tuple(x // g for x in coords))
     return seeds
 
 
@@ -621,10 +639,9 @@ def _invariant_generators(rs: RootSystem, theta):
 
     for point in _CANDIDATE_POINTS:
         pt = point[:n]
-        rows = []
+        elim = _Echelon(n)
         for g in base:
-            grad = [g.derivative(j).evaluate(pt) for j in range(n)]
-            _adds_rank(rows, [Fraction(x) for x in grad])
+            elim.add([g.derivative(j).evaluate(pt) for j in range(n)])
         chosen = []
         ok = True
         for d in slots:
@@ -633,15 +650,14 @@ def _invariant_generators(rs: RootSystem, theta):
                 cand = sums[d]
                 if cand.is_zero() or any(cand == c for c in chosen):
                     continue
-                grad = [Fraction(cand.derivative(j).evaluate(pt)) for j in range(n)]
-                if _adds_rank(rows, grad):
+                if elim.add([cand.derivative(j).evaluate(pt) for j in range(n)]):
                     found = cand
                     break
             if found is None:
                 ok = False
                 break
             chosen.append(found)
-        if ok and len(rows) == n:
+        if ok and len(elim.rows) == n:
             for g in chosen:
                 if not g.is_invariant_under(theta):
                     raise InternalComputationError("orbit power sum failed invariance")
@@ -679,18 +695,13 @@ def char_map(rs: RootSystem, theta, u: Polynomial, check: bool = True) -> ChowCl
 def preimage(cls: ChowClass) -> Polynomial:
     """A W_Theta-invariant polynomial u with char_map(u) = cls.
 
-    The solve is re-verified exactly against the cached characteristic
-    images inside basis_preimages; mod-p classes are lifted to integer
-    representatives first (any lift works, c is functorial in coefficients).
+    u = U / den for the integer pair (den, U) of _FlagContext.preimage_of,
+    whose grid re-verifies its solve exactly; mod-p classes are lifted to
+    integer representatives (any lift works, c is functorial in coefficients).
     """
     rs = build_root_system(cls.type_name)
-    ctx = flag_context(rs, cls.theta)
-    return ctx.preimage_of(_lift_to_rational(cls))
-
-
-def _lift_to_rational(cls: ChowClass) -> ChowClass:
-    """Interpret mod-p coefficients as integers in [0, p) for preimage work."""
-    return ChowClass(cls.type_name, cls.theta, "Q", {k: Fraction(c) for k, c in cls.coeffs.items()})
+    den, U = flag_context(rs, cls.theta).preimage_of(cls)
+    return U.scale(Fraction(1, den)) if den > 1 else U
 
 
 def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
@@ -766,12 +777,9 @@ def _pairing(ctx, a, b):
 
 
 def _multiply_poly_route(ctx, a, b, k, ring):
-    ua = ctx.preimage_of(_lift_to_rational(a))
-    ub = ctx.preimage_of(_lift_to_rational(b))
-    da, A = ua.to_integer()
-    db, B = ub.to_integer()
-    P = A * B
-    scalars = ctx.delta_scalars(P, max_len=k)
+    da, A = ctx.preimage_of(a)
+    db, B = ctx.preimage_of(b)
+    scalars = ctx.delta_scalars(A * B, max_len=k)
     den = da * db
     coeffs = {}
     for idx, c in scalars.items():

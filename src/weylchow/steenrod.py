@@ -52,8 +52,8 @@ from math import comb
 from .errors import CalibrationError, InternalComputationError, ResourceLimitError, UsageError
 from .polynomial import Polynomial, unpack_monomial
 from .rootdata import RootSystem, build_root_system
-from .schubert import ChowClass, char_map, flag_context, preimage
-from .weyl import CosetTable, coset_reps
+from .schubert import ChowClass, char_map, flag_context
+from .weyl import CosetTable, checked_word, coset_reps
 
 #: maximal reduced-word length for direct ring expansion (2^l basis monomials)
 DIRECT_WORD_LIMIT = 18
@@ -73,7 +73,7 @@ class BottSamelsonRing:
     """
 
     def __init__(self, rs: RootSystem, word):
-        word = tuple(int(i) for i in word)
+        word = checked_word(rs, word)
         if len(word) > DIRECT_WORD_LIMIT:
             raise ResourceLimitError(
                 f"Bott-Samelson word of length {len(word)} exceeds the direct limit "
@@ -322,8 +322,7 @@ def _oracle_steenrod_divisor_generated(rs: RootSystem, idx):
     """Closed-form total Steenrod on a divisor-generated mod-2 Chow ring (type A)."""
     ct = coset_reps(rs, ())
     cls = ChowClass(rs.type.name(), (), "Z", {idx: 1})
-    u = preimage(cls)
-    den, iu = u.to_integer()
+    den, iu = flag_context(rs, ()).preimage_of(cls)
     if den % 2 == 0:
         raise InternalComputationError("oracle needs an odd-denominator preimage")
     subbed = _substitute_total_square_mod2(iu.reduce_mod(2))
@@ -342,21 +341,17 @@ def _direct_steenrod_pieces(rs, theta, idx, convention, up_to=None, word=None):
     `word` overrides the canonical reduced word (the result must not depend
     on the choice; tests recompute with alternatives).
     """
-    ct = coset_reps(rs, theta)
+    ctx = flag_context(rs, theta)
+    ct = ctx.ct
     if word is None:
         word = ct.reps[idx].word
     codim = ct.codim(idx)
     emax = codim if up_to is None else min(up_to, codim)
     ring = BottSamelsonRing(rs, word)
-    theta_set = set(ct.theta)
-    # pulled-back tangent factors of the base: one per root in the unipotent radical
-    u_roots = [
-        pr for pr in rs.positive_roots
-        if any(pr.root[j] for j in range(rs.rank) if (j + 1) not in theta_set)
-    ]
     elem = ring.one()
     eps = 1 if convention == "I" else -1
-    for pr in u_roots:
+    # pulled-back tangent factors of the base: one per root in the unipotent radical
+    for pr in ctx.unipotent_roots:
         form = ring.pull_weight_class(pr.omega)
         elem = ring.mul_one_plus_series(elem, form, eps, emax)
     for j in range(ring.length):

@@ -55,6 +55,17 @@ def _canonical_from_image(rs: RootSystem, v):
     return tuple(word)
 
 
+def checked_word(rs: RootSystem, word) -> tuple:
+    """word as a tuple of letters, each an int (not a bool) in 1..rank; UsageError otherwise."""
+    word = tuple(word)
+    for i in word:
+        if not isinstance(i, int) or isinstance(i, bool):
+            raise UsageError(f"letter {i!r} must be an integer")
+        if not 1 <= i <= rs.rank:
+            raise UsageError(f"letter {i} out of range 1..{rs.rank}")
+    return word
+
+
 @dataclass(frozen=True)
 class WeylElement:
     """A Weyl group element in canonical (lex-least reduced) word form."""
@@ -65,12 +76,7 @@ class WeylElement:
 
     @staticmethod
     def from_word(rs: RootSystem, word) -> "WeylElement":
-        word = tuple(word)
-        for i in word:
-            if not isinstance(i, int) or isinstance(i, bool):
-                raise UsageError(f"letter {i!r} must be an integer")
-            if not 1 <= i <= rs.rank:
-                raise UsageError(f"letter {i} out of range 1..{rs.rank}")
+        word = checked_word(rs, word)
         v = apply_word(rs, word, rs.rho)
         return WeylElement(rs, _canonical_from_image(rs, v), tuple(v))
 

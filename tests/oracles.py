@@ -61,4 +61,14 @@ def exact_divide_by_linear(u: Polynomial, form: Polynomial, pivot: int) -> Polyn
         q = Polynomial(rs, {e - unit: Fraction(c, 1) / cpiv})
         quot = quot + q
         rem = rem - q * form
-    return quot.map_fractions()
+    return map_fractions(quot)
+
+
+def map_fractions(p: Polynomial) -> Polynomial:
+    """p with every Fraction coefficient of denominator 1 turned into an int."""
+    out = {}
+    for e, c in p.terms.items():
+        if isinstance(c, Fraction) and c.denominator == 1:
+            c = int(c)
+        out[e] = c
+    return Polynomial(p.rs, out)

@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weylchow import univar
 from weylchow.errors import InternalComputationError, ResourceLimitError, UsageError
@@ -10,6 +13,7 @@ from weylchow.polynomial import Polynomial
 from weylchow.rootdata import build_root_system
 from weylchow.schubert import (
     ChowClass,
+    _Echelon,
     _FlagContext,
     char_map,
     chern_tangent,
@@ -107,6 +111,14 @@ def test_divided_difference_word_independence_rank_le_3():
             words = all_reduced_words(rs, w)
             results = {divided_difference(rs, word, u) for word in words}
             assert len(results) == 1
+
+
+def test_divided_difference_word_letters_checked():
+    rs = build_root_system("A2")
+    x = Polynomial.variable(rs, 1)
+    for word in ((0,), (3,), (1.5,), (True,), (2.0,)):
+        with pytest.raises(UsageError):
+            divided_difference(rs, word, x * x)
 
 
 def test_char_map_examples_a2():
@@ -461,3 +473,91 @@ def test_poly_and_pairing_routes_agree(name, theta):
                 poly = _multiply_poly_route(ctx, a, b, da + db, ring)
                 pairs = _multiply_by_pairings(ctx, a, b, da, db, ring)
                 assert poly.coeffs == pairs.coeffs, (ring, da, db)
+
+
+def _det(m):
+    """Exact determinant by Gaussian elimination over Q (an independent reference)."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n, det = len(a), Fraction(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if a[r][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+)))
+def test_echelon_inverts_nonsingular_integer_matrices(case):
+    m, c = case
+    n = len(m)
+    assume(_det(m) != 0)
+    elim = _Echelon(n)
+    for j, row in enumerate(m):
+        # a combination of the rows already in is dependent, the next row is not
+        combo = [sum(c[i] * m[i][s] for i in range(j)) for s in range(n)]
+        assert not elim.add(combo)
+        assert elim.add(row)
+    assert not elim.add(c)
+    D, A = elim.inverse()
+    assert D > 0 and all(type(x) is int for row in A for x in row)
+    for t in range(n):
+        for s in range(n):
+            assert sum(A[t][j] * m[j][s] for j in range(n)) == (D if s == t else 0)
+    short = _Echelon(n)
+    for row in m[:-1]:
+        short.add(row)
+    with pytest.raises(InternalComputationError, match="singular matrix"):
+        short.inverse()
+
+
+def test_grid_verification_catches_a_wrong_inverse(monkeypatch):
+    inverse = _Echelon.inverse
+
+    def wrong(self):
+        D, A = inverse(self)
+        A[-1][0] += 1
+        return D, A
+
+    monkeypatch.setattr(_Echelon, "inverse", wrong)
+    ctx = _FlagContext(build_root_system("B3"), (1, 2))
+    with pytest.raises(InternalComputationError, match="preimage verification failed"):
+        ctx.grid(2)
+
+
+@pytest.mark.parametrize(
+    "name,theta,top",
+    [("B3", (1, 2), 5), ("F4", (1, 2, 3), 8), ("E6", (2, 3, 4, 5, 6), 8)],
+    ids=["B3/P3", "F4/P4", "E6/P1"],
+)
+def test_preimages_are_integer_polynomials_over_one_denominator(name, theta, top):
+    rs = build_root_system(name)
+    ctx = flag_context(rs, theta)
+    by_codim = {}
+    for k in range(len(ctx.ct)):
+        by_codim.setdefault(ctx.ct.codim(k), []).append(k)
+    for d in range(1, top + 1):
+        ks = by_codim[d]
+        for ring, coeffs in (
+            ("Z", {k: (-1) ** j * (j + 2) for j, k in enumerate(ks)}),
+            ("Z/2", {k: Fraction(j + 1, 3) for j, k in enumerate(ks)}),
+            ("Q", {k: Fraction(j + 1, j + 2) for j, k in enumerate(ks)}),
+        ):
+            cls = ChowClass(name, ctx.theta, ring, coeffs)
+            den, U = ctx.preimage_of(cls)
+            assert den > 0 and all(type(c) is int for c in U.terms.values())
+            assert math.gcd(den, *U.terms.values()) == 1
+            u = preimage(cls)
+            assert u == U.scale(Fraction(1, den))
+            back = char_map(rs, theta, u)
+            assert ChowClass(name, ctx.theta, ring, back.coeffs) == cls, (ring, d)

@@ -103,6 +103,17 @@ def test_bs_ring_rejects_nonreduced():
         BottSamelsonRing(rs, (1, 1))
 
 
+def test_bs_ring_word_letters_checked():
+    # letters must be ints (not bools) in 1..rank on every route into the ring
+    rs = build_root_system("A2")
+    for word in ((0,), (3,), (1.7, 2), (True, 2), ("1",), (1, -1)):
+        with pytest.raises(UsageError):
+            BottSamelsonRing(rs, word)
+        with pytest.raises(UsageError):
+            _direct_steenrod_pieces(rs, (), 0, wu_convention(), word=word)
+    assert BottSamelsonRing(rs, [1, 2]).word == (1, 2)
+
+
 def test_bs_ring_word_length_capped_before_allocation():
     # 2^l-bit selectors for the 63 letters of w0 in E7 could not be allocated:
     # the cap must refuse the word first, on every route into the ring
