@@ -153,15 +153,16 @@ def _dispatch(args) -> str:
     if args.command == "cosets":
         rs = build_root_system(args.type)
         ct = coset_reps(rs, _parse_vertices(args.theta))
+        dim = ct.max_length
         return json.dumps(
             {
                 "type": rs.type.name(),
                 "theta": list(ct.theta),
                 "count": len(ct),
-                "dim": ct.max_length,
+                "dim": dim,
                 "reps": [
-                    {"word": list(w.word), "length": w.length, "codim": ct.codim(k)}
-                    for k, w in enumerate(ct.reps)
+                    {"word": list(w.word), "length": len(w.word), "codim": dim - len(w.word)}
+                    for w in ct.reps
                 ],
             },
             sort_keys=True,
@@ -186,7 +187,7 @@ def _dispatch(args) -> str:
     if args.command == "chern":
         rs = build_root_system(args.type)
         theta = _parse_vertices(args.theta)
-        ring = "Z" if not args.mod else f"Z/{args.mod}"
+        ring = "Z" if args.mod is None else f"Z/{args.mod}"
         classes = chern_tangent(rs, theta, max_codim=args.codim, ring=ring)
         ct = coset_reps(rs, theta)
         if args.codim is not None:

@@ -20,9 +20,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import UsageError
+from .errors import ResourceLimitError, UsageError
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
+
+#: most positive roots a RootSystem is built with (A44 has 990; E8 has 120)
+MAX_POSITIVE_ROOTS = 1000
 
 #: degrees of the fundamental polynomial invariants, per family
 _EXCEPTIONAL_DEGREES = {
@@ -195,6 +198,12 @@ class RootSystem:
     """Immutable root-system data for a (possibly reducible) Dynkin type."""
 
     def __init__(self, dtype: DynkinType):
+        # a reflection group has sum(d - 1) reflections over its fundamental degrees d
+        count = sum(d - 1 for d in weyl_degrees(dtype))
+        if count > MAX_POSITIVE_ROOTS:
+            raise ResourceLimitError(
+                f"type {dtype.name()} has {count} positive roots, over the cap {MAX_POSITIVE_ROOTS}"
+            )
         self.type = dtype
         n = dtype.rank
         self.rank = n
@@ -205,6 +214,10 @@ class RootSystem:
                 for j in range(rank):
                     cartan[off + i][off + j] = block[i][j]
         self.cartan = tuple(tuple(row) for row in cartan)
+        # column i of the Cartan matrix without its zeros: the entries s_i changes
+        self._reflection_columns = tuple(
+            tuple((j, cartan[j][i]) for j in range(n) if cartan[j][i]) for i in range(n)
+        )
         self.symmetrizer = _symmetrizer(cartan, n) if n else ()
         self.positive_roots = self._close_positive_roots()
         self.rho = tuple([1] * n)
@@ -220,8 +233,10 @@ class RootSystem:
         vi = v[i]
         if vi == 0:
             return tuple(v)
-        col = self.cartan
-        return tuple(v[j] - col[j][i] * vi for j in range(self.rank))
+        out = list(v)
+        for j, a in self._reflection_columns[i]:
+            out[j] -= a * vi
+        return tuple(out)
 
     def reflect_root(self, i: int, c):
         """Apply s_i in simple-root coordinates: c - <sum c_j alpha_j, alpha_i^vee> e_i."""

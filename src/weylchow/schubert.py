@@ -183,7 +183,10 @@ def _coefficient_from_json(c):
     if isinstance(c, int) and not isinstance(c, bool):
         return c
     if isinstance(c, str):
-        return Fraction(c)
+        try:
+            return Fraction(c)
+        except ZeroDivisionError:
+            raise UsageError(f"coefficient {c!r} has a zero denominator") from None
     raise UsageError(f"coefficient {c!r} must be an integer or a rational string")
 
 
@@ -599,28 +602,38 @@ def _orbit(rs: RootSystem, theta, seed):
     return sorted(seen)
 
 
-def _orbit_power_sums(rs, orbit, degrees):
-    """Power sums of the linear forms of an orbit, one polynomial per degree."""
-    dmax = max(degrees)
-    sums = {d: Polynomial.zero(rs) for d in degrees}
+def _power_sum_row(orbit, values, d):
+    """Jacobian row of p_d = sum_mu (mu.x)^d at a point where mu.x takes the given values.
+
+    d/dx_j p_d = d sum_mu (mu.x)^(d-1) mu_j, an exact integer per j.
+    """
+    weights = [d * v ** (d - 1) for v in values]
+    return [sum(c * mu[j] for c, mu in zip(weights, orbit)) for j in range(len(orbit[0]))]
+
+
+def _power_sum(rs, orbit, d):
+    """p_d = sum over the orbit of (mu.x)^d as a polynomial."""
+    total = Polynomial.zero(rs)
     for mu in orbit:
         form = Polynomial.linear_form(rs, mu)
-        p = Polynomial.one(rs)
-        for d in range(1, dmax + 1):
+        p = form
+        for _ in range(d - 1):
             p = p * form
-            if d in sums:
-                sums[d] = sums[d] + p
-    return sums
+        total = total + p
+    return total
 
 
 def _invariant_generators(rs: RootSystem, theta):
     """omega_i (i not in theta) plus one invariant per fundamental degree of <Theta>.
 
-    Candidates are orbit power sums of the subsystem's fundamental weights;
-    a candidate fills a degree slot when it enlarges the Jacobian rank at a
-    fixed test point, and the final set is validated by a nonzero Jacobian
-    determinant (functional independence, hence a generating set by the
-    degree-product criterion).
+    Candidates are orbit power sums p_d of the subsystem's fundamental
+    weights, offered slot by slot (degrees ascending, smallest orbit first).
+    A candidate fills a slot when its Jacobian row at a fixed test point
+    enlarges the rank; that row is computed numerically from the values
+    mu.pt, so only the winning power sums are ever expanded as polynomials.
+    Each winner's row is recomputed from its polynomial, the final Jacobian
+    has rank n (functional independence, hence a generating set by the
+    degree-product criterion), and every winner is checked W_Theta-invariant.
     """
     theta = tuple(sorted(set(theta)))
     n = rs.rank
@@ -629,39 +642,34 @@ def _invariant_generators(rs: RootSystem, theta):
         return base
     sub = root_subsystem(rs, theta)
     slots = sorted(weyl_degrees(sub.type))
-    seeds = _sub_fundamental_seeds(rs, theta)
-    orbits = [_orbit(rs, theta, s) for s in seeds]
-    order = sorted(range(len(orbits)), key=lambda i: (len(orbits[i]), i))
-    wanted = sorted(set(slots))
-    sums_by_seed = [
-        _orbit_power_sums(rs, orbits[i], wanted) for i in order
-    ]
+    orbits = sorted((_orbit(rs, theta, s) for s in _sub_fundamental_seeds(rs, theta)), key=len)
 
     for point in _CANDIDATE_POINTS:
         pt = point[:n]
         elim = _Echelon(n)
         for g in base:
             elim.add([g.derivative(j).evaluate(pt) for j in range(n)])
+        values = [[sum(m * x for m, x in zip(mu, pt)) for mu in orbit] for orbit in orbits]
         chosen = []
-        ok = True
         for d in slots:
-            found = None
-            for sums in sums_by_seed:
-                cand = sums[d]
-                if cand.is_zero() or any(cand == c for c in chosen):
-                    continue
-                if elim.add([cand.derivative(j).evaluate(pt) for j in range(n)]):
-                    found = cand
+            for orbit, vals in zip(orbits, values):
+                row = _power_sum_row(orbit, vals, d)
+                if elim.add(row):
+                    chosen.append((orbit, d, row))
                     break
-            if found is None:
-                ok = False
+            else:
                 break
-            chosen.append(found)
-        if ok and len(elim.rows) == n:
-            for g in chosen:
-                if not g.is_invariant_under(theta):
-                    raise InternalComputationError("orbit power sum failed invariance")
-            return base + chosen
+        if len(chosen) < len(slots) or len(elim.rows) < n:
+            continue
+        gens = []
+        for orbit, d, row in chosen:
+            g = _power_sum(rs, orbit, d)
+            if [g.derivative(j).evaluate(pt) for j in range(n)] != row:
+                raise InternalComputationError("orbit power sum disagrees with its Jacobian row")
+            if not g.is_invariant_under(theta):
+                raise InternalComputationError("orbit power sum failed invariance")
+            gens.append(g)
+        return base + gens
     raise InternalComputationError(
         f"could not assemble invariant generators for theta={list(theta)}"
     )

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 from weylchow.errors import InternalComputationError
 from weylchow.polynomial import BITS, MASK, Polynomial, _unit, unpack_monomial
+from weylchow.rootdata import root_subsystem, weyl_degrees
+from weylchow.schubert import _CANDIDATE_POINTS, _Echelon, _orbit, _sub_fundamental_seeds
 
 
 def all_reduced_words(rs, w):
@@ -72,3 +74,69 @@ def map_fractions(p: Polynomial) -> Polynomial:
             c = int(c)
         out[e] = c
     return Polynomial(p.rs, out)
+
+
+def _orbit_power_sums(rs, orbit, degrees):
+    """Power sums of the linear forms of an orbit, one polynomial per degree."""
+    dmax = max(degrees)
+    sums = {d: Polynomial.zero(rs) for d in degrees}
+    for mu in orbit:
+        form = Polynomial.linear_form(rs, mu)
+        p = Polynomial.one(rs)
+        for d in range(1, dmax + 1):
+            p = p * form
+            if d in sums:
+                sums[d] = sums[d] + p
+    return sums
+
+
+def invariant_generators_by_polynomials(rs, theta):
+    """Invariant generators chosen from Jacobians of fully expanded candidates.
+
+    Every orbit power sum up to the top slot degree is built as a polynomial
+    and differentiated; the package picks the same generators from numeric
+    Jacobian rows without expanding the losers.
+    """
+    theta = tuple(sorted(set(theta)))
+    n = rs.rank
+    base = [Polynomial.variable(rs, i) for i in range(1, n + 1) if i not in theta]
+    if not theta:
+        return base
+    sub = root_subsystem(rs, theta)
+    slots = sorted(weyl_degrees(sub.type))
+    seeds = _sub_fundamental_seeds(rs, theta)
+    orbits = [_orbit(rs, theta, s) for s in seeds]
+    order = sorted(range(len(orbits)), key=lambda i: (len(orbits[i]), i))
+    wanted = sorted(set(slots))
+    sums_by_seed = [
+        _orbit_power_sums(rs, orbits[i], wanted) for i in order
+    ]
+
+    for point in _CANDIDATE_POINTS:
+        pt = point[:n]
+        elim = _Echelon(n)
+        for g in base:
+            elim.add([g.derivative(j).evaluate(pt) for j in range(n)])
+        chosen = []
+        ok = True
+        for d in slots:
+            found = None
+            for sums in sums_by_seed:
+                cand = sums[d]
+                if cand.is_zero() or any(cand == c for c in chosen):
+                    continue
+                if elim.add([cand.derivative(j).evaluate(pt) for j in range(n)]):
+                    found = cand
+                    break
+            if found is None:
+                ok = False
+                break
+            chosen.append(found)
+        if ok and len(elim.rows) == n:
+            for g in chosen:
+                if not g.is_invariant_under(theta):
+                    raise InternalComputationError("orbit power sum failed invariance")
+            return base + chosen
+    raise InternalComputationError(
+        f"could not assemble invariant generators for theta={list(theta)}"
+    )

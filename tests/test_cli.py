@@ -230,6 +230,8 @@ def test_automaton_omega_vertices_are_integers_in_range():
 
 def test_non_prime_moduli_exit_2():
     assert run(["chern", "--type", "A2", "--mod", "4"])[0] == 2
+    # only an omitted --mod means Z; 0 is a modulus like any other, and not a prime
+    assert run(["chern", "--type", "A2", "--mod", "0"])[0] == 2
     assert run(["chern", "--type", "A2", "--mod", "3"])[0] == 0
     # 2^61 - 1 is prime but above the cap, so it is refused without trial division
     for ring in ("Z/4", "Z/1", "Z/x", "Z/%d" % ((1 << 61) - 1)):
@@ -276,6 +278,20 @@ def test_resource_cap_exit_3():
         assert code == 3
     finally:
         cli.build_root_system = old
+
+
+def test_zero_denominator_coefficient_exit_2():
+    code, out = run(["mult", "--type", "A2", "--a", _a2_class("Q", "1/0"), "--b", _a2_class("Q", 1)])
+    assert code == 2
+    assert out.startswith("usage error")
+
+
+def test_root_cap_checked_before_closure():
+    big = json.dumps({"type": "A300", "terms": []})
+    t0 = time.perf_counter()
+    assert run(["roots", "--type", "A300"])[0] == 3
+    assert run(["mult", "--type", "A300", "--a", big, "--b", big])[0] == 3
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_coset_cap_checked_before_enumeration():

@@ -43,6 +43,13 @@ def test_positive_root_counts_against_lie_dimension(name, dim):
     assert dim == rs.rank + 2 * rs.num_positive_roots()
 
 
+@pytest.mark.parametrize("name", ["A1", "A5", "B4", "C4", "D5", "G2", "F4", "E6", "E7", "E8", "A2xB2"])
+def test_positive_root_count_is_sum_of_degrees_minus_one(name):
+    # the count the root cap reads before the closure runs
+    rs = build_root_system(name)
+    assert rs.num_positive_roots() == sum(d - 1 for d in weyl_degrees(rs.type))
+
+
 def test_e7_has_63_positive_roots():
     assert build_root_system("E7").num_positive_roots() == 63
 

@@ -15,6 +15,10 @@ from weylchow.schubert import (
     ChowClass,
     _Echelon,
     _FlagContext,
+    _invariant_generators,
+    _orbit,
+    _power_sum,
+    _power_sum_row,
     char_map,
     chern_tangent,
     class_from_json,
@@ -32,7 +36,7 @@ from weylchow.schubert import (
 )
 from weylchow.weyl import WeylElement, coset_reps
 
-from oracles import all_reduced_words
+from oracles import all_reduced_words, invariant_generators_by_polynomials
 
 
 def basis_class(rs, theta, k, ring="Z"):
@@ -157,6 +161,50 @@ def test_invariant_generators_structure():
     assert sorted(g.degree() for g in gens) == [1, 2, 4, 6, 6, 8, 10]
     for g in gens:
         assert g.is_invariant_under((2, 3, 4, 5, 6, 7))
+
+
+def _all_thetas(name):
+    n = build_root_system(name).rank
+    return [(name, t) for k in range(n + 1) for t in itertools.combinations(range(1, n + 1), k)]
+
+
+_GENERATOR_CASES = [case for name in ("B3", "C3", "G2", "F4", "D4") for case in _all_thetas(name)] + [
+    ("E6", (2, 3, 4, 5, 6)), ("E6", (1, 2, 3, 4, 5)), ("E7", (2, 3, 4, 5, 6, 7))
+]
+
+
+@pytest.mark.parametrize(
+    "name,theta", _GENERATOR_CASES, ids=[f"{n}-theta{''.join(map(str, t))}" for n, t in _GENERATOR_CASES]
+)
+def test_invariant_generators_match_the_polynomial_jacobian_oracle(name, theta):
+    rs = build_root_system(name)
+    got = _invariant_generators(rs, theta)
+    want = invariant_generators_by_polynomials(rs, theta)
+    assert [g.terms for g in got] == [g.terms for g in want]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_power_sum_row_is_the_polynomial_jacobian_row(data):
+    rs = build_root_system(data.draw(st.sampled_from(["A3", "B3", "C3", "G2", "D4", "A2xA2"])))
+    n = rs.rank
+    theta = tuple(data.draw(st.sets(st.integers(1, n))))
+    seed = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    pt = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    d = data.draw(st.integers(1, 7))
+    orbit = _orbit(rs, theta, seed)
+    values = [sum(m * x for m, x in zip(mu, pt)) for mu in orbit]
+    p = _power_sum(rs, orbit, d)
+    assert _power_sum_row(orbit, values, d) == [p.derivative(j).evaluate(pt) for j in range(n)]
+
+
+def test_generator_row_recheck_catches_a_wrong_expansion(monkeypatch):
+    import weylchow.schubert as schubert
+
+    # twice the power sum is still invariant, so only the row re-check can see it
+    monkeypatch.setattr(schubert, "_power_sum", lambda rs, orbit, d: _power_sum(rs, orbit, d).scale(2))
+    with pytest.raises(InternalComputationError, match="Jacobian row"):
+        _invariant_generators(build_root_system("B3"), (2, 3))
 
 
 def test_preimage_small():
