@@ -280,9 +280,11 @@ def _run_cached(args) -> str:
     request = {k: v for k, v in vars(args).items() if k != "cache_dir"}
     key = hashlib.sha256(json.dumps([__version__, request], sort_keys=True).encode()).hexdigest()
     cache_file = os.path.join(args.cache_dir, key + ".out")
-    if os.path.exists(cache_file):
+    try:
         with open(cache_file, "r", encoding="utf-8") as fh:
             return fh.read()
+    except (OSError, UnicodeDecodeError):
+        pass  # no entry, or one that cannot be read or decoded: a miss, overwritten below
     out = _dispatch(args)
     tmp = f"{cache_file}.{os.getpid()}.tmp"  # same directory, so the rename is atomic
     try:

@@ -4,17 +4,20 @@ Basis classes [X_w] are indexed by positions in the CosetTable of W^Theta;
 codim [X_w] = dim X - l(w), so index 0 (the identity) is the point class
 and the longest representative is the fundamental class.
 
-Multiplication follows the characteristic-map procedure: find preimages of
-both factors among products of W_Theta-invariant generator polynomials,
-multiply in the polynomial ring, and push back through the characteristic
-map
+Multiplication follows the characteristic-map procedure: write both
+factors as combinations of products g^e of W_Theta-invariant generator
+polynomials, multiply those combinations, and push back through the
+characteristic map
 
     c(u) = sum over w in W^Theta with l(w) = deg u of Delta_w(u) [X_{w0 w wt}].
 
-The generators are integral, so the images of their products are integer
+The generators are integral, so the images of the monomials g^e are integer
 vectors; one fraction-free elimination per degree picks the pivot products
 and gives D M^-1 for their image matrix M, and a preimage is an integer
-polynomial over one denominator.
+combination of pivot products over one denominator.  c is linear, so a
+product sum x_j y_l g^(e_j + e_l) maps to sum x_j y_l c(g^(e_j + e_l)): the
+image of each generator monomial is swept once per flag variety and every
+product is assembled from those images, with no polynomial product.
 
 Complementary-degree products short-circuit through Poincaré duality
 (which is the same answer, by the duality formula itself), and products
@@ -278,6 +281,7 @@ class _FlagContext:
         self.dim = self.ct.max_length
         self._gens = None
         self._grid = {}          # degree -> (pivots, pos_index, D, A)
+        self._images = {}        # generator exponents e -> delta sweep of g^e
         self._pair_memo = {}
         # Grow-on-demand memos: an entry computed up to bound b serves requests <= b.
         self._chern = {}          # ring -> [c_0, ..., c_b]
@@ -344,14 +348,14 @@ class _FlagContext:
     # -- preimage grid ----------------------------------------------------
 
     def _grid_products(self, d):
-        """Exponent vectors over the generators with total degree d, sparse first."""
+        """Exponent vectors, one entry per generator, of weighted degree d, sparse first."""
         gens = self.gens
         degs = [g.degree() for g in gens]
         out = []
 
         def rec(idx, remaining, acc):
             if remaining == 0:
-                out.append(tuple(acc))
+                out.append(tuple(acc) + (0,) * (len(gens) - len(acc)))
                 return
             if idx == len(gens):
                 return
@@ -381,17 +385,29 @@ class _FlagContext:
                 P = P * gens[j]
         return P
 
+    def image(self, exps):
+        """Delta sweep of the generator monomial g^exps, {rep index: scalar}, memoized.
+
+        g^exps is homogeneous, so only reps of length sum(exps * deg g)
+        appear; the grids and the product route share these entries.
+        """
+        hit = self._images.get(exps)
+        if hit is None:
+            hit = self._images[exps] = self.delta_scalars(self._product_poly(exps))
+        return hit
+
     def grid(self, d):
         """Pivot products spanning CH^d tensor Q, with a solver for preimages.
 
         Products are imaged one by one in sparsity order, through one integer
         elimination, until the images span; the rest of the grid is never
-        touched.  Returns (pivots, pos_index, D, A): pivots[j] = (exps, P_j),
-        pos_index maps a basis index of codimension d to its column, and
-        A = D M^-1 is integral for M the image matrix of the pivots (row j is
-        the image of P_j).  A M = D I is re-verified exactly against the raw
-        images before the grid is stored, which certifies char_map of every
-        preimage built from it (char_map is linear).
+        touched.  Returns (pivots, pos_index, D, A): pivots[j] = exps_j, the
+        exponent vector of the pivot product P_j, pos_index maps a basis
+        index of codimension d to its column, and A = D M^-1 is integral for
+        M the image matrix of the pivots (row j is the image of P_j).
+        A M = D I is re-verified exactly against the raw images before the
+        grid is stored, which certifies char_map of every preimage built
+        from it (char_map is linear).
         """
         hit = self._grid.get(d)
         if hit is not None:
@@ -399,16 +415,15 @@ class _FlagContext:
         positions = [k for k in range(len(self.ct)) if self.ct.codim(k) == d]
         pos_index = {k: t for t, k in enumerate(positions)}
         n = len(positions)
-        pivots = []       # (exps, Polynomial)
+        pivots = []       # exponent vectors of the pivot products
         images = []       # integer image vector over positions, one per pivot
         elim = _Echelon(n)
         for exps in self._grid_products(d):
-            P = self._product_poly(exps)
             vec = [0] * n
-            for k, c in self.delta_scalars(P).items():  # P is homogeneous: only l(w) = d survives
+            for k, c in self.image(exps).items():
                 vec[pos_index[self.ct.dual_index(k)]] = c
             if elim.add(vec):
-                pivots.append((exps, P))
+                pivots.append(exps)
                 images.append(vec)
                 if len(pivots) == n:
                     break
@@ -424,33 +439,40 @@ class _FlagContext:
         self._grid[d] = (pivots, pos_index, D, A)
         return self._grid[d]
 
-    def preimage_of(self, cls: ChowClass):
-        """(den, U): an integer polynomial U with char_map(U / den) = cls.
+    def pivot_coords(self, cls: ChowClass):
+        """(den, [(exps_j, x_j)]): char_map(sum_j x_j g^exps_j) = den * cls.
 
-        den > 0 and gcd(den, content U) = 1; cls must be homogeneous.  A Z/p
-        coefficient is read as its integer representative in [0, p) (any lift
-        works, c is functorial in coefficients).  With L the common
-        denominator of the coefficients, x = sum_k L c_k A[t_k] and
-        U = sum_j x_j P_j over the pivot products, so U / (D L) is the
-        preimage before the common content is divided out.
+        cls must be homogeneous and nonzero; only the nonzero integers x_j
+        are listed.  A Z/p coefficient is read as its integer representative
+        in [0, p) (any lift works, c is functorial in coefficients).  With L
+        the common denominator of the coefficients, den = D L and
+        x = sum_k L c_k A[t_k] over the pivot products of grid(codim cls).
         """
-        d = cls.codim(self.ct)
-        if d is None:
-            return 1, Polynomial.zero(self.rs)
-        pivots, pos_index, D, A = self.grid(d)
+        pivots, pos_index, D, A = self.grid(cls.codim(self.ct))
         L = lcm(*(c.denominator for c in cls.coeffs.values()))
         x = [0] * len(pivots)
         for k, c in cls.coeffs.items():
             c = c.numerator * (L // c.denominator)
             for j, a in enumerate(A[pos_index[k]]):
                 x[j] += c * a
+        return D * L, [(exps, xj) for exps, xj in zip(pivots, x) if xj]
+
+    def preimage_of(self, cls: ChowClass):
+        """(den, U): an integer polynomial U with char_map(U / den) = cls.
+
+        den > 0 and gcd(den, content U) = 1; cls must be homogeneous.
+        U = sum_j x_j P_j over the pivot products of pivot_coords, with the
+        common content of den and U divided out.
+        """
+        if cls.is_zero():
+            return 1, Polynomial.zero(self.rs)
+        den, coords = self.pivot_coords(cls)
         acc = {}
-        for (_, P), xj in zip(pivots, x):
-            if xj:
-                for m, c in P.terms.items():
-                    acc[m] = acc.get(m, 0) + xj * c
-        g = gcd(D * L, *acc.values())
-        return D * L // g, Polynomial(self.rs, {m: c // g for m, c in acc.items() if c})
+        for exps, xj in coords:
+            for m, c in self._product_poly(exps).terms.items():
+                acc[m] = acc.get(m, 0) + xj * c
+        g = gcd(den, *acc.values())
+        return den // g, Polynomial(self.rs, {m: c // g for m, c in acc.items() if c})
 
     # -- unipotent radical --------------------------------------------------
 
@@ -785,14 +807,24 @@ def _pairing(ctx, a, b):
 
 
 def _multiply_poly_route(ctx, a, b, k, ring):
-    da, A = ctx.preimage_of(a)
-    db, B = ctx.preimage_of(b)
-    scalars = ctx.delta_scalars(A * B, max_len=k)
+    """a * b = sum x_j y_l c(g^(e_j + e_l)) / (den_a den_b), from memoized monomial images.
+
+    The caller passes nonzero homogeneous factors of total codimension k.
+    """
+    da, xs = ctx.pivot_coords(a)
+    db, ys = ctx.pivot_coords(b)
+    weights = {}  # exponent vector of g^(e_j + e_l) -> sum of x_j y_l
+    for ea, x in xs:
+        for eb, y in ys:
+            e = tuple(p + q for p, q in zip(ea, eb))
+            weights[e] = weights.get(e, 0) + x * y
+    totals = {}
+    for e, w in weights.items():
+        if w:
+            for idx, c in ctx.image(e).items():
+                totals[idx] = totals.get(idx, 0) + w * c
     den = da * db
-    coeffs = {}
-    for idx, c in scalars.items():
-        if ctx.ct.reps[idx].length == k:
-            coeffs[ctx.ct.dual_index(idx)] = Fraction(c, den)
+    coeffs = {ctx.ct.dual_index(idx): Fraction(c, den) for idx, c in totals.items() if c}
     return ChowClass(a.type_name, a.theta, ring, coeffs)
 
 

@@ -361,7 +361,7 @@ class JProfile:
             )
         for j, (_, k) in zip(self.values, entry.pairs):
             if not 0 <= j <= k:
-                raise UsageError(f"profile value {j} exceeds its bound {k}")
+                raise UsageError(f"profile value {j} is outside 0..{k}")
 
 
 def profile_factor(entry: KacEntry, profile: JProfile) -> tuple:

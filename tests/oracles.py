@@ -5,7 +5,13 @@ from fractions import Fraction
 from weylchow.errors import InternalComputationError
 from weylchow.polynomial import BITS, MASK, Polynomial, _unit, unpack_monomial
 from weylchow.rootdata import root_subsystem, weyl_degrees
-from weylchow.schubert import _CANDIDATE_POINTS, _Echelon, _orbit, _sub_fundamental_seeds
+from weylchow.schubert import (
+    _CANDIDATE_POINTS,
+    ChowClass,
+    _Echelon,
+    _orbit,
+    _sub_fundamental_seeds,
+)
 
 
 def all_reduced_words(rs, w):
@@ -140,3 +146,19 @@ def invariant_generators_by_polynomials(rs, theta):
     raise InternalComputationError(
         f"could not assemble invariant generators for theta={list(theta)}"
     )
+
+
+def multiply_by_preimage_product(ctx, a, b, k, ring):
+    """a * b from one delta sweep of the product of the two preimage polynomials.
+
+    The package assembles the same product from memoized images of
+    generator monomials, without multiplying polynomials.
+    """
+    da, A = ctx.preimage_of(a)
+    db, B = ctx.preimage_of(b)
+    scalars = ctx.delta_scalars(A * B, max_len=k)
+    coeffs = {}
+    for idx, c in scalars.items():
+        if ctx.ct.reps[idx].length == k:
+            coeffs[ctx.ct.dual_index(idx)] = Fraction(c, da * db)
+    return ChowClass(a.type_name, a.theta, ring, coeffs)

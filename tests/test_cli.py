@@ -157,6 +157,8 @@ def test_usage_errors_exit_2():
     assert code == 2
     code, out = run(["chern", "--type", "A2", "--codim", "-1"])
     assert code == 2
+    code, out = run(["jinv", "--type", "F4", "--p", "2", "--profile", "-1", "rhs"])
+    assert (code, out) == (2, "usage error: profile value -1 is outside 0..1")
     cls = json.dumps({"type": "A2", "theta": [], "ring": "Z/2", "terms": [{"word": [1], "coeff": 1}]})
     code, out = run(["steenrod", "--type", "A2", "--theta", "", "--class", cls, "--i", "-1"])
     assert code == 2
@@ -351,6 +353,21 @@ def test_cache_dir_interrupted_write_leaves_no_entry(tmp_path, monkeypatch):
     assert [f.suffix for f in tmp_path.iterdir()] == [".out"]
     assert run(args) == answer
     assert len(calls) == 2
+
+
+def test_unreadable_cache_entries_are_misses(tmp_path):
+    args = ["--cache-dir", str(tmp_path), "poincare", "--type", "B2", "--theta", ""]
+    cold = run(args[2:])
+    assert cold[0] == 0
+    assert run(args) == cold
+    (entry,) = tmp_path.iterdir()
+    entry.write_bytes(b"\xff\xfe")  # not UTF-8
+    assert run(args) == cold
+    assert entry.read_text(encoding="utf-8") == cold[1]  # rewritten through the temp file
+    entry.unlink()
+    entry.mkdir()  # a directory where the entry should be
+    assert run(args) == cold
+    assert entry.is_dir() and list(tmp_path.iterdir()) == [entry]
 
 
 def test_cache_entries_survive_a_moved_cache_dir(tmp_path):

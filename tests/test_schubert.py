@@ -609,3 +609,90 @@ def test_preimages_are_integer_polynomials_over_one_denominator(name, theta, top
             assert u == U.scale(Fraction(1, den))
             back = char_map(rs, theta, u)
             assert ChowClass(name, ctx.theta, ring, back.coeffs) == cls, (ring, d)
+
+
+_ROUTE_SPACES = [("B3", (1, 2)), ("F4", (1, 2, 3)), ("E6", (2, 3, 4, 5, 6))]
+_ROUTE_IDS = ["B3/P3", "F4/P4", "E6/P1"]
+
+
+@pytest.mark.parametrize("name,theta", _ROUTE_SPACES, ids=_ROUTE_IDS)
+def test_grid_products_are_full_length_of_weighted_degree(name, theta):
+    ctx = flag_context(build_root_system(name), theta)
+    degs = [g.degree() for g in ctx.gens]
+    for d in range(1, ctx.dim + 1):
+        products = ctx._grid_products(d)
+        assert products and len(set(products)) == len(products)
+        for exps in products:
+            assert len(exps) == len(degs), (d, exps)
+            assert sum(e * g for e, g in zip(exps, degs)) == d, (d, exps)
+
+
+_FRACTIONS = {  # coefficient j of a test class, fractional where the ring allows it
+    "Z": lambda j: (-1) ** j * (j + 2),
+    "Z/2": lambda j: Fraction(j + 1, 3),
+    "Z/3": lambda j: Fraction(2 * j + 1, 2 ** (j + 1)),
+    "Q": lambda j: Fraction(j + 1, j + 2),
+}
+
+
+@pytest.mark.parametrize("name,theta", _ROUTE_SPACES, ids=_ROUTE_IDS)
+def test_poly_route_matches_the_preimage_product_oracle(name, theta):
+    from weylchow.schubert import _multiply_poly_route, _poly_limit
+
+    from oracles import multiply_by_preimage_product
+
+    rs = build_root_system(name)
+    ctx = flag_context(rs, theta)
+    by_codim = {}
+    for k in range(len(ctx.ct)):
+        by_codim.setdefault(ctx.ct.codim(k), []).append(k)
+    limit = _poly_limit(ctx.dim)
+    rng = random.Random(11)
+
+    def sample(ring, d):
+        ks = rng.sample(by_codim[d], min(3, len(by_codim[d])))
+        return ChowClass(name, ctx.theta, ring, {k: _FRACTIONS[ring](j) for j, k in enumerate(ks)})
+
+    for ring in _FRACTIONS:
+        for da in range(1, ctx.dim):
+            for db in range(da, ctx.dim - da):
+                k = da + db
+                if not (k <= limit or db < ctx.dim - limit):  # products the dispatcher routes here
+                    continue
+                a, b = sample(ring, da), sample(ring, db)
+                want = multiply_by_preimage_product(ctx, a, b, k, ring)
+                assert _multiply_poly_route(ctx, a, b, k, ring) == want, (ring, da, db)
+
+
+def test_monomial_images_are_swept_once(monkeypatch):
+    from weylchow.schubert import _multiply_poly_route
+
+    rs = build_root_system("E6")
+    ctx = _FlagContext(rs, (2, 3, 4, 5, 6))
+    swept = []
+    sweep = _FlagContext.delta_scalars
+
+    def counting(self, P, max_len=None):
+        swept.append(frozenset(P.terms.items()))
+        return sweep(self, P, max_len)
+
+    monkeypatch.setattr(_FlagContext, "delta_scalars", counting)
+    d = 4
+    basis = [k for k in range(len(ctx.ct)) if ctx.ct.codim(k) == d]
+    assert len(basis) > 1
+
+    def products(ring):
+        return {(ka, kb): _multiply_poly_route(ctx, basis_class(rs, ctx.theta, ka, ring),
+                                               basis_class(rs, ctx.theta, kb, ring), 2 * d, ring)
+                for ka in basis for kb in basis}
+
+    mod2 = products("Z/2")
+    after_mod2 = len(swept)
+    integral = products("Z")
+    assert len(swept) == after_mod2  # the Z pass reuses every image
+    for pair, cls in integral.items():
+        assert mod2[pair] == ChowClass("E6", ctx.theta, "Z/2", cls.coeffs)
+    imaged = set(ctx._images)
+    pivots = ctx.grid(2 * d)[0]
+    assert imaged & set(pivots)  # the grid reads images the products already swept
+    assert len(swept) == len(set(swept)) == len(ctx._images)  # no monomial swept twice

@@ -229,8 +229,10 @@ def test_profile_factor_examples():
 
 def test_profile_validation():
     f4 = kac_entry("F4", 2)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=r"profile value 2 is outside 0\.\.1"):
         profile_factor(f4, JProfile(2, (2,)))  # exceeds k = 1
+    with pytest.raises(UsageError, match=r"profile value -1 is outside 0\.\.1"):
+        profile_factor(f4, JProfile(2, (-1,)))
     with pytest.raises(UsageError):
         profile_factor(f4, JProfile(2, (0, 0)))  # wrong arity
 
