@@ -243,14 +243,11 @@ def compose(q1: Correspondence, q2: Correspondence) -> Correspondence:
         raise UsageError("correspondences are not composable")
     rs, ct = _ct_of(q1)
     p = _ring_modulus(q1.ring)
-    dim = ct.max_length
     m1 = q1.normalized(ct)
     m2 = q2.normalized(ct)
     out = {}
     for (a, b), c2 in m2.items():
         for (c, d), c1 in m1.items():
-            if ct.codim(b) + ct.codim(c) != dim:
-                continue
             if ct.dual_index(b) != c:
                 continue
             v = (out.get((a, d), 0) + c1 * c2) % p
@@ -301,15 +298,12 @@ def projector_rank(q: Correspondence) -> int:
     """Coefficient of pt x pt in q . q^t: the rank of the realization."""
     rs, ct = _ct_of(q)
     p = _ring_modulus(q.ring)
-    dim = ct.max_length
     m = q.normalized(ct)
     total = 0
     # q^t = sum d x c; (a x b).(d x c) = (a.d) x (b.c), so the pt x pt
     # coefficient needs dual(a) = d and dual(b) = c
     for (a, b), c1 in m.items():
         for (c, d), c2 in m.items():
-            if ct.codim(a) + ct.codim(d) != dim or ct.codim(b) + ct.codim(c) != dim:
-                continue
             if ct.dual_index(a) == d and ct.dual_index(b) == c:
                 total += c1 * c2
     return total % p

@@ -27,7 +27,7 @@ duality pairings so the polynomial work stays at degree <= dim/2 + 1.
 Divided-difference chains Delta_w share work across w: canonical words are
 built by the coset BFS as (letter) + parent word, so Delta_w(u) =
 Delta_letter(Delta_parent(u)) and one sweep over the table computes every
-chain, level by level.
+chain, one length layer of the table at a time.
 """
 
 from __future__ import annotations
@@ -270,7 +270,11 @@ def divided_difference(rs: RootSystem, word, u: Polynomial) -> Polynomial:
 
 
 class _FlagContext:
-    """Per-(root system, theta) machinery: coset table, generators, preimage grids, memos."""
+    """Per-(root system, theta) machinery: coset table, generators, preimage grids, memos.
+
+    Codimension layers are read from the coset table (`ct.of_codim`); the
+    one product memo is the image of each generator monomial (`image`).
+    """
 
     GRID_LIMIT = 4000  # safety valve on grid enumeration
 
@@ -279,10 +283,8 @@ class _FlagContext:
         self.theta = tuple(sorted(set(theta)))
         self.ct = coset_reps(rs, self.theta)
         self.dim = self.ct.max_length
-        self._gens = None
-        self._grid = {}          # degree -> (pivots, pos_index, D, A)
+        self._grid = {}          # degree -> (pivots, D, A)
         self._images = {}        # generator exponents e -> delta sweep of g^e
-        self._pair_memo = {}
         # Grow-on-demand memos: an entry computed up to bound b serves requests <= b.
         self._chern = {}          # ring -> [c_0, ..., c_b]
         self._phi_cache = {}      # basis index -> (b, Phi pieces up to offset b)
@@ -290,11 +292,9 @@ class _FlagContext:
 
     # -- invariant generators -----------------------------------------
 
-    @property
+    @cached_property
     def gens(self):
-        if self._gens is None:
-            self._gens = _invariant_generators(self.rs, self.theta)
-        return self._gens
+        return _invariant_generators(self.rs, self.theta)
 
     # -- delta tree -----------------------------------------------------
 
@@ -302,31 +302,24 @@ class _FlagContext:
         """Constant terms of Delta_w(P) for every rep w, sharing chain prefixes.
 
         P may be inhomogeneous: the constant term of Delta_w(P) picks out
-        exactly the degree-l(w) component's contribution.
+        exactly the degree-l(w) component's contribution.  Each length layer
+        of the table is computed from the previous one through the BFS
+        parents, so only two layers of polynomials are alive at a time.
         """
         ct = self.ct
         dmax = P.degree() if max_len is None else min(P.degree(), max_len)
+        if dmax < 0:
+            return {}
         out = {}
-        prev = {}
-        cur = {}
-        for k, w in enumerate(ct.reps):
-            if w.length > dmax:
-                break
-            if k == 0:
-                q = P
-            else:
-                parent = ct.parent[k]
-                src = cur.get(parent)
-                if src is None:
-                    src = prev.get(parent)
-                q = src.divided_difference(ct.parent_label[k] - 1)
-            if w.length > 0 and ct.reps[k - 1].length < w.length:
-                prev = cur
-                cur = {}
-            cur[k] = q
-            c = q.terms.get(0, 0)  # the packed key of the constant monomial
-            if c:
-                out[k] = c
+        layer = {0: P}
+        for length in range(dmax + 1):
+            if length:
+                layer = {k: layer[ct.parent[k]].divided_difference(ct.parent_label[k] - 1)
+                         for k in ct.of_length(length)}
+            for k, q in layer.items():
+                c = q.terms.get(0, 0)  # the packed key of the constant monomial
+                if c:
+                    out[k] = c
         return out
 
     def char_map_graded(self, P: Polynomial, ring="Q", max_codim=None):
@@ -401,10 +394,11 @@ class _FlagContext:
 
         Products are imaged one by one in sparsity order, through one integer
         elimination, until the images span; the rest of the grid is never
-        touched.  Returns (pivots, pos_index, D, A): pivots[j] = exps_j, the
-        exponent vector of the pivot product P_j, pos_index maps a basis
-        index of codimension d to its column, and A = D M^-1 is integral for
-        M the image matrix of the pivots (row j is the image of P_j).
+        touched.  Returns (pivots, D, A): pivots[j] = exps_j, the exponent
+        vector of the pivot product P_j, and A = D M^-1 is integral for M the
+        image matrix of the pivots (row j is the image of P_j).  Columns are
+        the codim-d layer of the table: basis index k is column
+        k - ct.of_codim(d).start.
         A M = D I is re-verified exactly against the raw images before the
         grid is stored, which certifies char_map of every preimage built
         from it (char_map is linear).
@@ -412,16 +406,15 @@ class _FlagContext:
         hit = self._grid.get(d)
         if hit is not None:
             return hit
-        positions = [k for k in range(len(self.ct)) if self.ct.codim(k) == d]
-        pos_index = {k: t for t, k in enumerate(positions)}
-        n = len(positions)
+        layer = self.ct.of_codim(d)
+        n = len(layer)
         pivots = []       # exponent vectors of the pivot products
-        images = []       # integer image vector over positions, one per pivot
+        images = []       # integer image vector over the codim-d layer, one per pivot
         elim = _Echelon(n)
         for exps in self._grid_products(d):
             vec = [0] * n
             for k, c in self.image(exps).items():
-                vec[pos_index[self.ct.dual_index(k)]] = c
+                vec[self.ct.dual_index(k) - layer.start] = c
             if elim.add(vec):
                 pivots.append(exps)
                 images.append(vec)
@@ -436,7 +429,7 @@ class _FlagContext:
             for s in range(n):
                 if sum(A[t][j] * images[j][s] for j in range(n)) != (D if s == t else 0):
                     raise InternalComputationError("preimage verification failed")
-        self._grid[d] = (pivots, pos_index, D, A)
+        self._grid[d] = (pivots, D, A)
         return self._grid[d]
 
     def pivot_coords(self, cls: ChowClass):
@@ -446,14 +439,17 @@ class _FlagContext:
         are listed.  A Z/p coefficient is read as its integer representative
         in [0, p) (any lift works, c is functorial in coefficients).  With L
         the common denominator of the coefficients, den = D L and
-        x = sum_k L c_k A[t_k] over the pivot products of grid(codim cls).
+        x = sum_k L c_k A[k - start] over the pivot products (pivots, D, A)
+        of grid(d), d = codim cls, whose columns start at ct.of_codim(d).start.
         """
-        pivots, pos_index, D, A = self.grid(cls.codim(self.ct))
+        d = cls.codim(self.ct)
+        pivots, D, A = self.grid(d)
+        start = self.ct.of_codim(d).start
         L = lcm(*(c.denominator for c in cls.coeffs.values()))
         x = [0] * len(pivots)
         for k, c in cls.coeffs.items():
             c = c.numerator * (L // c.denominator)
-            for j, a in enumerate(A[pos_index[k]]):
+            for j, a in enumerate(A[k - start]):
                 x[j] += c * a
         return D * L, [(exps, xj) for exps, xj in zip(pivots, x) if xj]
 
@@ -776,21 +772,10 @@ def _multiply_homogeneous(ctx, a, b, da, db):
     if k == ctx.dim:
         val = _pairing(ctx, a, b)
         return ChowClass(a.type_name, a.theta, ring, {0: val})
-    memo_key = (_freeze(a), _freeze(b))
-    hit = ctx._pair_memo.get(memo_key)
-    if hit is not None:
-        return hit
     limit = _poly_limit(ctx.dim)
     if k <= limit or max(da, db) < ctx.dim - limit:
-        out = _multiply_poly_route(ctx, a, b, k, ring)
-    else:
-        out = _multiply_by_pairings(ctx, a, b, da, db, ring)
-    ctx._pair_memo[memo_key] = out
-    return out
-
-
-def _freeze(cls):
-    return (cls.ring, tuple(sorted(cls.coeffs.items())))
+        return _multiply_poly_route(ctx, a, b, k, ring)
+    return _multiply_by_pairings(ctx, a, b, da, db, ring)
 
 
 def _pairing(ctx, a, b):
@@ -832,18 +817,15 @@ def _multiply_by_pairings(ctx, a, b, da, db, ring):
     """Assemble a high-codimension product from duality pairings.
 
     coeff of [X_v] in a*b is deg(a * (b * [Z_v])); the inner product has
-    total codimension dim - da, which the caller guarantees is small.
+    total codimension dim - da <= _poly_limit(dim) (the caller guarantees it
+    for da >= db), so it goes straight to the polynomial route.
     """
-    k = da + db
     if da < db:
         a, b, da, db = b, a, db, da
     out = {}
-    for v in range(len(ctx.ct)):
-        if ctx.ct.codim(v) != k:
-            continue
+    for v in ctx.ct.of_codim(da + db):
         zv = ChowClass(a.type_name, a.theta, ring, {ctx.ct.dual_index(v): 1})
-        inner = _multiply_homogeneous(ctx, b, zv, db, ctx.dim - k)
-        out[v] = _pairing(ctx, a, inner)
+        out[v] = _pairing(ctx, a, _multiply_poly_route(ctx, b, zv, ctx.dim - da, ring))
     return ChowClass(a.type_name, a.theta, ring, out)
 
 

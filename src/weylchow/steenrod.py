@@ -405,9 +405,7 @@ def _steenrod_by_duality(rs, theta, idx, up_to):
     known = {0: {idx: 1}}  # m -> coeff dict of S^m
     for m in range(1, m_max + 1):
         coeffs = {}
-        for u in range(len(ct)):
-            if ct.codim(u) != dim - c - m:
-                continue
+        for u in ct.of_codim(dim - c - m):
             # request offsets up to at least 8 so overlapping passes share the cache
             phi = _phi_pieces(rs, theta, u, max(m, min(8, ct.codim(u))))
             val = 0

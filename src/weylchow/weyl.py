@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import prod
 
 from .errors import InternalComputationError, ResourceLimitError, UsageError
@@ -135,7 +135,8 @@ class CosetTable:
     record the BFS tree (rep = s_label * parent), which downstream code uses
     to evaluate composed divided differences with shared work; `_points`
     maps each lambda_Theta-image to its rep's position, in table order, and
-    `lam` is lambda_Theta itself.
+    `lam` is lambda_Theta itself.  Each BFS layer is one length, so the reps
+    of length l (codim dim - l) are the positions `of_length(l)`.
 
     The lex-least word of a new point q is (i,) + word(s_i q) for the least
     i with q_i < 0, the greedy rule `_canonical_from_image` applies to rho.
@@ -166,9 +167,11 @@ class CosetTable:
         order = [lam]
         parent = [-1]
         parent_label = [0]
+        layers = [0]          # layer l is order[layers[l]:layers[l + 1]]
         start = 0
         while start < len(order):
             end = len(order)
+            layers.append(end)
             for i in range(rs.rank):
                 for k in range(start, end):
                     p = order[k]
@@ -197,11 +200,11 @@ class CosetTable:
         self.index = {w.word: k for w, k in zip(self.reps, points.values())}
         self.parent = tuple(parent)
         self.parent_label = tuple(parent_label)
+        self._layers = tuple(layers)
         self._points = points
         self.lam = lam
         self.w0 = longest_element(rs, range(1, rs.rank + 1))
         self.w_theta = longest_element(rs, theta)
-        self._dual = None
 
     def __len__(self):
         return len(self.reps)
@@ -215,34 +218,44 @@ class CosetTable:
         """Codimension of the basis class [X_w] for rep index k."""
         return self.max_length - self.reps[k].length
 
-    def dual_index(self, k: int) -> int:
-        """Index of w0 * w_k * w_theta, the Poincaré-dual basis element.
+    def of_length(self, l: int) -> range:
+        """Positions of the reps of length l; empty outside 0..max_length."""
+        if not 0 <= l <= self.max_length:
+            return range(0)
+        return range(self._layers[l], self._layers[l + 1])
 
-        w_theta fixes lambda_Theta, so that element maps it to w0(p) with
+    def of_codim(self, d: int) -> range:
+        """Positions of the basis classes of codimension d; empty outside 0..max_length."""
+        return self.of_length(self.max_length - d)
+
+    @cached_property
+    def _dual(self):
+        """Dual index of every position, built on first use.
+
+        w_theta fixes lambda_Theta, so w0 w_k w_theta maps it to w0(p) with
         p = w_k(lambda_Theta): the dual is the rep at w0(p), and w0 acts on
         weights through the matrix whose columns are the images of the
         omega basis vectors.
         """
-        if self._dual is None:
-            rank = self.rs.rank
-            cols = [self.w0.act(tuple(int(i == j) for i in range(rank))) for j in range(rank)]
-            rows = [[(j, c[i]) for j, c in enumerate(cols) if c[i]] for i in range(rank)]
-            points = self._points
-            dual = []
-            for p in points:
-                k_dual = points.get(tuple(sum(c * p[j] for j, c in row) for row in rows))
-                if k_dual is None:
-                    raise InternalComputationError("w0 maps a coset point outside the orbit")
-                dual.append(k_dual)
-            self._dual = tuple(dual)
+        rank = self.rs.rank
+        cols = [self.w0.act(tuple(int(i == j) for i in range(rank))) for j in range(rank)]
+        rows = [[(j, c[i]) for j, c in enumerate(cols) if c[i]] for i in range(rank)]
+        points = self._points
+        dual = []
+        for p in points:
+            k_dual = points.get(tuple(sum(c * p[j] for j, c in row) for row in rows))
+            if k_dual is None:
+                raise InternalComputationError("w0 maps a coset point outside the orbit")
+            dual.append(k_dual)
+        return tuple(dual)
+
+    def dual_index(self, k: int) -> int:
+        """Index of w0 * w_k * w_theta, the Poincaré-dual basis element."""
         return self._dual[k]
 
     def graded_counts(self):
         """Number of representatives of each length 0..max_length."""
-        out = [0] * (self.max_length + 1)
-        for w in self.reps:
-            out[w.length] += 1
-        return tuple(out)
+        return tuple(b - a for a, b in zip(self._layers, self._layers[1:]))
 
 
 def coset_reps(rs: RootSystem, theta) -> CosetTable:

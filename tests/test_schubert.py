@@ -459,24 +459,26 @@ def test_chow_class_value_contract():
     assert type(q.coeffs[0]) is Fraction
 
 
-def test_pair_memo_serves_the_same_product(monkeypatch):
+def test_pairing_route_inner_products_fit_the_poly_limit(monkeypatch):
+    # _multiply_by_pairings sends its inner products, of codimension
+    # dim - max(da, db), straight to the polynomial route
+    import types
+
     import weylchow.schubert as schubert
 
-    rs = build_root_system("B3")
-    ct = flag_context(rs, ()).ct
-    c2 = [k for k in range(len(ct)) if ct.codim(k) == 2]
-    c3 = [k for k in range(len(ct)) if ct.codim(k) == 3]
-    a = ChowClass("B3", (), "Z", {c2[0]: 1, c2[1]: 3})
-    b = ChowClass("B3", (), "Z", {c3[0]: 2, c3[2]: 1})
-    first = multiply(a, b)
-    assert not first.is_zero()
-
-    def recompute(*args):
-        raise AssertionError("product recomputed instead of served from the pair memo")
-
-    monkeypatch.setattr(schubert, "_multiply_poly_route", recompute)
-    monkeypatch.setattr(schubert, "_multiply_by_pairings", recompute)
-    assert multiply(a, b) == first
+    routed = []
+    monkeypatch.setattr(schubert, "_multiply_poly_route", lambda *args: None)
+    monkeypatch.setattr(schubert, "_multiply_by_pairings",
+                        lambda ctx, a, b, da, db, ring: routed.append((ctx.dim, da, db)))
+    cls = ChowClass("A1", (), "Z", {})
+    for dim in range(1, 71):
+        ctx = types.SimpleNamespace(dim=dim)
+        for da in range(1, dim):
+            for db in range(1, dim - da):
+                schubert._multiply_homogeneous(ctx, cls, cls, da, db)
+    assert routed
+    for dim, da, db in routed:
+        assert dim - max(da, db) <= schubert._poly_limit(dim), (dim, da, db)
 
 
 def test_class_json_roundtrip():

@@ -229,6 +229,24 @@ def test_e7_p1_graded_counts_symmetric():
     assert counts == poincare_polynomial(rs, (2, 3, 4, 5, 6, 7))
 
 
+@pytest.mark.parametrize(
+    "name,theta",
+    [("A3", ()), ("B3", (1, 2)), ("E6", (2, 3, 4, 5, 6)), ("E7", (2, 3, 4, 5, 6, 7))],
+    ids=["A3", "B3/P3", "E6/P1", "E7/P1"],
+)
+def test_layers_match_the_codim_filter_scan(name, theta):
+    ct = CosetTable(build_root_system(name), theta)
+    dim = ct.max_length
+    for d in range(-1, dim + 2):  # -1 and dim + 1 are outside the grading: empty ranges
+        want = [k for k in range(len(ct)) if ct.codim(k) == d]
+        assert list(ct.of_codim(d)) == want, d
+        assert list(ct.of_length(dim - d)) == want, d
+    assert ct.graded_counts() == tuple(len(ct.of_length(l)) for l in range(dim + 1))
+    assert "_dual" not in vars(ct)  # the dual table is built on first use only
+    ct.dual_index(0)
+    assert "_dual" in vars(ct)
+
+
 def test_e7_minimality_sampled():
     # l(w s) = l(w) + 1 for all s in theta, sampled across the table
     rs = build_root_system("E7")
