@@ -8,6 +8,10 @@ Modules:
   motive    - motivic decompositions and correspondence arithmetic
   titsjinv  - Tits indices, automata, Kac data and J-invariant identities
   cli       - batch command line over everything
+
+`import weylchow` loads only the error classes.  Every other public name
+below is resolved on first access (PEP 562) from the module that defines
+it, so a process, such as one CLI subcommand, imports only what it uses.
 """
 
 __version__ = "0.1.0"
@@ -19,47 +23,51 @@ from .errors import (
     UsageError,
     WeylchowError,
 )
-from .rootdata import DynkinType, RootSystem, build_root_system, root_subsystem, weyl_degrees
-from .weyl import CosetTable, WeylElement, coset_reps, hasse_diagram, longest_element
-from .schubert import (
-    ChowClass,
-    char_map,
-    chern_tangent,
-    divided_difference,
-    dual,
-    duality_product,
-    invariant_generators,
-    multiply,
-    pieri_multiply,
-    poincare_polynomial,
-    preimage,
-    pullback_to_flags,
-)
-from .polynomial import Polynomial
-from .steenrod import BottSamelsonRing, bs_pushforward, steenrod_on_bs, steenrod_total
-from .motive import (
-    Correspondence,
-    compose,
-    decompose,
-    idempotent_power,
-    projector_rank,
-    refine_rost,
-    singleton_components,
-)
-from .titsjinv import (
-    Automaton,
-    HigherIndexSet,
-    JProfile,
-    KacEntry,
-    TitsIndex,
-    anisotropic_kernel,
-    automaton,
-    deglex_leq,
-    forced_zero_indices,
-    height,
-    higher_index_table,
-    is_generically_split,
-    kac_entry,
-    predicted_rational_poincare,
-    profile_factor,
-)
+
+#: public name -> the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("rootdata", ("DynkinType", "RootSystem", "build_root_system", "root_subsystem",
+                      "weyl_degrees")),
+        ("weyl", ("CosetTable", "WeylElement", "coset_reps", "hasse_diagram",
+                  "longest_element")),
+        ("schubert", ("ChowClass", "char_map", "chern_tangent", "divided_difference", "dual",
+                      "duality_product", "invariant_generators", "multiply", "pieri_multiply",
+                      "poincare_polynomial", "preimage", "pullback_to_flags")),
+        ("polynomial", ("Polynomial",)),
+        ("steenrod", ("BottSamelsonRing", "bs_pushforward", "steenrod_on_bs",
+                      "steenrod_total")),
+        ("motive", ("Correspondence", "compose", "decompose", "idempotent_power",
+                    "projector_rank", "refine_rost", "singleton_components")),
+        ("titsjinv", ("Automaton", "HigherIndexSet", "JProfile", "KacEntry", "TitsIndex",
+                      "anisotropic_kernel", "automaton", "deglex_leq", "forced_zero_indices",
+                      "height", "higher_index_table", "is_generically_split", "kac_entry",
+                      "predicted_rational_poincare", "profile_factor")),
+    )
+    for name in names
+}
+
+__all__ = [
+    "CalibrationError",
+    "InternalComputationError",
+    "ResourceLimitError",
+    "UsageError",
+    "WeylchowError",
+    *_EXPORTS,
+]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

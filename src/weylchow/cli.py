@@ -10,46 +10,26 @@ byte-identically on reruns; this is what makes repeated heavy E7 queries
 cheap.  An entry is written to a temporary file and renamed into place,
 so an interrupted write never leaves a truncated entry; a cache that
 cannot be written costs only the replay, not the answer.
+
+Each subcommand imports the modules it uses when it runs, so `--help`, an
+argument error or a `roots` query never pays for loading the Schubert,
+Steenrod, motive or Tits machinery.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 
-from . import __version__, univar
+from . import __version__
 from .errors import (
     InternalComputationError,
     ResourceLimitError,
     UsageError,
     WeylchowError,
 )
-from .rootdata import DynkinType, build_root_system
-from .schubert import (
-    ChowClass,
-    chern_tangent,
-    class_from_json,
-    class_to_json,
-    multiply,
-    poincare_polynomial,
-)
-from .steenrod import steenrod_total
-from .titsjinv import (
-    HigherIndexSet,
-    JProfile,
-    automaton,
-    automaton_to_dot,
-    automaton_to_json,
-    height,
-    is_generically_split,
-    kac_entry,
-    predicted_rational_poincare,
-    profile_factor,
-)
-from .weyl import coset_reps, hasse_diagram, hasse_to_dot, hasse_to_json
 
 
 def _parse_vertices(text):
@@ -74,6 +54,8 @@ def _graded_piece(classes, i):
     """Degree i of a graded list of classes; the zero class above its top degree."""
     if i < len(classes):
         return classes[i]
+    from .schubert import ChowClass
+
     c0 = classes[0]
     return ChowClass(c0.type_name, c0.theta, c0.ring, {})
 
@@ -139,6 +121,8 @@ def _build_parser():
 
 def _dispatch(args) -> str:
     if args.command == "roots":
+        from .rootdata import build_root_system
+
         rs = build_root_system(args.type)
         return json.dumps(
             {
@@ -151,6 +135,9 @@ def _dispatch(args) -> str:
         )
 
     if args.command == "cosets":
+        from .rootdata import build_root_system
+        from .weyl import coset_reps
+
         rs = build_root_system(args.type)
         ct = coset_reps(rs, _parse_vertices(args.theta))
         dim = ct.max_length
@@ -169,11 +156,19 @@ def _dispatch(args) -> str:
         )
 
     if args.command == "poincare":
+        from . import univar
+        from .rootdata import build_root_system
+        from .schubert import poincare_polynomial
+
         rs = build_root_system(args.type)
         g = poincare_polynomial(rs, _parse_vertices(args.theta))
         return univar.to_string(g)
 
     if args.command == "mult":
+        from .rootdata import DynkinType, build_root_system
+        from .schubert import class_from_json, class_to_json, multiply
+        from .weyl import coset_reps
+
         theta = _parse_vertices(args.theta)
         a = class_from_json(args.a)
         b = class_from_json(args.b)
@@ -185,6 +180,10 @@ def _dispatch(args) -> str:
         return class_to_json(multiply(a, b), ct)
 
     if args.command == "chern":
+        from .rootdata import build_root_system
+        from .schubert import chern_tangent, class_to_json
+        from .weyl import coset_reps
+
         rs = build_root_system(args.type)
         theta = _parse_vertices(args.theta)
         ring = "Z" if args.mod is None else f"Z/{args.mod}"
@@ -197,6 +196,11 @@ def _dispatch(args) -> str:
         )
 
     if args.command == "steenrod":
+        from .rootdata import DynkinType, build_root_system
+        from .schubert import class_from_json, class_to_json
+        from .steenrod import steenrod_total
+        from .weyl import coset_reps
+
         theta = _parse_vertices(args.theta)
         cls = class_from_json(args.cls)
         if cls.type_name != DynkinType.parse(args.type).name() or cls.theta != theta:
@@ -212,6 +216,7 @@ def _dispatch(args) -> str:
 
     if args.command == "decompose":
         from .motive import decomposition_to_dot, decomposition_to_json
+        from .rootdata import build_root_system
 
         rs = build_root_system(args.type)
         theta = _parse_vertices(args.theta)
@@ -221,11 +226,23 @@ def _dispatch(args) -> str:
         return decomposition_to_json(rs, theta, circled, rost=args.rost)
 
     if args.command == "hasse":
+        from .rootdata import build_root_system
+        from .weyl import coset_reps, hasse_diagram, hasse_to_dot, hasse_to_json
+
         rs = build_root_system(args.type)
         h = hasse_diagram(coset_reps(rs, _parse_vertices(args.theta)))
         return hasse_to_dot(h) if args.format == "dot" else hasse_to_json(h)
 
     if args.command == "automaton":
+        from .rootdata import DynkinType
+        from .titsjinv import (
+            HigherIndexSet,
+            automaton,
+            automaton_to_dot,
+            automaton_to_json,
+            height,
+        )
+
         try:
             subsets = [tuple(s) for s in json.loads(args.omega)]
         except (ValueError, TypeError) as exc:
@@ -243,6 +260,16 @@ def _dispatch(args) -> str:
         return json.dumps(payload, sort_keys=True)
 
     if args.command == "jinv":
+        from . import univar
+        from .rootdata import build_root_system
+        from .titsjinv import (
+            JProfile,
+            is_generically_split,
+            kac_entry,
+            predicted_rational_poincare,
+            profile_factor,
+        )
+
         entry = kac_entry(args.type, args.p)
         profile = JProfile(args.p, _parse_profile(args.profile))
         if args.action == "rhs":
@@ -276,6 +303,8 @@ def _run_cached(args) -> str:
             raise UsageError(f"cannot read omega file: {exc}") from exc
     if not args.cache_dir:
         return _dispatch(args)
+    import hashlib
+
     # the parsed arguments, so the cache directory's own path is not part of the key
     request = {k: v for k, v in vars(args).items() if k != "cache_dir"}
     key = hashlib.sha256(json.dumps([__version__, request], sort_keys=True).encode()).hexdigest()

@@ -53,6 +53,8 @@ def decompose(rs: RootSystem, theta, circled) -> list:
             adj[a].append(b)
             adj[b].append(a)
     kernel = root_subsystem(rs, sorted(set(range(1, rs.rank + 1)) - circled)).type
+    # position -> codimension, read off the table's length layers
+    codim = [ct.max_length - l for l, n in enumerate(ct.graded_counts()) for _ in range(n)]
     seen = set()
     out = []
     for start in h.vertices:
@@ -67,7 +69,7 @@ def decompose(rs: RootSystem, theta, circled) -> list:
                     comp.add(y)
                     stack.append(y)
         seen |= comp
-        codims = sorted(ct.codim(v) for v in comp)
+        codims = sorted(codim[v] for v in comp)
         twist = codims[0]
         profile = [0] * (codims[-1] - twist + 1)
         for c in codims:

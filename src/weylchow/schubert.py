@@ -796,8 +796,16 @@ def _multiply_poly_route(ctx, a, b, k, ring):
 
     The caller passes nonzero homogeneous factors of total codimension k.
     """
-    da, xs = ctx.pivot_coords(a)
-    db, ys = ctx.pivot_coords(b)
+    return _product_from_coords(ctx, a, ctx.pivot_coords(a), ctx.pivot_coords(b))
+
+
+def _product_from_coords(ctx, like, coords_a, coords_b):
+    """The product of two classes from their pivot coordinates (den, [(exps, x)]).
+
+    The result lives on the variety of `like`, over its ring.
+    """
+    da, xs = coords_a
+    db, ys = coords_b
     weights = {}  # exponent vector of g^(e_j + e_l) -> sum of x_j y_l
     for ea, x in xs:
         for eb, y in ys:
@@ -810,7 +818,7 @@ def _multiply_poly_route(ctx, a, b, k, ring):
                 totals[idx] = totals.get(idx, 0) + w * c
     den = da * db
     coeffs = {ctx.ct.dual_index(idx): Fraction(c, den) for idx, c in totals.items() if c}
-    return ChowClass(a.type_name, a.theta, ring, coeffs)
+    return ChowClass(like.type_name, like.theta, like.ring, coeffs)
 
 
 def _multiply_by_pairings(ctx, a, b, da, db, ring):
@@ -818,14 +826,16 @@ def _multiply_by_pairings(ctx, a, b, da, db, ring):
 
     coeff of [X_v] in a*b is deg(a * (b * [Z_v])); the inner product has
     total codimension dim - da <= _poly_limit(dim) (the caller guarantees it
-    for da >= db), so it goes straight to the polynomial route.
+    for da >= db), so it is assembled from pivot coordinates, those of b
+    solved once for every v.
     """
     if da < db:
         a, b, da, db = b, a, db, da
+    coords_b = ctx.pivot_coords(b)
     out = {}
     for v in ctx.ct.of_codim(da + db):
         zv = ChowClass(a.type_name, a.theta, ring, {ctx.ct.dual_index(v): 1})
-        out[v] = _pairing(ctx, a, _multiply_poly_route(ctx, b, zv, ctx.dim - da, ring))
+        out[v] = _pairing(ctx, a, _product_from_coords(ctx, a, coords_b, ctx.pivot_coords(zv)))
     return ChowClass(a.type_name, a.theta, ring, out)
 
 

@@ -227,14 +227,15 @@ def _subword_images(ring: BottSamelsonRing, ct: CosetTable, top: int) -> dict:
     """mask -> coset position, for the masks of degree <= top that push forward to a class.
 
     The subword at the positions outside the mask is walked right to left,
-    prepending letters to u, with p = u(lambda_Theta).  Every right factor
-    of a reduced word of a minimal representative is again one, so the
-    walk only takes letter j when p_j > 0, the ascents of W^Theta (p_j < 0
-    makes the subword non-reduced, p_j = 0 leaves W^Theta); each subtree
-    that breaks this pushes forward to 0 and is cut.  Masks sharing their
-    high positions share the walk up to there.
+    prepending letters to u, with p = u(lambda_Theta) the table's packed
+    point, advanced by `ct.step`.  Every right factor of a reduced word of a
+    minimal representative is again one, so the walk only takes letter j
+    when p_j > 0, the ascents of W^Theta (p_j < 0 makes the subword
+    non-reduced, p_j = 0 leaves W^Theta); each subtree that breaks this
+    pushes forward to 0 and is cut.  Masks sharing their high positions
+    share the walk up to there.
     """
-    reflect = ring.rs.reflect_weight
+    step = ct.step
     points = ct._points
     word = ring.word
     out = {}
@@ -250,8 +251,9 @@ def _subword_images(ring: BottSamelsonRing, ct: CosetTable, top: int) -> dict:
         j = word[pos] - 1
         if spare:
             stack.append((pos - 1, p, mask | (1 << pos), spare - 1))
-        if p[j] > 0:
-            stack.append((pos - 1, reflect(j, p), mask, spare))
+        pj, q = step(p, j)
+        if pj > 0:
+            stack.append((pos - 1, q, mask, spare))
     return out
 
 

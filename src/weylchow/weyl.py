@@ -17,6 +17,16 @@ follows only the ascents.  A new representative's word and rho-image come
 from its BFS parent with one letter and one reflection; the Hasse diagram
 is read off the table's lambda-points, and the Poincare dual w0 w w_Theta
 is the representative at w0(p).
+
+The lambda-points are packed ints, one 8-bit field per coordinate as for
+the polynomial monomials: coordinate j plus 128 sits in bits [8j, 8j + 8).
+s_i is linear, so s_i p = p - p_i * col_i with col_i the packed i-th Cartan
+column, exact while every field stays in range.  Every coordinate on the
+orbit is at most max <lambda_Theta, beta^vee> over the positive coroots in
+absolute value (61 at most within rootdata.MAX_POSITIVE_ROOTS), and the
+table checks that bound against 128 before its BFS.  The BFS, the Hasse
+edges, the dual table and the Bott-Samelson pushforward walk all take this
+one step, `CosetTable.step`.
 """
 
 from __future__ import annotations
@@ -30,6 +40,11 @@ from .errors import InternalComputationError, ResourceLimitError, UsageError
 from .rootdata import RootSystem, root_subsystem, weyl_degrees
 
 DEFAULT_COSET_CAP = 10_000_000
+
+#: a packed lambda-point stores coordinate j as p_j + _BIAS in bits [8j, 8j + 8)
+_BITS = 8
+_BIAS = 1 << (_BITS - 1)
+_MASK = (1 << _BITS) - 1
 
 
 def apply_word(rs: RootSystem, word, v):
@@ -128,15 +143,33 @@ def longest_element(rs: RootSystem, theta) -> WeylElement:
             return WeylElement(rs, _canonical_from_image(rs, v), tuple(v))
 
 
+def orbit_bound(rs: RootSystem, theta) -> int:
+    """max over positive coroots beta^vee of <lambda_Theta, beta^vee>.
+
+    Every coordinate <w lambda_Theta, alpha_j^vee> = <lambda_Theta, w^-1 alpha_j^vee>
+    of the orbit is at most this in absolute value.
+    """
+    theta = set(theta)
+    outside = [j for j in range(rs.rank) if (j + 1) not in theta]
+    return max((sum(pr.coroot[j] for j in outside) for pr in rs.positive_roots), default=0)
+
+
 class CosetTable:
     """Minimal-length representatives of W/W_Theta, built one reflection per edge.
 
     reps are ordered by (length, canonical word); `parent` and `parent_label`
     record the BFS tree (rep = s_label * parent), which downstream code uses
     to evaluate composed divided differences with shared work; `_points`
-    maps each lambda_Theta-image to its rep's position, in table order, and
-    `lam` is lambda_Theta itself.  Each BFS layer is one length, so the reps
-    of length l (codim dim - l) are the positions `of_length(l)`.
+    maps each packed lambda_Theta-image to its rep's position, in table
+    order, and `lam` is lambda_Theta itself, packed.  Each BFS layer is one
+    length, so the reps of length l (codim dim - l) are the positions
+    `of_length(l)`.
+
+    A packed point holds coordinate j plus 128 in bits [8j, 8j + 8), and
+    `step` reflects it.  Before the BFS the table checks that `orbit_bound`
+    is below 128, so every coordinate of the orbit fits its field and the
+    packed reflection is exact; a larger bound raises
+    InternalComputationError (no accepted type has one).
 
     The lex-least word of a new point q is (i,) + word(s_i q) for the least
     i with q_i < 0, the greedy rule `_canonical_from_image` applies to rho.
@@ -159,11 +192,18 @@ class CosetTable:
             raise ResourceLimitError(
                 f"|W^Theta| = {size} exceeds cap {cap} for type {rs.type.name()}, theta={list(theta)}"
             )
-        theta_set = set(theta)
-        lam = tuple(0 if (j + 1) in theta_set else 1 for j in range(rs.rank))
+        bound = orbit_bound(rs, theta)
+        if bound >= _BIAS:
+            raise InternalComputationError(
+                f"lambda-orbit coordinates up to {bound} do not fit a {_BITS}-bit field"
+            )
+        self._cols = tuple(
+            sum(a << (_BITS * j) for j, a in enumerate(rs.alpha_omega(i))) for i in range(rs.rank)
+        )
+        lam = sum((_BIAS + (0 if (j + 1) in theta else 1)) << (_BITS * j) for j in range(rs.rank))
 
-        reflect = rs.reflect_weight
-        points = {lam: 0}     # lambda-image -> position, in table order
+        step = self.step
+        points = {lam: 0}     # packed lambda-image -> position, in table order
         order = [lam]
         parent = [-1]
         parent_label = [0]
@@ -174,20 +214,19 @@ class CosetTable:
             layers.append(end)
             for i in range(rs.rank):
                 for k in range(start, end):
-                    p = order[k]
-                    if p[i] > 0:
-                        q = reflect(i, p)
-                        if q not in points:
-                            points[q] = len(order)
-                            order.append(q)
-                            parent.append(k)
-                            parent_label.append(i + 1)
+                    pi, q = step(order[k], i)
+                    if pi > 0 and q not in points:
+                        points[q] = len(order)
+                        order.append(q)
+                        parent.append(k)
+                        parent_label.append(i + 1)
             if len(order) > cap:
                 raise ResourceLimitError(
                     f"|W^Theta| exceeds cap {cap} for type {rs.type.name()}, theta={list(theta)}"
                 )
             start = end
 
+        reflect = rs.reflect_weight
         reps = [WeylElement.identity(rs)]
         for k in range(1, len(order)):
             up = reps[parent[k]]
@@ -205,6 +244,14 @@ class CosetTable:
         self.lam = lam
         self.w0 = longest_element(rs, range(1, rs.rank + 1))
         self.w_theta = longest_element(rs, theta)
+
+    def step(self, p: int, i: int):
+        """(p_i, s_i p) for a packed lambda-point p and a 0-based vertex i.
+
+        p_i > 0 makes s_i p the point of the next longer representative s_i w.
+        """
+        pi = ((p >> (_BITS * i)) & _MASK) - _BIAS
+        return pi, p - pi * self._cols[i]
 
     def __len__(self):
         return len(self.reps)
@@ -232,21 +279,25 @@ class CosetTable:
     def _dual(self):
         """Dual index of every position, built on first use.
 
-        w_theta fixes lambda_Theta, so w0 w_k w_theta maps it to w0(p) with
-        p = w_k(lambda_Theta): the dual is the rep at w0(p), and w0 acts on
-        weights through the matrix whose columns are the images of the
-        omega basis vectors.
+        w_theta fixes lambda_Theta, so w0 w_k w_theta maps it to w0(p_k) for
+        p_k = w_k(lambda_Theta): the dual is the rep at w0(p_k).  With e the
+        opposition involution, w0(omega_j) = -omega_e(j) and w0 s_i = s_e(i) w0,
+        so the identity's dual point is lambda_Theta with its coordinates
+        permuted by e and negated, and w0(p_k) = s_e(label) w0(p_parent) is
+        one step from the parent's.
         """
         rank = self.rs.rank
-        cols = [self.w0.act(tuple(int(i == j) for i in range(rank))) for j in range(rank)]
-        rows = [[(j, c[i]) for j, c in enumerate(cols) if c[i]] for i in range(rank)]
+        opp = [self.w0.act(tuple(int(i == j) for i in range(rank))).index(-1) for j in range(rank)]
         points = self._points
-        dual = []
-        for p in points:
-            k_dual = points.get(tuple(sum(c * p[j] for j, c in row) for row in rows))
-            if k_dual is None:
-                raise InternalComputationError("w0 maps a coset point outside the orbit")
-            dual.append(k_dual)
+        step = self.step
+        lam = [step(self.lam, j)[0] for j in range(rank)]
+        d0 = sum((_BIAS - lam[opp[j]]) << (_BITS * j) for j in range(rank))
+        dual_points = [d0]
+        for k in range(1, len(points)):
+            dual_points.append(step(dual_points[self.parent[k]], opp[self.parent_label[k] - 1])[1])
+        dual = [points.get(d) for d in dual_points]
+        if None in dual:
+            raise InternalComputationError("w0 maps a coset point outside the orbit")
         return tuple(dual)
 
     def dual_index(self, k: int) -> int:
@@ -281,13 +332,15 @@ class HasseDiagram:
 
 def hasse_diagram(ct: CosetTable) -> HasseDiagram:
     """Edges k -> pos(s_i p) for every lambda-image p of the table with p_i > 0."""
-    reflect = ct.rs.reflect_weight
+    step = ct.step
     points = ct._points
+    labels = range(ct.rs.rank)
     edges = []
     for k, p in enumerate(points):
-        for i, pi in enumerate(p):
+        for i in labels:
+            pi, q = step(p, i)
             if pi > 0:
-                m = points.get(reflect(i, p))
+                m = points.get(q)
                 if m is None:
                     raise InternalComputationError("an ascent leaves the coset table")
                 edges.append((k, m, i + 1))

@@ -162,3 +162,63 @@ def multiply_by_preimage_product(ctx, a, b, k, ring):
         if ctx.ct.reps[idx].length == k:
             coeffs[ctx.ct.dual_index(idx)] = Fraction(c, da * db)
     return ChowClass(a.type_name, a.theta, ring, coeffs)
+
+
+def coset_bfs_by_tuples(rs, theta):
+    """The coset BFS on tuple lambda-points: (points, parent, parent_label, graded counts).
+
+    points lists the lambda_Theta-images in table order.  The package runs
+    the same search on packed points.
+    """
+    theta_set = set(theta)
+    lam = tuple(0 if (j + 1) in theta_set else 1 for j in range(rs.rank))
+    points = {lam: 0}
+    order = [lam]
+    parent = [-1]
+    parent_label = [0]
+    counts = []
+    start = 0
+    while start < len(order):
+        end = len(order)
+        counts.append(end - start)
+        for i in range(rs.rank):
+            for k in range(start, end):
+                p = order[k]
+                if p[i] > 0:
+                    q = rs.reflect_weight(i, p)
+                    if q not in points:
+                        points[q] = len(order)
+                        order.append(q)
+                        parent.append(k)
+                        parent_label.append(i + 1)
+        start = end
+    return order, tuple(parent), tuple(parent_label), tuple(counts)
+
+
+def hasse_edges_by_tuples(rs, order):
+    """Sorted edges (k, pos(s_i p), i + 1) for every tuple point p = order[k] with p_i > 0."""
+    points = {p: k for k, p in enumerate(order)}
+    edges = []
+    for k, p in enumerate(order):
+        for i, pi in enumerate(p):
+            if pi > 0:
+                m = points.get(rs.reflect_weight(i, p))
+                if m is None:
+                    raise InternalComputationError("an ascent leaves the coset table")
+                edges.append((k, m, i + 1))
+    return tuple(sorted(edges))
+
+
+def dual_table_by_tuples(rs, order, w0):
+    """Position of w0(p) for every tuple point p, with w0 as the matrix of its omega images."""
+    rank = rs.rank
+    points = {p: k for k, p in enumerate(order)}
+    cols = [w0.act(tuple(int(i == j) for i in range(rank))) for j in range(rank)]
+    rows = [[(j, c[i]) for j, c in enumerate(cols) if c[i]] for i in range(rank)]
+    dual = []
+    for p in order:
+        k_dual = points.get(tuple(sum(c * p[j] for j, c in row) for row in rows))
+        if k_dual is None:
+            raise InternalComputationError("w0 maps a coset point outside the orbit")
+        dual.append(k_dual)
+    return tuple(dual)

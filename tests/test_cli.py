@@ -262,24 +262,16 @@ def test_missing_omega_file_exit_2(tmp_path):
     assert out.startswith("usage error")
 
 
-def test_resource_cap_exit_3():
-    # a full E6 Weyl enumeration is far beyond a tiny cap; easiest trigger is
-    # the steenrod route on a class that fits neither strategy -- use cosets
-    # with the library-level cap instead via monkeypatched default? Simpler:
-    # the CLI surfaces ResourceLimitError as 3; trigger through weyl directly.
+def test_resource_cap_exit_3(monkeypatch):
     from weylchow.errors import ResourceLimitError
-    import weylchow.cli as cli
+    import weylchow.rootdata
 
-    def boom(argv=None):
-        raise ResourceLimitError("test")
+    def refuse(t):
+        raise ResourceLimitError("cap")
 
-    old = cli.build_root_system
-    try:
-        cli.build_root_system = lambda t: (_ for _ in ()).throw(ResourceLimitError("cap"))
-        code, out = run(["roots", "--type", "E6"])
-        assert code == 3
-    finally:
-        cli.build_root_system = old
+    monkeypatch.setattr(weylchow.rootdata, "build_root_system", refuse)
+    code, out = run(["roots", "--type", "E6"])
+    assert code == 3
 
 
 def test_zero_denominator_coefficient_exit_2():
@@ -303,19 +295,16 @@ def test_coset_cap_checked_before_enumeration():
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_internal_error_exit_4():
+def test_internal_error_exit_4(monkeypatch):
     from weylchow.errors import InternalComputationError
-    import weylchow.cli as cli
+    import weylchow.rootdata
 
-    old = cli.build_root_system
-    try:
-        cli.build_root_system = lambda t: (_ for _ in ()).throw(
-            InternalComputationError("invariant violated")
-        )
-        code, out = run(["roots", "--type", "A2"])
-        assert code == 4
-    finally:
-        cli.build_root_system = old
+    def violate(t):
+        raise InternalComputationError("invariant violated")
+
+    monkeypatch.setattr(weylchow.rootdata, "build_root_system", violate)
+    code, out = run(["roots", "--type", "A2"])
+    assert code == 4
 
 
 def test_determinism():

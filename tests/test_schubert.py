@@ -525,6 +525,29 @@ def test_poly_and_pairing_routes_agree(name, theta):
                 assert poly.coeffs == pairs.coeffs, (ring, da, db)
 
 
+def test_pairing_route_solves_the_fixed_factor_once(monkeypatch):
+    # E6/P1 (dim 16): codim 7 x codim 3 lands above the polynomial limit 9, so
+    # multiply pairs a against b * [Z_v] for every v of codim 10; b's pivot
+    # coordinates are solved once, then one solve per [Z_v] (codim 6)
+    from weylchow.schubert import _multiply_poly_route
+
+    rs = build_root_system("E6")
+    ctx = flag_context(rs, (2, 3, 4, 5, 6))
+    a = ChowClass("E6", ctx.theta, "Z", {k: 1 for k in ctx.ct.of_codim(7)[:2]})
+    b = ChowClass("E6", ctx.theta, "Z", {ctx.ct.of_codim(3)[0]: 1})
+    solved = []
+    pivot_coords = _FlagContext.pivot_coords
+
+    def counting(self, cls):
+        solved.append(cls.codim(self.ct))
+        return pivot_coords(self, cls)
+
+    monkeypatch.setattr(_FlagContext, "pivot_coords", counting)
+    got = multiply(a, b)
+    assert solved == [3] + [6] * len(ctx.ct.of_codim(10))
+    assert got == _multiply_poly_route(ctx, a, b, 10, "Z")
+
+
 def _det(m):
     """Exact determinant by Gaussian elimination over Q (an independent reference)."""
     a = [[Fraction(x) for x in row] for row in m]

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from weylchow.errors import ResourceLimitError
+from weylchow.errors import InternalComputationError, ResourceLimitError
 from weylchow.rootdata import build_root_system
 from weylchow.weyl import (
     CosetTable,
@@ -15,7 +15,12 @@ from weylchow.weyl import (
     longest_element,
 )
 
-from oracles import all_reduced_words
+from oracles import (
+    all_reduced_words,
+    coset_bfs_by_tuples,
+    dual_table_by_tuples,
+    hasse_edges_by_tuples,
+)
 
 
 def exhaustive_elements(rs):
@@ -308,3 +313,37 @@ def test_e6_full_flag_table():
         3611, 3662, 3611, 3461, 3222, 2911, 2549, 2159, 1765, 1389, 1048, 754, 514, 329, 195,
         105, 50, 20, 6, 1,
     )
+
+
+@pytest.mark.parametrize(
+    "name,theta",
+    [("A1", ()), ("A3", ()), ("B3", ()), ("C3", ()), ("D4", ()), ("G2", ()),
+     ("F4", (2, 3, 4)), ("E6", (2, 3, 4, 5, 6)), ("D5", ()), ("A2xB2", (3,))],
+    ids=["A1", "A3", "B3", "C3", "D4", "G2", "F4/P1", "E6/P1", "D5", "A2xB2/P4"],
+)
+def test_packed_table_matches_the_tuple_oracle(name, theta):
+    rs = build_root_system(name)
+    ct = CosetTable(rs, theta)
+    order, parent, parent_label, counts = coset_bfs_by_tuples(rs, theta)
+    assert ct.parent == parent
+    assert ct.parent_label == parent_label
+    assert ct.graded_counts() == counts
+    assert hasse_diagram(ct).edges == hasse_edges_by_tuples(rs, order)
+    assert tuple(ct.dual_index(k) for k in range(len(ct))) == dual_table_by_tuples(rs, order, ct.w0)
+
+
+def test_packing_bound_fits_every_accepted_type():
+    # the bound with theta empty is the height of the highest coroot, h - 1;
+    # these are the largest types under rootdata.MAX_POSITIVE_ROOTS of each family
+    from weylchow.weyl import orbit_bound
+
+    for name, bound in (("A44", 44), ("B31", 61), ("C31", 61), ("D32", 61), ("E8", 29)):
+        assert orbit_bound(build_root_system(name), ()) == bound < 128, name
+
+
+def test_packing_bound_is_checked_before_the_bfs(monkeypatch):
+    import weylchow.weyl as weyl
+
+    monkeypatch.setattr(weyl, "orbit_bound", lambda rs, theta: 128)
+    with pytest.raises(InternalComputationError):
+        CosetTable(build_root_system("A2"), ())
