@@ -3,9 +3,11 @@
 A Tits index with circled vertex set C cuts the Hasse diagram of X: every
 edge whose label lies in C is erased, and the connected components of what
 remains are the Chow-motive summands (twisted motives of anisotropic-kernel
-varieties).  Singleton components are Lefschetz motives; components whose
-profile is divisible by 1 + t^3 refine into twisted Rost motives when the
-kernel is a strongly inner D4.
+varieties).  With K the uncircled vertices, the component of w is its
+double coset W_K w W_Theta, found by K-descent on the coset table.
+Singleton components are Lefschetz motives; components whose profile is
+divisible by 1 + t^3 refine into twisted Rost motives when the kernel is a
+strongly inner D4.
 
 Correspondences are finite sums of product cycles a x b on X x X with
 mod-p coefficients; composition contracts the middle factor through the
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from . import univar
 from .errors import UsageError
 from .rootdata import DynkinType, RootSystem, build_root_system, root_subsystem
-from .schubert import ChowClass, _ring_modulus
 from .weyl import coset_reps, hasse_diagram
 
 
@@ -39,49 +40,43 @@ class MotiveSummand:
 
 
 def decompose(rs: RootSystem, theta, circled) -> list:
-    """Cut the Hasse diagram along circled labels and collect components."""
-    theta = tuple(sorted(set(theta)))
+    """The components of the Hasse diagram cut along the circled labels.
+
+    Each is a double coset W_K w W_Theta, K the uncircled vertices.  In
+    table order, position k with point p takes the root of pos(s_i p) for
+    the first i in K with p_i < 0 (a left descent: s_i w is an earlier rep
+    joined to w by an edge labelled i), or is its own root if there is
+    none, so each double coset's least rep roots it.
+    """
     circled = set(circled)
     for i in circled:
         if not 1 <= i <= rs.rank:
             raise UsageError(f"circled vertex {i} out of range")
     ct = coset_reps(rs, theta)
-    h = hasse_diagram(ct)
-    adj = {v: [] for v in h.vertices}
-    for a, b, label in h.edges:
-        if label not in circled:
-            adj[a].append(b)
-            adj[b].append(a)
-    kernel = root_subsystem(rs, sorted(set(range(1, rs.rank + 1)) - circled)).type
+    uncircled = [i for i in range(rs.rank) if i + 1 not in circled]
+    kernel = root_subsystem(rs, [i + 1 for i in uncircled]).type
+    points = ct._points
+    step = ct.step
+    root = []
+    components = {}
+    for k, p in enumerate(points):
+        r = k
+        for i in uncircled:
+            pi, q = step(p, i)
+            if pi < 0:
+                r = root[points[q]]
+                break
+        root.append(r)
+        components.setdefault(r, []).append(k)
     # position -> codimension, read off the table's length layers
     codim = [ct.max_length - l for l, n in enumerate(ct.graded_counts()) for _ in range(n)]
-    seen = set()
     out = []
-    for start in h.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        codims = sorted(codim[v] for v in comp)
-        twist = codims[0]
-        profile = [0] * (codims[-1] - twist + 1)
-        for c in codims:
-            profile[c - twist] += 1
-        out.append(
-            MotiveSummand(
-                vertices=tuple(sorted(comp)),
-                twist=twist,
-                profile=tuple(profile),
-                kernel_type=kernel,
-            )
-        )
+    for comp in components.values():
+        twist = codim[comp[-1]]
+        profile = [0] * (codim[comp[0]] - twist + 1)
+        for v in comp:
+            profile[codim[v] - twist] += 1
+        out.append(MotiveSummand(tuple(comp), twist, tuple(profile), kernel))
     out.sort(key=lambda s: (s.twist, s.profile, s.vertices))
     return out
 
@@ -120,7 +115,7 @@ def refine_rost(summands) -> list:
 
 def singleton_components(rs: RootSystem, theta, circled) -> list:
     """The isolated vertices of the cut diagram as (canonical word, codim)."""
-    ct = coset_reps(rs, tuple(sorted(set(theta))))
+    ct = coset_reps(rs, theta)
     out = []
     for s in decompose(rs, theta, circled):
         if s.is_lefschetz:
@@ -131,10 +126,10 @@ def singleton_components(rs: RootSystem, theta, circled) -> list:
 
 def decomposition_to_json(rs, theta, circled, rost=False) -> str:
     summands = decompose(rs, theta, circled)
-    ct = coset_reps(rs, tuple(sorted(set(theta))))
+    ct = coset_reps(rs, theta)
     payload = {
         "type": rs.type.name(),
-        "theta": sorted(set(theta)),
+        "theta": list(ct.theta),
         "circled": sorted(set(circled)),
         "kernel": summands[0].kernel_type.name() if summands else "1",
         "summands": [
@@ -154,7 +149,7 @@ def decomposition_to_json(rs, theta, circled, rost=False) -> str:
 
 def decomposition_to_dot(rs, theta, circled) -> str:
     """Cut Hasse diagram with one color per component."""
-    ct = coset_reps(rs, tuple(sorted(set(theta))))
+    ct = coset_reps(rs, theta)
     h = hasse_diagram(ct)
     summands = decompose(rs, theta, circled)
     colors = ["red", "blue", "green", "orange", "purple", "brown", "cyan",
@@ -180,7 +175,8 @@ def decomposition_to_dot(rs, theta, circled) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Correspondences
+# Correspondences (their classes come from `schubert`, imported on use so
+# that the cut above loads no Schubert or polynomial machinery)
 
 
 @dataclass(frozen=True)
@@ -192,8 +188,15 @@ class Correspondence:
     ring: str
     pairs: tuple              # tuple of (ChowClass, ChowClass)
 
+    @property
+    def modulus(self):
+        """p for the ring Z/p, None for Z and Q."""
+        from .schubert import _ring_modulus
+
+        return _ring_modulus(self.ring)
+
     def __post_init__(self):
-        if _ring_modulus(self.ring) is None:
+        if self.modulus is None:
             raise UsageError("correspondences require a finite coefficient ring Z/p")
         for a, b in self.pairs:
             if a.ring != self.ring or b.ring != self.ring:
@@ -202,7 +205,7 @@ class Correspondence:
     def normalized(self, ct) -> dict:
         """Collapse to a matrix {(i, j): coeff} over basis pairs."""
         out = {}
-        p = _ring_modulus(self.ring)
+        p = self.modulus
         for a, b in self.pairs:
             for i, ca in a.coeffs.items():
                 for j, cb in b.coeffs.items():
@@ -219,11 +222,12 @@ class Correspondence:
 
 
 def _ct_of(q: Correspondence):
-    rs = build_root_system(q.type_name)
-    return rs, coset_reps(rs, q.theta)
+    return coset_reps(build_root_system(q.type_name), q.theta)
 
 
 def _from_matrix(type_name, theta, ring, matrix) -> Correspondence:
+    from .schubert import ChowClass
+
     pairs = []
     for (i, j), c in sorted(matrix.items()):
         pairs.append(
@@ -243,8 +247,8 @@ def compose(q1: Correspondence, q2: Correspondence) -> Correspondence:
     """
     if (q1.type_name, q1.theta, q1.ring) != (q2.type_name, q2.theta, q2.ring):
         raise UsageError("correspondences are not composable")
-    rs, ct = _ct_of(q1)
-    p = _ring_modulus(q1.ring)
+    ct = _ct_of(q1)
+    p = q1.modulus
     m1 = q1.normalized(ct)
     m2 = q2.normalized(ct)
     out = {}
@@ -262,8 +266,10 @@ def compose(q1: Correspondence, q2: Correspondence) -> Correspondence:
 
 def diagonal(type_name, theta, ring="Z/2") -> Correspondence:
     """Delta_X = sum_w [X_w] x [Z_w], the identity of composition."""
+    from .schubert import ChowClass
+
     rs = build_root_system(type_name)
-    ct = coset_reps(rs, tuple(sorted(set(theta))))
+    ct = coset_reps(rs, theta)
     pairs = []
     for k in range(len(ct)):
         pairs.append(
@@ -277,7 +283,7 @@ def diagonal(type_name, theta, ring="Z/2") -> Correspondence:
 
 def idempotent_power(q: Correspondence):
     """Least n with q^(2n) = q^n, found by cycle detection on powers of q."""
-    rs, ct = _ct_of(q)
+    ct = _ct_of(q)
     seen = {}
     powers = []
     cur = q
@@ -298,8 +304,8 @@ def idempotent_power(q: Correspondence):
 
 def projector_rank(q: Correspondence) -> int:
     """Coefficient of pt x pt in q . q^t: the rank of the realization."""
-    rs, ct = _ct_of(q)
-    p = _ring_modulus(q.ring)
+    ct = _ct_of(q)
+    p = q.modulus
     m = q.normalized(ct)
     total = 0
     # q^t = sum d x c; (a x b).(d x c) = (a.d) x (b.c), so the pt x pt

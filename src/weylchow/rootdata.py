@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import gcd, isqrt
 
 from .errors import ResourceLimitError, UsageError
@@ -311,7 +311,7 @@ class RootSystem:
         return f"RootSystem({self.type.name()})"
 
 
-@lru_cache(maxsize=None)
+@cache
 def _cached_root_system(name: str) -> RootSystem:
     return RootSystem(DynkinType.parse(name))
 

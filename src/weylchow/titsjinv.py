@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from . import univar
 from .errors import UsageError
 from .rootdata import DynkinType, RootSystem, build_root_system, is_small_prime, root_subsystem
-from .schubert import poincare_polynomial
 
 
 @dataclass(frozen=True)
@@ -384,6 +383,8 @@ def kac_poincare(entry: KacEntry) -> tuple:
 def predicted_rational_poincare(rs: RootSystem, theta, entry: KacEntry, profile: JProfile):
     """Divide g(X) by the profile factor; the flag records exact nonnegative
     divisibility (False certifies not-generically-split for this profile)."""
+    from .schubert import poincare_polynomial
+
     g = poincare_polynomial(rs, theta)
     rhs = profile_factor(entry, profile)
     quot, rem = univar.divide(g, rhs)

@@ -1,10 +1,9 @@
 """Weyl group elements, parabolic coset representatives and weak-order Hasse diagrams.
 
-Elements are identified by their action on the regular weight
-rho = sum of all fundamental weights: two elements are equal iff their
-rho-images agree (the reflection representation is faithful).  The
-canonical word of an element is its lexicographically least reduced word;
-it falls out of a greedy descent on the rho-image, because
+An element is its canonical word, the lexicographically least reduced
+word, so elements compare and hash by word.  The word falls out of a
+greedy descent on the element's image of rho = sum of all fundamental
+weights, because
 
     i is a left descent of w  <=>  the i-th omega-coordinate of w(rho) < 0.
 
@@ -13,10 +12,10 @@ the W-orbit of lambda_Theta = sum of omega_i over i not in Theta, whose
 stabilizer is exactly W_Theta.  The same sign test drives it: at a
 representative w with p = w(lambda_Theta), p_i > 0 makes s_i w the next
 longer representative and p_i = 0 means s_i fixes p, so each BFS step
-follows only the ascents.  A new representative's word and rho-image come
-from its BFS parent with one letter and one reflection; the Hasse diagram
-is read off the table's lambda-points, and the Poincare dual w0 w w_Theta
-is the representative at w0(p).
+follows only the ascents.  A new representative's word is its BFS
+parent's with one letter in front; the Hasse diagram is read off the
+table's lambda-points, and the Poincare dual w0 w w_Theta is the
+representative at w0(p).
 
 The lambda-points are packed ints, one 8-bit field per coordinate as for
 the polynomial monomials: coordinate j plus 128 sits in bits [8j, 8j + 8).
@@ -83,21 +82,19 @@ def checked_word(rs: RootSystem, word) -> tuple:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """A Weyl group element in canonical (lex-least reduced) word form."""
+    """A Weyl group element as its canonical (lex-least reduced) word, unique per element."""
 
     rs: RootSystem
     word: tuple
-    rho_image: tuple
 
     @staticmethod
     def from_word(rs: RootSystem, word) -> "WeylElement":
         word = checked_word(rs, word)
-        v = apply_word(rs, word, rs.rho)
-        return WeylElement(rs, _canonical_from_image(rs, v), tuple(v))
+        return WeylElement(rs, _canonical_from_image(rs, apply_word(rs, word, rs.rho)))
 
     @staticmethod
     def identity(rs: RootSystem) -> "WeylElement":
-        return WeylElement(rs, (), rs.rho)
+        return WeylElement(rs, ())
 
     @property
     def length(self) -> int:
@@ -110,14 +107,8 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rs is not other.rs:
             raise UsageError("elements live in different root systems")
-        v = apply_word(self.rs, self.word, other.rho_image)
-        return WeylElement(self.rs, _canonical_from_image(self.rs, v), tuple(v))
-
-    def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.rho_image == other.rho_image
-
-    def __hash__(self):
-        return hash(self.rho_image)
+        v = apply_word(self.rs, self.word + other.word, self.rs.rho)
+        return WeylElement(self.rs, _canonical_from_image(self.rs, v))
 
     def __repr__(self):
         return f"w{list(self.word)}"
@@ -140,7 +131,7 @@ def longest_element(rs: RootSystem, theta) -> WeylElement:
                 v = rs.reflect_weight(i - 1, v)
                 break
         else:
-            return WeylElement(rs, _canonical_from_image(rs, v), tuple(v))
+            return WeylElement(rs, _canonical_from_image(rs, v))
 
 
 def orbit_bound(rs: RootSystem, theta) -> int:
@@ -159,11 +150,12 @@ class CosetTable:
 
     reps are ordered by (length, canonical word); `parent` and `parent_label`
     record the BFS tree (rep = s_label * parent), which downstream code uses
-    to evaluate composed divided differences with shared work; `_points`
+    to evaluate composed divided differences with shared work; a rep is its
+    word alone, (label,) + its parent's word, with no rho-image.  `_points`
     maps each packed lambda_Theta-image to its rep's position, in table
-    order, and `lam` is lambda_Theta itself, packed.  Each BFS layer is one
-    length, so the reps of length l (codim dim - l) are the positions
-    `of_length(l)`.
+    order, `lam` is lambda_Theta itself, packed, and `index` maps words to
+    positions on first lookup.  Each BFS layer is one length, so the reps
+    of length l (codim dim - l) are the positions `of_length(l)`.
 
     A packed point holds coordinate j plus 128 in bits [8j, 8j + 8), and
     `step` reflects it.  Before the BFS the table checks that `orbit_bound`
@@ -226,17 +218,10 @@ class CosetTable:
                 )
             start = end
 
-        reflect = rs.reflect_weight
         reps = [WeylElement.identity(rs)]
         for k in range(1, len(order)):
-            up = reps[parent[k]]
-            label = parent_label[k]
-            reps.append(
-                WeylElement(rs, (label,) + up.word, reflect(label - 1, up.rho_image))
-            )
+            reps.append(WeylElement(rs, (parent_label[k],) + reps[parent[k]].word))
         self.reps = tuple(reps)
-        # positions shared with `points`, so no second int object per rep
-        self.index = {w.word: k for w, k in zip(self.reps, points.values())}
         self.parent = tuple(parent)
         self.parent_label = tuple(parent_label)
         self._layers = tuple(layers)
@@ -299,6 +284,11 @@ class CosetTable:
         if None in dual:
             raise InternalComputationError("w0 maps a coset point outside the orbit")
         return tuple(dual)
+
+    @cached_property
+    def index(self):
+        """Canonical word -> position, built on first lookup."""
+        return {w.word: k for k, w in enumerate(self.reps)}
 
     def dual_index(self, k: int) -> int:
         """Index of w0 * w_k * w_theta, the Poincaré-dual basis element."""

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from weylchow.errors import InternalComputationError
+from weylchow.motive import MotiveSummand
 from weylchow.polynomial import BITS, MASK, Polynomial, _unit, unpack_monomial
 from weylchow.rootdata import root_subsystem, weyl_degrees
 from weylchow.schubert import (
@@ -12,6 +13,7 @@ from weylchow.schubert import (
     _orbit,
     _sub_fundamental_seeds,
 )
+from weylchow.weyl import apply_word, coset_reps, hasse_diagram
 
 
 def all_reduced_words(rs, w):
@@ -26,7 +28,7 @@ def all_reduced_words(rs, w):
             if v[i] < 0:
                 rec(rs.reflect_weight(i, v), acc + [i + 1])
 
-    rec(w.rho_image, [])
+    rec(apply_word(rs, w.word, rs.rho), [])
     return out
 
 
@@ -222,3 +224,43 @@ def dual_table_by_tuples(rs, order, w0):
             raise InternalComputationError("w0 maps a coset point outside the orbit")
         dual.append(k_dual)
     return tuple(dual)
+
+
+def decompose_by_hasse_dfs(rs, theta, circled):
+    """Motive summands as connected components of the cut Hasse diagram, by DFS.
+
+    Builds every Hasse edge and an adjacency list; the package reads the
+    same components off the coset table by descent along uncircled labels.
+    """
+    circled = set(circled)
+    ct = coset_reps(rs, theta)
+    h = hasse_diagram(ct)
+    adj = {v: [] for v in h.vertices}
+    for a, b, label in h.edges:
+        if label not in circled:
+            adj[a].append(b)
+            adj[b].append(a)
+    kernel = root_subsystem(rs, sorted(set(range(1, rs.rank + 1)) - circled)).type
+    seen = set()
+    out = []
+    for start in h.vertices:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        codims = sorted(ct.codim(v) for v in comp)
+        twist = codims[0]
+        profile = [0] * (codims[-1] - twist + 1)
+        for c in codims:
+            profile[c - twist] += 1
+        out.append(MotiveSummand(vertices=tuple(sorted(comp)), twist=twist,
+                                 profile=tuple(profile), kernel_type=kernel))
+    out.sort(key=lambda s: (s.twist, s.profile, s.vertices))
+    return out

@@ -71,6 +71,18 @@ def test_roots_and_cosets_load_only_root_data_and_weyl(argv):
     assert loaded & {"schubert", "polynomial", "steenrod", "motive", "titsjinv"} == set()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["decompose", "--type", "E7", "--theta", "1,2,3,4,5,6", "--circled", "1,6,7", "--rost"],
+     ["hasse", "--type", "B3", "--theta", "1"],
+     ["automaton", "--type", "B3", "--omega", "[[],[1],[1,2],[1,2,3]]"],
+     ["jinv", "--type", "F4", "--p", "2", "--profile", "1", "rhs"]],
+    ids=["decompose", "hasse", "automaton", "jinv-rhs"],
+)
+def test_cut_hasse_and_tits_commands_load_no_schubert_machinery(argv):
+    assert _modules_loaded_by(argv) & {"schubert", "polynomial", "steenrod"} == set()
+
+
 def test_namespace_resolves_every_exported_name():
     listed = dir(weylchow)
     for module, names in EXPORTED.items():

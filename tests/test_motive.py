@@ -21,6 +21,8 @@ from weylchow.rootdata import build_root_system
 from weylchow.schubert import ChowClass, poincare_polynomial
 from weylchow.weyl import coset_reps
 
+from oracles import decompose_by_hasse_dfs
+
 
 def test_no_circles_one_component():
     rs = build_root_system("B2")
@@ -51,6 +53,37 @@ def test_profile_sums_all_subsets_small_types():
                 for circled in itertools.combinations(range(1, rs.rank + 1), r):
                     summands = decompose(rs, theta, circled)
                     assert decomposition_profile_sum(rs, theta, summands) == g
+
+
+def _subsets(n):
+    return [c for r in range(n + 1) for c in itertools.combinations(range(1, n + 1), r)]
+
+
+def _maximal(rank, k):
+    return tuple(i for i in range(1, rank + 1) if i != k)
+
+
+@pytest.mark.parametrize(
+    "name,thetas,circled_sets",
+    [
+        ("B3", _subsets(3), _subsets(3)),
+        ("C3", _subsets(3), _subsets(3)),
+        ("G2", _subsets(2), _subsets(2)),
+        ("F4", [_maximal(4, 1), _maximal(4, 4)], _subsets(4)),
+        ("D5", [()], _subsets(5)),
+        ("A2xB2", [_maximal(4, 4)], _subsets(4)),
+        ("E6", [_maximal(6, 1)], _subsets(6)),
+        ("E6", [(1,)], [(2,), (2, 4), (1, 6), (2, 4, 6)]),
+        ("E7", [_maximal(7, 7)], [(1, 6, 7), (1,)]),
+    ],
+    ids=["B3", "C3", "G2", "F4/P1,P4", "D5", "A2xB2/P4", "E6/P1", "E6/{1}", "E7/P7"],
+)
+def test_descent_cut_matches_the_hasse_dfs(name, thetas, circled_sets):
+    rs = build_root_system(name)
+    for theta in thetas:
+        for circled in circled_sets:
+            assert decompose(rs, theta, circled) == decompose_by_hasse_dfs(rs, theta, circled), (
+                theta, circled)
 
 
 def test_decompose_monotone_refinement():

@@ -55,6 +55,15 @@ def test_multiply_a2_canonical_lex_least():
     assert WeylElement.from_word(rs, [2, 1, 2]) == prod
 
 
+def test_equal_elements_have_equal_hashes():
+    rs = build_root_system("A2")
+    a = WeylElement.from_word(rs, [1, 2, 1])
+    b = WeylElement.from_word(rs, [2, 1, 2])
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_multiply_b2_reaches_w0():
     rs = build_root_system("B2")
     a = WeylElement.from_word(rs, [1, 2, 1])
@@ -293,7 +302,6 @@ def test_coset_table_matches_definitions(name):
         edges = set()
         for k, w in enumerate(ct.reps):
             assert w.word == min(all_reduced_words(rs, w))
-            assert w.rho_image == apply_word(rs, w.word, rs.rho)
             if k:
                 assert w.word == (ct.parent_label[k],) + ct.reps[ct.parent[k]].word
             dual = (ct.w0 * w) * ct.w_theta
@@ -330,6 +338,22 @@ def test_packed_table_matches_the_tuple_oracle(name, theta):
     assert ct.graded_counts() == counts
     assert hasse_diagram(ct).edges == hasse_edges_by_tuples(rs, order)
     assert tuple(ct.dual_index(k) for k in range(len(ct))) == dual_table_by_tuples(rs, order, ct.w0)
+
+
+def test_word_index_is_built_on_first_lookup():
+    from weylchow.cli import run
+    from weylchow.schubert import class_from_json
+
+    ct = coset_reps(build_root_system("A1xG2"), (2,))
+    for argv in (["cosets", "--type", "A1xG2", "--theta", "2"],
+                 ["decompose", "--type", "A1xG2", "--theta", "2", "--circled", "1"]):
+        assert run(argv)[0] == 0
+    assert "index" not in ct.__dict__
+    for k, w in enumerate(ct.reps):
+        cls = class_from_json(
+            '{"type": "A1xG2", "theta": [2], "ring": "Z", "terms": [{"word": %s}]}' % list(w.word))
+        assert cls.coeffs == {k: 1}
+    assert "index" in ct.__dict__
 
 
 def test_packing_bound_fits_every_accepted_type():
