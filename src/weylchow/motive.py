@@ -69,7 +69,8 @@ def decompose(rs: RootSystem, theta, circled) -> list:
         root.append(r)
         components.setdefault(r, []).append(k)
     # position -> codimension, read off the table's length layers
-    codim = [ct.max_length - l for l, n in enumerate(ct.graded_counts()) for _ in range(n)]
+    dim = ct.max_length
+    codim = [dim - l for l, n in enumerate(ct.graded_counts()) for _ in range(n)]
     out = []
     for comp in components.values():
         twist = codim[comp[-1]]

@@ -83,10 +83,6 @@ class Polynomial:
         return Polynomial(rs, {0: 1})
 
     @staticmethod
-    def constant(rs, c):
-        return Polynomial(rs, {0: c}) if c else Polynomial(rs, {})
-
-    @staticmethod
     def monomial(rs, exps, c=1):
         """c * x^exps (one exponent per fundamental weight); raises past the packed field width."""
         return Polynomial(rs, {pack_monomial(exps): c}) if c else Polynomial(rs, {})

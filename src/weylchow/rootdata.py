@@ -191,7 +191,6 @@ class PositiveRoot:
     root: tuple        # simple-root coordinates
     omega: tuple       # fundamental-weight coordinates (A @ root)
     coroot: tuple      # coordinates of beta^vee over the simple coroots
-    height: int
 
 
 class RootSystem:
@@ -285,7 +284,7 @@ class RootSystem:
             nxt.sort()
             layers.append(nxt)
         out = []
-        for h, layer in enumerate(layers, start=1):
+        for layer in layers:
             for c in sorted(layer):
                 omega = self.root_to_omega(c)
                 # (beta,beta) = sum_ij c_i c_j d_i A[i][j]; coroot coords 2 d_i c_i/(beta,beta)
@@ -301,7 +300,7 @@ class RootSystem:
                     if num % norm != 0 and num != 0:
                         raise AssertionError("coroot coordinates must be integral")
                     coroot.append(num // norm if num else 0)
-                out.append(PositiveRoot(root=c, omega=omega, coroot=tuple(coroot), height=h))
+                out.append(PositiveRoot(root=c, omega=omega, coroot=tuple(coroot)))
         return tuple(out)
 
     def num_positive_roots(self) -> int:

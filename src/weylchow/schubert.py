@@ -19,10 +19,11 @@ product sum x_j y_l g^(e_j + e_l) maps to sum x_j y_l c(g^(e_j + e_l)): the
 image of each generator monomial is swept once per flag variety and every
 product is assembled from those images, with no polynomial product.
 
-Complementary-degree products short-circuit through Poincaré duality
-(which is the same answer, by the duality formula itself), and products
-whose target codimension exceeds half the dimension are assembled from
-duality pairings so the polynomial work stays at degree <= dim/2 + 1.
+A product of codimensions da and db is read either from the images of
+degree da + db (the polynomial route) or from duality pairings
+deg(a * (b * [Z_v])), whose inner products need images of degree
+dim - max(da, db) (the pairing route); it takes the route of lower
+degree, the polynomial route on a tie.
 
 Divided-difference chains Delta_w share work across w: canonical words are
 built by the coset BFS as (letter) + parent word, so Delta_w(u) =
@@ -101,9 +102,6 @@ class ChowClass:
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0) + c
         return ChowClass(self.type_name, self.theta, self.ring, out)
-
-    def scale(self, c):
-        return ChowClass(self.type_name, self.theta, self.ring, {k: c * v for k, v in self.coeffs.items()})
 
 
 @cache
@@ -287,7 +285,6 @@ class _FlagContext:
         self._images = {}        # generator exponents e -> delta sweep of g^e
         # Grow-on-demand memos: an entry computed up to bound b serves requests <= b.
         self._chern = {}          # ring -> [c_0, ..., c_b]
-        self._phi_cache = {}      # basis index -> (b, Phi pieces up to offset b)
         self._steenrod_cache = {}  # basis index -> (b, S^0..S^b pieces)
 
     # -- invariant generators -----------------------------------------
@@ -731,7 +728,7 @@ def preimage(cls: ChowClass) -> Polynomial:
 
 
 def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
-    """Product in CH*(G/P_Theta); dispatches on total codimension."""
+    """Product in CH*(G/P_Theta), one _multiply_homogeneous per pair of graded parts."""
     _check_compatible(a, b)
     rs = build_root_system(a.type_name)
     ctx = flag_context(rs, a.theta)
@@ -754,28 +751,25 @@ def _graded_parts(cls: ChowClass, ctx: _FlagContext):
 
 
 def _poly_limit(dim: int) -> int:
+    """The route split the recorded products golden pools were drawn with.
+
+    Only perfbench/record_golden.py reads it; multiplication does not.
+    """
     return max((dim + 1) // 2 + 1, 9)
 
 
 def _multiply_homogeneous(ctx, a, b, da, db):
-    k = da + db
-    ring = a.ring
-    empty = ChowClass(a.type_name, a.theta, ring, {})
-    if k > ctx.dim:
-        return empty
-    if da == 0:
-        c = a.coeffs.get(len(ctx.ct) - 1, 0)
-        return b.scale(c)
-    if db == 0:
-        c = b.coeffs.get(len(ctx.ct) - 1, 0)
-        return a.scale(c)
-    if k == ctx.dim:
-        val = _pairing(ctx, a, b)
-        return ChowClass(a.type_name, a.theta, ring, {0: val})
-    limit = _poly_limit(ctx.dim)
-    if k <= limit or max(da, db) < ctx.dim - limit:
-        return _multiply_poly_route(ctx, a, b, k, ring)
-    return _multiply_by_pairings(ctx, a, b, da, db, ring)
+    """a * b for nonzero homogeneous factors of codimensions da and db.
+
+    Each route sweeps generator monomials of one degree: da + db for the
+    polynomial route, dim - max(da, db) for the pairing route; the lower
+    degree wins, a tie goes to the polynomial route.
+    """
+    if da + db > ctx.dim:
+        return ChowClass(a.type_name, a.theta, a.ring, {})
+    if da + db <= ctx.dim - max(da, db):
+        return _multiply_poly_route(ctx, a, b)
+    return _multiply_by_pairings(ctx, a, b, da, db)
 
 
 def _pairing(ctx, a, b):
@@ -791,10 +785,12 @@ def _pairing(ctx, a, b):
     return total
 
 
-def _multiply_poly_route(ctx, a, b, k, ring):
+def _multiply_poly_route(ctx, a, b):
     """a * b = sum x_j y_l c(g^(e_j + e_l)) / (den_a den_b), from memoized monomial images.
 
-    The caller passes nonzero homogeneous factors of total codimension k.
+    The caller passes nonzero homogeneous factors of codimensions da and db
+    with da + db <= dim - max(da, db): the images it reads, of degree
+    da + db, are no higher than those the pairing route would read.
     """
     return _product_from_coords(ctx, a, ctx.pivot_coords(a), ctx.pivot_coords(b))
 
@@ -821,22 +817,23 @@ def _product_from_coords(ctx, like, coords_a, coords_b):
     return ChowClass(like.type_name, like.theta, like.ring, coeffs)
 
 
-def _multiply_by_pairings(ctx, a, b, da, db, ring):
-    """Assemble a high-codimension product from duality pairings.
+def _multiply_by_pairings(ctx, a, b, da, db):
+    """Assemble a product from duality pairings.
 
-    coeff of [X_v] in a*b is deg(a * (b * [Z_v])); the inner product has
-    total codimension dim - da <= _poly_limit(dim) (the caller guarantees it
-    for da >= db), so it is assembled from pivot coordinates, those of b
-    solved once for every v.
+    coeff of [X_v] in a*b is deg(a * (b * [Z_v])) for da >= db; the inner
+    product has codimension dim - da, below da + db whenever the caller
+    picks this route, and is assembled from pivot coordinates, those of b
+    solved once for every v.  A complementary pair has the one v = point,
+    [Z_pt] the fundamental class, so it is the pairing of a with b.
     """
     if da < db:
         a, b, da, db = b, a, db, da
     coords_b = ctx.pivot_coords(b)
     out = {}
     for v in ctx.ct.of_codim(da + db):
-        zv = ChowClass(a.type_name, a.theta, ring, {ctx.ct.dual_index(v): 1})
+        zv = ChowClass(a.type_name, a.theta, a.ring, {ctx.ct.dual_index(v): 1})
         out[v] = _pairing(ctx, a, _product_from_coords(ctx, a, coords_b, ctx.pivot_coords(zv)))
-    return ChowClass(a.type_name, a.theta, ring, out)
+    return ChowClass(a.type_name, a.theta, a.ring, out)
 
 
 def pullback_to_flags(cls: ChowClass) -> ChowClass:

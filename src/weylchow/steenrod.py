@@ -380,22 +380,20 @@ def _calibrate():
 # Phi classes and the duality route
 
 
-def _phi_pieces(rs, theta, idx, max_offset):
-    """Graded pieces of Phi([X_idx]) = pi_*(c(T_Z)^{-+1}), convention-matched."""
+@cache
+def _phi_pieces(rs, theta, idx):
+    """Graded pieces of Phi([X_idx]) = pi_*(c(T_Z)^{-+1}), convention-matched, at every offset.
+
+    theta must be normalized (sorted, no repeats), as `CosetTable.theta` is.
+    """
     conv = _calibrate()
-    ctx = flag_context(rs, theta)
-    hit = ctx._phi_cache.get(idx)
-    if hit is not None and hit[0] >= max_offset:
-        return hit[1]
-    ct = ctx.ct
+    ct = coset_reps(rs, theta)
     ring = BottSamelsonRing(rs, ct.reps[idx].word)
     sigma = -1 if conv == "I" else 1
     elem = ring.one()
     for j in range(ring.length):
-        elem = ring.mul_one_plus_series(elem, ring.nu[j], sigma, max_offset)
-    out = _pushed_pieces(ring, elem, ct, idx)
-    ctx._phi_cache[idx] = (max_offset, out)
-    return out
+        elem = ring.mul_one_plus_series(elem, ring.nu[j], sigma, ring.length)
+    return _pushed_pieces(ring, elem, ct, idx)
 
 
 def _steenrod_by_duality(rs, theta, idx, up_to):
@@ -408,8 +406,7 @@ def _steenrod_by_duality(rs, theta, idx, up_to):
     for m in range(1, m_max + 1):
         coeffs = {}
         for u in ct.of_codim(dim - c - m):
-            # request offsets up to at least 8 so overlapping passes share the cache
-            phi = _phi_pieces(rs, theta, u, max(m, min(8, ct.codim(u))))
+            phi = _phi_pieces(rs, ct.theta, u)
             val = 0
             for mp in range(m):
                 piece = phi.get(m - mp)

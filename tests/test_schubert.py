@@ -237,6 +237,15 @@ def test_multiply_unit_and_grading():
     # product exceeding dim is zero
     pt = basis_class(rs, (), 0)
     assert multiply(pt, pt).is_zero()
+    # E6/P1: a codimension-0 factor takes the ordinary routes, either side
+    e6 = build_root_system("E6")
+    ct = coset_reps(e6, (2, 3, 4, 5, 6))
+    for ring in ("Z", "Z/3"):
+        three_fund = ChowClass("E6", ct.theta, ring, {len(ct) - 1: 3})
+        for k in range(len(ct)):
+            a = basis_class(e6, ct.theta, k, ring)
+            want = ChowClass("E6", ct.theta, ring, {k: 3})
+            assert multiply(three_fund, a) == want == multiply(a, three_fund), (ring, k)
 
 
 def test_multiply_a2_square_of_divisor():
@@ -265,15 +274,18 @@ def test_pieri_agrees_with_char_map_route():
 
 
 def test_multiply_complementary_reproduces_duality():
-    for name in ("A2", "B2"):
+    # A2 and B2 flags, F4/P4 and E6/P1 (theta (1, 2, 3) and (2, 3, 4, 5, 6))
+    for name, theta in (("A2", ()), ("B2", ()), ("F4", (1, 2, 3)), ("E6", (2, 3, 4, 5, 6))):
         rs = build_root_system(name)
-        ct = coset_reps(rs, ())
-        for a in range(len(ct)):
-            for b in range(len(ct)):
-                if ct.codim(a) + ct.codim(b) == ct.max_length:
-                    out = multiply(basis_class(rs, (), a), basis_class(rs, (), b))
-                    want = duality_product(ct, a, b)
-                    assert out.coeffs == ({0: 1} if want else {})
+        ct = coset_reps(rs, theta)
+        for ring in ("Z", "Z/2"):
+            for a in range(len(ct)):
+                for b in range(len(ct)):
+                    if ct.codim(a) + ct.codim(b) == ct.max_length:
+                        out = multiply(basis_class(rs, theta, a, ring),
+                                       basis_class(rs, theta, b, ring))
+                        want = duality_product(ct, a, b)
+                        assert out.coeffs == ({0: 1} if want else {}), (name, ring, a, b)
 
 
 def test_b2_pieri_coefficient_two():
@@ -459,26 +471,28 @@ def test_chow_class_value_contract():
     assert type(q.coeffs[0]) is Fraction
 
 
-def test_pairing_route_inner_products_fit_the_poly_limit(monkeypatch):
-    # _multiply_by_pairings sends its inner products, of codimension
-    # dim - max(da, db), straight to the polynomial route
+def test_each_product_takes_the_lower_degree_route(monkeypatch):
+    # the polynomial route reads images of degree da + db, the pairing route
+    # images of degree dim - max(da, db); the lower one wins, a tie goes to
+    # the polynomial route, and codimension 0 or complementary pairs are no
+    # special case
     import types
 
     import weylchow.schubert as schubert
 
     routed = []
-    monkeypatch.setattr(schubert, "_multiply_poly_route", lambda *args: None)
+    monkeypatch.setattr(schubert, "_multiply_poly_route",
+                        lambda ctx, a, b: routed.append("poly"))
     monkeypatch.setattr(schubert, "_multiply_by_pairings",
-                        lambda ctx, a, b, da, db, ring: routed.append((ctx.dim, da, db)))
+                        lambda ctx, a, b, da, db: routed.append("pairing"))
     cls = ChowClass("A1", (), "Z", {})
     for dim in range(1, 71):
         ctx = types.SimpleNamespace(dim=dim)
-        for da in range(1, dim):
-            for db in range(1, dim - da):
+        for da in range(dim + 1):
+            for db in range(dim - da + 1):
                 schubert._multiply_homogeneous(ctx, cls, cls, da, db)
-    assert routed
-    for dim, da, db in routed:
-        assert dim - max(da, db) <= schubert._poly_limit(dim), (dim, da, db)
+                want = "poly" if da + db <= dim - max(da, db) else "pairing"
+                assert routed.pop() == want and not routed, (dim, da, db)
 
 
 def test_class_json_roundtrip():
@@ -520,14 +534,15 @@ def test_poly_and_pairing_routes_agree(name, theta):
             for db in range(da, ctx.dim - da):
                 a = ChowClass(rs.type.name(), ctx.theta, ring, {rng.choice(by_codim[da]): 1})
                 b = ChowClass(rs.type.name(), ctx.theta, ring, {rng.choice(by_codim[db]): 1})
-                poly = _multiply_poly_route(ctx, a, b, da + db, ring)
-                pairs = _multiply_by_pairings(ctx, a, b, da, db, ring)
+                poly = _multiply_poly_route(ctx, a, b)
+                pairs = _multiply_by_pairings(ctx, a, b, da, db)
                 assert poly.coeffs == pairs.coeffs, (ring, da, db)
 
 
 def test_pairing_route_solves_the_fixed_factor_once(monkeypatch):
-    # E6/P1 (dim 16): codim 7 x codim 3 lands above the polynomial limit 9, so
-    # multiply pairs a against b * [Z_v] for every v of codim 10; b's pivot
+    # E6/P1 (dim 16): codim 7 x codim 3 needs images of degree 10 on the
+    # polynomial route but only 16 - 7 = 9 on the pairing route, so multiply
+    # pairs a against b * [Z_v] for every v of codim 10; b's pivot
     # coordinates are solved once, then one solve per [Z_v] (codim 6)
     from weylchow.schubert import _multiply_poly_route
 
@@ -545,7 +560,7 @@ def test_pairing_route_solves_the_fixed_factor_once(monkeypatch):
     monkeypatch.setattr(_FlagContext, "pivot_coords", counting)
     got = multiply(a, b)
     assert solved == [3] + [6] * len(ctx.ct.of_codim(10))
-    assert got == _multiply_poly_route(ctx, a, b, 10, "Z")
+    assert got == _multiply_poly_route(ctx, a, b)
 
 
 def _det(m):
@@ -662,7 +677,7 @@ _FRACTIONS = {  # coefficient j of a test class, fractional where the ring allow
 
 @pytest.mark.parametrize("name,theta", _ROUTE_SPACES, ids=_ROUTE_IDS)
 def test_poly_route_matches_the_preimage_product_oracle(name, theta):
-    from weylchow.schubert import _multiply_poly_route, _poly_limit
+    from weylchow.schubert import _multiply_poly_route
 
     from oracles import multiply_by_preimage_product
 
@@ -671,7 +686,6 @@ def test_poly_route_matches_the_preimage_product_oracle(name, theta):
     by_codim = {}
     for k in range(len(ctx.ct)):
         by_codim.setdefault(ctx.ct.codim(k), []).append(k)
-    limit = _poly_limit(ctx.dim)
     rng = random.Random(11)
 
     def sample(ring, d):
@@ -682,11 +696,11 @@ def test_poly_route_matches_the_preimage_product_oracle(name, theta):
         for da in range(1, ctx.dim):
             for db in range(da, ctx.dim - da):
                 k = da + db
-                if not (k <= limit or db < ctx.dim - limit):  # products the dispatcher routes here
+                if k > ctx.dim - max(da, db):  # products the dispatcher routes elsewhere
                     continue
                 a, b = sample(ring, da), sample(ring, db)
                 want = multiply_by_preimage_product(ctx, a, b, k, ring)
-                assert _multiply_poly_route(ctx, a, b, k, ring) == want, (ring, da, db)
+                assert _multiply_poly_route(ctx, a, b) == want, (ring, da, db)
 
 
 def test_monomial_images_are_swept_once(monkeypatch):
@@ -708,7 +722,7 @@ def test_monomial_images_are_swept_once(monkeypatch):
 
     def products(ring):
         return {(ka, kb): _multiply_poly_route(ctx, basis_class(rs, ctx.theta, ka, ring),
-                                               basis_class(rs, ctx.theta, kb, ring), 2 * d, ring)
+                                               basis_class(rs, ctx.theta, kb, ring))
                 for ka in basis for kb in basis}
 
     mod2 = products("Z/2")
