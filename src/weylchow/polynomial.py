@@ -23,8 +23,8 @@ The Weyl action and divided differences are the two nonstandard operations:
 Both read k from the packed key, strip x_i^k from it, and add the packed
 terms of (x_i - alpha_i)^k or D_i(x_i^k), cached per (root system, i, k).
 Because divided differences are integral, reducing integer coefficients
-mod p commutes with them; elementary_symmetric_classes reduces while it
-accumulates, which keeps mod-p Chern computations small.
+mod p commutes with them: divided_difference reduces its output given a
+modulus, and elementary_symmetric_classes reduces while it accumulates.
 """
 
 from __future__ import annotations
@@ -200,11 +200,11 @@ class Polynomial:
         """Apply s_i (0-based i): substitute x_i -> x_i - alpha_i."""
         return self._substitute_power(i, _x_minus_alpha_power, keep_constant=True)
 
-    def divided_difference(self, i):
-        """D_i = (1 - s_i)/alpha_i (0-based i), exact and division-free."""
-        return self._substitute_power(i, _divdiff_power, keep_constant=False)
+    def divided_difference(self, i, modulus=None):
+        """D_i = (1 - s_i)/alpha_i (0-based i), exact and division-free; reduced mod a prime modulus."""
+        return self._substitute_power(i, _divdiff_power, keep_constant=False, modulus=modulus)
 
-    def _substitute_power(self, i, image, keep_constant):
+    def _substitute_power(self, i, image, keep_constant, modulus=None):
         """Replace each x_i^k (k > 0) by image(rs, i, k); keep or drop the x_i-free terms."""
         rs = self.rs
         si = BITS * i
@@ -225,7 +225,7 @@ class Polynomial:
             for t, ct in table:
                 key = base + t
                 out[key] = get(key, 0) + c * ct
-        return Polynomial(rs, {e: c for e, c in out.items() if c})
+        return Polynomial(rs, {e: v for e, c in out.items() if (v := c % modulus if modulus else c)})
 
     def is_invariant_under(self, indices_1based):
         return all(self.reflect(i - 1) == self for i in indices_1based)
@@ -303,18 +303,34 @@ def _divdiff_power(rs, i, k):
 
 
 def elementary_symmetric_classes(rs, forms, max_degree, modulus=None):
-    """e_0..e_max of the given linear forms (as omega-coordinate tuples).
+    """e_0..e_max of the given linear forms (omega-coordinate tuples), as Polynomials.
 
-    Incremental DP over the product prod (1 + gamma t), truncated.  With a
-    prime modulus p each e_k is reduced mod p as it is accumulated, which is
-    the reduction of the integral result because Z -> Z/p is a ring map.
-    Returns a list of Polynomials indexed by degree.
+    e_{k-1} * gamma is added into the terms of e_k in place, top degree first.  With
+    a prime modulus p the forms and each sum are reduced mod p (Z -> Z/p is a ring
+    map); a zero sum is deleted, and a new key never sums to 0 (c, g != 0, p prime).
     """
-    es = [Polynomial.one(rs)] + [Polynomial.zero(rs) for _ in range(max_degree)]
-    for coords in forms:
-        gamma = Polynomial.linear_form(rs, coords)
+    gammas = [[(_unit(rs, j), g) for j, c in enumerate(coords) if (g := c % modulus if modulus else c)]
+              for coords in forms]
+    es = [{0: 1}] + [{} for _ in range(max_degree)]
+    # equal forms side by side: their factors collapse early, e.g. (1 + gamma t)^2 = 1 + gamma^2 t^2 mod 2
+    for gamma in sorted(filter(None, gammas)):
         for k in range(max_degree, 0, -1):
-            if not es[k - 1].is_zero():
-                e = es[k] + es[k - 1] * gamma
-                es[k] = e.reduce_mod(modulus) if modulus else e
-    return es
+            src, dst = es[k - 1], es[k]
+            get = dst.get
+            if modulus:
+                for m, c in src.items():
+                    for u, g in gamma:
+                        key = m + u
+                        if v := (get(key, 0) + c * g) % modulus:
+                            dst[key] = v
+                        else:
+                            del dst[key]
+            else:
+                for m, c in src.items():
+                    for u, g in gamma:
+                        key = m + u
+                        if v := get(key, 0) + c * g:
+                            dst[key] = v
+                        else:
+                            del dst[key]
+    return [Polynomial(rs, t) for t in es]

@@ -114,6 +114,8 @@ def _ring_modulus(ring: str):
             p = int(ring[2:])
         except ValueError:
             raise UsageError(f"bad ring {ring!r}") from None
+        if ring != f"Z/{p}":  # one spelling per ring: int() also reads "02", "+2", " 2" and "1_9"
+            raise UsageError(f"bad ring {ring!r}: write the modulus as Z/{p}")
         # the cache spares ChowClass construction from repeating the test for every class
         if not is_small_prime(p):
             raise UsageError(f"bad ring {ring!r}: the modulus must be a prime below 2^31")
@@ -157,8 +159,9 @@ def class_from_json(text: str) -> ChowClass:
         coeffs: dict = {}
         for term in data.get("terms", []):
             word = term["word"]
-            w = WeylElement.from_word(rs, word)
-            k = ct.index.get(w.word)
+            k = ct.index.get(checked_word(rs, word))  # checked first: True would hash as 1
+            if k is None:  # not the canonical word of a rep: canonicalize and look again
+                k = ct.index.get(WeylElement.from_word(rs, word).word)
             if k is None:
                 raise UsageError(f"word {word} is not a minimal coset representative")
             dual = term.get("dual", False)
@@ -295,23 +298,22 @@ class _FlagContext:
 
     # -- delta tree -----------------------------------------------------
 
-    def delta_scalars(self, P: Polynomial, max_len=None):
+    def delta_scalars(self, P: Polynomial, max_len=None, modulus=None):
         """Constant terms of Delta_w(P) for every rep w, sharing chain prefixes.
 
         P may be inhomogeneous: the constant term of Delta_w(P) picks out
         exactly the degree-l(w) component's contribution.  Each length layer
         of the table is computed from the previous one through the BFS
         parents, so only two layers of polynomials are alive at a time.
+        With a prime modulus every layer is reduced mod p (exact: D_i is integral).
         """
         ct = self.ct
         dmax = P.degree() if max_len is None else min(P.degree(), max_len)
-        if dmax < 0:
-            return {}
         out = {}
         layer = {0: P}
         for length in range(dmax + 1):
             if length:
-                layer = {k: layer[ct.parent[k]].divided_difference(ct.parent_label[k] - 1)
+                layer = {k: layer[ct.parent[k]].divided_difference(ct.parent_label[k] - 1, modulus)
                          for k in ct.of_length(length)}
             for k, q in layer.items():
                 c = q.terms.get(0, 0)  # the packed key of the constant monomial
@@ -325,7 +327,7 @@ class _FlagContext:
         Returns {degree: ChowClass}; each graded piece of P of degree d
         contributes at codimension d via index w -> dual index.
         """
-        scalars = self.delta_scalars(P, max_len=max_codim)
+        scalars = self.delta_scalars(P, max_len=max_codim, modulus=_ring_modulus(ring))
         graded = {}
         for k, c in scalars.items():
             d = self.ct.reps[k].length
@@ -502,12 +504,8 @@ class _FlagContext:
         # the e_k have distinct degrees, so their terms never collide
         total = Polynomial(self.rs, {m: c for e in es for m, c in e.terms.items()})
         graded = self.char_map_graded(total, ring=ring, max_codim=top)
-        out = []
-        for dgr in range(top + 1):
-            cls = graded.get(dgr)
-            if cls is None:
-                cls = ChowClass(self.rs.type.name(), self.theta, ring, {})
-            out.append(cls)
+        empty = ChowClass(self.rs.type.name(), self.theta, ring, {})
+        out = [graded.get(d, empty) for d in range(top + 1)]
         self._chern[ring] = out
         return out
 

@@ -49,6 +49,18 @@ def series_inverse(parts, rs, max_degree):
     return inv
 
 
+def elementary_symmetric_by_polynomials(rs, forms, max_degree, modulus=None):
+    """e_0..e_max of linear forms through whole-polynomial products, sums and reductions."""
+    es = [Polynomial.one(rs)] + [Polynomial.zero(rs) for _ in range(max_degree)]
+    for coords in forms:
+        gamma = Polynomial.linear_form(rs, coords)
+        for k in range(max_degree, 0, -1):
+            if not es[k - 1].is_zero():
+                e = es[k] + es[k - 1] * gamma
+                es[k] = e.reduce_mod(modulus) if modulus else e
+    return es
+
+
 def exact_divide_by_linear(u: Polynomial, form: Polynomial, pivot: int) -> Polynomial:
     """Division of u by a linear form with nonzero pivot coefficient.
 

@@ -140,7 +140,7 @@ def test_criterion_4_chern_golden():
     c16 = ctx.chern_classes(max_codim=16, ring="Z/2")[16]
     want = {z_class_index(ctx.ct, w): 1 for w in C16_DUAL_WORDS}
     assert c16.coeffs == want
-    assert time.time() - t0 < 1800
+    assert time.time() - t0 < 60
     report(4, "c16(T_{E7/P1}) mod 2 equals the known three-term sum")
 
 

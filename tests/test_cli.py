@@ -241,6 +241,13 @@ def test_non_prime_moduli_exit_2():
         assert code == 2, ring
 
 
+def test_non_canonical_ring_spellings_exit_2():
+    # int() reads each of these, and "Z/1_9" as 19; a ring has one spelling, Z/p
+    for ring in ("Z/02", "Z/+2", "Z/ 2", "Z/2 ", "Z/1_9"):
+        code, out = run(["mult", "--type", "A2", "--a", _a2_class(ring, 1), "--b", _a2_class(ring, 1)])
+        assert code == 2 and out.startswith("usage error"), ring
+
+
 def test_non_invertible_denominators_exit_2():
     for ring in ("Z/2", "Z"):
         code, out = run(["mult", "--type", "A2", "--a", _a2_class(ring, "1/2"), "--b", _a2_class(ring, 1)])

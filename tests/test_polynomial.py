@@ -11,9 +11,9 @@ from weylchow.polynomial import (
     unpack_monomial,
 )
 from weylchow.rootdata import build_root_system
-from weylchow.schubert import ChowClass, flag_context
+from weylchow.schubert import ChowClass, _FlagContext, flag_context
 
-from oracles import exact_divide_by_linear, series_inverse
+from oracles import elementary_symmetric_by_polynomials, exact_divide_by_linear, series_inverse
 
 
 def w(rs, i):
@@ -117,6 +117,20 @@ def test_elementary_symmetric():
     assert es[3] == a1 * a2 * (a1 + a2)
 
 
+def test_fused_elementary_symmetric_matches_oracle():
+    # B2 has (2, -2) and (0, 2), C3 has (0, -2, 2), (-2, 2, 0) and (2, 0, 0): forms that are 0 mod 2
+    e6 = _FlagContext(build_root_system("E6"), (2, 3, 4, 5, 6))
+    cases = [(e6.rs, [pr.omega for pr in e6.unipotent_roots], 6)]
+    for name in ("B2", "C3"):
+        rs = build_root_system(name)
+        cases.append((rs, [pr.omega for pr in rs.positive_roots], len(rs.positive_roots)))
+    for rs, forms, top in cases:
+        for p in (None, 2, 3):
+            got = elementary_symmetric_classes(rs, forms, top, p)
+            want = elementary_symmetric_by_polynomials(rs, forms, top, p)
+            assert [e.terms for e in got] == [e.terms for e in want], (rs.type.name(), p)
+
+
 def test_series_inverse():
     rs = build_root_system("A2")
     x, y = w(rs, 1), w(rs, 2)
@@ -201,3 +215,14 @@ def test_mod2_chern_matches_integral_reduced(type_name, theta):
     assert len(integral) == len(mod2) == ctx.dim + 1
     for a, b in zip(integral, mod2):
         assert ChowClass(a.type_name, a.theta, "Z/2", a.coeffs) == b
+
+
+@pytest.mark.parametrize("type_name, theta", [
+    ("B3", (2, 3)), ("C3", ()), ("G2", ()), ("F4", (2, 3, 4)), ("E6", (2, 3, 4, 5, 6))])
+def test_modp_delta_sweep_matches_integral_reduced(type_name, theta):
+    rs = build_root_system(type_name)
+    integral = _FlagContext(rs, theta).chern_classes(ring="Z")
+    for p in (2, 3):
+        ring = f"Z/{p}"
+        modp = _FlagContext(rs, theta).chern_classes(ring=ring)
+        assert modp == [ChowClass(a.type_name, a.theta, ring, a.coeffs) for a in integral], ring

@@ -510,6 +510,11 @@ def test_class_json_roundtrip():
     )
     got = class_from_json(js2)
     assert got.coeffs == {ct.dual_index(1): 1}
+    # a word that is not the canonical one is canonicalized before the lookup
+    ct = coset_reps(build_root_system("A2"), ())
+    for word in ([2, 1, 2], [1, 1, 2, 1, 2]):
+        got = class_from_json('{"type": "A2", "ring": "Z", "terms": [{"word": %s}]}' % word)
+        assert got.coeffs == {ct.index[WeylElement.from_word(ct.rs, word).word]: 1}
 
 
 @pytest.mark.parametrize(
