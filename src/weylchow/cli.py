@@ -141,18 +141,15 @@ def _dispatch(args) -> str:
         rs = build_root_system(args.type)
         ct = coset_reps(rs, _parse_vertices(args.theta))
         dim = ct.max_length
-        return json.dumps(
-            {
-                "type": rs.type.name(),
-                "theta": list(ct.theta),
-                "count": len(ct),
-                "dim": dim,
-                "reps": [
-                    {"word": list(w.word), "length": len(w.word), "codim": dim - len(w.word)}
-                    for w in ct.reps
-                ],
-            },
-            sort_keys=True,
+        text = ct.word_text
+        reps = ", ".join(
+            f'{{"codim": {dim - l}, "length": {l}, "word": {text[k]}}}'
+            for l in range(dim + 1)
+            for k in ct.of_length(l)
+        )
+        return (
+            f'{{"count": {len(ct)}, "dim": {dim}, "reps": [{reps}], '
+            f'"theta": {json.dumps(list(ct.theta))}, "type": {json.dumps(rs.type.name())}}}'
         )
 
     if args.command == "poincare":
@@ -222,6 +219,8 @@ def _dispatch(args) -> str:
         theta = _parse_vertices(args.theta)
         circled = _parse_vertices(args.circled)
         if args.format == "dot":
+            if args.rost:
+                raise UsageError("--rost needs --format json")
             return decomposition_to_dot(rs, theta, circled)
         return decomposition_to_json(rs, theta, circled, rost=args.rost)
 

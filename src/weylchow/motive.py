@@ -43,29 +43,22 @@ def decompose(rs: RootSystem, theta, circled) -> list:
     """The components of the Hasse diagram cut along the circled labels.
 
     Each is a double coset W_K w W_Theta, K the uncircled vertices.  In
-    table order, position k with point p takes the root of pos(s_i p) for
-    the first i in K with p_i < 0 (a left descent: s_i w is an earlier rep
-    joined to w by an edge labelled i), or is its own root if there is
-    none, so each double coset's least rep roots it.
+    table order, position k takes the root of s_i w_k for the first i in K
+    that is a left descent (`CosetTable.first_descents`: s_i w_k is an
+    earlier rep joined to w_k by an edge labelled i), or is its own root if
+    there is none, so each double coset's least rep roots it.
     """
     circled = set(circled)
     for i in circled:
         if not 1 <= i <= rs.rank:
             raise UsageError(f"circled vertex {i} out of range")
     ct = coset_reps(rs, theta)
-    uncircled = [i for i in range(rs.rank) if i + 1 not in circled]
-    kernel = root_subsystem(rs, [i + 1 for i in uncircled]).type
-    points = ct._points
-    step = ct.step
+    uncircled = [i for i in range(1, rs.rank + 1) if i not in circled]
+    kernel = root_subsystem(rs, uncircled).type
     root = []
     components = {}
-    for k, p in enumerate(points):
-        r = k
-        for i in uncircled:
-            pi, q = step(p, i)
-            if pi < 0:
-                r = root[points[q]]
-                break
+    for k, m in enumerate(ct.first_descents(uncircled)):
+        r = k if m < 0 else root[m]
         root.append(r)
         components.setdefault(r, []).append(k)
     # position -> codimension, read off the table's length layers
@@ -121,31 +114,28 @@ def singleton_components(rs: RootSystem, theta, circled) -> list:
     for s in decompose(rs, theta, circled):
         if s.is_lefschetz:
             v = s.vertices[0]
-            out.append((ct.reps[v].word, ct.codim(v)))
+            out.append((ct.words[v], ct.codim(v)))
     return sorted(out, key=lambda t: (t[1], t[0]))
 
 
 def decomposition_to_json(rs, theta, circled, rost=False) -> str:
+    """The summands as the JSON object {circled, kernel, [rost_twists,] summands, theta, type}, keys sorted."""
     summands = decompose(rs, theta, circled)
     ct = coset_reps(rs, theta)
-    payload = {
-        "type": rs.type.name(),
-        "theta": list(ct.theta),
-        "circled": sorted(set(circled)),
-        "kernel": summands[0].kernel_type.name() if summands else "1",
-        "summands": [
-            {
-                "twist": s.twist,
-                "profile": list(s.profile),
-                "kernel_type": s.kernel_type.name() if not s.is_lefschetz else "1",
-                "vertices": [list(ct.reps[v].word) for v in s.vertices],
-            }
-            for s in summands
-        ],
-    }
-    if rost:
-        payload["rost_twists"] = refine_rost(summands)
-    return json.dumps(payload, sort_keys=True)
+    text = ct.word_text
+    kernel = summands[0].kernel_type.name() if summands else "1"
+    rost_twists = f'"rost_twists": {json.dumps(refine_rost(summands))}, ' if rost else ""
+    parts = ", ".join(
+        f'{{"kernel_type": {json.dumps("1" if s.is_lefschetz else s.kernel_type.name())}, '
+        f'"profile": {json.dumps(list(s.profile))}, "twist": {s.twist}, '
+        f'"vertices": [{", ".join(text[v] for v in s.vertices)}]}}'
+        for s in summands
+    )
+    return (
+        f'{{"circled": {json.dumps(sorted(set(circled)))}, "kernel": {json.dumps(kernel)}, '
+        f'{rost_twists}"summands": [{parts}], "theta": {json.dumps(list(ct.theta))}, '
+        f'"type": {json.dumps(rs.type.name())}}}'
+    )
 
 
 def decomposition_to_dot(rs, theta, circled) -> str:
@@ -160,12 +150,10 @@ def decomposition_to_dot(rs, theta, circled) -> str:
         for v in s.vertices:
             color_of[v] = colors[n % len(colors)]
     circled = set(circled)
+    text = ct.word_text
     lines = ["digraph motive {"]
     for v in h.vertices:
-        w = ct.reps[v]
-        lines.append(
-            f'  n{v} [label="{list(w.word)} ({w.length})", color={color_of[v]}];'
-        )
+        lines.append(f'  n{v} [label="{text[v]} ({ct.length(v)})", color={color_of[v]}];')
     for a, b, label in h.edges:
         if label in circled:
             lines.append(f'  n{a} -> n{b} [label="{label}", style=dotted];')

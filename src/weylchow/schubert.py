@@ -132,7 +132,7 @@ def _check_compatible(a: ChowClass, b: ChowClass):
 
 def class_to_json(cls: ChowClass, ct: CosetTable) -> str:
     terms = [
-        {"word": list(ct.reps[k].word), "coeff": int(c) if not isinstance(c, Fraction) else str(c)}
+        {"word": list(ct.words[k]), "coeff": int(c) if not isinstance(c, Fraction) else str(c)}
         for k, c in sorted(cls.coeffs.items())
     ]
     return json.dumps(
@@ -330,7 +330,7 @@ class _FlagContext:
         scalars = self.delta_scalars(P, max_len=max_codim, modulus=_ring_modulus(ring))
         graded = {}
         for k, c in scalars.items():
-            d = self.ct.reps[k].length
+            d = self.ct.length(k)
             graded.setdefault(d, {})[self.ct.dual_index(k)] = c
         return {
             d: ChowClass(self.rs.type.name(), self.theta, ring, coeffs)

@@ -346,7 +346,7 @@ def _direct_steenrod_pieces(rs, theta, idx, convention, up_to=None, word=None):
     ctx = flag_context(rs, theta)
     ct = ctx.ct
     if word is None:
-        word = ct.reps[idx].word
+        word = ct.words[idx]
     codim = ct.codim(idx)
     emax = codim if up_to is None else min(up_to, codim)
     ring = BottSamelsonRing(rs, word)
@@ -388,7 +388,7 @@ def _phi_pieces(rs, theta, idx):
     """
     conv = _calibrate()
     ct = coset_reps(rs, theta)
-    ring = BottSamelsonRing(rs, ct.reps[idx].word)
+    ring = BottSamelsonRing(rs, ct.words[idx])
     sigma = -1 if conv == "I" else 1
     elem = ring.one()
     for j in range(ring.length):
@@ -438,7 +438,7 @@ def steenrod_basis_element(rs, theta, idx, up_to=None):
     hit = ctx._steenrod_cache.get(idx)
     if hit is not None and hit[0] >= want:
         return {d: c for d, c in hit[1].items() if d <= want}
-    word_len = ct.reps[idx].length
+    word_len = ct.length(idx)
     if word_len <= DIRECT_WORD_LIMIT:
         out = _direct_steenrod_pieces(rs, theta, idx, conv, up_to=want)
     elif codim + want <= DIRECT_WORD_LIMIT:

@@ -12,10 +12,14 @@ the W-orbit of lambda_Theta = sum of omega_i over i not in Theta, whose
 stabilizer is exactly W_Theta.  The same sign test drives it: at a
 representative w with p = w(lambda_Theta), p_i > 0 makes s_i w the next
 longer representative and p_i = 0 means s_i fixes p, so each BFS step
-follows only the ascents.  A new representative's word is its BFS
-parent's with one letter in front; the Hasse diagram is read off the
-table's lambda-points, and the Poincare dual w0 w w_Theta is the
-representative at w0(p).
+follows only the ascents.  The table stores only what the BFS produces:
+the lambda-points with their positions, the BFS tree (parent and label)
+and the length layers.  Words, their JSON text, WeylElements and the word
+index are views derived from the tree on first use: a representative's
+word is its BFS parent's with one letter in front, and its text is its
+parent's text with that letter put in.  The Hasse diagram and the motive
+cut are read off the lambda-points, and the Poincare dual w0 w w_Theta is
+the representative at w0(p).
 
 The lambda-points are packed ints, one 8-bit field per coordinate as for
 the polynomial monomials: coordinate j plus 128 sits in bits [8j, 8j + 8).
@@ -24,13 +28,15 @@ column, exact while every field stays in range.  Every coordinate on the
 orbit is at most max <lambda_Theta, beta^vee> over the positive coroots in
 absolute value (61 at most within rootdata.MAX_POSITIVE_ROOTS), and the
 table checks that bound against 128 before its BFS.  The BFS, the Hasse
-edges, the dual table and the Bott-Samelson pushforward walk all take this
-one step, `CosetTable.step`.
+edges and the descents of the motive cut take this step inlined, one
+label at a time; the dual table and the Bott-Samelson pushforward walk
+call `CosetTable.step`.  The packing stays inside this module.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import prod
@@ -38,6 +44,12 @@ from math import prod
 from .errors import InternalComputationError, ResourceLimitError, UsageError
 from .rootdata import RootSystem, root_subsystem, weyl_degrees
 
+#: |W^Theta| above which a table is refused before its BFS.  Measured with
+#: tracemalloc on CPython 3.11 (E7, Theta = {1}: 1,451,520 cosets), the table
+#: keeps about 170 bytes per coset (200 at the peak of its BFS), so a table at
+#: the cap takes about 1.7 GB (2 GB while it is built).  `word_text` adds about
+#: 150 bytes per coset, and a whole `cosets` run peaked at 0.96 GB RSS there,
+#: about 660 bytes per coset, or some 6.6 GB at the cap.
 DEFAULT_COSET_CAP = 10_000_000
 
 #: a packed lambda-point stores coordinate j as p_j + _BIAS in bits [8j, 8j + 8)
@@ -146,22 +158,32 @@ def orbit_bound(rs: RootSystem, theta) -> int:
 
 
 class CosetTable:
-    """Minimal-length representatives of W/W_Theta, built one reflection per edge.
+    """Minimal-length representatives of W/W_Theta, stored as the arrays of their BFS.
 
-    reps are ordered by (length, canonical word); `parent` and `parent_label`
-    record the BFS tree (rep = s_label * parent), which downstream code uses
-    to evaluate composed divided differences with shared work; a rep is its
-    word alone, (label,) + its parent's word, with no rho-image.  `_points`
-    maps each packed lambda_Theta-image to its rep's position, in table
-    order, `lam` is lambda_Theta itself, packed, and `index` maps words to
-    positions on first lookup.  Each BFS layer is one length, so the reps
-    of length l (codim dim - l) are the positions `of_length(l)`.
+    The table keeps what its breadth-first search produces and nothing else
+    per representative:
+    - `_points` maps each packed lambda_Theta-image to its rep's position,
+      in table order (`lam` is lambda_Theta itself, packed);
+    - `parent` and `parent_label` record the BFS tree (rep = s_label * parent);
+    - `_layers` bounds the BFS layers: each is one length, so the reps of
+      length l (codim dim - l) are the positions `of_length(l)`.
+    Reps are ordered by (length, canonical word).  `len`, `max_length`,
+    `length` and `codim` read the parent and layer arrays.
+
+    Everything else is a view built on first use, in one pass over the
+    parent links: `words` (a rep's canonical word is (label,) + its
+    parent's), `word_text` (each word's JSON-array text, made from its
+    parent's text), `reps` (the WeylElements, for code that multiplies
+    them) and `index` (word -> position).  Renderers print `word_text`, so
+    printing a table builds no tuple or element per rep.
 
     A packed point holds coordinate j plus 128 in bits [8j, 8j + 8), and
-    `step` reflects it.  Before the BFS the table checks that `orbit_bound`
-    is below 128, so every coordinate of the orbit fits its field and the
-    packed reflection is exact; a larger bound raises
-    InternalComputationError (no accepted type has one).
+    `step` reflects it; the BFS, `hasse_diagram` and `first_descents` take
+    the same step inlined, with each label's shift and Cartan column
+    hoisted.  Before the BFS the table checks that `orbit_bound` is below
+    128, so every coordinate of the orbit fits its field and the packed
+    reflection is exact; a larger bound raises InternalComputationError
+    (no accepted type has one).
 
     The lex-least word of a new point q is (i,) + word(s_i q) for the least
     i with q_i < 0, the greedy rule `_canonical_from_image` applies to rho.
@@ -194,7 +216,6 @@ class CosetTable:
         )
         lam = sum((_BIAS + (0 if (j + 1) in theta else 1)) << (_BITS * j) for j in range(rs.rank))
 
-        step = self.step
         points = {lam: 0}     # packed lambda-image -> position, in table order
         order = [lam]
         parent = [-1]
@@ -204,24 +225,24 @@ class CosetTable:
         while start < len(order):
             end = len(order)
             layers.append(end)
-            for i in range(rs.rank):
-                for k in range(start, end):
-                    pi, q = step(order[k], i)
-                    if pi > 0 and q not in points:
-                        points[q] = len(order)
-                        order.append(q)
-                        parent.append(k)
-                        parent_label.append(i + 1)
+            layer = order[start:end]
+            for label, col in enumerate(self._cols, 1):
+                shift = _BITS * (label - 1)
+                for k, p in enumerate(layer, start):
+                    f = (p >> shift) & _MASK
+                    if f > _BIAS:  # p_i > 0: an ascent
+                        q = p - (f - _BIAS) * col
+                        if q not in points:
+                            points[q] = len(order)
+                            order.append(q)
+                            parent.append(k)
+                            parent_label.append(label)
             if len(order) > cap:
                 raise ResourceLimitError(
                     f"|W^Theta| exceeds cap {cap} for type {rs.type.name()}, theta={list(theta)}"
                 )
             start = end
 
-        reps = [WeylElement.identity(rs)]
-        for k in range(1, len(order)):
-            reps.append(WeylElement(rs, (parent_label[k],) + reps[parent[k]].word))
-        self.reps = tuple(reps)
         self.parent = tuple(parent)
         self.parent_label = tuple(parent_label)
         self._layers = tuple(layers)
@@ -239,16 +260,20 @@ class CosetTable:
         return pi, p - pi * self._cols[i]
 
     def __len__(self):
-        return len(self.reps)
+        return len(self.parent)
 
     @property
     def max_length(self) -> int:
         """dim G/P_Theta: the length of the longest representative."""
-        return self.reps[-1].length if self.reps else 0
+        return len(self._layers) - 2
+
+    def length(self, k: int) -> int:
+        """Length of the rep at position k: the layer that holds k."""
+        return bisect_right(self._layers, k) - 1
 
     def codim(self, k: int) -> int:
         """Codimension of the basis class [X_w] for rep index k."""
-        return self.max_length - self.reps[k].length
+        return self.max_length - self.length(k)
 
     def of_length(self, l: int) -> range:
         """Positions of the reps of length l; empty outside 0..max_length."""
@@ -259,6 +284,58 @@ class CosetTable:
     def of_codim(self, d: int) -> range:
         """Positions of the basis classes of codimension d; empty outside 0..max_length."""
         return self.of_length(self.max_length - d)
+
+    @cached_property
+    def words(self) -> tuple:
+        """Canonical word of every position, built on first use: (label,) + the parent's word."""
+        words = [()]
+        for p, label in zip(self.parent[1:], self.parent_label[1:]):
+            words.append((label,) + words[p])
+        return tuple(words)
+
+    @cached_property
+    def word_text(self) -> tuple:
+        """JSON-array text of every canonical word, "[2, 1]" for (2, 1), built on first use.
+
+        A rep's text is its parent's with the label put in front, so no
+        word tuple is built and no list is serialized.
+        """
+        heads = [f"[{label}, " for label in range(self.rs.rank + 1)]
+        text = ["[]"]
+        for p, label in zip(self.parent[1:], self.parent_label[1:]):
+            text.append(heads[label] + text[p][1:] if p else f"[{label}]")
+        return tuple(text)
+
+    @cached_property
+    def reps(self) -> tuple:
+        """The representatives as WeylElements, built on first use."""
+        rs = self.rs
+        return tuple(WeylElement(rs, w) for w in self.words)
+
+    @cached_property
+    def index(self):
+        """Canonical word -> position, built on first lookup."""
+        return {w: k for k, w in enumerate(self.words)}
+
+    def first_descents(self, labels) -> list:
+        """For each position k, the position of s_i w_k for the first i in labels
+        (1-based, in the order given) with p_i < 0, or -1 where there is none.
+
+        A left descent i of w_k in W^Theta makes s_i w_k an earlier rep, one
+        Hasse edge labelled i below w_k.
+        """
+        points = self._points
+        steps = [(_BITS * (i - 1), self._cols[i - 1]) for i in labels]
+        out = []
+        for p in points:
+            m = -1
+            for shift, col in steps:
+                f = (p >> shift) & _MASK
+                if f < _BIAS:
+                    m = points[p - (f - _BIAS) * col]
+                    break
+            out.append(m)
+        return out
 
     @cached_property
     def _dual(self):
@@ -284,11 +361,6 @@ class CosetTable:
         if None in dual:
             raise InternalComputationError("w0 maps a coset point outside the orbit")
         return tuple(dual)
-
-    @cached_property
-    def index(self):
-        """Canonical word -> position, built on first lookup."""
-        return {w.word: k for k, w in enumerate(self.reps)}
 
     def dual_index(self, k: int) -> int:
         """Index of w0 * w_k * w_theta, the Poincaré-dual basis element."""
@@ -322,28 +394,27 @@ class HasseDiagram:
 
 def hasse_diagram(ct: CosetTable) -> HasseDiagram:
     """Edges k -> pos(s_i p) for every lambda-image p of the table with p_i > 0."""
-    step = ct.step
     points = ct._points
-    labels = range(ct.rs.rank)
+    steps = [(_BITS * i, col, i + 1) for i, col in enumerate(ct._cols)]
     edges = []
     for k, p in enumerate(points):
-        for i in labels:
-            pi, q = step(p, i)
-            if pi > 0:
-                m = points.get(q)
+        for shift, col, label in steps:
+            f = (p >> shift) & _MASK
+            if f > _BIAS:
+                m = points.get(p - (f - _BIAS) * col)
                 if m is None:
                     raise InternalComputationError("an ascent leaves the coset table")
-                edges.append((k, m, i + 1))
+                edges.append((k, m, label))
     edges.sort()
-    return HasseDiagram(theta=ct.theta, vertices=tuple(range(len(ct.reps))), edges=tuple(edges), table=ct)
+    return HasseDiagram(theta=ct.theta, vertices=tuple(range(len(ct))), edges=tuple(edges), table=ct)
 
 
 def hasse_to_dot(h: HasseDiagram) -> str:
+    ct = h.table
+    text = ct.word_text
     lines = ["digraph hasse {"]
     for k in h.vertices:
-        w = h.table.reps[k]
-        label = f"{list(w.word)} ({w.length})"
-        lines.append(f'  n{k} [label="{label}"];')
+        lines.append(f'  n{k} [label="{text[k]} ({ct.length(k)})"];')
     for a, b, i in h.edges:
         lines.append(f'  n{a} -> n{b} [label="{i}"];')
     lines.append("}")
@@ -351,12 +422,12 @@ def hasse_to_dot(h: HasseDiagram) -> str:
 
 
 def hasse_to_json(h: HasseDiagram) -> str:
-    payload = {
-        "type": h.table.rs.type.name(),
-        "theta": list(h.theta),
-        "vertices": [
-            {"word": list(w.word), "length": w.length} for w in h.table.reps
-        ],
-        "edges": [{"from": a, "to": b, "label": i} for a, b, i in h.edges],
-    }
-    return json.dumps(payload, sort_keys=True)
+    """The diagram as the JSON object {edges, theta, type, vertices}, keys sorted."""
+    ct = h.table
+    text = ct.word_text
+    vertices = ", ".join(f'{{"length": {ct.length(k)}, "word": {text[k]}}}' for k in h.vertices)
+    edges = ", ".join(f'{{"from": {a}, "label": {i}, "to": {b}}}' for a, b, i in h.edges)
+    return (
+        f'{{"edges": [{edges}], "theta": {json.dumps(list(h.theta))}, '
+        f'"type": {json.dumps(ct.rs.type.name())}, "vertices": [{vertices}]}}'
+    )

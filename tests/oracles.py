@@ -1,9 +1,10 @@
 """Slow, independent reference implementations that only the tests use."""
 
+import json
 from fractions import Fraction
 
 from weylchow.errors import InternalComputationError
-from weylchow.motive import MotiveSummand
+from weylchow.motive import MotiveSummand, decompose, refine_rost
 from weylchow.polynomial import BITS, MASK, Polynomial, _unit, unpack_monomial
 from weylchow.rootdata import root_subsystem, weyl_degrees
 from weylchow.schubert import (
@@ -209,6 +210,24 @@ def coset_bfs_by_tuples(rs, theta):
     return order, tuple(parent), tuple(parent_label), tuple(counts)
 
 
+def words_by_greedy_descent(rs, order):
+    """Canonical word of every tuple point, by greedy descent to order[0] = lambda_Theta.
+
+    At each point the least i with p_i < 0 is the next letter; the package
+    instead puts one label in front of the BFS parent's word.
+    """
+    lam = order[0]
+    words = []
+    for p in order:
+        word = []
+        while p != lam:
+            i = next(i for i, pi in enumerate(p) if pi < 0)
+            word.append(i + 1)
+            p = rs.reflect_weight(i, p)
+        words.append(tuple(word))
+    return tuple(words)
+
+
 def hasse_edges_by_tuples(rs, order):
     """Sorted edges (k, pos(s_i p), i + 1) for every tuple point p = order[k] with p_i > 0."""
     points = {p: k for k, p in enumerate(order)}
@@ -276,3 +295,100 @@ def decompose_by_hasse_dfs(rs, theta, circled):
                                  profile=tuple(profile), kernel_type=kernel))
     out.sort(key=lambda s: (s.twist, s.profile, s.vertices))
     return out
+
+
+# --- reference renderers ------------------------------------------------------
+# Each builds the payload from WeylElement reps and serializes it with
+# json.dumps(sort_keys=True) or plain f-strings; the package prints the same
+# bytes from the coset table's word text.
+
+
+def cosets_by_json_dumps(ct):
+    """`cosets` output: the table's reps with their lengths and codimensions."""
+    dim = ct.max_length
+    return json.dumps(
+        {
+            "type": ct.rs.type.name(),
+            "theta": list(ct.theta),
+            "count": len(ct),
+            "dim": dim,
+            "reps": [
+                {"word": list(w.word), "length": len(w.word), "codim": dim - len(w.word)}
+                for w in ct.reps
+            ],
+        },
+        sort_keys=True,
+    )
+
+
+def hasse_json_by_json_dumps(h):
+    payload = {
+        "type": h.table.rs.type.name(),
+        "theta": list(h.theta),
+        "vertices": [
+            {"word": list(w.word), "length": w.length} for w in h.table.reps
+        ],
+        "edges": [{"from": a, "to": b, "label": i} for a, b, i in h.edges],
+    }
+    return json.dumps(payload, sort_keys=True)
+
+
+def hasse_dot_by_fstrings(h):
+    lines = ["digraph hasse {"]
+    for k in h.vertices:
+        w = h.table.reps[k]
+        label = f"{list(w.word)} ({w.length})"
+        lines.append(f'  n{k} [label="{label}"];')
+    for a, b, i in h.edges:
+        lines.append(f'  n{a} -> n{b} [label="{i}"];')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def decomposition_json_by_json_dumps(rs, theta, circled, rost=False):
+    summands = decompose(rs, theta, circled)
+    ct = coset_reps(rs, theta)
+    payload = {
+        "type": rs.type.name(),
+        "theta": list(ct.theta),
+        "circled": sorted(set(circled)),
+        "kernel": summands[0].kernel_type.name() if summands else "1",
+        "summands": [
+            {
+                "twist": s.twist,
+                "profile": list(s.profile),
+                "kernel_type": s.kernel_type.name() if not s.is_lefschetz else "1",
+                "vertices": [list(ct.reps[v].word) for v in s.vertices],
+            }
+            for s in summands
+        ],
+    }
+    if rost:
+        payload["rost_twists"] = refine_rost(summands)
+    return json.dumps(payload, sort_keys=True)
+
+
+def decomposition_dot_by_fstrings(rs, theta, circled):
+    ct = coset_reps(rs, theta)
+    h = hasse_diagram(ct)
+    summands = decompose(rs, theta, circled)
+    colors = ["red", "blue", "green", "orange", "purple", "brown", "cyan",
+              "magenta", "gray", "olive", "pink", "navy"]
+    color_of = {}
+    for n, s in enumerate(summands):
+        for v in s.vertices:
+            color_of[v] = colors[n % len(colors)]
+    circled = set(circled)
+    lines = ["digraph motive {"]
+    for v in h.vertices:
+        w = ct.reps[v]
+        lines.append(
+            f'  n{v} [label="{list(w.word)} ({w.length})", color={color_of[v]}];'
+        )
+    for a, b, label in h.edges:
+        if label in circled:
+            lines.append(f'  n{a} -> n{b} [label="{label}", style=dotted];')
+        else:
+            lines.append(f'  n{a} -> n{b} [label="{label}"];')
+    lines.append("}")
+    return "\n".join(lines)

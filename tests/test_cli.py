@@ -1,11 +1,24 @@
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylchow.cli import run
+from weylchow.errors import UsageError
+from weylchow.rootdata import build_root_system
+from weylchow.weyl import coset_reps, hasse_diagram
+
+from oracles import (
+    cosets_by_json_dumps,
+    decomposition_dot_by_fstrings,
+    decomposition_json_by_json_dumps,
+    hasse_dot_by_fstrings,
+    hasse_json_by_json_dumps,
+)
 
 
 def test_poincare_command():
@@ -103,6 +116,50 @@ def test_decompose_e7_paper_example():
     assert data["rost_twists"] == sorted(list(range(2, 23)) + [11, 12, 13])
 
 
+@pytest.mark.parametrize(
+    "name,theta,circled_sets",
+    [("A1", "1", ["", "1"]), ("A3", "", ["", "2"]), ("B3", "", ["1", "1,2,3"]),
+     ("G2", "", ["", "2"]), ("D4", "1,3,4", ["2", "1,3,4"]), ("F4", "2,3,4", ["1", "4"]),
+     ("E6", "2,3,4,5,6", ["", "1,2,3,4,5,6", "2,4"])],
+    ids=["A1/P1", "A3", "B3", "G2", "D4/P2", "F4/P1", "E6/P1"],
+)
+def test_renderers_match_the_json_dumps_oracles(name, theta, circled_sets):
+    rs = build_root_system(name)
+    th = tuple(int(x) for x in theta.split(",") if x)
+    ct = coset_reps(rs, th)
+    h = hasse_diagram(ct)
+    base = ["--type", name, "--theta", theta]
+    assert run(["cosets", *base]) == (0, cosets_by_json_dumps(ct))
+    assert run(["hasse", *base, "--format", "json"]) == (0, hasse_json_by_json_dumps(h))
+    assert run(["hasse", *base, "--format", "dot"]) == (0, hasse_dot_by_fstrings(h))
+    for circled in circled_sets:
+        c = tuple(int(x) for x in circled.split(",") if x)
+        argv = ["decompose", *base, "--circled", circled]
+        assert run(argv + ["--format", "dot"]) == (0, decomposition_dot_by_fstrings(rs, th, c))
+        assert run(argv) == (0, decomposition_json_by_json_dumps(rs, th, c))
+        try:
+            want = (0, decomposition_json_by_json_dumps(rs, th, c, rost=True))
+        except UsageError as exc:  # a component whose profile 1 + t^3 does not divide
+            want = (2, f"usage error: {exc}")
+        assert run(argv + ["--rost"]) == want, circled
+
+
+def test_e6_full_flag_cosets_match_the_json_dumps_oracle():
+    ct = coset_reps(build_root_system("E6"), ())
+    assert run(["cosets", "--type", "E6", "--theta", ""]) == (0, cosets_by_json_dumps(ct))
+
+
+def test_cli_outputs_match_the_benchmark_goldens():
+    # the digests the benchmark checks, of stdout as printed (with its newline)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "cli-e6flags.json"
+    golden = json.loads(path.read_text(encoding="utf-8"))["outputs"]
+    assert len(golden) == 20
+    for argv, want in golden.items():
+        code, out = run(json.loads(argv))
+        assert code == 0, argv
+        assert hashlib.sha256((out + "\n").encode()).hexdigest() == want["sha256"], argv
+
+
 def test_hasse_command_formats():
     code, out = run(["hasse", "--type", "A2", "--theta", "", "--format", "dot"])
     assert code == 0 and out.startswith("digraph")
@@ -162,6 +219,8 @@ def test_usage_errors_exit_2():
     cls = json.dumps({"type": "A2", "theta": [], "ring": "Z/2", "terms": [{"word": [1], "coeff": 1}]})
     code, out = run(["steenrod", "--type", "A2", "--theta", "", "--class", cls, "--i", "-1"])
     assert code == 2
+    code, out = run(["decompose", "--type", "B2", "--circled", "1", "--format", "dot", "--rost"])
+    assert (code, out) == (2, "usage error: --rost needs --format json")
 
 
 def _a2_class(ring, coeff):

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -20,6 +21,7 @@ from oracles import (
     coset_bfs_by_tuples,
     dual_table_by_tuples,
     hasse_edges_by_tuples,
+    words_by_greedy_descent,
 )
 
 
@@ -336,24 +338,49 @@ def test_packed_table_matches_the_tuple_oracle(name, theta):
     assert ct.parent == parent
     assert ct.parent_label == parent_label
     assert ct.graded_counts() == counts
+    assert len(ct) == len(order)
+    words = words_by_greedy_descent(rs, order)
+    assert not {"words", "word_text", "reps", "index"} & vars(ct).keys()  # views are built on use
+    assert ct.words == words
+    assert ct.word_text == tuple(json.dumps(list(w)) for w in words)
+    assert ct.reps == tuple(WeylElement.from_word(rs, w) for w in words)  # canonical: from rho
+    assert ct.index == {w: k for k, w in enumerate(words)}
+    assert ct.max_length == len(words[-1])
+    assert [ct.codim(k) for k in range(len(ct))] == [ct.max_length - len(w) for w in words]
     assert hasse_diagram(ct).edges == hasse_edges_by_tuples(rs, order)
     assert tuple(ct.dual_index(k) for k in range(len(ct))) == dual_table_by_tuples(rs, order, ct.w0)
 
 
-def test_word_index_is_built_on_first_lookup():
+def test_word_index_is_built_on_first_lookup(monkeypatch):
+    import functools
+
+    import weylchow.weyl as weyl
     from weylchow.cli import run
     from weylchow.schubert import class_from_json
 
+    # a table cache of this test's own, so no other test has built a view yet
+    monkeypatch.setattr(weyl, "_coset_table", functools.cache(CosetTable))
     ct = coset_reps(build_root_system("A1xG2"), (2,))
     for argv in (["cosets", "--type", "A1xG2", "--theta", "2"],
                  ["decompose", "--type", "A1xG2", "--theta", "2", "--circled", "1"]):
         assert run(argv)[0] == 0
     assert "index" not in ct.__dict__
-    for k, w in enumerate(ct.reps):
+    for k, w in enumerate(ct.words):
         cls = class_from_json(
-            '{"type": "A1xG2", "theta": [2], "ring": "Z", "terms": [{"word": %s}]}' % list(w.word))
+            '{"type": "A1xG2", "theta": [2], "ring": "Z", "terms": [{"word": %s}]}' % list(w))
         assert cls.coeffs == {k: 1}
     assert "index" in ct.__dict__
+
+    # printing a table reads its word text only: no word tuple, WeylElement or index
+    e6p1 = coset_reps(build_root_system("E6"), (2, 3, 4, 5, 6))
+    base = ["--type", "E6", "--theta", "2,3,4,5,6"]
+    for argv in (["cosets", *base], ["hasse", *base, "--format", "json"],
+                 ["hasse", *base, "--format", "dot"],
+                 ["decompose", *base, "--circled", "2,4", "--format", "json"],
+                 ["decompose", *base, "--circled", "2,4", "--format", "dot"]):
+        assert run(argv)[0] == 0
+    assert "word_text" in vars(e6p1)
+    assert not {"words", "reps", "index"} & vars(e6p1).keys()
 
 
 def test_packing_bound_fits_every_accepted_type():
