@@ -17,22 +17,28 @@ Poincaré pairing, so no general intersection products are needed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import univar
 from .errors import UsageError
-from .rootdata import DynkinType, RootSystem, build_root_system, root_subsystem
+from .rootdata import DynkinType, Record, RootSystem, build_root_system, root_subsystem
 from .weyl import coset_reps, hasse_diagram
 
 
-@dataclass(frozen=True)
-class MotiveSummand:
+class MotiveSummand(Record):
     """One connected component of the cut diagram."""
 
-    vertices: tuple        # rep indices
-    twist: int             # minimal codimension in the component
-    profile: tuple         # vertex counts per codimension offset from twist
-    kernel_type: DynkinType
+    __slots__ = (
+        "vertices",        # rep indices
+        "twist",           # minimal codimension in the component
+        "profile",         # vertex counts per codimension offset from twist
+        "kernel_type",
+    )
+
+    def __init__(self, vertices: tuple, twist: int, profile: tuple, kernel_type: DynkinType):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "twist", twist)
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "kernel_type", kernel_type)
 
     @property
     def is_lefschetz(self) -> bool:
@@ -168,14 +174,26 @@ def decomposition_to_dot(rs, theta, circled) -> str:
 # that the cut above loads no Schubert or polynomial machinery)
 
 
-@dataclass(frozen=True)
-class Correspondence:
+class Correspondence(Record):
     """A sum of product cycles sum_i a_i x b_i on X x X over Z/p."""
 
-    type_name: str
-    theta: tuple
-    ring: str
-    pairs: tuple              # tuple of (ChowClass, ChowClass)
+    __slots__ = (
+        "type_name",
+        "theta",
+        "ring",
+        "pairs",                  # tuple of (ChowClass, ChowClass)
+    )
+
+    def __init__(self, type_name: str, theta: tuple, ring: str, pairs: tuple):
+        object.__setattr__(self, "type_name", type_name)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "pairs", pairs)
+        if self.modulus is None:
+            raise UsageError("correspondences require a finite coefficient ring Z/p")
+        for a, b in pairs:
+            if a.ring != ring or b.ring != ring:
+                raise UsageError("component classes must match the correspondence ring")
 
     @property
     def modulus(self):
@@ -183,13 +201,6 @@ class Correspondence:
         from .schubert import _ring_modulus
 
         return _ring_modulus(self.ring)
-
-    def __post_init__(self):
-        if self.modulus is None:
-            raise UsageError("correspondences require a finite coefficient ring Z/p")
-        for a, b in self.pairs:
-            if a.ring != self.ring or b.ring != self.ring:
-                raise UsageError("component classes must match the correspondence ring")
 
     def normalized(self, ct) -> dict:
         """Collapse to a matrix {(i, j): coeff} over basis pairs."""

@@ -15,10 +15,8 @@ which is the matrix form of s_i(omega_j) = omega_j - delta_ij alpha_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import ResourceLimitError, UsageError
 
@@ -64,15 +62,53 @@ def _check_family_rank(family: str, rank: int) -> None:
         raise UsageError("G exists only in rank 2")
 
 
-@dataclass(frozen=True)
-class DynkinType:
+class Record:
+    """Base of the package's immutable value records.
+
+    A subclass names its fields in `__slots__`, in constructor order, and
+    its own `__init__` checks or normalizes them and stores each once with
+    `object.__setattr__`.  Records refuse assignment and deletion, compare
+    and hash by their fields (never equal to a record of another class),
+    and print as `Class(field=value, ...)`.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which stores the slots
+        return type(self), self._fields()
+
+
+class DynkinType(Record):
     """An ordered list of simple components, vertices labelled 1..n overall."""
 
-    components: tuple  # tuple of (family, rank)
+    __slots__ = ("components",)  # tuple of (family, rank)
 
-    def __post_init__(self):
-        for family, rank in self.components:
+    def __init__(self, components: tuple):
+        for family, rank in components:
             _check_family_rank(family, rank)
+        object.__setattr__(self, "components", components)
 
     @staticmethod
     def parse(text: str) -> "DynkinType":
@@ -158,39 +194,59 @@ def _simple_cartan(family: str, rank: int):
 
 
 def _symmetrizer(cartan, n):
-    """Positive integers d_i with d_i A[i][j] = d_j A[j][i]; short roots get 1."""
+    """Positive integers d_i with d_i A[i][j] = d_j A[j][i].
+
+    Each component is walked from its least vertex, starting at 1 and
+    scaled by the least factor that keeps d_j = d_i A[i][j] / A[j][i]
+    integral, so it ends as its primitive vector.  The components are then
+    brought to a common value at their least vertices and the whole vector
+    is divided by its gcd.  A simple type gets 1 on its short roots; a
+    reducible one can keep a common factor on a component (B2xG2 gives
+    (2, 1, 2, 6)).
+    """
     d = [0] * n
+    components = []
     for start in range(n):
         if d[start]:
             continue
         d[start] = 1
-        stack = [start]
-        while stack:
-            i = stack.pop()
+        component = [start]
+        for i in component:
             for j in range(n):
                 if i != j and cartan[i][j] != 0 and not d[j]:
-                    # d_j / d_i = A[i][j] / A[j][i]
+                    # d_j / d_i = A[i][j] / A[j][i]; rescale the component if d_j is not integral
                     num = d[i] * cartan[i][j]
                     den = cartan[j][i]
-                    q = Fraction(num, den)
-                    d[j] = q
-                    stack.append(j)
-    # clear denominators per component and normalize minimum to 1
-    lcm = 1
-    for f in d:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in d]
-    g = gcd(*ints)
-    return tuple(v // g for v in ints)
+                    scale = -den // gcd(num, den)
+                    if scale > 1:
+                        for k in component:
+                            d[k] *= scale
+                        num *= scale
+                    d[j] = num // den
+                    component.append(j)
+        components.append(component)
+    common = lcm(*(d[c[0]] for c in components))
+    for c in components:
+        factor = common // d[c[0]]
+        for k in c:
+            d[k] *= factor
+    g = gcd(*d)
+    return tuple(v // g for v in d)
 
 
-@dataclass(frozen=True)
-class PositiveRoot:
+class PositiveRoot(Record):
     """One positive root with its precomputed pairing data."""
 
-    root: tuple        # simple-root coordinates
-    omega: tuple       # fundamental-weight coordinates (A @ root)
-    coroot: tuple      # coordinates of beta^vee over the simple coroots
+    __slots__ = (
+        "root",            # simple-root coordinates
+        "omega",           # fundamental-weight coordinates (A @ root)
+        "coroot",          # coordinates of beta^vee over the simple coroots
+    )
+
+    def __init__(self, root: tuple, omega: tuple, coroot: tuple):
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "coroot", coroot)
 
 
 class RootSystem:

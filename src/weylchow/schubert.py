@@ -34,7 +34,6 @@ chain, one length layer of the table at a time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm
@@ -42,7 +41,9 @@ from math import gcd, lcm
 from . import univar
 from .errors import InternalComputationError, ResourceLimitError, UsageError
 from .polynomial import Polynomial, elementary_symmetric_classes
-from .rootdata import RootSystem, build_root_system, is_small_prime, root_subsystem, weyl_degrees
+from .rootdata import (
+    Record, RootSystem, build_root_system, is_small_prime, root_subsystem, weyl_degrees,
+)
 from .weyl import CosetTable, WeylElement, _canonical_from_image, checked_word, coset_reps
 
 
@@ -50,8 +51,7 @@ from .weyl import CosetTable, WeylElement, _canonical_from_image, checked_word, 
 # Chow classes
 
 
-@dataclass(frozen=True)
-class ChowClass:
+class ChowClass(Record):
     """A sparse element of CH*(G/P_Theta) over the Schubert basis.
 
     Immutable, and normalized when built: over Z/p every coefficient is
@@ -60,28 +60,33 @@ class ChowClass:
     given, and zero coefficients are dropped.
     """
 
-    type_name: str
-    theta: tuple
-    ring: str                 # "Z", "Q", or "Z/p"
-    coeffs: dict              # basis index -> coefficient
+    __slots__ = (
+        "type_name",
+        "theta",
+        "ring",                   # "Z", "Q", or "Z/p"
+        "coeffs",                 # basis index -> coefficient
+    )
 
-    def __post_init__(self):
-        p = _ring_modulus(self.ring)
+    def __init__(self, type_name: str, theta: tuple, ring: str, coeffs: dict):
+        p = _ring_modulus(ring)
         out = {}
-        for k, c in self.coeffs.items():
+        for k, c in coeffs.items():
             if p is not None:
                 if isinstance(c, Fraction):
                     if c.denominator % p == 0:
                         raise InternalComputationError(f"denominator not invertible mod {p}")
                     c = c.numerator * pow(c.denominator, -1, p)
                 c = c % p
-            elif self.ring == "Z":
+            elif ring == "Z":
                 if isinstance(c, Fraction):
                     if c.denominator != 1:
                         raise InternalComputationError("non-integral coefficient in Z-class")
                     c = int(c)
             if c:
                 out[k] = c
+        object.__setattr__(self, "type_name", type_name)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coeffs", out)
 
     def is_zero(self):
@@ -179,7 +184,8 @@ def class_from_json(text: str) -> ChowClass:
             raise UsageError(f"coefficient {c} has a denominator that is not invertible in {ring}")
         if ring == "Z" and den != 1:
             raise UsageError(f"coefficient {c} is not an integer, as ring Z requires")
-    return ChowClass(type_name, theta, ring, coeffs)
+    # the canonical type name and theta, as every class the package builds carries
+    return ChowClass(rs.type.name(), ct.theta, ring, coeffs)
 
 
 def _coefficient_from_json(c):

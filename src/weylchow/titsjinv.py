@@ -18,23 +18,24 @@ split classification is the published 8-row table used as data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import univar
 from .errors import UsageError
-from .rootdata import DynkinType, RootSystem, build_root_system, is_small_prime, root_subsystem
+from .rootdata import (
+    DynkinType, Record, RootSystem, build_root_system, is_small_prime, root_subsystem,
+)
 
 
-@dataclass(frozen=True)
-class TitsIndex:
-    type: DynkinType
-    circled: tuple
+class TitsIndex(Record):
+    __slots__ = ("type", "circled")
 
-    def __post_init__(self):
-        n = self.type.rank
-        for i in self.circled:
+    def __init__(self, type: DynkinType, circled: tuple):
+        n = type.rank
+        for i in circled:
             if not 1 <= i <= n:
                 raise UsageError(f"circled vertex {i} out of range 1..{n}")
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "circled", circled)
 
 
 def anisotropic_kernel(idx: TitsIndex) -> DynkinType:
@@ -68,21 +69,24 @@ def kernel_display_name(dtype: DynkinType, circled) -> str:
     return "x".join(sorted(names, reverse=True))
 
 
-@dataclass(frozen=True)
-class HigherIndexSet:
-    type: DynkinType
-    indices: tuple  # tuple of sorted circled-subset tuples
+class HigherIndexSet(Record):
+    __slots__ = (
+        "type",
+        "indices",  # tuple of sorted circled-subset tuples
+    )
 
-    def __post_init__(self):
-        n = self.type.rank
-        for m in self.indices:
+    def __init__(self, type: DynkinType, indices: tuple):
+        n = type.rank
+        for m in indices:
             for i in m:
                 if not 1 <= i <= n:
                     raise UsageError(f"circled vertex {i} out of range 1..{n}")
-        members = [set(m) for m in self.indices]
+        members = [set(m) for m in indices]
         minimal = [m for m in members if not any(o < m for o in members)]
         if len(minimal) != 1:
             raise UsageError("higher index set must have a unique minimal element")
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "indices", indices)
 
     @staticmethod
     def build(dtype: DynkinType, subsets) -> "HigherIndexSet":
@@ -97,12 +101,19 @@ class HigherIndexSet:
         raise AssertionError
 
 
-@dataclass(frozen=True)
-class Automaton:
-    type: DynkinType
-    states: tuple          # circled subsets, sorted
-    labels: tuple          # display name per state
-    transitions: tuple     # (from_state_pos, to_state_pos, label vertex)
+class Automaton(Record):
+    __slots__ = (
+        "type",
+        "states",          # circled subsets, sorted
+        "labels",          # display name per state
+        "transitions",     # (from_state_pos, to_state_pos, label vertex)
+    )
+
+    def __init__(self, type: DynkinType, states: tuple, labels: tuple, transitions: tuple):
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "transitions", transitions)
 
 
 def automaton(omega: HigherIndexSet) -> Automaton:
@@ -245,13 +256,19 @@ def deglex_leq(M, N, degrees) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class KacEntry:
+class KacEntry(Record):
     """(d_i, k_i) pairs of the mod-p Chow presentation of the split group."""
 
-    type: DynkinType
-    p: int
-    pairs: tuple  # sorted by d
+    __slots__ = (
+        "type",
+        "p",
+        "pairs",  # sorted by d
+    )
+
+    def __init__(self, type: DynkinType, p: int, pairs: tuple):
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def r(self):
@@ -348,10 +365,12 @@ def kac_entry(dtype, p: int) -> KacEntry:
     return KacEntry(dtype, p, tuple(pairs))
 
 
-@dataclass(frozen=True)
-class JProfile:
-    p: int
-    values: tuple
+class JProfile(Record):
+    __slots__ = ("p", "values")
+
+    def __init__(self, p: int, values: tuple):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "values", values)
 
     def validate(self, entry: KacEntry):
         if len(self.values) != entry.r:

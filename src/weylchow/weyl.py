@@ -37,12 +37,11 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cache, cached_property
 from math import prod
 
 from .errors import InternalComputationError, ResourceLimitError, UsageError
-from .rootdata import RootSystem, root_subsystem, weyl_degrees
+from .rootdata import Record, RootSystem, root_subsystem, weyl_degrees
 
 #: |W^Theta| above which a table is refused before its BFS.  Measured with
 #: tracemalloc on CPython 3.11 (E7, Theta = {1}: 1,451,520 cosets), the table
@@ -92,12 +91,14 @@ def checked_word(rs: RootSystem, word) -> tuple:
     return word
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Record):
     """A Weyl group element as its canonical (lex-least reduced) word, unique per element."""
 
-    rs: RootSystem
-    word: tuple
+    __slots__ = ("rs", "word")
+
+    def __init__(self, rs: RootSystem, word: tuple):
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "word", word)
 
     @staticmethod
     def from_word(rs: RootSystem, word) -> "WeylElement":
@@ -381,15 +382,22 @@ def _coset_table(rs: RootSystem, theta: tuple) -> CosetTable:
     return CosetTable(rs, theta)
 
 
-@dataclass(frozen=True)
-class HasseDiagram:
+class HasseDiagram(Record):
     """Labelled weak-order diagram on W^Theta: w -> s_i w when both are
     representatives and the length goes up (necessarily by exactly 1)."""
 
-    theta: tuple
-    vertices: tuple          # rep indices, in table order
-    edges: tuple             # (from_index, to_index, label)
-    table: CosetTable
+    __slots__ = (
+        "theta",
+        "vertices",              # rep indices, in table order
+        "edges",                 # (from_index, to_index, label)
+        "table",
+    )
+
+    def __init__(self, theta: tuple, vertices: tuple, edges: tuple, table: CosetTable):
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "table", table)
 
 
 def hasse_diagram(ct: CosetTable) -> HasseDiagram:

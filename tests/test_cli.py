@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from weylchow.cli import run
 from weylchow.errors import UsageError
 from weylchow.rootdata import build_root_system
+from weylchow.schubert import class_from_json
 from weylchow.weyl import coset_reps, hasse_diagram
 
 from oracles import (
@@ -74,6 +75,28 @@ def test_steenrod_command():
     assert code == 0
     graded = json.loads(out)
     assert graded[0]["terms"] == [{"word": [1], "coeff": 1}]
+
+
+def test_class_json_type_and_theta_are_normalized():
+    # a lower-case type and a repeated theta vertex name the same variety as
+    # their canonical spellings: the class matches --type/--theta and prints
+    # as the canonical class does
+    def cls(type_name, theta):
+        return json.dumps({"type": type_name, "theta": theta, "ring": "Z/2",
+                           "terms": [{"word": [1], "coeff": 1}]})
+
+    for spelled, canonical, theta in [(cls("a2", []), cls("A2", []), ""),
+                                      (cls("A2", [2, 2]), cls("A2", [2]), "2")]:
+        steenrod = run(["steenrod", "--type", "A2", "--theta", theta, "--class", canonical])
+        mult = run(["mult", "--type", "A2", "--theta", theta, "--a", canonical, "--b", canonical])
+        assert steenrod[0] == 0 and mult[0] == 0
+        for cli_type in ("a2", "A2"):
+            assert run(["steenrod", "--type", cli_type, "--theta", theta,
+                        "--class", spelled]) == steenrod
+            assert run(["mult", "--type", cli_type, "--theta", theta,
+                        "--a", spelled, "--b", canonical]) == mult
+    parsed = class_from_json(cls("a2", [2, 2]))
+    assert (parsed.type_name, parsed.theta) == ("A2", (2,))
 
 
 def test_decompose_command():

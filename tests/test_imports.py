@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -41,46 +42,109 @@ EXPORTED = {
 }
 
 
-def _modules_loaded_by(argv):
-    """The weylchow submodules a fresh interpreter has loaded after one CLI invocation."""
-    script = (
-        "import json, sys\n"
-        "from weylchow.cli import run\n"
-        f"run({argv!r})\n"
-        "print(json.dumps(sorted(m.split('.', 1)[1] for m in sys.modules"
-        " if m.startswith('weylchow.'))))\n"
-    )
+#: stdlib modules no command needs: `dataclasses` brings `inspect`, `ast`, `dis` and
+#: `tokenize`; the Weyl, motive and Tits commands need no `fractions`
+NO_DATACLASSES = {"dataclasses", "inspect"}
+NO_FRACTIONS = {"fractions", "decimal", "numbers"}
+
+HELP_AND_ARGV_ERRORS = {
+    "help": ["--help"],
+    "missing-type": ["cosets"],
+    "unknown-command": ["frobnicate", "--type", "A2"],
+}
+ROOTS_AND_COSETS = {
+    "roots": ["roots", "--type", "B2"],
+    "cosets": ["cosets", "--type", "A2", "--theta", ""],
+}
+CUT_HASSE_AND_TITS = {
+    "decompose": ["decompose", "--type", "E7", "--theta", "1,2,3,4,5,6", "--circled", "1,6,7",
+                  "--rost"],
+    "hasse": ["hasse", "--type", "B3", "--theta", "1"],
+    "automaton": ["automaton", "--type", "B3", "--omega", "[[],[1],[1,2],[1,2,3]]"],
+    "jinv-rhs": ["jinv", "--type", "F4", "--p", "2", "--profile", "1", "rhs"],
+}
+_A2_CLASS = '{"type": "A2", "theta": [], "ring": "Z/2", "terms": [{"word": [1], "coeff": 1}]}'
+SCHUBERT_COMMANDS = {
+    "mult": ["mult", "--type", "A2", "--theta", "", "--a", _A2_CLASS, "--b", _A2_CLASS],
+    "chern": ["chern", "--type", "B3", "--theta", "1", "--mod", "2"],
+    "steenrod": ["steenrod", "--type", "A2", "--theta", "", "--class", _A2_CLASS],
+    "poincare": ["poincare", "--type", "E6", "--theta", "1"],
+}
+
+
+def _params(*groups):
+    cases = {k: tuple(v) for group in groups for k, v in group.items()}
+    return pytest.mark.parametrize("argv", list(cases.values()), ids=list(cases))
+
+
+def _last_line_of_python(script):
+    """The last stdout line of a fresh interpreter that runs script on this weylchow."""
     src = str(Path(weylchow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     p = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                        env=env, timeout=60, check=True)
-    return set(json.loads(p.stdout.splitlines()[-1]))
+    return p.stdout.splitlines()[-1]
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["cosets"], ["frobnicate", "--type", "A2"]],
-                         ids=["help", "missing-type", "unknown-command"])
+@cache
+def _modules_loaded_by(argv: tuple):
+    """The weylchow submodules and the top-level stdlib modules a fresh
+    interpreter has loaded after one CLI invocation (one process per argv)."""
+    script = (
+        "import json, sys\n"
+        "from weylchow.cli import run\n"
+        f"run({list(argv)!r})\n"
+        "print(json.dumps([sorted(m.split('.', 1)[1] for m in sys.modules"
+        " if m.startswith('weylchow.')), sorted({m.split('.', 1)[0] for m in sys.modules}"
+        " & sys.stdlib_module_names)]))\n"
+    )
+    package, stdlib = json.loads(_last_line_of_python(script))
+    return set(package), set(stdlib)
+
+
+@_params(HELP_AND_ARGV_ERRORS)
 def test_help_and_argv_errors_load_no_math_module(argv):
-    assert _modules_loaded_by(argv) & MATH_MODULES == set()
+    package, _ = _modules_loaded_by(argv)
+    assert package & MATH_MODULES == set()
 
 
-@pytest.mark.parametrize("argv", [["roots", "--type", "B2"], ["cosets", "--type", "A2", "--theta", ""]],
-                         ids=["roots", "cosets"])
+@_params(ROOTS_AND_COSETS)
 def test_roots_and_cosets_load_only_root_data_and_weyl(argv):
-    loaded = _modules_loaded_by(argv)
-    assert "rootdata" in loaded
-    assert loaded & {"schubert", "polynomial", "steenrod", "motive", "titsjinv"} == set()
+    package, _ = _modules_loaded_by(argv)
+    assert "rootdata" in package
+    assert package & {"schubert", "polynomial", "steenrod", "motive", "titsjinv"} == set()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["decompose", "--type", "E7", "--theta", "1,2,3,4,5,6", "--circled", "1,6,7", "--rost"],
-     ["hasse", "--type", "B3", "--theta", "1"],
-     ["automaton", "--type", "B3", "--omega", "[[],[1],[1,2],[1,2,3]]"],
-     ["jinv", "--type", "F4", "--p", "2", "--profile", "1", "rhs"]],
-    ids=["decompose", "hasse", "automaton", "jinv-rhs"],
-)
+@_params(CUT_HASSE_AND_TITS)
 def test_cut_hasse_and_tits_commands_load_no_schubert_machinery(argv):
-    assert _modules_loaded_by(argv) & {"schubert", "polynomial", "steenrod"} == set()
+    package, _ = _modules_loaded_by(argv)
+    assert package & {"schubert", "polynomial", "steenrod"} == set()
+
+
+@_params(HELP_AND_ARGV_ERRORS, ROOTS_AND_COSETS, CUT_HASSE_AND_TITS, SCHUBERT_COMMANDS)
+def test_no_command_loads_dataclasses_or_inspect(argv):
+    _, stdlib = _modules_loaded_by(argv)
+    assert "json" in stdlib  # the stdlib report is live
+    assert stdlib & NO_DATACLASSES == set()
+
+
+@_params(ROOTS_AND_COSETS, CUT_HASSE_AND_TITS)
+def test_weyl_motive_and_tits_commands_load_no_fractions(argv):
+    _, stdlib = _modules_loaded_by(argv)
+    assert stdlib & NO_FRACTIONS == set()
+
+
+def test_no_weylchow_module_imports_dataclasses_or_inspect():
+    package_dir = Path(weylchow.__file__).resolve().parent
+    modules = sorted(f"weylchow.{f.stem}" for f in package_dir.glob("*.py"))
+    assert "weylchow.titsjinv" in modules
+    script = (
+        "import importlib, sys\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    assert _last_line_of_python(script) == "[]"
 
 
 def test_namespace_resolves_every_exported_name():

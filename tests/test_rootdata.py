@@ -1,9 +1,17 @@
+import copy
 import math
+from fractions import Fraction
 
 import pytest
 
-from weylchow.errors import UsageError
-from weylchow.rootdata import DynkinType, build_root_system, root_subsystem, weyl_degrees
+from weylchow.errors import InternalComputationError, UsageError
+from weylchow.motive import Correspondence, MotiveSummand
+from weylchow.rootdata import (
+    DynkinType, PositiveRoot, Record, build_root_system, root_subsystem, weyl_degrees,
+)
+from weylchow.schubert import ChowClass
+from weylchow.titsjinv import Automaton, HigherIndexSet, JProfile, KacEntry, TitsIndex
+from weylchow.weyl import HasseDiagram, WeylElement, coset_reps, hasse_diagram
 
 LIE_DIMENSIONS = {
     # dim g = n + 2 * |Phi+| per simple component
@@ -141,3 +149,107 @@ def test_reducible_system_block_structure():
     rs = build_root_system("A2xA2")
     assert rs.num_positive_roots() == 6
     assert rs.cartan[0][2] == 0 and rs.cartan[2][0] == 0
+
+
+@pytest.mark.parametrize("name, symmetrizer", [
+    ("B3", (2, 2, 1)),
+    ("C3", (1, 1, 2)),
+    ("F4", (2, 2, 1, 1)),
+    ("G2", (1, 3)),
+    # components are brought to a common value at their least vertices
+    ("B2xG2", (2, 1, 2, 6)),
+    ("G2xB2", (2, 6, 2, 1)),
+    ("C3xB2xG2", (2, 2, 4, 2, 1, 2, 6)),
+    ("E7", (1,) * 7),
+])
+def test_symmetrizer_values(name, symmetrizer):
+    rs = build_root_system(name)
+    assert rs.symmetrizer == symmetrizer
+    d, a = rs.symmetrizer, rs.cartan
+    assert all(d[i] * a[i][j] == d[j] * a[j][i] for i in range(rs.rank) for j in range(rs.rank))
+
+
+def _value_cases():
+    """(record class, positional field values, [(bad values, exception, message)])."""
+    a2 = build_root_system("A2")
+    b3 = DynkinType((("B", 3),))
+    hasse = hasse_diagram(coset_reps(a2, (1,)))
+    z2 = ChowClass("A2", (), "Z/2", {0: 1})
+    return [
+        (DynkinType, ((("B", 3),),), [
+            (((("E", 5),),), UsageError, "E exists only in ranks 6, 7, 8"),
+            (((("B", 1),),), UsageError, "B requires rank >= 2"),
+        ]),
+        (PositiveRoot, ((1, 1), (1, 1), (1, 1)), []),
+        (WeylElement, (a2, (1, 2)), []),
+        (HasseDiagram, (hasse.theta, hasse.vertices, hasse.edges, hasse.table), []),
+        (ChowClass, ("A2", (), "Z/3", {0: 4, 1: 0}), [
+            (("A2", (), "Z", {0: Fraction(1, 2)}), InternalComputationError,
+             "non-integral coefficient in Z-class"),
+            (("A2", (), "Z/2", {0: Fraction(1, 2)}), InternalComputationError,
+             "denominator not invertible mod 2"),
+        ]),
+        (MotiveSummand, ((0, 1), 0, (1, 1), DynkinType((("A", 1),))), []),
+        (Correspondence, ("A2", (), "Z/2", ((z2, z2),)), [
+            (("A2", (), "Z", ()), UsageError, "finite coefficient ring Z/p"),
+            (("A2", (), "Z/3", ((z2, z2),)), UsageError, "must match the correspondence ring"),
+        ]),
+        (TitsIndex, (b3, (1, 3)), [
+            ((b3, (4,)), UsageError, "circled vertex 4 out of range 1..3"),
+        ]),
+        (HigherIndexSet, (b3, ((), (1,), (1, 2, 3))), [
+            ((b3, ((), (1, 2, 3, 99))), UsageError, "circled vertex 99 out of range 1..3"),
+            ((b3, ((1,), (2,))), UsageError, "unique minimal element"),
+        ]),
+        (Automaton, (b3, ((), (1,)), ("B3", "B2"), ((0, 1, 1),)), []),
+        (KacEntry, (b3, 2, ((1, 2), (3, 1))), []),
+        (JProfile, (2, (1, 0)), []),
+    ]
+
+
+@pytest.mark.parametrize("case", _value_cases(), ids=lambda case: case[0].__name__)
+def test_records_are_immutable_values(case):
+    cls, values, invalid = case
+    assert len(cls.__slots__) == len(values)
+    a, b = cls(*values), cls(**dict(zip(cls.__slots__, values)))
+    assert not hasattr(a, "__dict__")
+    assert a == b and not a != b and a is not b
+    assert copy.copy(a) == a
+    if cls in (ChowClass, Correspondence):  # a dict of coefficients is not hashable
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    class Twin(Record):  # another record class with the same fields
+        __slots__ = cls.__slots__
+
+        def __init__(self, *fields):
+            for name, value in zip(self.__slots__, fields):
+                object.__setattr__(self, name, value)
+
+    twin = Twin(*(getattr(a, name) for name in cls.__slots__))
+    assert a != twin and twin != a and not a == twin
+
+    before = [getattr(a, name) for name in cls.__slots__]
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert [getattr(a, name) for name in cls.__slots__] == before and a == b
+
+    for bad, error, message in invalid:
+        with pytest.raises(error, match=message):
+            cls(*bad)
+        with pytest.raises(error, match=message):
+            cls(**dict(zip(cls.__slots__, bad)))
+
+
+def test_record_repr_lists_fields():
+    assert repr(DynkinType((("B", 3),))) == "DynkinType(components=(('B', 3),))"
+    assert repr(JProfile(2, (1,))) == "JProfile(p=2, values=(1,))"
+    assert repr(WeylElement(build_root_system("A2"), (1, 2))) == "w[1, 2]"

@@ -453,13 +453,11 @@ def test_grading_rank_profile_matches_poincare():
 
 
 def test_chow_class_value_contract():
-    from dataclasses import FrozenInstanceError
-
     cls = ChowClass("A2", (), "Z/2", {0: 3, 1: 0})
     assert cls.coeffs == {0: 1}
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         cls.ring = "Z"
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         cls.coeffs = {}
     assert ChowClass("A2", (), "Z/3", {0: Fraction(1, 2)}).coeffs == {0: 2}
     z = ChowClass("A2", (), "Z", {0: Fraction(4, 2)})
