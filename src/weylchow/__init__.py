@@ -31,10 +31,10 @@ _EXPORTS = {
         ("rootdata", ("DynkinType", "RootSystem", "build_root_system", "root_subsystem",
                       "weyl_degrees")),
         ("weyl", ("CosetTable", "WeylElement", "coset_reps", "hasse_diagram",
-                  "longest_element")),
+                  "longest_element", "poincare_polynomial")),
         ("schubert", ("ChowClass", "char_map", "chern_tangent", "divided_difference", "dual",
                       "duality_product", "invariant_generators", "multiply", "pieri_multiply",
-                      "poincare_polynomial", "preimage", "pullback_to_flags")),
+                      "preimage", "pullback_to_flags")),
         ("polynomial", ("Polynomial",)),
         ("steenrod", ("BottSamelsonRing", "bs_pushforward", "steenrod_on_bs",
                       "steenrod_total")),

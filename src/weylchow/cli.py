@@ -50,14 +50,31 @@ def _parse_profile(text):
         raise UsageError(f"cannot parse profile {text!r}") from None
 
 
-def _graded_piece(classes, i):
-    """Degree i of a graded list of classes; the zero class above its top degree."""
-    if i < len(classes):
-        return classes[i]
-    from .schubert import ChowClass
+def _classes_on_args(args, *texts):
+    """The coset table of --type/--theta and the classes in the JSON texts, which live there."""
+    from .rootdata import DynkinType, build_root_system
+    from .schubert import class_from_json
+    from .weyl import coset_reps
 
+    theta = _parse_vertices(args.theta)
+    classes = [class_from_json(text) for text in texts]
+    name = DynkinType.parse(args.type).name()
+    if any(cls.type_name != name or cls.theta != theta for cls in classes):
+        raise UsageError("class JSON does not match --type/--theta")
+    return coset_reps(build_root_system(args.type), theta), classes
+
+
+def _graded_json(classes, ct, degree):
+    """A graded list of classes as a JSON array, or its piece of one degree (the zero
+    class above the top degree) when degree is not None."""
+    from .schubert import ChowClass, class_to_json
+
+    if degree is None:
+        return "[" + ", ".join(class_to_json(c, ct) for c in classes) + "]"
+    if degree < len(classes):
+        return class_to_json(classes[degree], ct)
     c0 = classes[0]
-    return ChowClass(c0.type_name, c0.theta, c0.ring, {})
+    return class_to_json(ChowClass(c0.type_name, c0.theta, c0.ring, {}), ct)
 
 
 def _build_parser():
@@ -155,61 +172,34 @@ def _dispatch(args) -> str:
     if args.command == "poincare":
         from . import univar
         from .rootdata import build_root_system
-        from .schubert import poincare_polynomial
+        from .weyl import poincare_polynomial
 
         rs = build_root_system(args.type)
         g = poincare_polynomial(rs, _parse_vertices(args.theta))
         return univar.to_string(g)
 
     if args.command == "mult":
-        from .rootdata import DynkinType, build_root_system
-        from .schubert import class_from_json, class_to_json, multiply
-        from .weyl import coset_reps
+        from .schubert import class_to_json, multiply
 
-        theta = _parse_vertices(args.theta)
-        a = class_from_json(args.a)
-        b = class_from_json(args.b)
-        for cls in (a, b):
-            if cls.type_name != DynkinType.parse(args.type).name() or cls.theta != theta:
-                raise UsageError("class JSON does not match --type/--theta")
-        rs = build_root_system(args.type)
-        ct = coset_reps(rs, theta)
+        ct, (a, b) = _classes_on_args(args, args.a, args.b)
         return class_to_json(multiply(a, b), ct)
 
     if args.command == "chern":
         from .rootdata import build_root_system
-        from .schubert import chern_tangent, class_to_json
+        from .schubert import chern_tangent
         from .weyl import coset_reps
 
         rs = build_root_system(args.type)
         theta = _parse_vertices(args.theta)
         ring = "Z" if args.mod is None else f"Z/{args.mod}"
         classes = chern_tangent(rs, theta, max_codim=args.codim, ring=ring)
-        ct = coset_reps(rs, theta)
-        if args.codim is not None:
-            return class_to_json(_graded_piece(classes, args.codim), ct)
-        return json.dumps(
-            [json.loads(class_to_json(c, ct)) for c in classes], sort_keys=True
-        )
+        return _graded_json(classes, coset_reps(rs, theta), args.codim)
 
     if args.command == "steenrod":
-        from .rootdata import DynkinType, build_root_system
-        from .schubert import class_from_json, class_to_json
         from .steenrod import steenrod_total
-        from .weyl import coset_reps
 
-        theta = _parse_vertices(args.theta)
-        cls = class_from_json(args.cls)
-        if cls.type_name != DynkinType.parse(args.type).name() or cls.theta != theta:
-            raise UsageError("class JSON does not match --type/--theta")
-        rs = build_root_system(args.type)
-        ct = coset_reps(rs, theta)
-        graded = steenrod_total(cls, up_to=args.i)
-        if args.i is not None:
-            return class_to_json(_graded_piece(graded, args.i), ct)
-        return json.dumps(
-            [json.loads(class_to_json(c, ct)) for c in graded], sort_keys=True
-        )
+        ct, (cls,) = _classes_on_args(args, args.cls)
+        return _graded_json(steenrod_total(cls, up_to=args.i), ct, args.i)
 
     if args.command == "decompose":
         from .motive import decomposition_to_dot, decomposition_to_json

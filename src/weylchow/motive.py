@@ -20,7 +20,9 @@ import json
 
 from . import univar
 from .errors import UsageError
-from .rootdata import DynkinType, Record, RootSystem, build_root_system, root_subsystem
+from .rootdata import (
+    DynkinType, Record, RootSystem, build_root_system, ring_modulus, root_subsystem,
+)
 from .weyl import coset_reps, hasse_diagram
 
 
@@ -198,9 +200,7 @@ class Correspondence(Record):
     @property
     def modulus(self):
         """p for the ring Z/p, None for Z and Q."""
-        from .schubert import _ring_modulus
-
-        return _ring_modulus(self.ring)
+        return ring_modulus(self.ring)
 
     def normalized(self, ct) -> dict:
         """Collapse to a matrix {(i, j): coeff} over basis pairs."""

@@ -9,19 +9,18 @@ order sorts monomials by degree first.  Every monomial has total degree at
 most MASK, hence no exponent field can carry into the next; a product or a
 constructor that would break this raises InternalComputationError.
 
-The Weyl action and divided differences are the two nonstandard operations:
+The one nonstandard operation is the divided difference D_i(u) =
+(u - s_i u)/alpha_i, where s_i substitutes x_i -> x_i - alpha_i (the other
+variables are fixed).  On a monomial x_i^k * m' (m' free of x_i) it is the
+integer formula
 
-* s_i substitutes x_i -> x_i - alpha_i (the other variables are fixed);
-* the divided difference D_i(u) = (u - s_i u)/alpha_i is evaluated on a
-  monomial x_i^k * m' (m' free of x_i) by the integer formula
+    D_i(x_i^k m') = m' * sum_{j=1..k} (-1)^(j+1) C(k,j) x_i^(k-j) alpha_i^(j-1),
 
-      D_i(x_i^k m') = m' * sum_{j=1..k} (-1)^(j+1) C(k,j) x_i^(k-j) alpha_i^(j-1),
-
-  which avoids polynomial division entirely (exactness is structural, so a
-  direct division routine is kept only as a cross-check in the tests).
-
-Both read k from the packed key, strip x_i^k from it, and add the packed
-terms of (x_i - alpha_i)^k or D_i(x_i^k), cached per (root system, i, k).
+which avoids polynomial division entirely (exactness is structural, so a
+direct division routine is kept only as a cross-check in the tests).  It
+reads k from the packed key, strips x_i^k from it, and adds the packed
+terms of D_i(x_i^k), cached per (root system, i, k).  alpha_i is not a zero
+divisor, so s_i u = u exactly when D_i u = 0: invariance is tested that way.
 Because divided differences are integral, reducing integer coefficients
 mod p commutes with them: divided_difference reduces its output given a
 modulus, and elementary_symmetric_classes reduces while it accumulates.
@@ -136,9 +135,6 @@ class Polynomial:
                 t.pop(e, None)
         return Polynomial(self.rs, t)
 
-    def __neg__(self):
-        return Polynomial(self.rs, {e: -c for e, c in self.terms.items()})
-
     def scale(self, c):
         if not c:
             return Polynomial(self.rs, {})
@@ -194,18 +190,13 @@ class Polynomial:
                 out[e - unit] = out.get(e - unit, 0) + c * k
         return Polynomial(self.rs, out)
 
-    # -- Weyl action and divided differences ------------------------------
-
-    def reflect(self, i):
-        """Apply s_i (0-based i): substitute x_i -> x_i - alpha_i."""
-        return self._substitute_power(i, _x_minus_alpha_power, keep_constant=True)
+    # -- divided differences and invariance --------------------------------
 
     def divided_difference(self, i, modulus=None):
-        """D_i = (1 - s_i)/alpha_i (0-based i), exact and division-free; reduced mod a prime modulus."""
-        return self._substitute_power(i, _divdiff_power, keep_constant=False, modulus=modulus)
+        """D_i = (1 - s_i)/alpha_i (0-based i), exact and division-free; reduced mod a prime modulus.
 
-    def _substitute_power(self, i, image, keep_constant, modulus=None):
-        """Replace each x_i^k (k > 0) by image(rs, i, k); keep or drop the x_i-free terms."""
+        Each x_i^k (k > 0) is replaced by D_i(x_i^k); the x_i-free terms drop out.
+        """
         rs = self.rs
         si = BITS * i
         unit = _unit(rs, i)
@@ -215,12 +206,10 @@ class Polynomial:
         for m, c in self.terms.items():
             k = (m >> si) & MASK
             if not k:
-                if keep_constant:
-                    out[m] = get(m, 0) + c
                 continue
             table = tables.get(k)
             if table is None:
-                table = tables[k] = image(rs, i, k)
+                table = tables[k] = _divdiff_power(rs, i, k)
             base = m - k * unit
             for t, ct in table:
                 key = base + t
@@ -228,7 +217,8 @@ class Polynomial:
         return Polynomial(rs, {e: v for e, c in out.items() if (v := c % modulus if modulus else c)})
 
     def is_invariant_under(self, indices_1based):
-        return all(self.reflect(i - 1) == self for i in indices_1based)
+        """s_i u = u for every listed i, read as D_i u = 0."""
+        return all(self.divided_difference(i - 1).is_zero() for i in indices_1based)
 
     # -- coefficient handling ---------------------------------------------
 
@@ -272,18 +262,6 @@ def _alpha_powers(rs, i, k):
         return {0: 1}
     alpha = Polynomial.linear_form(rs, rs.alpha_omega(i))
     return (Polynomial(rs, _alpha_powers(rs, i, k - 1)) * alpha).terms
-
-
-@cache
-def _x_minus_alpha_power(rs, i, k):
-    """(x_i - alpha_i)^k as a tuple of packed (key, coefficient) terms."""
-    xi = Polynomial.variable(rs, i + 1)
-    alpha = Polynomial.linear_form(rs, rs.alpha_omega(i))
-    base = xi - alpha
-    acc = Polynomial.one(rs)
-    for _ in range(k):
-        acc = acc * base
-    return tuple(acc.terms.items())
 
 
 @cache

@@ -43,6 +43,25 @@ def is_small_prime(p: int) -> bool:
     return 2 <= p < 1 << 31 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
+@cache
+def ring_modulus(ring: str):
+    """None for Z and Q, p for Z/p; a non-prime p is a usage error (inverses mod p need a field)."""
+    if ring in ("Z", "Q"):
+        return None
+    if ring.startswith("Z/"):
+        try:
+            p = int(ring[2:])
+        except ValueError:
+            raise UsageError(f"bad ring {ring!r}") from None
+        if ring != f"Z/{p}":  # one spelling per ring: int() also reads "02", "+2", " 2" and "1_9"
+            raise UsageError(f"bad ring {ring!r}: write the modulus as Z/{p}")
+        # the cache spares ChowClass construction from repeating the test for every class
+        if not is_small_prime(p):
+            raise UsageError(f"bad ring {ring!r}: the modulus must be a prime below 2^31")
+        return p
+    raise UsageError(f"unknown ring {ring!r}")
+
+
 def _check_family_rank(family: str, rank: int) -> None:
     if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}")

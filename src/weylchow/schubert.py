@@ -38,11 +38,10 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm
 
-from . import univar
 from .errors import InternalComputationError, ResourceLimitError, UsageError
 from .polynomial import Polynomial, elementary_symmetric_classes
 from .rootdata import (
-    Record, RootSystem, build_root_system, is_small_prime, root_subsystem, weyl_degrees,
+    Record, RootSystem, build_root_system, ring_modulus, root_subsystem, weyl_degrees,
 )
 from .weyl import CosetTable, WeylElement, _canonical_from_image, checked_word, coset_reps
 
@@ -68,7 +67,7 @@ class ChowClass(Record):
     )
 
     def __init__(self, type_name: str, theta: tuple, ring: str, coeffs: dict):
-        p = _ring_modulus(ring)
+        p = ring_modulus(ring)
         out = {}
         for k, c in coeffs.items():
             if p is not None:
@@ -107,25 +106,6 @@ class ChowClass(Record):
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0) + c
         return ChowClass(self.type_name, self.theta, self.ring, out)
-
-
-@cache
-def _ring_modulus(ring: str):
-    """None for Z and Q, p for Z/p; a non-prime p is a usage error (inverses mod p need a field)."""
-    if ring in ("Z", "Q"):
-        return None
-    if ring.startswith("Z/"):
-        try:
-            p = int(ring[2:])
-        except ValueError:
-            raise UsageError(f"bad ring {ring!r}") from None
-        if ring != f"Z/{p}":  # one spelling per ring: int() also reads "02", "+2", " 2" and "1_9"
-            raise UsageError(f"bad ring {ring!r}: write the modulus as Z/{p}")
-        # the cache spares ChowClass construction from repeating the test for every class
-        if not is_small_prime(p):
-            raise UsageError(f"bad ring {ring!r}: the modulus must be a prime below 2^31")
-        return p
-    raise UsageError(f"unknown ring {ring!r}")
 
 
 def _check_compatible(a: ChowClass, b: ChowClass):
@@ -177,7 +157,7 @@ def class_from_json(text: str) -> ChowClass:
             coeffs[k] = coeffs.get(k, 0) + _coefficient_from_json(term.get("coeff", 1))
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed class JSON: {exc}") from exc
-    p = _ring_modulus(ring)
+    p = ring_modulus(ring)
     for c in coeffs.values():
         den = c.denominator if isinstance(c, Fraction) else 1
         if p is not None and den % p == 0:
@@ -198,26 +178,6 @@ def _coefficient_from_json(c):
         except ZeroDivisionError:
             raise UsageError(f"coefficient {c!r} has a zero denominator") from None
     raise UsageError(f"coefficient {c!r} must be an integer or a rational string")
-
-
-# ---------------------------------------------------------------------------
-# Poincaré polynomial (Solomon)
-
-
-def poincare_polynomial(rs: RootSystem, theta) -> tuple:
-    """Ratio of degree products; exact division, error on nonzero remainder."""
-    theta = tuple(sorted(set(theta)))
-    num = univar.ONE
-    for d in weyl_degrees(rs.type):
-        num = univar.mul(num, univar.t_power_minus_one(d))
-    den = univar.ONE
-    sub = root_subsystem(rs, theta)
-    sub_degrees = weyl_degrees(sub.type)
-    for d in sub_degrees:
-        den = univar.mul(den, univar.t_power_minus_one(d))
-    for _ in range(rs.rank - len(sub_degrees)):
-        den = univar.mul(den, univar.t_power_minus_one(1))
-    return univar.divide_exact(num, den, "Poincaré")
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +252,8 @@ class _FlagContext:
         self.dim = self.ct.max_length
         self._grid = {}          # degree -> (pivots, D, A)
         self._images = {}        # generator exponents e -> delta sweep of g^e
-        # Grow-on-demand memos: an entry computed up to bound b serves requests <= b.
+        # grow-on-demand memo: an entry computed up to bound b serves requests <= b
         self._chern = {}          # ring -> [c_0, ..., c_b]
-        self._steenrod_cache = {}  # basis index -> (b, S^0..S^b pieces)
 
     # -- invariant generators -----------------------------------------
 
@@ -333,7 +292,7 @@ class _FlagContext:
         Returns {degree: ChowClass}; each graded piece of P of degree d
         contributes at codimension d via index w -> dual index.
         """
-        scalars = self.delta_scalars(P, max_len=max_codim, modulus=_ring_modulus(ring))
+        scalars = self.delta_scalars(P, max_len=max_codim, modulus=ring_modulus(ring))
         graded = {}
         for k, c in scalars.items():
             d = self.ct.length(k)
@@ -506,7 +465,7 @@ class _FlagContext:
         if cached is not None and len(cached) > top:
             return cached[: top + 1]
         forms = [pr.omega for pr in self.unipotent_roots]
-        es = elementary_symmetric_classes(self.rs, forms, top, _ring_modulus(ring))
+        es = elementary_symmetric_classes(self.rs, forms, top, ring_modulus(ring))
         # the e_k have distinct degrees, so their terms never collide
         total = Polynomial(self.rs, {m: c for e in es for m, c in e.terms.items()})
         graded = self.char_map_graded(total, ring=ring, max_codim=top)
@@ -702,14 +661,13 @@ def invariant_generators(rs: RootSystem, theta):
 # Public characteristic map / preimage / multiplication
 
 
-def char_map(rs: RootSystem, theta, u: Polynomial, check: bool = True) -> ChowClass:
+def char_map(rs: RootSystem, theta, u: Polynomial) -> ChowClass:
     """The map c(u) = sum Delta_w(u) [X_{w0 w wt}] for homogeneous invariant u."""
     ctx = flag_context(rs, theta)
-    if check:
-        if not u.is_homogeneous():
-            raise UsageError("char_map requires a homogeneous polynomial")
-        if not u.is_invariant_under(ctx.theta):
-            raise UsageError("polynomial is not W_Theta-invariant")
+    if not u.is_homogeneous():
+        raise UsageError("char_map requires a homogeneous polynomial")
+    if not u.is_invariant_under(ctx.theta):
+        raise UsageError("polynomial is not W_Theta-invariant")
     if u.is_zero() or u.degree() > ctx.dim:
         return ChowClass(rs.type.name(), ctx.theta, "Q", {})
     graded = ctx.char_map_graded(u)

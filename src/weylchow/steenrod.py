@@ -223,40 +223,6 @@ def steenrod_on_bs(ring: BottSamelsonRing, elem):
     return out
 
 
-def _subword_images(ring: BottSamelsonRing, ct: CosetTable, top: int) -> dict:
-    """mask -> coset position, for the masks of degree <= top that push forward to a class.
-
-    The subword at the positions outside the mask is walked right to left,
-    prepending letters to u, with p = u(lambda_Theta) the table's packed
-    point, advanced by `ct.step`.  Every right factor of a reduced word of a
-    minimal representative is again one, so the walk only takes letter j
-    when p_j > 0, the ascents of W^Theta (p_j < 0 makes the subword
-    non-reduced, p_j = 0 leaves W^Theta); each subtree that breaks this
-    pushes forward to 0 and is cut.  Masks sharing their high positions
-    share the walk up to there.
-    """
-    step = ct.step
-    points = ct._points
-    word = ring.word
-    out = {}
-    stack = [(ring.length - 1, ct.lam, 0, top)]
-    while stack:
-        pos, p, mask, spare = stack.pop()
-        if pos < 0:
-            k = points.get(p)
-            if k is None:
-                raise InternalComputationError("pushforward image is not a coset representative")
-            out[mask] = k
-            continue
-        j = word[pos] - 1
-        if spare:
-            stack.append((pos - 1, p, mask | (1 << pos), spare - 1))
-        pj, q = step(p, j)
-        if pj > 0:
-            stack.append((pos - 1, q, mask, spare))
-    return out
-
-
 def bs_pushforward(ring: BottSamelsonRing, masks, theta) -> ChowClass:
     """Push square-free monomials to mod-2 Schubert classes on G/P_Theta.
 
@@ -270,7 +236,7 @@ def bs_pushforward(ring: BottSamelsonRing, masks, theta) -> ChowClass:
     """
     ct = coset_reps(ring.rs, theta)
     top = max((m.bit_count() for m in masks), default=0)
-    images = _subword_images(ring, ct, top)
+    images = ct.subword_positions(ring.word, top)
     out = set()
     for m in masks:
         k = images.get(m)
@@ -279,12 +245,21 @@ def bs_pushforward(ring: BottSamelsonRing, masks, theta) -> ChowClass:
     return ChowClass(ring.rs.type.name(), ct.theta, "Z/2", dict.fromkeys(out, 1))
 
 
-def _pushed_pieces(ring: BottSamelsonRing, elem, ct: CosetTable, idx):
-    """{d: pi_* of the degree-d part of elem}, nonzero pieces only.
+def _pushed_series(ct: CosetTable, idx, word, eps, weights, top):
+    """{d: pi_* of degree d of c(E)^eps c(T_Z)^-eps}, nonzero pieces only, d <= top.
 
-    A degree-d monomial lands in codimension codim(idx) + d, so one push of
-    the whole element is split by codimension; degree 0 must give [X_idx].
+    Z is the resolution of `word`, a reduced word of the rep at position idx,
+    E the sum of the line bundles pulled back from the weights (omega
+    coordinates), and c(T_Z) = prod_j (1 + nu_j); eps is +1 or -1.  A
+    degree-d monomial lands in codimension codim(idx) + d, so one push of
+    the whole product is split by codimension; degree 0 must give [X_idx].
     """
+    ring = BottSamelsonRing(ct.rs, word)
+    elem = ring.one()
+    for mu in weights:
+        elem = ring.mul_one_plus_series(elem, ring.pull_weight_class(mu), eps, top)
+    for nu in ring.nu:
+        elem = ring.mul_one_plus_series(elem, nu, -eps, top)
     base = ct.codim(idx)
     graded = {}
     for k in bs_pushforward(ring, ring.masks(elem), ct.theta).coeffs:
@@ -330,7 +305,7 @@ def _oracle_steenrod_divisor_generated(rs: RootSystem, idx):
     subbed = _substitute_total_square_mod2(iu.reduce_mod(2))
     graded = {}
     for d, piece in subbed.graded_parts().items():
-        img = char_map(rs, (), piece, check=False)
+        img = char_map(rs, (), piece)
         img2 = ChowClass(rs.type.name(), (), "Z/2", img.coeffs)
         if not img2.is_zero():
             graded[d - ct.codim(idx)] = img2
@@ -345,20 +320,12 @@ def _direct_steenrod_pieces(rs, theta, idx, convention, up_to=None, word=None):
     """
     ctx = flag_context(rs, theta)
     ct = ctx.ct
-    if word is None:
-        word = ct.words[idx]
     codim = ct.codim(idx)
     emax = codim if up_to is None else min(up_to, codim)
-    ring = BottSamelsonRing(rs, word)
-    elem = ring.one()
     eps = 1 if convention == "I" else -1
-    # pulled-back tangent factors of the base: one per root in the unipotent radical
-    for pr in ctx.unipotent_roots:
-        form = ring.pull_weight_class(pr.omega)
-        elem = ring.mul_one_plus_series(elem, form, eps, emax)
-    for j in range(ring.length):
-        elem = ring.mul_one_plus_series(elem, ring.nu[j], -eps, emax)
-    return _pushed_pieces(ring, elem, ct, idx)
+    # the tangent bundle of the base: one line bundle per root in the unipotent radical
+    weights = [pr.omega for pr in ctx.unipotent_roots]
+    return _pushed_series(ct, idx, ct.words[idx] if word is None else word, eps, weights, emax)
 
 
 @cache
@@ -384,16 +351,13 @@ def _calibrate():
 def _phi_pieces(rs, theta, idx):
     """Graded pieces of Phi([X_idx]) = pi_*(c(T_Z)^{-+1}), convention-matched, at every offset.
 
-    theta must be normalized (sorted, no repeats), as `CosetTable.theta` is.
+    This is the direct route's series without the base factors, truncated
+    at the word length instead of the codimension.  theta must be normalized
+    (sorted, no repeats), as `CosetTable.theta` is.
     """
-    conv = _calibrate()
+    eps = 1 if _calibrate() == "I" else -1
     ct = coset_reps(rs, theta)
-    ring = BottSamelsonRing(rs, ct.words[idx])
-    sigma = -1 if conv == "I" else 1
-    elem = ring.one()
-    for j in range(ring.length):
-        elem = ring.mul_one_plus_series(elem, ring.nu[j], sigma, ring.length)
-    return _pushed_pieces(ring, elem, ct, idx)
+    return _pushed_series(ct, idx, ct.words[idx], eps, (), ct.length(idx))
 
 
 def _steenrod_by_duality(rs, theta, idx, up_to):
@@ -429,27 +393,31 @@ def _steenrod_by_duality(rs, theta, idx, up_to):
 
 
 def steenrod_basis_element(rs, theta, idx, up_to=None):
-    """Graded Steenrod pieces {i: S^i} of one mod-2 basis class (cached)."""
-    conv = _calibrate()
-    ctx = flag_context(rs, theta)
-    ct = ctx.ct
+    """Graded Steenrod pieces {i: S^i} of one mod-2 basis class, i <= up_to (cached).
+
+    The bound is clipped to the class's codimension first, so every bound at
+    or above it shares one entry.
+    """
+    ct = coset_reps(rs, theta)
     codim = ct.codim(idx)
-    want = codim if up_to is None else min(up_to, codim)
-    hit = ctx._steenrod_cache.get(idx)
-    if hit is not None and hit[0] >= want:
-        return {d: c for d, c in hit[1].items() if d <= want}
+    return _basis_pieces(rs, ct.theta, idx, codim if up_to is None else min(up_to, codim))
+
+
+@cache
+def _basis_pieces(rs, theta, idx, want):
+    """S^0..S^want of [X_idx] by the direct ring or, for a long word, the duality route."""
+    conv = _calibrate()
+    ct = coset_reps(rs, theta)
+    codim = ct.codim(idx)
     word_len = ct.length(idx)
     if word_len <= DIRECT_WORD_LIMIT:
-        out = _direct_steenrod_pieces(rs, theta, idx, conv, up_to=want)
-    elif codim + want <= DIRECT_WORD_LIMIT:
-        out = _steenrod_by_duality(rs, theta, idx, want)
-    else:
-        raise ResourceLimitError(
-            f"S^<= {want} of a codimension-{codim} class (word length {word_len}) "
-            "is out of reach: neither the direct ring nor the duality route fits"
-        )
-    ctx._steenrod_cache[idx] = (want, out)
-    return out
+        return _direct_steenrod_pieces(rs, theta, idx, conv, up_to=want)
+    if codim + want <= DIRECT_WORD_LIMIT:
+        return _steenrod_by_duality(rs, theta, idx, want)
+    raise ResourceLimitError(
+        f"S^<= {want} of a codimension-{codim} class (word length {word_len}) "
+        "is out of reach: neither the direct ring nor the duality route fits"
+    )
 
 
 def steenrod_total(cls: ChowClass, up_to=None):
@@ -474,8 +442,7 @@ def steenrod_total(cls: ChowClass, up_to=None):
         if c % 2 == 0:
             continue
         for d, piece in steenrod_basis_element(rs, cls.theta, k, up_to=want).items():
-            if d <= want:
-                pieces[d].symmetric_difference_update(piece.coeffs)
+            pieces[d].symmetric_difference_update(piece.coeffs)
     return [ChowClass(cls.type_name, cls.theta, "Z/2", dict.fromkeys(p, 1)) for p in pieces]
 
 

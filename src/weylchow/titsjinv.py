@@ -402,7 +402,7 @@ def kac_poincare(entry: KacEntry) -> tuple:
 def predicted_rational_poincare(rs: RootSystem, theta, entry: KacEntry, profile: JProfile):
     """Divide g(X) by the profile factor; the flag records exact nonnegative
     divisibility (False certifies not-generically-split for this profile)."""
-    from .schubert import poincare_polynomial
+    from .weyl import poincare_polynomial
 
     g = poincare_polynomial(rs, theta)
     rhs = profile_factor(entry, profile)

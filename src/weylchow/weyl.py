@@ -28,9 +28,14 @@ column, exact while every field stays in range.  Every coordinate on the
 orbit is at most max <lambda_Theta, beta^vee> over the positive coroots in
 absolute value (61 at most within rootdata.MAX_POSITIVE_ROOTS), and the
 table checks that bound against 128 before its BFS.  The BFS, the Hasse
-edges and the descents of the motive cut take this step inlined, one
-label at a time; the dual table and the Bott-Samelson pushforward walk
-call `CosetTable.step`.  The packing stays inside this module.
+edges, the descents of the motive cut and the Bott-Samelson subword walk
+take this step inlined, one label at a time; the dual table calls
+`CosetTable._step`.  The packing stays inside this module.
+
+The Poincare polynomial g(X) of G/P_Theta counts the representatives by
+length.  Solomon's formula gives it as a ratio of products of t^d - 1
+over the Weyl degrees, so a table knows its size g(1) before its BFS and
+checks its layer counts against g after it.
 """
 
 from __future__ import annotations
@@ -38,8 +43,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from functools import cache, cached_property
-from math import prod
 
+from . import univar
 from .errors import InternalComputationError, ResourceLimitError, UsageError
 from .rootdata import Record, RootSystem, root_subsystem, weyl_degrees
 
@@ -147,6 +152,25 @@ def longest_element(rs: RootSystem, theta) -> WeylElement:
             return WeylElement(rs, _canonical_from_image(rs, v))
 
 
+def poincare_polynomial(rs: RootSystem, theta) -> tuple:
+    """g(X) for X = G/P_Theta: prod (t^d - 1) over the degrees of W divided by the
+    same product over W_Theta (with t - 1 for each vertex outside Theta).
+
+    The division is exact; a nonzero remainder raises InternalComputationError.
+    """
+    theta = tuple(sorted(set(theta)))
+    num = univar.ONE
+    for d in weyl_degrees(rs.type):
+        num = univar.mul(num, univar.t_power_minus_one(d))
+    den = univar.ONE
+    sub_degrees = weyl_degrees(root_subsystem(rs, theta).type)
+    for d in sub_degrees:
+        den = univar.mul(den, univar.t_power_minus_one(d))
+    for _ in range(rs.rank - len(sub_degrees)):
+        den = univar.mul(den, univar.t_power_minus_one(1))
+    return univar.divide_exact(num, den, "Poincaré")
+
+
 def orbit_bound(rs: RootSystem, theta) -> int:
     """max over positive coroots beta^vee of <lambda_Theta, beta^vee>.
 
@@ -164,12 +188,14 @@ class CosetTable:
     The table keeps what its breadth-first search produces and nothing else
     per representative:
     - `_points` maps each packed lambda_Theta-image to its rep's position,
-      in table order (`lam` is lambda_Theta itself, packed);
+      in table order (`_lam` is lambda_Theta itself, packed);
     - `parent` and `parent_label` record the BFS tree (rep = s_label * parent);
     - `_layers` bounds the BFS layers: each is one length, so the reps of
       length l (codim dim - l) are the positions `of_length(l)`.
     Reps are ordered by (length, canonical word).  `len`, `max_length`,
-    `length` and `codim` read the parent and layer arrays.
+    `length` and `codim` read the parent and layer arrays.  The table is
+    refused before its BFS when g(1) = |W^Theta| exceeds the cap, and the
+    layer sizes are checked against the coefficients of g after it.
 
     Everything else is a view built on first use, in one pass over the
     parent links: `words` (a rep's canonical word is (label,) + its
@@ -179,12 +205,12 @@ class CosetTable:
     printing a table builds no tuple or element per rep.
 
     A packed point holds coordinate j plus 128 in bits [8j, 8j + 8), and
-    `step` reflects it; the BFS, `hasse_diagram` and `first_descents` take
-    the same step inlined, with each label's shift and Cartan column
-    hoisted.  Before the BFS the table checks that `orbit_bound` is below
-    128, so every coordinate of the orbit fits its field and the packed
-    reflection is exact; a larger bound raises InternalComputationError
-    (no accepted type has one).
+    `_step` reflects it; the BFS, `hasse_diagram`, `first_descents` and
+    `subword_positions` take the same step inlined, with each label's shift
+    and Cartan column hoisted.  Before the BFS the table checks that
+    `orbit_bound` is below 128, so every coordinate of the orbit fits its
+    field and the packed reflection is exact; a larger bound raises
+    InternalComputationError (no accepted type has one).
 
     The lex-least word of a new point q is (i,) + word(s_i q) for the least
     i with q_i < 0, the greedy rule `_canonical_from_image` applies to rho.
@@ -201,8 +227,8 @@ class CosetTable:
                 raise UsageError(f"vertex {i} out of range 1..{rs.rank}")
         self.rs = rs
         self.theta = theta
-        # |W^Theta| = prod degrees(W) / prod degrees(W_Theta), known before any BFS
-        size = prod(weyl_degrees(rs.type)) // prod(weyl_degrees(root_subsystem(rs, theta).type))
+        g = poincare_polynomial(rs, theta)
+        size = sum(g)  # |W^Theta| = g(1), known before any BFS
         if size > cap:
             raise ResourceLimitError(
                 f"|W^Theta| = {size} exceeds cap {cap} for type {rs.type.name()}, theta={list(theta)}"
@@ -247,12 +273,17 @@ class CosetTable:
         self.parent = tuple(parent)
         self.parent_label = tuple(parent_label)
         self._layers = tuple(layers)
+        if self.graded_counts() != g:
+            raise InternalComputationError(
+                f"coset layers {list(self.graded_counts())} disagree with the Poincare "
+                f"polynomial {list(g)} for type {rs.type.name()}, theta={list(theta)}"
+            )
         self._points = points
-        self.lam = lam
+        self._lam = lam
         self.w0 = longest_element(rs, range(1, rs.rank + 1))
         self.w_theta = longest_element(rs, theta)
 
-    def step(self, p: int, i: int):
+    def _step(self, p: int, i: int):
         """(p_i, s_i p) for a packed lambda-point p and a 0-based vertex i.
 
         p_i > 0 makes s_i p the point of the next longer representative s_i w.
@@ -338,6 +369,38 @@ class CosetTable:
             out.append(m)
         return out
 
+    def subword_positions(self, word, top: int) -> dict:
+        """mask -> position, for the subwords of a reduced word that are reduced words of
+        representatives, over the masks (bit j set: letter j left out) of at most top bits.
+
+        The subword is walked right to left, prepending letters to u, with
+        p = u(lambda_Theta) the packed point.  Every right factor of a reduced
+        word of a minimal representative is again one, so the walk only takes
+        letter j when p_j > 0, the ascents of W^Theta (p_j < 0 makes the subword
+        non-reduced, p_j = 0 leaves W^Theta); each subtree that breaks this is
+        cut.  Masks sharing their high positions share the walk up to there.
+        A walk that ends outside the table raises InternalComputationError.
+        """
+        points = self._points
+        steps = [(_BITS * (i - 1), self._cols[i - 1]) for i in word]
+        out = {}
+        stack = [(len(word) - 1, self._lam, 0, top)]
+        while stack:
+            pos, p, mask, spare = stack.pop()
+            if pos < 0:
+                k = points.get(p)
+                if k is None:
+                    raise InternalComputationError("subword image is not a coset representative")
+                out[mask] = k
+                continue
+            if spare:
+                stack.append((pos - 1, p, mask | (1 << pos), spare - 1))
+            shift, col = steps[pos]
+            f = (p >> shift) & _MASK
+            if f > _BIAS:
+                stack.append((pos - 1, p - (f - _BIAS) * col, mask, spare))
+        return out
+
     @cached_property
     def _dual(self):
         """Dual index of every position, built on first use.
@@ -352,8 +415,8 @@ class CosetTable:
         rank = self.rs.rank
         opp = [self.w0.act(tuple(int(i == j) for i in range(rank))).index(-1) for j in range(rank)]
         points = self._points
-        step = self.step
-        lam = [step(self.lam, j)[0] for j in range(rank)]
+        step = self._step
+        lam = [step(self._lam, j)[0] for j in range(rank)]
         d0 = sum((_BIAS - lam[opp[j]]) << (_BITS * j) for j in range(rank))
         dual_points = [d0]
         for k in range(1, len(points)):

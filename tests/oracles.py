@@ -33,6 +33,24 @@ def all_reduced_words(rs, w):
     return out
 
 
+def reflect(u: Polynomial, i: int) -> Polynomial:
+    """s_i u (0-based i): x_i -> x_i - alpha_i substituted by whole-polynomial products.
+
+    The package tests invariance and takes divided differences without it.
+    """
+    rs = u.rs
+    image = Polynomial.variable(rs, i + 1) - Polynomial.linear_form(rs, rs.alpha_omega(i))
+    out = Polynomial.zero(rs)
+    for e, c in u.terms.items():
+        exps = list(unpack_monomial(e, rs.rank))
+        k, exps[i] = exps[i], 0
+        term = Polynomial.monomial(rs, exps, c)
+        for _ in range(k):
+            term = term * image
+        out = out + term
+    return out
+
+
 def series_inverse(parts, rs, max_degree):
     """Inverse of 1 + parts[1] + parts[2] + ... as a truncated graded series.
 
@@ -46,7 +64,7 @@ def series_inverse(parts, rs, max_degree):
             pk = parts[k] if k < len(parts) else Polynomial.zero(rs)
             if not pk.is_zero() and not inv[d - k].is_zero():
                 acc = acc + pk * inv[d - k]
-        inv[d] = -acc
+        inv[d] = acc.scale(-1)
     return inv
 
 

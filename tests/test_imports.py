@@ -21,11 +21,14 @@ EXPORTED = {
         "WeylchowError",
     ],
     "rootdata": ["DynkinType", "RootSystem", "build_root_system", "root_subsystem", "weyl_degrees"],
-    "weyl": ["CosetTable", "WeylElement", "coset_reps", "hasse_diagram", "longest_element"],
+    "weyl": [
+        "CosetTable", "WeylElement", "coset_reps", "hasse_diagram", "longest_element",
+        "poincare_polynomial",
+    ],
     "schubert": [
         "ChowClass", "char_map", "chern_tangent", "divided_difference", "dual",
-        "duality_product", "invariant_generators", "multiply", "pieri_multiply",
-        "poincare_polynomial", "preimage", "pullback_to_flags",
+        "duality_product", "invariant_generators", "multiply", "pieri_multiply", "preimage",
+        "pullback_to_flags",
     ],
     "polynomial": ["Polynomial"],
     "steenrod": ["BottSamelsonRing", "bs_pushforward", "steenrod_on_bs", "steenrod_total"],
@@ -43,7 +46,7 @@ EXPORTED = {
 
 
 #: stdlib modules no command needs: `dataclasses` brings `inspect`, `ast`, `dis` and
-#: `tokenize`; the Weyl, motive and Tits commands need no `fractions`
+#: `tokenize`; the Weyl, motive, Tits and Poincare commands need no `fractions`
 NO_DATACLASSES = {"dataclasses", "inspect"}
 NO_FRACTIONS = {"fractions", "decimal", "numbers"}
 
@@ -63,12 +66,17 @@ CUT_HASSE_AND_TITS = {
     "automaton": ["automaton", "--type", "B3", "--omega", "[[],[1],[1,2],[1,2,3]]"],
     "jinv-rhs": ["jinv", "--type", "F4", "--p", "2", "--profile", "1", "rhs"],
 }
+#: g(X) is a ratio of Weyl degrees, read without the Schubert layer
+POINCARE_COMMANDS = {
+    "poincare": ["poincare", "--type", "E6", "--theta", "1"],
+    "jinv-predict": ["jinv", "--type", "E6", "--p", "2", "--profile", "1", "predict",
+                     "--theta", "2,3,4,5,6"],
+}
 _A2_CLASS = '{"type": "A2", "theta": [], "ring": "Z/2", "terms": [{"word": [1], "coeff": 1}]}'
 SCHUBERT_COMMANDS = {
     "mult": ["mult", "--type", "A2", "--theta", "", "--a", _A2_CLASS, "--b", _A2_CLASS],
     "chern": ["chern", "--type", "B3", "--theta", "1", "--mod", "2"],
     "steenrod": ["steenrod", "--type", "A2", "--theta", "", "--class", _A2_CLASS],
-    "poincare": ["poincare", "--type", "E6", "--theta", "1"],
 }
 
 
@@ -115,20 +123,21 @@ def test_roots_and_cosets_load_only_root_data_and_weyl(argv):
     assert package & {"schubert", "polynomial", "steenrod", "motive", "titsjinv"} == set()
 
 
-@_params(CUT_HASSE_AND_TITS)
+@_params(CUT_HASSE_AND_TITS, POINCARE_COMMANDS)
 def test_cut_hasse_and_tits_commands_load_no_schubert_machinery(argv):
     package, _ = _modules_loaded_by(argv)
     assert package & {"schubert", "polynomial", "steenrod"} == set()
 
 
-@_params(HELP_AND_ARGV_ERRORS, ROOTS_AND_COSETS, CUT_HASSE_AND_TITS, SCHUBERT_COMMANDS)
+@_params(HELP_AND_ARGV_ERRORS, ROOTS_AND_COSETS, CUT_HASSE_AND_TITS, POINCARE_COMMANDS,
+         SCHUBERT_COMMANDS)
 def test_no_command_loads_dataclasses_or_inspect(argv):
     _, stdlib = _modules_loaded_by(argv)
     assert "json" in stdlib  # the stdlib report is live
     assert stdlib & NO_DATACLASSES == set()
 
 
-@_params(ROOTS_AND_COSETS, CUT_HASSE_AND_TITS)
+@_params(ROOTS_AND_COSETS, CUT_HASSE_AND_TITS, POINCARE_COMMANDS)
 def test_weyl_motive_and_tits_commands_load_no_fractions(argv):
     _, stdlib = _modules_loaded_by(argv)
     assert stdlib & NO_FRACTIONS == set()

@@ -18,8 +18,8 @@ from weylchow.motive import (
     singleton_components,
 )
 from weylchow.rootdata import build_root_system
-from weylchow.schubert import ChowClass, poincare_polynomial
-from weylchow.weyl import coset_reps
+from weylchow.schubert import ChowClass
+from weylchow.weyl import coset_reps, poincare_polynomial
 
 from oracles import decompose_by_hasse_dfs
 

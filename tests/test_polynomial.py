@@ -13,7 +13,12 @@ from weylchow.polynomial import (
 from weylchow.rootdata import build_root_system
 from weylchow.schubert import ChowClass, _FlagContext, flag_context
 
-from oracles import elementary_symmetric_by_polynomials, exact_divide_by_linear, series_inverse
+from oracles import (
+    elementary_symmetric_by_polynomials,
+    exact_divide_by_linear,
+    reflect,
+    series_inverse,
+)
 
 
 def w(rs, i):
@@ -34,12 +39,12 @@ def test_reflection_substitution():
     rs = build_root_system("A2")
     x, y = w(rs, 1), w(rs, 2)
     # alpha_1 = 2 w1 - w2, so s_1(w1) = w1 - alpha_1 = -w1 + w2
-    assert x.reflect(0) == -1 * x + y
-    assert y.reflect(0) == y
+    assert reflect(x, 0) == -1 * x + y
+    assert reflect(y, 0) == y
     # involution on a random-ish polynomial
     p = x * x * y + 3 * y * y * y - x
-    assert p.reflect(0).reflect(0) == p
-    assert p.reflect(1).reflect(1) == p
+    assert reflect(reflect(p, 0), 0) == p
+    assert reflect(reflect(p, 1), 1) == p
 
 
 def test_divided_difference_basics():
@@ -61,7 +66,7 @@ def test_divided_difference_matches_division_oracle():
         for u in samples:
             for i in range(2):
                 alpha = Polynomial.linear_form(rs, rs.alpha_omega(i))
-                want = exact_divide_by_linear(u - u.reflect(i), alpha, pivot=i)
+                want = exact_divide_by_linear(u - reflect(u, i), alpha, pivot=i)
                 assert u.divided_difference(i) == want
 
 
@@ -81,7 +86,7 @@ def test_twisted_leibniz():
     g = x * y
     for i in range(2):
         lhs = (f * g).divided_difference(i)
-        rhs = f.divided_difference(i) * g + f.reflect(i) * g.divided_difference(i)
+        rhs = f.divided_difference(i) * g + reflect(f, i) * g.divided_difference(i)
         assert lhs == rhs
 
 
@@ -174,11 +179,11 @@ def polys(draw, max_deg=3, max_terms=4):
 def test_kernel_properties(case):
     rs, (f, g, h), i = case
     alpha = Polynomial.linear_form(rs, rs.alpha_omega(i))
-    assert f.divided_difference(i) == exact_divide_by_linear(f - f.reflect(i), alpha, pivot=i)
+    assert f.divided_difference(i) == exact_divide_by_linear(f - reflect(f, i), alpha, pivot=i)
     assert (f * g).divided_difference(i) == (
-        f.divided_difference(i) * g + f.reflect(i) * g.divided_difference(i)
+        f.divided_difference(i) * g + reflect(f, i) * g.divided_difference(i)
     )
-    assert f.reflect(i).reflect(i) == f
+    assert reflect(reflect(f, i), i) == f
     assert f * g == g * f
     assert (f * g) * h == f * (g * h)
 

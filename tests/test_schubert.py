@@ -30,11 +30,10 @@ from weylchow.schubert import (
     invariant_generators,
     multiply,
     pieri_multiply,
-    poincare_polynomial,
     preimage,
     pullback_to_flags,
 )
-from weylchow.weyl import WeylElement, coset_reps
+from weylchow.weyl import WeylElement, coset_reps, poincare_polynomial
 
 from oracles import all_reduced_words, invariant_generators_by_polynomials
 
@@ -223,7 +222,7 @@ def test_preimage_small():
     for k in range(len(bct)):
         cls = basis_class(b2, (), k)
         u = preimage(cls)
-        back = char_map(b2, (), u, check=False)
+        back = char_map(b2, (), u)
         assert {i: Fraction(c) for i, c in back.coeffs.items()} == {k: Fraction(1)}
 
 
@@ -329,8 +328,8 @@ def test_char_map_is_ring_hom_on_invariants():
     for _ in range(10):
         u = gens[0].scale(rng.randrange(1, 4)) * gens[1] + gens[1] * gens[1].scale(rng.randrange(1, 3))
         v = gens[0] * gens[0]
-        lhs = char_map(rs, (), u * v, check=False)
-        rhs = multiply(char_map(rs, (), u, check=False), char_map(rs, (), v, check=False))
+        lhs = char_map(rs, (), u * v)
+        rhs = multiply(char_map(rs, (), u), char_map(rs, (), v))
         la = {k: Fraction(c) for k, c in lhs.coeffs.items()}
         ra = {k: Fraction(c) for k, c in rhs.coeffs.items()}
         assert la == ra
@@ -372,8 +371,8 @@ def test_char_map_ring_hom_on_parabolic_invariants():
     for _ in range(8):
         u = gens[0].scale(rng.randrange(1, 4)) * gens[0] + gens[1].scale(rng.randrange(1, 3))
         v = gens[1] * gens[0]
-        lhs = char_map(rs, theta, u * v, check=False)
-        rhs = multiply(char_map(rs, theta, u, check=False), char_map(rs, theta, v, check=False))
+        lhs = char_map(rs, theta, u * v)
+        rhs = multiply(char_map(rs, theta, u), char_map(rs, theta, v))
         assert {k: Fraction(c) for k, c in lhs.coeffs.items()} == {
             k: Fraction(c) for k, c in rhs.coeffs.items()
         }

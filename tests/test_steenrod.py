@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from weylchow import steenrod
 from weylchow.errors import InternalComputationError, ResourceLimitError, UsageError
 from weylchow.rootdata import build_root_system
-from weylchow.schubert import ChowClass, multiply
+from weylchow.schubert import ChowClass, _FlagContext, multiply
 from weylchow.steenrod import (
     DIRECT_WORD_LIMIT,
     BottSamelsonRing,
     _direct_steenrod_pieces,
     _oracle_steenrod_divisor_generated,
     bs_pushforward,
+    steenrod_basis_element,
     steenrod_on_bs,
     steenrod_total,
     wu_convention,
@@ -195,6 +196,19 @@ def test_bs_pushforward_point_outside_table_raises(monkeypatch):
     ring = BottSamelsonRing(rs, (1, 2, 1))
     with pytest.raises(InternalComputationError):
         bs_pushforward(ring, {0}, ())
+
+
+def test_basis_pieces_are_a_steenrod_memo():
+    # keyed by the normalized theta and the bound clipped to the codimension
+    rs = build_root_system("A3")
+    ct = coset_reps(rs, (2,))
+    k = ct.of_codim(3)[0]
+    low = steenrod_basis_element(rs, (2,), k, up_to=1)
+    assert max(low) <= 1
+    assert steenrod_basis_element(rs, [2, 2], k, up_to=1) is low
+    assert steenrod_basis_element(rs, (2,), k, up_to=7) is steenrod_basis_element(rs, (2,), k)
+    # the flag context holds no Steenrod state
+    assert not [name for name in vars(_FlagContext(rs, (2,))) if "steenrod" in name]
 
 
 @st.composite

@@ -244,7 +244,7 @@ def test_predicted_rational_poincare():
     quot, ok = predicted_rational_poincare(e6, (2, 3, 4, 5, 6), entry, JProfile(2, (1,)))
     assert not ok
     # zero profile -> quotient = g itself, True
-    from weylchow.schubert import poincare_polynomial
+    from weylchow.weyl import poincare_polynomial
 
     quot0, ok0 = predicted_rational_poincare(e6, (2, 3, 4, 5, 6), entry, JProfile(2, (0,)))
     assert ok0 and quot0 == poincare_polynomial(e6, (2, 3, 4, 5, 6))

@@ -14,6 +14,7 @@ from weylchow.weyl import (
     hasse_to_dot,
     hasse_to_json,
     longest_element,
+    poincare_polynomial,
 )
 
 from oracles import (
@@ -239,9 +240,7 @@ def test_e7_p1_graded_counts_symmetric():
     counts = ct.graded_counts()
     assert sum(counts) == 126
     assert counts == tuple(reversed(counts))
-    # cross-module: the length-generating function is the Solomon ratio
-    from weylchow.schubert import poincare_polynomial
-
+    # the length-generating function is the Solomon ratio
     assert counts == poincare_polynomial(rs, (2, 3, 4, 5, 6, 7))
 
 
@@ -398,3 +397,14 @@ def test_packing_bound_is_checked_before_the_bfs(monkeypatch):
     monkeypatch.setattr(weyl, "orbit_bound", lambda rs, theta: 128)
     with pytest.raises(InternalComputationError):
         CosetTable(build_root_system("A2"), ())
+
+
+def test_layer_counts_are_checked_against_the_poincare_polynomial(monkeypatch):
+    # BFS layers that disagree with g(X) are an internal error; the forged g(1) passes the cap
+    import weylchow.weyl as weyl
+
+    rs = build_root_system("A2")
+    assert CosetTable(rs, ()).graded_counts() == poincare_polynomial(rs, ()) == (1, 2, 2, 1)
+    monkeypatch.setattr(weyl, "poincare_polynomial", lambda rs, theta: (1, 1, 3, 1))
+    with pytest.raises(InternalComputationError):
+        CosetTable(rs, ())
