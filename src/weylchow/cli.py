@@ -229,7 +229,6 @@ def _dispatch(args) -> str:
             automaton,
             automaton_to_dot,
             automaton_to_json,
-            height,
         )
 
         try:
@@ -242,11 +241,7 @@ def _dispatch(args) -> str:
                     raise UsageError(f"omega vertex {x!r} must be an integer")
         omega = HigherIndexSet.build(DynkinType.parse(args.type), subsets)
         a = automaton(omega)
-        if args.format == "dot":
-            return automaton_to_dot(a)
-        payload = json.loads(automaton_to_json(a))
-        payload["height"] = height(a)
-        return json.dumps(payload, sort_keys=True)
+        return automaton_to_dot(a) if args.format == "dot" else automaton_to_json(a)
 
     if args.command == "jinv":
         from . import univar

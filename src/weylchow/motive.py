@@ -62,7 +62,7 @@ def decompose(rs: RootSystem, theta, circled) -> list:
             raise UsageError(f"circled vertex {i} out of range")
     ct = coset_reps(rs, theta)
     uncircled = [i for i in range(1, rs.rank + 1) if i not in circled]
-    kernel = root_subsystem(rs, uncircled).type
+    kernel = root_subsystem(rs, uncircled)
     root = []
     components = {}
     for k, m in enumerate(ct.first_descents(uncircled)):

@@ -253,6 +253,17 @@ def _symmetrizer(cartan, n):
     return tuple(v // g for v in d)
 
 
+def _coxeter_number(family: str, rank: int) -> int:
+    """The largest fundamental degree of a simple type."""
+    if family == "A":
+        return rank + 1
+    if family in ("B", "C"):
+        return 2 * rank
+    if family == "D":
+        return 2 * rank - 2
+    return _EXCEPTIONAL_DEGREES[(family, rank)][-1]
+
+
 class PositiveRoot(Record):
     """One positive root with its precomputed pairing data."""
 
@@ -272,8 +283,8 @@ class RootSystem:
     """Immutable root-system data for a (possibly reducible) Dynkin type."""
 
     def __init__(self, dtype: DynkinType):
-        # a reflection group has sum(d - 1) reflections over its fundamental degrees d
-        count = sum(d - 1 for d in weyl_degrees(dtype))
+        # a simple component of rank n and Coxeter number h has n h / 2 positive roots
+        count = sum(rank * _coxeter_number(family, rank) // 2 for family, rank in dtype.components)
         if count > MAX_POSITIVE_ROOTS:
             raise ResourceLimitError(
                 f"type {dtype.name()} has {count} positive roots, over the cap {MAX_POSITIVE_ROOTS}"
@@ -423,177 +434,49 @@ def weyl_degrees(dtype) -> tuple:
 # -- subsystems ---------------------------------------------------------
 
 
-def _classify_component(cartan, verts):
-    """Classify the connected subdiagram on `verts` and return it in Bourbaki order.
+def _component_type(cartan, comp) -> tuple:
+    """(family, rank) of a connected subdiagram, read off its shape alone.
 
-    cartan: ambient Cartan matrix (list of rows); verts: ambient 0-based
-    vertex list.  Returns (family, rank, ordered ambient vertices) where
-    position k (0-based) carries Bourbaki label k+1.
+    A multiple bond decides G2 (a -3), B_n (two vertices, or its short end a
+    leaf), C_n (its long end a leaf) or F4 (neither end a leaf); a simply laced
+    diagram is A_n without a branch vertex, D_n when two arms of the branch
+    vertex have length 1, and E_n otherwise.
     """
-    n = len(verts)
-    adj = {v: [] for v in verts}
-    bond = {}
-    for a in verts:
-        for b in verts:
-            if a < b and cartan[a][b] != 0:
-                adj[a].append(b)
-                adj[b].append(a)
-                bond[(a, b)] = bond[(b, a)] = cartan[a][b] * cartan[b][a]
-    if n == 1:
-        return ("A", 1, [verts[0]])
-
-    deg = {v: len(adj[v]) for v in verts}
-    triple = [e for e, m in bond.items() if m == 3]
-    double = [e for e, m in bond.items() if m == 2]
-    branch = [v for v in verts if deg[v] == 3]
-
-    def chain_from(end, banned=()):
-        """Walk a path starting at a leaf."""
-        path = [end]
-        prev = None
-        cur = end
-        while True:
-            nxts = [w for w in adj[cur] if w != prev and w not in banned]
-            if not nxts:
-                return path
-            prev, cur = cur, nxts[0]
-            path.append(cur)
-
-    if triple:
-        # G2: alpha_1 short.  a[short][long] = -3 in our convention.
-        a, b = triple[0]
-        if cartan[a][b] == -3:
-            return ("G", 2, [a, b])
-        return ("G", 2, [b, a])
-
-    if double:
-        (u, v) = double[0]
-        # short side: the vertex x of the bond with cartan[x][other] == -2
-        short, long_ = (u, v) if cartan[u][v] == -2 else (v, u)
-        if n == 2:
-            # B2 convention: alpha_1 long, alpha_2 short
-            return ("B", 2, [long_, short])
-        # distinguish B (short leaf) from C (long leaf) from F4 (central bond)
-        if deg[short] == 1:
-            # B_n: short root is the last vertex
-            path = chain_from(short)
-            path.reverse()
-            return ("B", n, path)
-        if deg[long_] == 1:
-            # C_n: long root is the last vertex
-            path = chain_from(long_)
-            path.reverse()
-            return ("C", n, path)
-        # F4: double bond in the middle; Bourbaki order walks long side first
-        long_leaf = [w for w in verts if deg[w] == 1 and _reaches(adj, w, long_, avoid=short)]
-        path = chain_from(long_leaf[0])
-        if not (len(path) == 4 and path[1] == long_ and path[2] == short):
-            raise UsageError("subdiagram is not of finite Dynkin type")
-        return ("F", 4, path)
-
+    n = len(comp)
+    adjacent = {v: [w for w in comp if w != v and cartan[v][w]] for v in comp}
+    for short in comp:
+        for long_ in adjacent[short]:
+            if cartan[short][long_] == -3:
+                return "G", 2
+            if cartan[short][long_] == -2:
+                if n == 2 or len(adjacent[short]) == 1:
+                    return "B", n
+                return ("C", n) if len(adjacent[long_]) == 1 else ("F", 4)
+    branch = [v for v in comp if len(adjacent[v]) == 3]
     if not branch:
-        # simply laced chain: A_n; pick the orientation with lex-least vertices
-        leaves = [v for v in verts if deg[v] == 1]
-        p1 = chain_from(leaves[0])
-        p2 = list(reversed(p1))
-        return ("A", n, min(p1, p2))
-
-    c = branch[0]
-    arms = []
-    for w in adj[c]:
-        arm = [w]
-        prev = c
-        cur = w
-        while True:
-            nxts = [x for x in adj[cur] if x != prev]
-            if not nxts:
-                break
-            prev, cur = cur, nxts[0]
-            arm.append(cur)
-        arms.append(arm)
-    arms.sort(key=lambda a: (len(a), a))
-    l1, l2, l3 = (len(a) for a in arms)
-    if l1 == 1 and l2 == 1:
-        # D_n: long arm = 1..n-3, branch = n-2, the two short arms n-1, n
-        long_arm = list(reversed(arms[2]))
-        tips = sorted([arms[0][0], arms[1][0]])
-        return ("D", n, long_arm + [c] + tips)
-    if l1 == 1 and l2 == 2:
-        # E_n: vertex 2 = the length-1 arm, chain 1-3-4(=branch)-5-6-...
-        two = arms[0][0]
-        mids = [a for a in (arms[1], arms[2]) if len(a) == 2]
-        longs = [a for a in (arms[1], arms[2]) if len(a) > 2]
-        if longs:
-            armB = mids[0]          # 3, 1
-            armC = longs[0]         # 5, 6, ...
-        else:
-            # E6: two arms of length 2; pick lex-least labelling
-            o1 = [mids[0][1], mids[0][0], c, mids[1][0], mids[1][1]]
-            o2 = [mids[1][1], mids[1][0], c, mids[0][0], mids[0][1]]
-            seq = min(o1, o2)
-            return ("E", 6, [seq[0], two, seq[1], seq[2], seq[3], seq[4]])
-        order = [armB[1], two, armB[0], c] + armC
-        return ("E", n, order)
-    raise UsageError("subdiagram is not of finite Dynkin type")
+        return "A", n
+    leaves = sum(len(adjacent[w]) == 1 for w in adjacent[branch[0]])
+    return ("D", n) if leaves >= 2 else ("E", n)
 
 
-def _reaches(adj, start, target, avoid):
-    seen = {start, avoid}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        if x == target:
-            return True
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return False
+def root_subsystem(rs: RootSystem, theta) -> DynkinType:
+    """Dynkin type of the subsystem generated by {alpha_i : i in theta} (1-based).
 
-
-class Subsystem:
-    """A root subsystem with its own RootSystem plus the ambient embedding."""
-
-    def __init__(self, system: RootSystem, embedding: tuple):
-        self.system = system
-        #: embedding[k] = ambient 1-based vertex carrying the subsystem's vertex k+1
-        self.embedding = embedding
-
-    @property
-    def type(self) -> DynkinType:
-        return self.system.type
-
-
-def root_subsystem(rs: RootSystem, theta) -> Subsystem:
-    """The subsystem generated by {alpha_i : i in theta} (1-based labels).
-
-    Components are classified by subdiagram shape, relabelled to Bourbaki
-    numbering, and sorted by (family, rank) then by embedding for output
-    determinism.
+    Each connected component of the induced subdiagram is classified by its
+    shape; the components are sorted by (family, rank).
     """
     theta = sorted(set(theta))
     for i in theta:
         if not 1 <= i <= rs.rank:
             raise UsageError(f"vertex {i} out of range 1..{rs.rank}")
-    verts = [i - 1 for i in theta]
-    cartan = [list(row) for row in rs.cartan]
-    # connected components of the induced subdiagram
-    comps = []
-    left = set(verts)
+    cartan = rs.cartan
+    left = {i - 1 for i in theta}
+    components = []
     while left:
-        start = min(left)
-        stack, comp = [start], {start}
-        while stack:
-            x = stack.pop()
-            for y in verts:
-                if y not in comp and cartan[x][y] != 0:
-                    comp.add(y)
-                    stack.append(y)
-        left -= comp
-        comps.append(sorted(comp))
-    classified = [_classify_component(cartan, comp) for comp in comps]
-    classified.sort(key=lambda t: (t[0], t[1], t[2]))
-    families = tuple((f, r) for f, r, _ in classified)
-    embedding = tuple(v + 1 for _, _, order in classified for v in order)
-    sub = build_root_system(DynkinType(families)) if families else build_root_system(DynkinType(()))
-    return Subsystem(sub, embedding)
+        comp = [left.pop()]
+        for x in comp:
+            near = [y for y in left if cartan[x][y]]
+            left.difference_update(near)
+            comp.extend(near)
+        components.append(_component_type(cartan, comp))
+    return DynkinType(tuple(sorted(components)))

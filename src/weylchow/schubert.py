@@ -618,8 +618,7 @@ def _invariant_generators(rs: RootSystem, theta):
     base = [Polynomial.variable(rs, i) for i in range(1, n + 1) if i not in theta]
     if not theta:
         return base
-    sub = root_subsystem(rs, theta)
-    slots = sorted(weyl_degrees(sub.type))
+    slots = sorted(weyl_degrees(root_subsystem(rs, theta)))
     orbits = sorted((_orbit(rs, theta, s) for s in _sub_fundamental_seeds(rs, theta)), key=len)
 
     for point in _CANDIDATE_POINTS:

@@ -42,30 +42,21 @@ def anisotropic_kernel(idx: TitsIndex) -> DynkinType:
     """Dynkin type of the subdiagram on the uncircled vertices."""
     rs = build_root_system(idx.type)
     kept = sorted(set(range(1, rs.rank + 1)) - set(idx.circled))
-    return root_subsystem(rs, kept).type
+    return root_subsystem(rs, kept)
 
 
 def kernel_display_name(dtype: DynkinType, circled) -> str:
     """State label for automata: kernel type, with rank-1 pieces of a B-chain
     shown as B1 (the quadratic-form convention used in the splitting graphs)."""
-    rs = build_root_system(dtype)
-    kept = sorted(set(range(1, rs.rank + 1)) - set(circled))
+    kept = set(range(1, dtype.rank + 1)) - set(circled)
     if not kept:
         return "1"
-    sub = root_subsystem(rs, kept)
-    names = []
-    pos = 0
-    for family, rank in sub.type.components:
-        label = f"{family}{rank}"
-        if family == "A" and rank == 1:
-            # a lone short root at the end of an ambient B-chain displays as B1
-            v = sub.embedding[pos]
-            for fam, r, off in dtype.component_ranges():
-                if off < v <= off + r and fam == "B" and v == off + r:
-                    label = "B1"
-                    break
-        names.append(label)
-        pos += rank
+    kernel = root_subsystem(build_root_system(dtype), kept)
+    names = [f"{family}{rank}" for family, rank in kernel.components]
+    for family, rank, off in dtype.component_ranges():
+        # a lone short root at the end of an ambient B-chain displays as B1
+        if family == "B" and off + rank in kept and off + rank - 1 not in kept:
+            names[names.index("A1")] = "B1"
     return "x".join(sorted(names, reverse=True))
 
 
@@ -173,6 +164,7 @@ def automaton_to_dot(a: Automaton) -> str:
 def automaton_to_json(a: Automaton) -> str:
     return json.dumps(
         {
+            "height": height(a),
             "type": a.type.name(),
             "states": [
                 {"circled": list(s), "kernel": a.labels[k]} for k, s in enumerate(a.states)
@@ -289,11 +281,10 @@ def _v_p(n, p):
     return v
 
 
-def _ceil_log(base, x):
+def _doublings(d, n):
+    """The least k with d * 2^k >= n."""
     k = 0
-    v = 1
-    while v < x:
-        v *= base
+    while d << k < n:
         k += 1
     return k
 
@@ -310,7 +301,7 @@ def _simple_kac_pairs(family, rank, p):
         m = 2 * rank + 1
         pairs = []
         for d in range(1, m - 1, 2):
-            pairs.append((d, _ceil_log(2, (m - 1) / d)))
+            pairs.append((d, _doublings(d, m - 1)))
         return pairs
     if family == "D" and p == 2:
         # transcription for the isogeny forms arising as kernels inside E7
@@ -318,7 +309,7 @@ def _simple_kac_pairs(family, rank, p):
         # and D6 -> {1,3,5}
         pairs = [(1, 1)]
         for d in range(3, rank, 2):
-            pairs.append((d, _ceil_log(2, (2 * rank - 2) / d)))
+            pairs.append((d, _doublings(d, 2 * rank - 2)))
         return pairs
     if family == "C" and p == 2:
         raise UsageError("mod-2 data for adjoint C-type groups is not transcribed")

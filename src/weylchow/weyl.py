@@ -163,7 +163,7 @@ def poincare_polynomial(rs: RootSystem, theta) -> tuple:
     for d in weyl_degrees(rs.type):
         num = univar.mul(num, univar.t_power_minus_one(d))
     den = univar.ONE
-    sub_degrees = weyl_degrees(root_subsystem(rs, theta).type)
+    sub_degrees = weyl_degrees(root_subsystem(rs, theta))
     for d in sub_degrees:
         den = univar.mul(den, univar.t_power_minus_one(d))
     for _ in range(rs.rank - len(sub_degrees)):

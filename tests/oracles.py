@@ -141,8 +141,7 @@ def invariant_generators_by_polynomials(rs, theta):
     base = [Polynomial.variable(rs, i) for i in range(1, n + 1) if i not in theta]
     if not theta:
         return base
-    sub = root_subsystem(rs, theta)
-    slots = sorted(weyl_degrees(sub.type))
+    slots = sorted(weyl_degrees(root_subsystem(rs, theta)))
     seeds = _sub_fundamental_seeds(rs, theta)
     orbits = [_orbit(rs, theta, s) for s in seeds]
     order = sorted(range(len(orbits)), key=lambda i: (len(orbits[i]), i))
@@ -289,7 +288,7 @@ def decompose_by_hasse_dfs(rs, theta, circled):
         if label not in circled:
             adj[a].append(b)
             adj[b].append(a)
-    kernel = root_subsystem(rs, sorted(set(range(1, rs.rank + 1)) - circled)).type
+    kernel = root_subsystem(rs, sorted(set(range(1, rs.rank + 1)) - circled))
     seen = set()
     out = []
     for start in h.vertices:

@@ -195,6 +195,14 @@ def test_automaton_command():
         ["automaton", "--type", "B3", "--omega", "[[],[1],[1,2],[1,2,3]]", "--format", "json"]
     )
     assert code == 0
+    assert out == (
+        '{"height": 3, "states": [{"circled": [], "kernel": "B3"}, '
+        '{"circled": [1], "kernel": "B2"}, {"circled": [1, 2], "kernel": "B1"}, '
+        '{"circled": [1, 2, 3], "kernel": "1"}], "transitions": ['
+        '{"from": 0, "label": 1, "to": 1}, {"from": 0, "label": 2, "to": 2}, '
+        '{"from": 0, "label": 3, "to": 3}, {"from": 1, "label": 2, "to": 2}, '
+        '{"from": 1, "label": 3, "to": 3}, {"from": 2, "label": 3, "to": 3}], "type": "B3"}'
+    )
     data = json.loads(out)
     assert data["height"] == 3
     kernels = {s["kernel"] for s in data["states"]}

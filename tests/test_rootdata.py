@@ -1,10 +1,13 @@
 import copy
 import math
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from weylchow.errors import InternalComputationError, UsageError
+from weylchow import rootdata
+from weylchow.errors import InternalComputationError, ResourceLimitError, UsageError
 from weylchow.motive import Correspondence, MotiveSummand
 from weylchow.rootdata import (
     DynkinType, PositiveRoot, Record, build_root_system, root_subsystem, weyl_degrees,
@@ -53,9 +56,23 @@ def test_positive_root_counts_against_lie_dimension(name, dim):
 
 @pytest.mark.parametrize("name", ["A1", "A5", "B4", "C4", "D5", "G2", "F4", "E6", "E7", "E8", "A2xB2"])
 def test_positive_root_count_is_sum_of_degrees_minus_one(name):
-    # the count the root cap reads before the closure runs
     rs = build_root_system(name)
     assert rs.num_positive_roots() == sum(d - 1 for d in weyl_degrees(rs.type))
+    # the closed form rank * h / 2 that the root cap reads before the closure runs
+    assert rs.num_positive_roots() == sum(
+        rank * rootdata._coxeter_number(family, rank) // 2 for family, rank in rs.type.components
+    )
+
+
+def test_root_cap_is_checked_in_constant_memory():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            build_root_system("A3000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_e7_has_63_positive_roots():
@@ -115,34 +132,67 @@ def test_weyl_degrees_tables():
 
 def test_root_subsystem_e7_examples():
     e7 = build_root_system("E7")
-    assert root_subsystem(e7, [2, 3, 4, 5, 6, 7]).type.name() == "D6"
-    assert root_subsystem(e7, [1, 2, 3, 4, 5, 6]).type.name() == "E6"
-    assert root_subsystem(e7, [2, 3, 4, 5]).type.name() == "D4"
-    assert root_subsystem(e7, []).type.rank == 0
-    assert root_subsystem(e7, []).system.num_positive_roots() == 0
+    assert root_subsystem(e7, [2, 3, 4, 5, 6, 7]).name() == "D6"
+    assert root_subsystem(e7, [1, 2, 3, 4, 5, 6]).name() == "E6"
+    assert root_subsystem(e7, [2, 3, 4, 5]).name() == "D4"
+    assert root_subsystem(e7, []) == DynkinType(())
 
 
 def test_root_subsystem_more_shapes():
     f4 = build_root_system("F4")
-    assert root_subsystem(f4, [1, 2, 3]).type.name() == "B3"
-    assert root_subsystem(f4, [2, 3, 4]).type.name() == "C3"
-    assert root_subsystem(f4, [1, 2, 3, 4]).type.name() == "F4"
+    assert root_subsystem(f4, [1, 2, 3]).name() == "B3"
+    assert root_subsystem(f4, [2, 3, 4]).name() == "C3"
+    assert root_subsystem(f4, [1, 2, 3, 4]).name() == "F4"
     e6 = build_root_system("E6")
-    assert root_subsystem(e6, [1, 3, 5, 6]).type.name() == "A2xA2"
-    assert root_subsystem(e6, [2, 3, 4, 5]).type.name() == "D4"
+    assert root_subsystem(e6, [1, 3, 5, 6]).name() == "A2xA2"
+    assert root_subsystem(e6, [2, 3, 4, 5]).name() == "D4"
     b3 = build_root_system("B3")
-    assert root_subsystem(b3, [2, 3]).type.name() == "B2"
-    assert root_subsystem(b3, [1, 2]).type.name() == "A2"
+    assert root_subsystem(b3, [2, 3]).name() == "B2"
+    assert root_subsystem(b3, [1, 2]).name() == "A2"
 
 
-def test_subsystem_embedding_consistent():
-    e7 = build_root_system("E7")
-    sub = root_subsystem(e7, [2, 3, 4, 5, 6, 7])
-    # embedded simple roots must reproduce the subsystem's Cartan matrix
-    amb = sub.embedding
-    for a in range(6):
-        for b in range(6):
-            assert sub.system.cartan[a][b] == e7.cartan[amb[a] - 1][amb[b] - 1]
+def _root_counts(rs, support):
+    """(positive roots supported on `support`, how many of them have minimal length)."""
+    d, a = rs.symmetrizer, rs.cartan
+    norms = [
+        sum(c[i] * c[j] * d[i] * a[i][j] for i in support for j in support)
+        for c in (pr.root for pr in rs.positive_roots)
+        if all(x == 0 or i in support for i, x in enumerate(c))
+    ]
+    return len(norms), norms.count(min(norms))
+
+
+@pytest.mark.parametrize("name", ["A5", "B4", "C4", "D5", "E6", "E7", "E8", "F4", "G2", "B2xG2", "F4xA2"])
+def test_subsystem_types_match_their_roots_on_every_subset(name):
+    # each component's type must have as many positive roots, and as many
+    # of minimal length, as the ambient system has supported on the component
+    rs = build_root_system(name)
+    for k in range(rs.rank + 1):
+        for theta in combinations(range(rs.rank), k):
+            left, components = set(theta), []
+            while left:
+                comp = [left.pop()]
+                for x in comp:
+                    near = {y for y in left if rs.cartan[x][y]}
+                    left -= near
+                    comp.extend(near)
+                components.append(sorted(comp))
+            found = []
+            for comp in components:
+                dtype = root_subsystem(rs, [i + 1 for i in comp])
+                ((family, rank),) = dtype.components
+                assert rank == len(comp)
+                own = build_root_system(dtype)
+                assert _root_counts(rs, comp) == _root_counts(own, range(rank))
+                found.append((family, rank))
+            assert root_subsystem(rs, [i + 1 for i in theta]).components == tuple(sorted(found))
+
+
+def test_root_subsystem_builds_no_root_system():
+    a44 = build_root_system("A44")
+    before = rootdata._cached_root_system.cache_info().currsize
+    assert root_subsystem(a44, range(2, 45)).name() == "A43"
+    assert rootdata._cached_root_system.cache_info().currsize == before
 
 
 def test_reducible_system_block_structure():

@@ -194,6 +194,12 @@ def test_kac_entries():
     assert kac_entry("A2", 3).pairs == ((1, 1),)
 
 
+def test_kac_exponents_of_the_classical_families():
+    # k is the least integer with d * 2^k >= 2n for B_n and >= 2n - 2 for D_n
+    assert kac_entry("B3", 2).pairs == ((1, 3), (3, 1), (5, 1))
+    assert kac_entry("D6", 2).pairs == ((1, 1), (3, 2), (5, 1))
+
+
 def test_kac_entry_sorted_and_coprime():
     for name, p in [("E7", 2), ("E8", 2), ("E8", 3), ("B3", 2), ("D4", 2), ("D6", 2)]:
         e = kac_entry(name, p)
