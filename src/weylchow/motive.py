@@ -21,7 +21,8 @@ import json
 from . import univar
 from .errors import UsageError
 from .rootdata import (
-    DynkinType, Record, RootSystem, build_root_system, ring_modulus, root_subsystem,
+    DynkinType, Record, RootSystem, build_root_system, checked_vertices, ring_modulus,
+    root_subsystem,
 )
 from .weyl import coset_reps, hasse_diagram
 
@@ -56,10 +57,7 @@ def decompose(rs: RootSystem, theta, circled) -> list:
     earlier rep joined to w_k by an edge labelled i), or is its own root if
     there is none, so each double coset's least rep roots it.
     """
-    circled = set(circled)
-    for i in circled:
-        if not 1 <= i <= rs.rank:
-            raise UsageError(f"circled vertex {i} out of range")
+    circled = checked_vertices(rs.rank, circled, "circled vertex")
     ct = coset_reps(rs, theta)
     uncircled = [i for i in range(1, rs.rank + 1) if i not in circled]
     kernel = root_subsystem(rs, uncircled)

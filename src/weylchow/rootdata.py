@@ -459,16 +459,27 @@ def _component_type(cartan, comp) -> tuple:
     return ("D", n) if leaves >= 2 else ("E", n)
 
 
+def checked_vertices(rank: int, vertices, what: str = "vertex") -> tuple:
+    """vertices as a sorted tuple without repeats, each an int (not a bool) in 1..rank.
+
+    Anything else raises UsageError naming the range; `what` names the vertices.
+    """
+    vertices = tuple(vertices)
+    for i in vertices:
+        if not isinstance(i, int) or isinstance(i, bool):
+            raise UsageError(f"{what} {i!r} must be an integer in 1..{rank}")
+        if not 1 <= i <= rank:
+            raise UsageError(f"{what} {i} out of range 1..{rank}")
+    return tuple(sorted(set(vertices)))
+
+
 def root_subsystem(rs: RootSystem, theta) -> DynkinType:
     """Dynkin type of the subsystem generated by {alpha_i : i in theta} (1-based).
 
     Each connected component of the induced subdiagram is classified by its
     shape; the components are sorted by (family, rank).
     """
-    theta = sorted(set(theta))
-    for i in theta:
-        if not 1 <= i <= rs.rank:
-            raise UsageError(f"vertex {i} out of range 1..{rs.rank}")
+    theta = checked_vertices(rs.rank, theta)
     cartan = rs.cartan
     left = {i - 1 for i in theta}
     components = []

@@ -38,10 +38,11 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm
 
-from .errors import InternalComputationError, ResourceLimitError, UsageError
+from .errors import InternalComputationError, UsageError
 from .polynomial import Polynomial, elementary_symmetric_classes
 from .rootdata import (
-    Record, RootSystem, build_root_system, ring_modulus, root_subsystem, weyl_degrees,
+    Record, RootSystem, build_root_system, checked_vertices, ring_modulus, root_subsystem,
+    weyl_degrees,
 )
 from .weyl import CosetTable, WeylElement, _canonical_from_image, checked_word, coset_reps
 
@@ -129,18 +130,14 @@ def class_to_json(cls: ChowClass, ct: CosetTable) -> str:
 def class_from_json(text: str) -> ChowClass:
     try:
         data = json.loads(text)
-        type_name = data["type"]
+        rs = build_root_system(data["type"])
         theta = data.get("theta", [])
-        if not isinstance(theta, list) or any(
-            not isinstance(i, int) or isinstance(i, bool) for i in theta
-        ):
+        if not isinstance(theta, list):  # a string or an object would iterate as vertices
             raise UsageError(f"theta {theta!r} must be a list of integer vertices")
-        theta = tuple(sorted(theta))
+        ct = coset_reps(rs, checked_vertices(rs.rank, theta, "theta vertex"))
         ring = data.get("ring", "Z")
         if not isinstance(ring, str):
             raise UsageError(f"ring {ring!r} must be a string such as \"Z/2\"")
-        rs = build_root_system(type_name)
-        ct = coset_reps(rs, theta)
         coeffs: dict = {}
         for term in data.get("terms", []):
             word = term["word"]
@@ -208,8 +205,7 @@ def pieri_multiply(rs: RootSystem, alpha: int, w: WeylElement) -> ChowClass:
     Runs over positive roots beta with l(w s_beta) = l(w) - 1; the
     coefficient is <beta^vee, omega_alpha>.
     """
-    if not 1 <= alpha <= rs.rank:
-        raise UsageError(f"divisor index {alpha} out of range")
+    checked_vertices(rs.rank, (alpha,), "divisor index")
     ct = coset_reps(rs, ())
     out = {}
     for pr in rs.positive_roots:
@@ -243,12 +239,10 @@ class _FlagContext:
     one product memo is the image of each generator monomial (`image`).
     """
 
-    GRID_LIMIT = 4000  # safety valve on grid enumeration
-
     def __init__(self, rs: RootSystem, theta):
         self.rs = rs
-        self.theta = tuple(sorted(set(theta)))
-        self.ct = coset_reps(rs, self.theta)
+        self.ct = coset_reps(rs, theta)
+        self.theta = self.ct.theta
         self.dim = self.ct.max_length
         self._grid = {}          # degree -> (pivots, D, A)
         self._images = {}        # generator exponents e -> delta sweep of g^e
@@ -305,34 +299,19 @@ class _FlagContext:
     # -- preimage grid ----------------------------------------------------
 
     def _grid_products(self, d):
-        """Exponent vectors, one entry per generator, of weighted degree d, sparse first."""
-        gens = self.gens
-        degs = [g.degree() for g in gens]
-        out = []
+        """Exponent vectors of the candidate products for grid(d), in the order tried.
 
-        def rec(idx, remaining, acc):
-            if remaining == 0:
-                out.append(tuple(acc) + (0,) * (len(gens) - len(acc)))
-                return
-            if idx == len(gens):
-                return
-            step = degs[idx]
-            max_e = remaining // step
-            for e in range(max_e + 1):
-                rec(idx + 1, remaining - e * step, acc + [e])
-
-        rec(0, d, [])
-        if len(out) > self.GRID_LIMIT:
-            raise ResourceLimitError(
-                f"preimage grid of {len(out)} products at degree {d} exceeds {self.GRID_LIMIT}"
-            )
-
-        def sparsity(exps):
-            heavy = sum(e * degs[j] for j, e in enumerate(exps) if degs[j] > 1)
-            return (heavy, sum(1 for j, e in enumerate(exps) if e and degs[j] > 1), exps)
-
-        out.sort(key=sparsity)
-        return out
+        c is a ring map onto CH tensor Q, so CH^d tensor Q is spanned by the
+        pivots of grid(d - deg g_j) times g_j.  Generators are taken in order
+        (base weights first) and repeats dropped; grid(0) has the one candidate 1.
+        """
+        if d == 0:
+            return [(0,) * len(self.gens)]
+        return list(dict.fromkeys(
+            exps[:j] + (exps[j] + 1,) + exps[j + 1:]
+            for j, g in enumerate(self.gens) if g.degree() <= d
+            for exps in self.grid(d - g.degree())[0]
+        ))
 
     def _product_poly(self, exps):
         gens = self.gens
@@ -356,9 +335,10 @@ class _FlagContext:
     def grid(self, d):
         """Pivot products spanning CH^d tensor Q, with a solver for preimages.
 
-        Products are imaged one by one in sparsity order, through one integer
-        elimination, until the images span; the rest of the grid is never
-        touched.  Returns (pivots, D, A): pivots[j] = exps_j, the exponent
+        The candidates, each a pivot of a lower grid times one generator
+        (_grid_products), are imaged one by one through one integer
+        elimination until the images span; the rest are never touched.
+        Returns (pivots, D, A): pivots[j] = exps_j, the exponent
         vector of the pivot product P_j, and A = D M^-1 is integral for M the
         image matrix of the pivots (row j is the image of P_j).  Columns are
         the codim-d layer of the table: basis index k is column
@@ -527,7 +507,7 @@ def _primitive(row):
 
 def flag_context(rs: RootSystem, theta) -> _FlagContext:
     """The shared _FlagContext of G/P_Theta (cached per root system and theta)."""
-    return _flag_context(rs, tuple(sorted(set(theta))))
+    return _flag_context(rs, checked_vertices(rs.rank, theta))
 
 
 @cache
@@ -548,7 +528,6 @@ _CANDIDATE_POINTS = (
 
 def _sub_fundamental_seeds(rs: RootSystem, theta):
     """Fundamental weights of <Theta> in ambient omega-coordinates, integer-scaled."""
-    theta = tuple(sorted(set(theta)))
     m = len(theta)
     # seed j solves sum_k A[i][k] c_k = delta_ij over i, k in theta: column j of A_Theta^-1,
     # here D A_Theta^-1; dividing by gcd(D, content) leaves the least integer multiple
@@ -613,7 +592,6 @@ def _invariant_generators(rs: RootSystem, theta):
     has rank n (functional independence, hence a generating set by the
     degree-product criterion), and every winner is checked W_Theta-invariant.
     """
-    theta = tuple(sorted(set(theta)))
     n = rs.rank
     base = [Polynomial.variable(rs, i) for i in range(1, n + 1) if i not in theta]
     if not theta:

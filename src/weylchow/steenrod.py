@@ -355,7 +355,8 @@ def _phi_pieces(rs, theta, idx):
     at the word length instead of the codimension.  theta must be normalized
     (sorted, no repeats), as `CosetTable.theta` is.
     """
-    eps = 1 if _calibrate() == "I" else -1
+    _calibrate()
+    eps = 1 if WU_CONVENTION == "I" else -1
     ct = coset_reps(rs, theta)
     return _pushed_series(ct, idx, ct.words[idx], eps, (), ct.length(idx))
 
@@ -406,12 +407,12 @@ def steenrod_basis_element(rs, theta, idx, up_to=None):
 @cache
 def _basis_pieces(rs, theta, idx, want):
     """S^0..S^want of [X_idx] by the direct ring or, for a long word, the duality route."""
-    conv = _calibrate()
+    _calibrate()
     ct = coset_reps(rs, theta)
     codim = ct.codim(idx)
     word_len = ct.length(idx)
     if word_len <= DIRECT_WORD_LIMIT:
-        return _direct_steenrod_pieces(rs, theta, idx, conv, up_to=want)
+        return _direct_steenrod_pieces(rs, theta, idx, WU_CONVENTION, up_to=want)
     if codim + want <= DIRECT_WORD_LIMIT:
         return _steenrod_by_duality(rs, theta, idx, want)
     raise ResourceLimitError(

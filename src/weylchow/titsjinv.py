@@ -22,7 +22,8 @@ import json
 from . import univar
 from .errors import UsageError
 from .rootdata import (
-    DynkinType, Record, RootSystem, build_root_system, is_small_prime, root_subsystem,
+    DynkinType, Record, RootSystem, build_root_system, checked_vertices, is_small_prime,
+    root_subsystem,
 )
 
 
@@ -30,10 +31,7 @@ class TitsIndex(Record):
     __slots__ = ("type", "circled")
 
     def __init__(self, type: DynkinType, circled: tuple):
-        n = type.rank
-        for i in circled:
-            if not 1 <= i <= n:
-                raise UsageError(f"circled vertex {i} out of range 1..{n}")
+        checked_vertices(type.rank, circled, "circled vertex")
         object.__setattr__(self, "type", type)
         object.__setattr__(self, "circled", circled)
 
@@ -67,11 +65,8 @@ class HigherIndexSet(Record):
     )
 
     def __init__(self, type: DynkinType, indices: tuple):
-        n = type.rank
         for m in indices:
-            for i in m:
-                if not 1 <= i <= n:
-                    raise UsageError(f"circled vertex {i} out of range 1..{n}")
+            checked_vertices(type.rank, m, "circled vertex")
         members = [set(m) for m in indices]
         minimal = [m for m in members if not any(o < m for o in members)]
         if len(minimal) != 1:
@@ -81,7 +76,7 @@ class HigherIndexSet(Record):
 
     @staticmethod
     def build(dtype: DynkinType, subsets) -> "HigherIndexSet":
-        idx = tuple(sorted({tuple(sorted(set(s))) for s in subsets}))
+        idx = tuple(sorted({checked_vertices(dtype.rank, s, "circled vertex") for s in subsets}))
         return HigherIndexSet(dtype, idx)
 
     def minimum(self):
@@ -415,8 +410,7 @@ def is_generically_split(type_name: str, vertex: int, profiles: dict) -> bool:
     dtype = DynkinType.parse(type_name)
     if dtype.components not in {(("F", 4),), (("E", 6),), (("E", 7),), (("E", 8),)}:
         raise UsageError("classification covers F4, E6, E7, E8 only")
-    if not 1 <= vertex <= dtype.rank:
-        raise UsageError(f"vertex {vertex} out of range")
+    checked_vertices(dtype.rank, (vertex,))
     j2 = tuple(profiles.get(2, ()))
     j3 = tuple(profiles.get(3, ()))
 

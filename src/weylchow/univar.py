@@ -45,10 +45,6 @@ def mul(p: TPoly, q: TPoly) -> TPoly:
     return tpoly(out)
 
 
-def scale(p: TPoly, c) -> TPoly:
-    return tpoly(a * c for a in p)
-
-
 def shift(p: TPoly, k: int) -> TPoly:
     """Multiply by t^k."""
     if not p:
@@ -91,13 +87,6 @@ def divide_exact(p: TPoly, q: TPoly, what: str = "polynomial") -> TPoly:
 
 def t_power_minus_one(d: int) -> TPoly:
     return tpoly([-1] + [0] * (d - 1) + [1])
-
-
-def evaluate(p: TPoly, x):
-    v = 0
-    for a in reversed(p):
-        v = v * x + a
-    return v
 
 
 def to_string(p: TPoly, var: str = "t") -> str:

@@ -46,7 +46,7 @@ from functools import cache, cached_property
 
 from . import univar
 from .errors import InternalComputationError, ResourceLimitError, UsageError
-from .rootdata import Record, RootSystem, root_subsystem, weyl_degrees
+from .rootdata import Record, RootSystem, checked_vertices, root_subsystem, weyl_degrees
 
 #: |W^Theta| above which a table is refused before its BFS.  Measured with
 #: tracemalloc on CPython 3.11 (E7, Theta = {1}: 1,451,520 cosets), the table
@@ -138,10 +138,7 @@ def longest_element(rs: RootSystem, theta) -> WeylElement:
     Never enumerates the group: at w, any i in Theta with w(rho)_i > 0
     satisfies l(s_i w) = l(w) + 1, and the unique maximum has none left.
     """
-    theta = sorted(set(theta))
-    for i in theta:
-        if not 1 <= i <= rs.rank:
-            raise UsageError(f"vertex {i} out of range 1..{rs.rank}")
+    theta = checked_vertices(rs.rank, theta)
     v = rs.rho
     while True:
         for i in theta:
@@ -158,7 +155,6 @@ def poincare_polynomial(rs: RootSystem, theta) -> tuple:
 
     The division is exact; a nonzero remainder raises InternalComputationError.
     """
-    theta = tuple(sorted(set(theta)))
     num = univar.ONE
     for d in weyl_degrees(rs.type):
         num = univar.mul(num, univar.t_power_minus_one(d))
@@ -221,10 +217,7 @@ class CosetTable:
     """
 
     def __init__(self, rs: RootSystem, theta, cap: int = DEFAULT_COSET_CAP):
-        theta = tuple(sorted(set(theta)))
-        for i in theta:
-            if not 1 <= i <= rs.rank:
-                raise UsageError(f"vertex {i} out of range 1..{rs.rank}")
+        theta = checked_vertices(rs.rank, theta)
         self.rs = rs
         self.theta = theta
         g = poincare_polynomial(rs, theta)
@@ -437,7 +430,7 @@ class CosetTable:
 
 def coset_reps(rs: RootSystem, theta) -> CosetTable:
     """Enumerate W^Theta (cached per root system and set of theta vertices)."""
-    return _coset_table(rs, tuple(sorted(set(theta))))
+    return _coset_table(rs, checked_vertices(rs.rank, theta))
 
 
 @cache

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from weylchow.cli import run
 from weylchow.errors import UsageError
 from weylchow.rootdata import build_root_system
-from weylchow.schubert import class_from_json
+from weylchow.schubert import class_from_json, flag_context
 from weylchow.weyl import coset_reps, hasse_diagram
 
 from oracles import (
@@ -19,6 +19,7 @@ from oracles import (
     decomposition_json_by_json_dumps,
     hasse_dot_by_fstrings,
     hasse_json_by_json_dumps,
+    multiply_by_preimage_product,
 )
 
 
@@ -254,6 +255,18 @@ def test_usage_errors_exit_2():
     assert (code, out) == (2, "usage error: --rost needs --format json")
 
 
+def test_vertices_out_of_range_name_the_range():
+    for argv, message in [
+        (["decompose", "--type", "B3", "--circled", "0"], "circled vertex 0 out of range 1..3"),
+        (["jinv", "--type", "F4", "--p", "2", "--profile", "1", "gensplit", "--vertex", "9"],
+         "vertex 9 out of range 1..4"),
+        (["cosets", "--type", "B3", "--theta", "4"], "vertex 4 out of range 1..3"),
+        (["automaton", "--type", "B3", "--omega", "[[], [true]]"],
+         "circled vertex True must be an integer in 1..3"),
+    ]:
+        assert run(argv) == (2, f"usage error: {message}"), argv
+
+
 def _a2_class(ring, coeff):
     return json.dumps({"type": "A2", "theta": [], "ring": ring, "terms": [{"word": [1], "coeff": coeff}]})
 
@@ -290,6 +303,10 @@ def test_non_integer_theta_vertices_exit_2():
         ):
             code, out = run(argv)
             assert code == 2 and out.startswith("usage error"), (theta, argv[0])
+    for theta in ("", {}):  # empty, but not a list: not read as the empty theta
+        cls = json.dumps({"type": "B3", "theta": theta, "ring": "Z/2", "terms": [{"word": [3], "coeff": 1}]})
+        code, out = run(["steenrod", "--type", "B3", "--theta", "", "--class", cls])
+        assert (code, out) == (2, f"usage error: theta {theta!r} must be a list of integer vertices")
 
 
 def test_non_bool_dual_flags_exit_2():
@@ -577,3 +594,40 @@ def test_any_argv_maps_to_a_documented_exit_code(argv):
     code, out = run(argv)
     assert code in (0, 2, 3, 4)
     assert isinstance(out, str)
+
+
+# --- mult on basis classes --------------------------------------------------
+_MULT_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "A1xA1", "A2xB2"]
+
+
+@st.composite
+def _basis_products(draw):
+    """A type of rank <= 4, a theta, two basis words of its coset table and a ring."""
+    name = draw(st.sampled_from(_MULT_TYPES))
+    rs = build_root_system(name)
+    theta = tuple(sorted(draw(st.sets(st.integers(min_value=1, max_value=rs.rank)))))
+    words = st.sampled_from(coset_reps(rs, theta).words)
+    return name, theta, draw(words), draw(words), draw(st.sampled_from(["Z", "Z/2", "Z/3"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_basis_products())
+def test_mult_of_basis_classes_commutes_and_matches_the_preimage_oracle(case):
+    name, theta, word_a, word_b, ring = case
+
+    def basis(word):
+        return json.dumps({"type": name, "theta": list(theta), "ring": ring,
+                           "terms": [{"word": list(word), "coeff": 1}]})
+
+    argv = ["mult", "--type", name, "--theta", ",".join(map(str, theta))]
+    code, out = run(argv + ["--a", basis(word_a), "--b", basis(word_b)])
+    assert code == 0, out
+    assert run(argv + ["--a", basis(word_b), "--b", basis(word_a)]) == (0, out)
+    a, b = class_from_json(basis(word_a)), class_from_json(basis(word_b))
+    ctx = flag_context(build_root_system(name), theta)
+    k = a.codim(ctx.ct) + b.codim(ctx.ct)
+    product = class_from_json(out)
+    if k > ctx.dim:  # above the top degree: the zero class, with no preimage to compare
+        assert product.is_zero()
+    else:
+        assert product == multiply_by_preimage_product(ctx, a, b, k, ring)

@@ -10,7 +10,8 @@ from weylchow import rootdata
 from weylchow.errors import InternalComputationError, ResourceLimitError, UsageError
 from weylchow.motive import Correspondence, MotiveSummand
 from weylchow.rootdata import (
-    DynkinType, PositiveRoot, Record, build_root_system, root_subsystem, weyl_degrees,
+    DynkinType, PositiveRoot, Record, build_root_system, checked_vertices, root_subsystem,
+    weyl_degrees,
 )
 from weylchow.schubert import ChowClass
 from weylchow.titsjinv import Automaton, HigherIndexSet, JProfile, KacEntry, TitsIndex
@@ -136,6 +137,20 @@ def test_root_subsystem_e7_examples():
     assert root_subsystem(e7, [1, 2, 3, 4, 5, 6]).name() == "E6"
     assert root_subsystem(e7, [2, 3, 4, 5]).name() == "D4"
     assert root_subsystem(e7, []) == DynkinType(())
+
+
+def test_checked_vertices_sorts_integer_vertices_in_range():
+    assert checked_vertices(3, [3, 1, 3]) == (1, 3)
+    assert checked_vertices(3, range(1, 4)) == (1, 2, 3)
+    assert checked_vertices(3, ()) == ()
+    for bad, message in [([0], "vertex 0 out of range 1..3"), ([1, 4], "vertex 4 out of range 1..3"),
+                         ([True], "vertex True must be an integer in 1..3"),
+                         ([2.0], "vertex 2.0 must be an integer in 1..3"),
+                         ("12", "vertex '1' must be an integer in 1..3")]:
+        with pytest.raises(UsageError, match=message):
+            checked_vertices(3, bad)
+    with pytest.raises(UsageError, match="circled vertex 9 out of range 1..3"):
+        checked_vertices(3, [9], "circled vertex")
 
 
 def test_root_subsystem_more_shapes():

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weylchow import univar
-from weylchow.errors import InternalComputationError, ResourceLimitError, UsageError
+from weylchow.errors import InternalComputationError, UsageError
 from weylchow.polynomial import Polynomial
 from weylchow.rootdata import build_root_system
 from weylchow.schubert import (
@@ -433,13 +433,6 @@ def test_theta_orderings_share_cache_entries():
     assert flag_context(rs, [2, 1]) is flag_context(rs, (1, 2))
 
 
-def test_grid_limit_is_a_resource_error(monkeypatch):
-    monkeypatch.setattr(_FlagContext, "GRID_LIMIT", 1)
-    ctx = _FlagContext(build_root_system("B3"), (2, 3))  # degree 2: omega_1^2 and one quadric
-    with pytest.raises(ResourceLimitError):
-        ctx.grid(2)
-
-
 def test_grading_rank_profile_matches_poincare():
     rs = build_root_system("B3")
     theta = (1, 2)
@@ -667,6 +660,40 @@ def test_grid_products_are_full_length_of_weighted_degree(name, theta):
         for exps in products:
             assert len(exps) == len(degs), (d, exps)
             assert sum(e * g for e, g in zip(exps, degs)) == d, (d, exps)
+
+
+@pytest.mark.parametrize("name,theta", _ROUTE_SPACES, ids=_ROUTE_IDS)
+def test_grid_candidates_are_lower_pivots_times_one_generator(name, theta):
+    ctx = _FlagContext(build_root_system(name), theta)
+    degs = [g.degree() for g in ctx.gens]
+    assert ctx._grid_products(0) == [(0,) * len(degs)]
+    for d in range(1, ctx.dim + 1):
+        products = ctx._grid_products(d)
+        lower = {j: set(ctx.grid(d - g)[0]) for j, g in enumerate(degs) if g <= d}
+        for exps in products:
+            assert any(exps[j] and exps[:j] + (exps[j] - 1,) + exps[j + 1:] in pivots
+                       for j, pivots in lower.items()), (d, exps)
+        assert len(products) <= sum(len(ctx.ct.of_codim(d - degs[j])) for j in lower), d
+
+
+@pytest.mark.parametrize("name,theta", _ROUTE_SPACES, ids=_ROUTE_IDS)
+def test_grids_built_top_down_match_grids_built_bottom_up(name, theta):
+    rs = build_root_system(name)
+    up = _FlagContext(rs, theta)
+    bottom_up = [up.grid(d) for d in range(up.dim + 1)]
+    down = _FlagContext(rs, theta)
+    down.grid(down.dim)
+    assert sorted(down._grid) == list(range(down.dim + 1))  # the top grid built every lower one
+    assert [down.grid(d) for d in range(down.dim + 1)] == bottom_up
+
+
+def test_e6p1_grids_sweep_fewer_images_than_the_weighted_degree_enumeration():
+    ctx = _FlagContext(build_root_system("E6"), (2, 3, 4, 5, 6))
+    for d in range(ctx.dim + 1):
+        ctx.grid(d)
+    # every weighted composition of each degree, sparse first, swept 42 images for these 27 pivots
+    assert sum(len(ctx.grid(d)[0]) for d in range(ctx.dim + 1)) == 27
+    assert len(ctx._images) < 42
 
 
 _FRACTIONS = {  # coefficient j of a test class, fractional where the ring allows it
