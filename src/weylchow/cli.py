@@ -333,8 +333,14 @@ def run(argv):
 def main():
     code, out = run(sys.argv[1:])
     stream = sys.stdout if code == 0 else sys.stderr
-    if out:
-        print(out, file=stream)
+    try:
+        if out:
+            print(out, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        # the reader left early: send the rest (and the flush at exit) to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
     sys.exit(code)
 
 

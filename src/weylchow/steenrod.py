@@ -18,7 +18,8 @@ from the top position down that uses D_k^2 = D_k nu_k; a handful of
 big-int operations per position replaces any per-monomial work.  The
 pushforward walks the subwords of each ring once, right to left, taking
 only letters that are ascents of W^Theta, up to the largest degree asked
-for.
+for, and reads the element's bit at each pushed subword, so no
+monomial is ever listed.
 
 The total operation on a pushed fundamental class is a Wu-type formula
 
@@ -62,14 +63,42 @@ DIRECT_WORD_LIMIT = 18
 WU_CONVENTION = "I"
 
 
+@cache
+def _selectors(length):
+    """(clear, deg, below) bitset selectors over the 2^length square-free masks.
+
+    clear[k] holds the masks without bit k, deg[d] those with d bits, and
+    below[d] those with fewer than d bits.  They depend only on the length,
+    so every ring of one word length shares them; kept for every length up
+    to DIRECT_WORD_LIMIT, they hold under 4 MB.
+    """
+    n = 1 << length
+    # masks without bit k: runs of 2^k set bits with period 2^(k+1), doubled up to n bits
+    clear = []
+    for k in range(length):
+        sel, width = (1 << (1 << k)) - 1, 2 << k
+        while width < n:
+            sel |= sel << width
+            width <<= 1
+        clear.append(sel)
+    # deg[d]: masks with d bits, grown one position at a time
+    deg = [1]
+    for k in range(length):
+        deg = [a | (b << (1 << k)) for a, b in zip(deg + [0], [0] + deg)]
+    below = [0]
+    for piece in deg:
+        below.append(below[-1] | piece)
+    return tuple(clear), tuple(deg), tuple(below)
+
+
 class BottSamelsonRing:
     """CH of the Bott-Samelson resolution of a reduced word, mod 2.
 
     An element is one int bitset: bit m is set when the square-free monomial
     with divisor mask m (bit j of m set means the factor D_{j+1} is present)
-    occurs; addition is xor.  The selectors are built once per ring:
-    clear[k] holds the masks without bit k, deg[d] those with d bits, and
-    below[d] those with fewer than d bits.
+    occurs; addition is xor.  The selectors clear, deg and below (see
+    `_selectors`) are built once per word length and shared by every ring
+    of that length.
     """
 
     def __init__(self, rs: RootSystem, word):
@@ -98,23 +127,7 @@ class BottSamelsonRing:
                     odd.append(k)
                 mu = rs.reflect_weight(word[k] - 1, mu)
             self.nu.append(tuple(odd))
-        n = 1 << self.length
-        # masks without bit k: runs of 2^k set bits with period 2^(k+1), doubled up to n bits
-        self.clear = []
-        for k in range(self.length):
-            sel, width = (1 << (1 << k)) - 1, 2 << k
-            while width < n:
-                sel |= sel << width
-                width <<= 1
-            self.clear.append(sel)
-        # deg[d]: masks with d bits, grown one position at a time
-        deg = [1]
-        for k in range(self.length):
-            deg = [a | (b << (1 << k)) for a, b in zip(deg + [0], [0] + deg)]
-        self.deg = deg
-        self.below = [0]
-        for piece in deg:
-            self.below.append(self.below[-1] | piece)
+        self.clear, self.deg, self.below = _selectors(self.length)
 
     def one(self):
         return 1
@@ -223,24 +236,21 @@ def steenrod_on_bs(ring: BottSamelsonRing, elem):
     return out
 
 
-def bs_pushforward(ring: BottSamelsonRing, masks, theta) -> ChowClass:
-    """Push square-free monomials to mod-2 Schubert classes on G/P_Theta.
-
-    `masks` is a collection (a set or a list such as `ring.masks(elem)`) of
-    the monomials' divisor masks.
+def bs_pushforward(ring: BottSamelsonRing, elem, theta) -> ChowClass:
+    """Push a ring element (an int bitset) to a mod-2 Schubert class on G/P_Theta.
 
     The monomial prod_{j in T} D_j is the sub-resolution on positions
     S = complement(T); it pushes to [X_v] when the subword at S is reduced
     and its product v is a minimal coset representative, else to 0.  The
-    subwords are walked once, up to the largest degree among the masks.
+    subwords are walked once, up to the top degree of `elem`, and the
+    element's bit is read at each pushed subword's mask, so the cost
+    follows the number of pushed subwords, not of monomials.
     """
     ct = coset_reps(ring.rs, theta)
-    top = max((m.bit_count() for m in masks), default=0)
-    images = ct.subword_positions(ring.word, top)
+    top = next((d for d in range(ring.length, 0, -1) if elem & ring.deg[d]), 0)
     out = set()
-    for m in masks:
-        k = images.get(m)
-        if k is not None:
+    for m, k in ct.subword_positions(ring.word, top).items():
+        if elem >> m & 1:
             out ^= {k}
     return ChowClass(ring.rs.type.name(), ct.theta, "Z/2", dict.fromkeys(out, 1))
 
@@ -262,7 +272,7 @@ def _pushed_series(ct: CosetTable, idx, word, eps, weights, top):
         elem = ring.mul_one_plus_series(elem, nu, -eps, top)
     base = ct.codim(idx)
     graded = {}
-    for k in bs_pushforward(ring, ring.masks(elem), ct.theta).coeffs:
+    for k in bs_pushforward(ring, elem, ct.theta).coeffs:
         graded.setdefault(ct.codim(k) - base, {})[k] = 1
     if graded.get(0) != {idx: 1}:
         raise InternalComputationError("resolution is not birational onto its image")

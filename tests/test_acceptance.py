@@ -208,7 +208,7 @@ def test_criterion_5_steenrod_golden():
                 )
                 assert pair(xz, c16) == 0, (cod, x, v)
 
-    assert time.time() - t0 < 7200
+    assert time.time() - t0 < 120
     report(5, "S^16(f) = pt; S^8(Ch^8) = {0,c}; S^8(g)S^8(h) = cgh; c.Ch^6 = c.Ch^12 = 0 on E7/P1")
 
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weylchow
 from weylchow.cli import run
 from weylchow.errors import UsageError
 from weylchow.rootdata import build_root_system
@@ -631,3 +635,16 @@ def test_mult_of_basis_classes_commutes_and_matches_the_preimage_oracle(case):
         assert product.is_zero()
     else:
         assert product == multiply_by_preimage_product(ctx, a, b, k, ring)
+
+
+def test_reader_closing_stdout_early_is_no_error():
+    # `weylchow cosets ... | head -c 10`: the rest of the output is dropped,
+    # the exit code stays the invocation's own and no traceback is printed
+    env = dict(os.environ, PYTHONPATH=str(Path(weylchow.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "weylchow.cli", "cosets", "--type", "E6", "--theta", ""]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as p:
+        assert p.stdout.read(10) == b'{"count": '
+        p.stdout.close()
+        err = p.stderr.read().decode()
+        assert p.wait(timeout=60) == 0
+    assert "Traceback" not in err

@@ -167,15 +167,15 @@ def test_bs_pushforward_a2_examples():
     ct = coset_reps(rs, ())
     ring = BottSamelsonRing(rs, (1, 2))
     # fundamental class -> [X_{s1 s2}]
-    full = bs_pushforward(ring, ring.masks(ring.one()), ())
+    full = bs_pushforward(ring, ring.one(), ())
     assert full.coeffs == {ct.index[(1, 2)]: 1}
     # divisors push to the two length-1 Schubert classes
-    d1 = bs_pushforward(ring, {0b01}, ())
-    d2 = bs_pushforward(ring, {0b10}, ())
+    d1 = bs_pushforward(ring, 1 << 0b01, ())
+    d2 = bs_pushforward(ring, 1 << 0b10, ())
     assert d1.coeffs == {ct.index[(2,)]: 1}
     assert d2.coeffs == {ct.index[(1,)]: 1}
     # the full product D_1 D_2 is the point contribution of the empty subword
-    pt = bs_pushforward(ring, {0b11}, ())
+    pt = bs_pushforward(ring, 1 << 0b11, ())
     assert pt.coeffs == {0: 1}
 
 
@@ -183,7 +183,7 @@ def test_bs_pushforward_nonreduced_subword_dies():
     rs = build_root_system("A2")
     ring = BottSamelsonRing(rs, (1, 2, 1))
     # subword at positions {0, 2} is (1,1): not reduced -> 0
-    cls = bs_pushforward(ring, {0b010}, ())
+    cls = bs_pushforward(ring, 1 << 0b010, ())
     assert cls.is_zero()
 
 
@@ -195,7 +195,43 @@ def test_bs_pushforward_point_outside_table_raises(monkeypatch):
     monkeypatch.setattr(steenrod, "coset_reps", lambda rs, theta: ct)
     ring = BottSamelsonRing(rs, (1, 2, 1))
     with pytest.raises(InternalComputationError):
-        bs_pushforward(ring, {0}, ())
+        bs_pushforward(ring, 1 << 0, ())
+
+
+def test_selectors_are_built_once_per_length():
+    for length in range(9):
+        clear, deg, below = steenrod._selectors(length)
+        masks = range(1 << length)
+        assert clear == tuple(bits(m for m in masks if not m >> k & 1) for k in range(length))
+        assert deg == tuple(bits(m for m in masks if m.bit_count() == d) for d in range(length + 1))
+        assert below == tuple(bits(m for m in masks if m.bit_count() < d) for d in range(length + 2))
+    rs = build_root_system("A3")
+    a, b = BottSamelsonRing(rs, (1, 2, 1)), BottSamelsonRing(rs, (2, 3, 2))
+    assert a.clear is b.clear and a.deg is b.deg and a.below is b.below
+
+
+def test_production_path_lists_no_monomials(monkeypatch):
+    # the direct route, the duality route and the calibration push whole
+    # bitsets forward: none of them may list an element's monomials
+    a3 = build_root_system("A3")
+    e6 = build_root_system("E6")
+    e6p1 = coset_reps(e6, (2, 3, 4, 5, 6))
+    classes = [mod2_basis(a3, (), k) for k in range(len(coset_reps(a3, ())))]
+    classes += [mod2_basis(e6, e6p1.theta, k) for k in (1, 5, len(e6p1) // 2, len(e6p1) - 1)]
+    b3 = build_root_system("B3")
+    b3_k = coset_reps(b3, ()).of_codim(3)[2]
+    want = [steenrod_total(cls) for cls in classes]
+    want_dual = steenrod._steenrod_by_duality(b3, (), b3_k, 3)
+    assert 1 in want_dual  # S^1 is read from Phi of codim-5 classes
+
+    def no_masks(elem):
+        raise AssertionError("a ring element's monomials were listed")
+
+    monkeypatch.setattr(BottSamelsonRing, "masks", staticmethod(no_masks))
+    for memo in (steenrod._basis_pieces, steenrod._phi_pieces, steenrod._calibrate):
+        memo.cache_clear()
+    assert [steenrod_total(cls) for cls in classes] == want
+    assert steenrod._steenrod_by_duality(b3, (), b3_k, 3) == want_dual
 
 
 def test_basis_pieces_are_a_steenrod_memo():
@@ -273,7 +309,7 @@ def test_bs_ring_matches_per_mask_oracles(case):
     assert bits(masks) == elem
     for d in range(ring.length + 1):
         assert ring.masks(ring.graded_piece(elem, d)) == [m for m in masks if m.bit_count() == d]
-    got = bs_pushforward(ring, masks, theta)
+    got = bs_pushforward(ring, elem, theta)
     assert set(got.coeffs) == oracle_pushforward(ring, masks, theta)
     assert set(got.coeffs.values()) <= {1}
 
