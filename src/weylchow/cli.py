@@ -11,6 +11,14 @@ cheap.  An entry is written to a temporary file and renamed into place,
 so an interrupted write never leaves a truncated entry; a cache that
 cannot be written costs only the replay, not the answer.
 
+`cosets`, `hasse` and `decompose` print their output in pieces (a length
+layer of the coset table, or a motive summand, at a time) as they are
+rendered, and a cold run with --cache-dir writes the same pieces to the
+entry's temporary file, so a run that computes its output never holds it
+whole (a replay reads its stored entry whole).  Every computation and
+check that can fail runs before the first piece, so an error still prints
+nothing on stdout and exits 2, 3 or 4.
+
 Each subcommand imports the modules it uses when it runs, so `--help`, an
 argument error or a `roots` query never pays for loading the Schubert,
 Steenrod, motive or Tits machinery.
@@ -136,7 +144,9 @@ def _build_parser():
     return p
 
 
-def _dispatch(args) -> str:
+def _dispatch(args):
+    """The invocation's output: its text, or for `cosets`, `hasse` and `decompose` an
+    iterable of the text's pieces.  Everything that can raise runs before this returns."""
     if args.command == "roots":
         from .rootdata import build_root_system
 
@@ -153,21 +163,9 @@ def _dispatch(args) -> str:
 
     if args.command == "cosets":
         from .rootdata import build_root_system
-        from .weyl import coset_reps
+        from .weyl import coset_reps, cosets_to_json
 
-        rs = build_root_system(args.type)
-        ct = coset_reps(rs, _parse_vertices(args.theta))
-        dim = ct.max_length
-        text = ct.word_text
-        reps = ", ".join(
-            f'{{"codim": {dim - l}, "length": {l}, "word": {text[k]}}}'
-            for l in range(dim + 1)
-            for k in ct.of_length(l)
-        )
-        return (
-            f'{{"count": {len(ct)}, "dim": {dim}, "reps": [{reps}], '
-            f'"theta": {json.dumps(list(ct.theta))}, "type": {json.dumps(rs.type.name())}}}'
-        )
+        return cosets_to_json(coset_reps(build_root_system(args.type), _parse_vertices(args.theta)))
 
     if args.command == "poincare":
         from . import univar
@@ -272,8 +270,37 @@ def _dispatch(args) -> str:
     raise UsageError(f"unknown command {args.command!r}")
 
 
-def _run_cached(args) -> str:
-    """Dispatch, replaying from and storing into --cache-dir when one is given."""
+def _pieces(args):
+    """The output of `_dispatch` as an iterable of pieces."""
+    out = _dispatch(args)
+    return (out,) if isinstance(out, str) else out
+
+
+def _stored(pieces, cache_dir, cache_file):
+    """Yield pieces, writing each to a temporary file that becomes cache_file after the last.
+
+    A run that stops early, or a write that fails, leaves no entry.
+    """
+    pieces = iter(pieces)  # so that a failed write resumes after the pieces already yielded
+    tmp = f"{cache_file}.{os.getpid()}.tmp"  # same directory, so the rename is atomic
+    try:
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+            with open(tmp, "w", encoding="utf-8") as fh:
+                for piece in pieces:
+                    yield piece
+                    fh.write(piece)
+            os.replace(tmp, cache_file)
+        except OSError:
+            yield from pieces  # the answer stands; only its replay is lost
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _run_cached(args):
+    """Dispatch, replaying from and storing into --cache-dir when one is given; returns an
+    iterable of the output's pieces."""
     if args.command == "automaton" and args.omega.startswith("@"):
         # read before the key is taken, so the key covers the file's contents, not its path
         try:
@@ -282,7 +309,7 @@ def _run_cached(args) -> str:
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read omega file: {exc}") from exc
     if not args.cache_dir:
-        return _dispatch(args)
+        return _pieces(args)
     import hashlib
 
     # the parsed arguments, so the cache directory's own path is not part of the key
@@ -291,56 +318,61 @@ def _run_cached(args) -> str:
     cache_file = os.path.join(args.cache_dir, key + ".out")
     try:
         with open(cache_file, "r", encoding="utf-8") as fh:
-            return fh.read()
+            return (fh.read(),)
     except (OSError, UnicodeDecodeError):
         pass  # no entry, or one that cannot be read or decoded: a miss, overwritten below
-    out = _dispatch(args)
-    tmp = f"{cache_file}.{os.getpid()}.tmp"  # same directory, so the rename is atomic
-    try:
-        os.makedirs(args.cache_dir, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(out)
-        os.replace(tmp, cache_file)
-    except OSError:
-        pass  # the answer stands; only its replay is lost
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return out
+    return _stored(_pieces(args), args.cache_dir, cache_file)
 
 
-def run(argv):
-    """Execute one invocation; returns (exit_code, output_text)."""
+def _execute(argv):
+    """Execute one invocation up to its output; returns (exit_code, iterable of output pieces).
+
+    Every error is caught here, before the first piece: iterating the pieces raises none.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         if exc.code == 0:  # --help
-            return 0, ""
-        return 2, "usage error: invalid arguments"
+            return 0, ()
+        return 2, ("usage error: invalid arguments",)
     try:
         return 0, _run_cached(args)
     except UsageError as exc:
-        return 2, f"usage error: {exc}"
+        return 2, (f"usage error: {exc}",)
     except ResourceLimitError as exc:
-        return 3, f"resource cap: {exc}"
+        return 3, (f"resource cap: {exc}",)
     except InternalComputationError as exc:
-        return 4, f"internal assertion failed: {exc}"
+        return 4, (f"internal assertion failed: {exc}",)
     except WeylchowError as exc:
-        return 4, f"internal error: {exc}"
+        return 4, (f"internal error: {exc}",)
+
+
+def run(argv):
+    """Execute one invocation; returns (exit_code, output_text)."""
+    code, pieces = _execute(argv)
+    return code, "".join(pieces)
 
 
 def main():
-    code, out = run(sys.argv[1:])
+    """The console script: writes the output piece by piece, with a final newline."""
+    code, pieces = _execute(sys.argv[1:])
     stream = sys.stdout if code == 0 else sys.stderr
     try:
-        if out:
-            print(out, file=stream)
+        wrote = False
+        for piece in pieces:
+            stream.write(piece)
+            wrote = wrote or bool(piece)
+        if wrote:
+            stream.write("\n")
         stream.flush()
     except BrokenPipeError:
         # the reader left early: send the rest (and the flush at exit) to devnull
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, stream.fileno())
+    finally:
+        if hasattr(pieces, "close"):
+            pieces.close()  # a cache entry being written is dropped, not left truncated
     sys.exit(code)
 
 

@@ -17,6 +17,7 @@ Poincaré pairing, so no general intersection products are needed.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from . import univar
 from .errors import UsageError
@@ -24,7 +25,7 @@ from .rootdata import (
     DynkinType, Record, RootSystem, build_root_system, checked_vertices, ring_modulus,
     root_subsystem,
 )
-from .weyl import coset_reps, hasse_diagram
+from .weyl import coset_reps, edge_runs, hasse_diagram, join_pieces
 
 
 class MotiveSummand(Record):
@@ -124,28 +125,32 @@ def singleton_components(rs: RootSystem, theta, circled) -> list:
     return sorted(out, key=lambda t: (t[1], t[0]))
 
 
-def decomposition_to_json(rs, theta, circled, rost=False) -> str:
-    """The summands as the JSON object {circled, kernel, [rost_twists,] summands, theta, type}, keys sorted."""
+def decomposition_to_json(rs, theta, circled, rost=False):
+    """The summands as the JSON object {circled, kernel, [rost_twists,] summands, theta, type},
+    keys sorted, in pieces: one per summand.  Everything that can raise runs before the
+    pieces are returned."""
     summands = decompose(rs, theta, circled)
     ct = coset_reps(rs, theta)
     text = ct.word_text
     kernel = summands[0].kernel_type.name() if summands else "1"
     rost_twists = f'"rost_twists": {json.dumps(refine_rost(summands))}, ' if rost else ""
-    parts = ", ".join(
+    parts = join_pieces(
         f'{{"kernel_type": {json.dumps("1" if s.is_lefschetz else s.kernel_type.name())}, '
         f'"profile": {json.dumps(list(s.profile))}, "twist": {s.twist}, '
         f'"vertices": [{", ".join(text[v] for v in s.vertices)}]}}'
         for s in summands
     )
-    return (
+    head = (
         f'{{"circled": {json.dumps(sorted(set(circled)))}, "kernel": {json.dumps(kernel)}, '
-        f'{rost_twists}"summands": [{parts}], "theta": {json.dumps(list(ct.theta))}, '
-        f'"type": {json.dumps(rs.type.name())}}}'
+        f'{rost_twists}"summands": ['
     )
+    tail = f'], "theta": {json.dumps(list(ct.theta))}, "type": {json.dumps(rs.type.name())}}}'
+    return chain((head,), parts, (tail,))
 
 
-def decomposition_to_dot(rs, theta, circled) -> str:
-    """Cut Hasse diagram with one color per component."""
+def decomposition_to_dot(rs, theta, circled):
+    """Cut Hasse diagram with one color per component, in pieces: one per length layer
+    of vertices and of edge sources."""
     ct = coset_reps(rs, theta)
     h = hasse_diagram(ct)
     summands = decompose(rs, theta, circled)
@@ -156,17 +161,17 @@ def decomposition_to_dot(rs, theta, circled) -> str:
         for v in s.vertices:
             color_of[v] = colors[n % len(colors)]
     circled = set(circled)
-    text = ct.word_text
-    lines = ["digraph motive {"]
-    for v in h.vertices:
-        lines.append(f'  n{v} [label="{text[v]} ({ct.length(v)})", color={color_of[v]}];')
-    for a, b, label in h.edges:
-        if label in circled:
-            lines.append(f'  n{a} -> n{b} [label="{label}", style=dotted];')
-        else:
-            lines.append(f'  n{a} -> n{b} [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines)
+    vertices = (
+        "\n".join(f'  n{v} [label="{t} ({l})", color={color_of[v]}];'
+                  for v, t in zip(ct.of_length(l), texts))
+        for l, texts in enumerate(ct.text_layers())
+    )
+    edges = (
+        "\n".join(f'  n{a} -> n{b} [label="{label}", style=dotted];' if label in circled
+                  else f'  n{a} -> n{b} [label="{label}"];' for a, b, label in run)
+        for run in edge_runs(h)
+    )
+    return join_pieces(chain(("digraph motive {",), vertices, edges, ("}",)), "\n")
 
 
 # ---------------------------------------------------------------------------

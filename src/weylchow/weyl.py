@@ -12,14 +12,18 @@ the W-orbit of lambda_Theta = sum of omega_i over i not in Theta, whose
 stabilizer is exactly W_Theta.  The same sign test drives it: at a
 representative w with p = w(lambda_Theta), p_i > 0 makes s_i w the next
 longer representative and p_i = 0 means s_i fixes p, so each BFS step
-follows only the ascents.  The table stores only what the BFS produces:
-the lambda-points with their positions, the BFS tree (parent and label)
-and the length layers.  Words, their JSON text, WeylElements and the word
-index are views derived from the tree on first use: a representative's
-word is its BFS parent's with one letter in front, and its text is its
-parent's text with that letter put in.  The Hasse diagram and the motive
-cut are read off the lambda-points, and the Poincare dual w0 w w_Theta is
-the representative at w0(p).
+follows only the ascents, and a new point is kept only from its canonical
+parent, the one its least descent leads to, so no point is probed against
+those already seen.  The table stores only what the BFS produces: the
+lambda-points in table order, the BFS tree (parent and label) and the
+length layers.  The point index, words, their JSON text, WeylElements and
+the word index are views derived on first use: a representative's word is
+its BFS parent's with one letter in front, and its text is its parent's
+text with that letter put in.  The Hasse diagram and the motive cut are
+read off the lambda-points, and the Poincare dual w0 w w_Theta is the
+representative at w0(p).  The renderers yield their text in pieces, one
+per length layer (one per summand for the motive), so printing a table
+never holds its whole output.
 
 The lambda-points are packed ints, one 8-bit field per coordinate as for
 the polynomial monomials: coordinate j plus 128 sits in bits [8j, 8j + 8).
@@ -41,8 +45,9 @@ checks its layer counts against g after it.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import cache, cached_property
+from itertools import chain
 
 from . import univar
 from .errors import InternalComputationError, ResourceLimitError, UsageError
@@ -50,10 +55,13 @@ from .rootdata import Record, RootSystem, checked_vertices, root_subsystem, weyl
 
 #: |W^Theta| above which a table is refused before its BFS.  Measured with
 #: tracemalloc on CPython 3.11 (E7, Theta = {1}: 1,451,520 cosets), the table
-#: keeps about 170 bytes per coset (200 at the peak of its BFS), so a table at
-#: the cap takes about 1.7 GB (2 GB while it is built).  `word_text` adds about
-#: 150 bytes per coset, and a whole `cosets` run peaked at 0.96 GB RSS there,
-#: about 660 bytes per coset, or some 6.6 GB at the cap.
+#: keeps about 88 bytes per coset (113 at the peak of its BFS), so a table at
+#: the cap takes about 0.9 GB (1.1 GB while it is built).  The point index,
+#: built on the first lookup (Hasse edges, the motive cut, duals, subwords),
+#: adds about 86 bytes per coset and `word_text` about 150; `cosets` prints
+#: two length layers of text at a time and holds no copy of its output, so a
+#: whole `cosets` run peaked at 214 MB RSS there, about 150 bytes per coset,
+#: or some 1.5 GB at the cap.
 DEFAULT_COSET_CAP = 10_000_000
 
 #: a packed lambda-point stores coordinate j as p_j + _BIAS in bits [8j, 8j + 8)
@@ -183,8 +191,8 @@ class CosetTable:
 
     The table keeps what its breadth-first search produces and nothing else
     per representative:
-    - `_points` maps each packed lambda_Theta-image to its rep's position,
-      in table order (`_lam` is lambda_Theta itself, packed);
+    - `_order` lists the packed lambda_Theta-images in table order (`_lam`
+      is lambda_Theta itself, packed);
     - `parent` and `parent_label` record the BFS tree (rep = s_label * parent);
     - `_layers` bounds the BFS layers: each is one length, so the reps of
       length l (codim dim - l) are the positions `of_length(l)`.
@@ -193,12 +201,15 @@ class CosetTable:
     refused before its BFS when g(1) = |W^Theta| exceeds the cap, and the
     layer sizes are checked against the coefficients of g after it.
 
-    Everything else is a view built on first use, in one pass over the
-    parent links: `words` (a rep's canonical word is (label,) + its
-    parent's), `word_text` (each word's JSON-array text, made from its
-    parent's text), `reps` (the WeylElements, for code that multiplies
-    them) and `index` (word -> position).  Renderers print `word_text`, so
-    printing a table builds no tuple or element per rep.
+    Everything else is a view built on first use: `_points` (packed point
+    -> position, for the lookups of Hasse edges, descents, duals and
+    subwords) and, in one pass over the parent links, `words` (a rep's
+    canonical word is (label,) + its parent's), `word_text` (each word's
+    JSON-array text, made from its parent's text), `reps` (the WeylElements,
+    for code that multiplies them) and `index` (word -> position).
+    `text_layers` yields the same texts one length layer at a time, each
+    from the layer below, so printing a table in layer order builds no
+    tuple or element per rep and holds two layers of text at a time.
 
     A packed point holds coordinate j plus 128 in bits [8j, 8j + 8), and
     `_step` reflects it; the BFS, `hasse_diagram`, `first_descents` and
@@ -209,11 +220,15 @@ class CosetTable:
     InternalComputationError (no accepted type has one).
 
     The lex-least word of a new point q is (i,) + word(s_i q) for the least
-    i with q_i < 0, the greedy rule `_canonical_from_image` applies to rho.
-    Scanning labels increasingly and, per label, the previous layer in table
-    order meets each new point first through that least label, in (label,
-    parent position) order, which is word order: layers come out sorted
-    without comparing words.
+    i with q_i < 0, the greedy rule `_canonical_from_image` applies to rho:
+    its canonical parent is s_i q.  A step q = s_i p (p_i > 0) is kept
+    exactly when i is that least descent, i.e. q_j >= 0 for every j < i,
+    which packed is one mask test: every field below i keeps its top bit.
+    So each point is reached once, and scanning labels increasingly and, per
+    label, the previous layer in table order yields the new points in
+    (label, parent position) order, which is word order: layers come out
+    sorted without comparing words or probing a set of seen points.  The
+    layer-count check against g also certifies this rule.
     """
 
     def __init__(self, rs: RootSystem, theta, cap: int = DEFAULT_COSET_CAP):
@@ -236,8 +251,13 @@ class CosetTable:
         )
         lam = sum((_BIAS + (0 if (j + 1) in theta else 1)) << (_BITS * j) for j in range(rs.rank))
 
-        points = {lam: 0}     # packed lambda-image -> position, in table order
-        order = [lam]
+        # q = s_i p is kept only from its canonical parent: when i is q's least
+        # descent, i.e. every field below i keeps its top bit (q_j >= 0 for j < i)
+        steps = [
+            (_BITS * i, col, sum(_BIAS << (_BITS * j) for j in range(i)))
+            for i, col in enumerate(self._cols)
+        ]
+        order = [lam]         # packed lambda-images, in table order
         parent = [-1]
         parent_label = [0]
         layers = [0]          # layer l is order[layers[l]:layers[l + 1]]
@@ -246,14 +266,12 @@ class CosetTable:
             end = len(order)
             layers.append(end)
             layer = order[start:end]
-            for label, col in enumerate(self._cols, 1):
-                shift = _BITS * (label - 1)
+            for label, (shift, col, below) in enumerate(steps, 1):
                 for k, p in enumerate(layer, start):
                     f = (p >> shift) & _MASK
                     if f > _BIAS:  # p_i > 0: an ascent
                         q = p - (f - _BIAS) * col
-                        if q not in points:
-                            points[q] = len(order)
+                        if q & below == below:
                             order.append(q)
                             parent.append(k)
                             parent_label.append(label)
@@ -271,7 +289,7 @@ class CosetTable:
                 f"coset layers {list(self.graded_counts())} disagree with the Poincare "
                 f"polynomial {list(g)} for type {rs.type.name()}, theta={list(theta)}"
             )
-        self._points = points
+        self._order = tuple(order)
         self._lam = lam
         self.w0 = longest_element(rs, range(1, rs.rank + 1))
         self.w_theta = longest_element(rs, theta)
@@ -318,24 +336,41 @@ class CosetTable:
             words.append((label,) + words[p])
         return tuple(words)
 
-    @cached_property
-    def word_text(self) -> tuple:
-        """JSON-array text of every canonical word, "[2, 1]" for (2, 1), built on first use.
+    def text_layers(self):
+        """Yield, for each length 0..max_length, the list of the JSON-array texts of
+        that layer's canonical words ("[2, 1]" for (2, 1)), in table order.
 
-        A rep's text is its parent's with the label put in front, so no
-        word tuple is built and no list is serialized.
+        A rep's text is its parent's, one layer below, with the label put in
+        front, so no word tuple is built, no list is serialized and only two
+        layers of text are held at a time.
         """
         heads = [f"[{label}, " for label in range(self.rs.rank + 1)]
-        text = ["[]"]
-        for p, label in zip(self.parent[1:], self.parent_label[1:]):
-            text.append(heads[label] + text[p][1:] if p else f"[{label}]")
-        return tuple(text)
+        parent, labels = self.parent, self.parent_label
+        texts = ["[]"]
+        yield texts
+        if self.max_length:
+            texts = [f"[{labels[k]}]" for k in self.of_length(1)]
+            yield texts
+        for l in range(2, self.max_length + 1):
+            base = self._layers[l - 1]  # the parents' layer starts here
+            texts = [heads[labels[k]] + texts[parent[k] - base][1:] for k in self.of_length(l)]
+            yield texts
+
+    @cached_property
+    def word_text(self) -> tuple:
+        """Every canonical word's JSON-array text, `text_layers` as one tuple, built on use."""
+        return tuple(chain.from_iterable(self.text_layers()))
 
     @cached_property
     def reps(self) -> tuple:
         """The representatives as WeylElements, built on first use."""
         rs = self.rs
         return tuple(WeylElement(rs, w) for w in self.words)
+
+    @cached_property
+    def _points(self) -> dict:
+        """Packed lambda-point -> position, in table order, built on first lookup."""
+        return {p: k for k, p in enumerate(self._order)}
 
     @cached_property
     def index(self):
@@ -352,7 +387,7 @@ class CosetTable:
         points = self._points
         steps = [(_BITS * (i - 1), self._cols[i - 1]) for i in labels]
         out = []
-        for p in points:
+        for p in self._order:
             m = -1
             for shift, col in steps:
                 f = (p >> shift) & _MASK
@@ -412,7 +447,7 @@ class CosetTable:
         lam = [step(self._lam, j)[0] for j in range(rank)]
         d0 = sum((_BIAS - lam[opp[j]]) << (_BITS * j) for j in range(rank))
         dual_points = [d0]
-        for k in range(1, len(points)):
+        for k in range(1, len(self)):
             dual_points.append(step(dual_points[self.parent[k]], opp[self.parent_label[k] - 1])[1])
         dual = [points.get(d) for d in dual_points]
         if None in dual:
@@ -461,7 +496,7 @@ def hasse_diagram(ct: CosetTable) -> HasseDiagram:
     points = ct._points
     steps = [(_BITS * i, col, i + 1) for i, col in enumerate(ct._cols)]
     edges = []
-    for k, p in enumerate(points):
+    for k, p in enumerate(ct._order):
         for shift, col, label in steps:
             f = (p >> shift) & _MASK
             if f > _BIAS:
@@ -473,25 +508,63 @@ def hasse_diagram(ct: CosetTable) -> HasseDiagram:
     return HasseDiagram(theta=ct.theta, vertices=tuple(range(len(ct))), edges=tuple(edges), table=ct)
 
 
-def hasse_to_dot(h: HasseDiagram) -> str:
-    ct = h.table
-    text = ct.word_text
-    lines = ["digraph hasse {"]
-    for k in h.vertices:
-        lines.append(f'  n{k} [label="{text[k]} ({ct.length(k)})"];')
-    for a, b, i in h.edges:
-        lines.append(f'  n{a} -> n{b} [label="{i}"];')
-    lines.append("}")
-    return "\n".join(lines)
+def edge_runs(h: HasseDiagram):
+    """Yield h's edges in runs, one per length layer of their sources (h.edges sorts by source)."""
+    edges = h.edges
+    cuts = [bisect_left(edges, (k,)) for k in h.table._layers]
+    for a, b in zip(cuts, cuts[1:]):
+        yield edges[a:b]
 
 
-def hasse_to_json(h: HasseDiagram) -> str:
-    """The diagram as the JSON object {edges, theta, type, vertices}, keys sorted."""
+def join_pieces(parts, sep=", "):
+    """Yield the nonempty strings of parts with sep between them: sep.join of them, in pieces."""
+    first = True
+    for part in parts:
+        if part:
+            yield part if first else sep + part
+            first = False
+
+
+def _word_objects(ct: CosetTable, fields):
+    """Yield, per length layer l, the JSON objects {fields(l) "word": ...} of its reps, joined
+    by ", ".  The layer's word texts are joined around the repeated head in one call."""
+    for l, texts in enumerate(ct.text_layers()):
+        head = f'{{{fields(l)}"word": '
+        sep = "}, " + head
+        yield f"{head}{sep.join(texts)}}}"
+
+
+def cosets_to_json(ct: CosetTable):
+    """The table as the JSON object {count, dim, reps, theta, type}, keys sorted, in pieces:
+    one per length layer of reps."""
+    dim = ct.max_length
+    reps = _word_objects(ct, lambda l: f'"codim": {dim - l}, "length": {l}, ')
+    tail = f'], "theta": {json.dumps(list(ct.theta))}, "type": {json.dumps(ct.rs.type.name())}}}'
+    return chain((f'{{"count": {len(ct)}, "dim": {dim}, "reps": [',), join_pieces(reps), (tail,))
+
+
+def hasse_to_dot(h: HasseDiagram):
+    """The diagram in DOT, in pieces: one per length layer of vertices and of edge sources."""
     ct = h.table
-    text = ct.word_text
-    vertices = ", ".join(f'{{"length": {ct.length(k)}, "word": {text[k]}}}' for k in h.vertices)
-    edges = ", ".join(f'{{"from": {a}, "label": {i}, "to": {b}}}' for a, b, i in h.edges)
-    return (
-        f'{{"edges": [{edges}], "theta": {json.dumps(list(h.theta))}, '
-        f'"type": {json.dumps(ct.rs.type.name())}, "vertices": [{vertices}]}}'
+    vertices = (
+        "\n".join(f'  n{k} [label="{t} ({l})"];' for k, t in zip(ct.of_length(l), texts))
+        for l, texts in enumerate(ct.text_layers())
     )
+    edges = ("\n".join(f'  n{a} -> n{b} [label="{i}"];' for a, b, i in run) for run in edge_runs(h))
+    return join_pieces(chain(("digraph hasse {",), vertices, edges, ("}",)), "\n")
+
+
+def hasse_to_json(h: HasseDiagram):
+    """The diagram as the JSON object {edges, theta, type, vertices}, keys sorted, in pieces:
+    one per length layer of edge sources and of vertices."""
+    ct = h.table
+    edges = join_pieces(
+        ", ".join(f'{{"from": {a}, "label": {i}, "to": {b}}}' for a, b, i in run)
+        for run in edge_runs(h)
+    )
+    vertices = join_pieces(_word_objects(ct, lambda l: f'"length": {l}, '))
+    middle = (
+        f'], "theta": {json.dumps(list(h.theta))}, "type": {json.dumps(ct.rs.type.name())}, '
+        f'"vertices": ['
+    )
+    return chain(('{"edges": [',), edges, (middle,), vertices, ("]}",))

@@ -14,7 +14,7 @@ from weylchow.schubert import (
     _orbit,
     _sub_fundamental_seeds,
 )
-from weylchow.weyl import apply_word, coset_reps, hasse_diagram
+from weylchow.weyl import CosetTable, apply_word, coset_reps, hasse_diagram
 
 
 def all_reduced_words(rs, w):
@@ -225,6 +225,38 @@ def coset_bfs_by_tuples(rs, theta):
                         parent_label.append(i + 1)
         start = end
     return order, tuple(parent), tuple(parent_label), tuple(counts)
+
+
+def coset_table_by_membership_probe(rs, theta):
+    """A CosetTable whose BFS arrays come from the membership-probe search on packed points.
+
+    Every ascent q = s_i p is looked up in the dict of the points seen so
+    far and kept when it is new, so the point index is built eagerly; the
+    package keeps q only from its canonical parent and builds the index on
+    first lookup.  The table's packing, w0 and w_theta are the package's own.
+    """
+    ct = CosetTable(rs, theta)
+    points = {ct._lam: 0}
+    order = [ct._lam]
+    parent = [-1]
+    parent_label = [0]
+    layers = [0]
+    start = 0
+    while start < len(order):
+        end = len(order)
+        layers.append(end)
+        for i in range(rs.rank):
+            for k in range(start, end):
+                pi, q = ct._step(order[k], i)
+                if pi > 0 and q not in points:
+                    points[q] = len(order)
+                    order.append(q)
+                    parent.append(k)
+                    parent_label.append(i + 1)
+        start = end
+    ct.parent, ct.parent_label, ct._layers = tuple(parent), tuple(parent_label), tuple(layers)
+    ct._order, ct._points = tuple(order), points
+    return ct
 
 
 def words_by_greedy_descent(rs, order):

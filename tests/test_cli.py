@@ -637,14 +637,103 @@ def test_mult_of_basis_classes_commutes_and_matches_the_preimage_oracle(case):
         assert product == multiply_by_preimage_product(ctx, a, b, k, ring)
 
 
-def test_reader_closing_stdout_early_is_no_error():
-    # `weylchow cosets ... | head -c 10`: the rest of the output is dropped,
-    # the exit code stays the invocation's own and no traceback is printed
+def _weylchow(argv):
+    """A `python -m weylchow.cli` process with this package on its path."""
     env = dict(os.environ, PYTHONPATH=str(Path(weylchow.__file__).resolve().parents[1]))
-    argv = [sys.executable, "-m", "weylchow.cli", "cosets", "--type", "E6", "--theta", ""]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as p:
-        assert p.stdout.read(10) == b'{"count": '
-        p.stdout.close()
-        err = p.stderr.read().decode()
-        assert p.wait(timeout=60) == 0
-    assert "Traceback" not in err
+    return [sys.executable, "-m", "weylchow.cli", *argv], env
+
+
+def test_reader_closing_stdout_early_is_no_error(tmp_path):
+    # `weylchow cosets ... | head -c 10`: the rest of the output is dropped,
+    # the exit code stays the invocation's own and no traceback is printed;
+    # with --cache-dir the entry being written is dropped, not left truncated
+    argv = ["cosets", "--type", "E6", "--theta", ""]
+    cache = ["--cache-dir", str(tmp_path)]
+    for args in (argv, cache + argv):
+        cmd, env = _weylchow(args)
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as p:
+            assert p.stdout.read(10) == b'{"count": '
+            p.stdout.close()
+            err = p.stderr.read().decode()
+            assert p.wait(timeout=60) == 0
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+    cmd, env = _weylchow(cache + argv)
+    done = subprocess.run(cmd, capture_output=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout == (run(argv)[1] + "\n").encode()
+    assert [f.suffix for f in tmp_path.iterdir()] == [".out"]
+
+
+@pytest.mark.parametrize("name,theta,circled", [("B3", "", "1,3"), ("E6", "2,3,4,5,6", "1,6")],
+                         ids=["B3", "E6/P1"])
+def test_processes_print_what_run_returns(tmp_path, name, theta, circled):
+    # the console script writes its output in pieces, cold and replayed from --cache-dir
+    base = ["--type", name, "--theta", theta]
+    decompose = ["decompose", *base, "--circled", circled]
+    answered = 0
+    for argv in (["cosets", *base], ["hasse", *base, "--format", "json"],
+                 ["hasse", *base, "--format", "dot"], decompose,
+                 decompose + ["--format", "dot"], decompose + ["--rost"]):
+        code, out = run(argv)
+        answered += code == 0
+        for _ in ("cold", "replayed"):
+            cmd, env = _weylchow(["--cache-dir", str(tmp_path), *argv])
+            done = subprocess.run(cmd, capture_output=True, env=env, timeout=60)
+            assert done.returncode == code, argv
+            printed, other = (done.stdout, done.stderr) if code == 0 else (done.stderr, done.stdout)
+            assert printed == (out + "\n").encode(), argv
+            assert other == b""
+    assert answered == (6 if name == "E6" else 5)  # 1 + t^3 divides the E6/P1 summands only
+    assert len(list(tmp_path.iterdir())) == answered  # one entry per answer, none per refusal
+
+
+def test_refused_rost_prints_nothing_and_stores_nothing(tmp_path):
+    # cut along vertex 1, A2's flag falls into A1 summands of profile 1 + t, which 1 + t^3
+    # does not divide: refused before anything is printed or stored
+    cmd, env = _weylchow(["--cache-dir", str(tmp_path), "decompose", "--type", "A2",
+                          "--theta", "", "--circled", "1", "--rost"])
+    done = subprocess.run(cmd, capture_output=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == b""
+    assert done.stderr.startswith(b"usage error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_and_dimension_0_tables_print_as_before():
+    point = '[{"codim": 0, "length": 0, "word": []}]'
+    assert run(["cosets", "--type", "", "--theta", ""]) == (
+        0, f'{{"count": 1, "dim": 0, "reps": {point}, "theta": [], "type": "1"}}')
+    assert run(["cosets", "--type", "A1", "--theta", "1"]) == (
+        0, f'{{"count": 1, "dim": 0, "reps": {point}, "theta": [1], "type": "A1"}}')
+    assert run(["hasse", "--type", "A1", "--theta", "1", "--format", "json"]) == (
+        0, '{"edges": [], "theta": [1], "type": "A1", "vertices": [{"length": 0, "word": []}]}')
+    assert run(["hasse", "--type", "A1", "--theta", "1", "--format", "dot"]) == (
+        0, 'digraph hasse {\n  n0 [label="[] (0)"];\n}')
+    assert run(["decompose", "--type", "A1", "--theta", "1", "--format", "dot"]) == (
+        0, 'digraph motive {\n  n0 [label="[] (0)", color=red];\n}')
+
+
+def test_printing_holds_no_copy_of_the_whole_output(monkeypatch):
+    # the console script writes cosets layer by layer: beyond the coset table,
+    # which is built first, its traced peak stays below half the output
+    import tracemalloc
+
+    from weylchow import cli
+
+    argv = ["cosets", "--type", "E6", "--theta", ""]
+    coset_reps(build_root_system("E6"), ())
+    size = len(run(argv)[1])
+    monkeypatch.setattr(sys, "argv", ["weylchow", *argv])
+    with open(os.devnull, "w", encoding="utf-8") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(SystemExit) as exit_:
+                cli.main()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert exit_.value.code == 0
+    assert peak - base < size / 2

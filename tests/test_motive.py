@@ -179,9 +179,9 @@ def test_refine_rost_single_component():
 
 def test_exports():
     rs = build_root_system("B2")
-    js = decomposition_to_json(rs, (), [1])
+    js = "".join(decomposition_to_json(rs, (), [1]))
     assert '"summands"' in js
-    dot = decomposition_to_dot(rs, (), [1])
+    dot = "".join(decomposition_to_dot(rs, (), [1]))
     assert dot.startswith("digraph")
 
 

@@ -20,6 +20,7 @@ from weylchow.weyl import (
 from oracles import (
     all_reduced_words,
     coset_bfs_by_tuples,
+    coset_table_by_membership_probe,
     dual_table_by_tuples,
     hasse_edges_by_tuples,
     words_by_greedy_descent,
@@ -211,9 +212,9 @@ def test_hasse_unique_min_max():
 def test_hasse_export_formats():
     rs = build_root_system("A2")
     h = hasse_diagram(coset_reps(rs, ()))
-    dot = hasse_to_dot(h)
+    dot = "".join(hasse_to_dot(h))
     assert dot.startswith("digraph") and '"1"' in dot
-    js = hasse_to_json(h)
+    js = "".join(hasse_to_json(h))
     assert '"edges"' in js and '"type": "A2"' in js
 
 
@@ -348,6 +349,48 @@ def test_packed_table_matches_the_tuple_oracle(name, theta):
     assert [ct.codim(k) for k in range(len(ct))] == [ct.max_length - len(w) for w in words]
     assert hasse_diagram(ct).edges == hasse_edges_by_tuples(rs, order)
     assert tuple(ct.dual_index(k) for k in range(len(ct))) == dual_table_by_tuples(rs, order, ct.w0)
+
+
+def _types_of_rank_at_most_4():
+    simple = ["A1", "A2", "A3", "A4", "B2", "C2", "B3", "C3", "B4", "C4", "D4", "G2", "F4"]
+    rank = {name: int(name[1:]) for name in simple}
+    for n in range(1, 5):
+        for parts in itertools.combinations_with_replacement(simple, n):
+            if sum(rank[p] for p in parts) <= 4:
+                yield "x".join(parts)
+
+
+def _assert_canonical_parent_bfs_matches_the_probe_bfs(rs, theta):
+    ct = CosetTable(rs, theta)
+    probe = coset_table_by_membership_probe(rs, theta)
+    assert ct.parent == probe.parent
+    assert ct.parent_label == probe.parent_label
+    assert ct._layers == probe._layers
+    assert ct._order == probe._order
+    assert "_points" not in vars(ct)  # the point index is built on first lookup
+    assert ct._dual == probe._dual
+    assert list(ct._points.items()) == list(probe._points.items())
+    assert hasse_diagram(ct).edges == hasse_diagram(probe).edges
+    last = ct.of_length(min(ct.max_length, 10))[-1]
+    word = ct.words[last]
+    assert ct.subword_positions(word, len(word)) == probe.subword_positions(word, len(word))
+
+
+def test_canonical_parent_bfs_matches_the_probe_bfs_rank_le_4():
+    names = list(_types_of_rank_at_most_4())
+    assert len(names) == 37  # 1 + 5 + 8 + 23 of ranks 1, 2, 3 and 4
+    for name in names:
+        rs = build_root_system(name)
+        for theta in _every_theta(rs):
+            _assert_canonical_parent_bfs_matches_the_probe_bfs(rs, theta)
+
+
+@pytest.mark.parametrize(
+    "name,theta", [("E6", ()), ("E6", (2, 3, 4, 5, 6)), ("E7", (1, 2, 3, 4, 5, 6))],
+    ids=["E6", "E6/P1", "E7/P7"],
+)
+def test_canonical_parent_bfs_matches_the_probe_bfs(name, theta):
+    _assert_canonical_parent_bfs_matches_the_probe_bfs(build_root_system(name), theta)
 
 
 def test_word_index_is_built_on_first_lookup(monkeypatch):
