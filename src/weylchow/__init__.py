@@ -30,7 +30,7 @@ _EXPORTS = {
     for module, names in (
         ("rootdata", ("DynkinType", "RootSystem", "build_root_system", "root_subsystem",
                       "weyl_degrees")),
-        ("weyl", ("CosetTable", "WeylElement", "coset_reps", "hasse_diagram",
+        ("weyl", ("CosetTable", "WeylElement", "coset_reps", "hasse_edges",
                   "longest_element", "poincare_polynomial")),
         ("schubert", ("ChowClass", "char_map", "chern_tangent", "divided_difference", "dual",
                       "duality_product", "invariant_generators", "multiply", "pieri_multiply",

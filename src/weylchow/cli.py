@@ -214,11 +214,10 @@ def _dispatch(args):
 
     if args.command == "hasse":
         from .rootdata import build_root_system
-        from .weyl import coset_reps, hasse_diagram, hasse_to_dot, hasse_to_json
+        from .weyl import coset_reps, hasse_to_dot, hasse_to_json
 
-        rs = build_root_system(args.type)
-        h = hasse_diagram(coset_reps(rs, _parse_vertices(args.theta)))
-        return hasse_to_dot(h) if args.format == "dot" else hasse_to_json(h)
+        ct = coset_reps(build_root_system(args.type), _parse_vertices(args.theta))
+        return hasse_to_dot(ct) if args.format == "dot" else hasse_to_json(ct)
 
     if args.command == "automaton":
         from .rootdata import DynkinType

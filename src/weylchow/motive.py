@@ -25,7 +25,7 @@ from .rootdata import (
     DynkinType, Record, RootSystem, build_root_system, checked_vertices, ring_modulus,
     root_subsystem,
 )
-from .weyl import coset_reps, edge_runs, hasse_diagram, join_pieces
+from .weyl import coset_reps, hasse_edges, join_pieces
 
 
 class MotiveSummand(Record):
@@ -82,7 +82,7 @@ def decompose(rs: RootSystem, theta, circled) -> list:
     return out
 
 
-def decomposition_profile_sum(rs: RootSystem, theta, summands) -> tuple:
+def decomposition_profile_sum(summands) -> tuple:
     """Sum of t^twist * profile over summands; must equal g(X)."""
     total = univar.ZERO
     for s in summands:
@@ -150,13 +150,13 @@ def decomposition_to_json(rs, theta, circled, rost=False):
 
 def decomposition_to_dot(rs, theta, circled):
     """Cut Hasse diagram with one color per component, in pieces: one per length layer
-    of vertices and of edge sources."""
+    of vertices and of edge sources.  `decompose` builds, and certifies, the point index
+    before the pieces are returned."""
     ct = coset_reps(rs, theta)
-    h = hasse_diagram(ct)
     summands = decompose(rs, theta, circled)
     colors = ["red", "blue", "green", "orange", "purple", "brown", "cyan",
               "magenta", "gray", "olive", "pink", "navy"]
-    color_of = {}
+    color_of = [None] * len(ct)  # the summands partition the positions
     for n, s in enumerate(summands):
         for v in s.vertices:
             color_of[v] = colors[n % len(colors)]
@@ -169,7 +169,7 @@ def decomposition_to_dot(rs, theta, circled):
     edges = (
         "\n".join(f'  n{a} -> n{b} [label="{label}", style=dotted];' if label in circled
                   else f'  n{a} -> n{b} [label="{label}"];' for a, b, label in run)
-        for run in edge_runs(h)
+        for run in hasse_edges(ct)
     )
     return join_pieces(chain(("digraph motive {",), vertices, edges, ("}",)), "\n")
 
@@ -205,7 +205,7 @@ class Correspondence(Record):
         """p for the ring Z/p, None for Z and Q."""
         return ring_modulus(self.ring)
 
-    def normalized(self, ct) -> dict:
+    def normalized(self) -> dict:
         """Collapse to a matrix {(i, j): coeff} over basis pairs."""
         out = {}
         p = self.modulus
@@ -218,10 +218,6 @@ class Correspondence(Record):
                     else:
                         out.pop((i, j), None)
         return out
-
-    def codimension(self, ct) -> set:
-        """Total codimensions present (homogeneous correspondences have one)."""
-        return {ct.codim(i) + ct.codim(j) for (i, j) in self.normalized(ct)}
 
 
 def _ct_of(q: Correspondence):
@@ -252,8 +248,8 @@ def compose(q1: Correspondence, q2: Correspondence) -> Correspondence:
         raise UsageError("correspondences are not composable")
     ct = _ct_of(q1)
     p = q1.modulus
-    m1 = q1.normalized(ct)
-    m2 = q2.normalized(ct)
+    m1 = q1.normalized()
+    m2 = q2.normalized()
     out = {}
     for (a, b), c2 in m2.items():
         for (c, d), c1 in m1.items():
@@ -286,13 +282,12 @@ def diagonal(type_name, theta, ring="Z/2") -> Correspondence:
 
 def idempotent_power(q: Correspondence):
     """Least n with q^(2n) = q^n, found by cycle detection on powers of q."""
-    ct = _ct_of(q)
     seen = {}
     powers = []
     cur = q
     k = 1
     while True:
-        key = tuple(sorted(cur.normalized(ct).items()))
+        key = tuple(sorted(cur.normalized().items()))
         if key in seen:
             start = seen[key]       # powers repeat with period k - start
             period = k - start
@@ -309,7 +304,7 @@ def projector_rank(q: Correspondence) -> int:
     """Coefficient of pt x pt in q . q^t: the rank of the realization."""
     ct = _ct_of(q)
     p = q.modulus
-    m = q.normalized(ct)
+    m = q.normalized()
     total = 0
     # q^t = sum d x c; (a x b).(d x c) = (a.d) x (b.c), so the pt x pt
     # coefficient needs dual(a) = d and dual(b) = c

@@ -19,11 +19,13 @@ lambda-points in table order, the BFS tree (parent and label) and the
 length layers.  The point index, words, their JSON text, WeylElements and
 the word index are views derived on first use: a representative's word is
 its BFS parent's with one letter in front, and its text is its parent's
-text with that letter put in.  The Hasse diagram and the motive cut are
-read off the lambda-points, and the Poincare dual w0 w w_Theta is the
+text with that letter put in.  The Hasse diagram is the table itself: its
+edges w -> s_i w are the ascents p_i > 0 of the lambda-points, which
+`hasse_edges` yields one length layer of sources at a time, and the motive
+cut is read off the descents.  The Poincare dual w0 w w_Theta is the
 representative at w0(p).  The renderers yield their text in pieces, one
 per length layer (one per summand for the motive), so printing a table
-never holds its whole output.
+holds neither its whole output nor a list of its edges.
 
 The lambda-points are packed ints, one 8-bit field per coordinate as for
 the polynomial monomials: coordinate j plus 128 sits in bits [8j, 8j + 8).
@@ -45,7 +47,7 @@ checks its layer counts against g after it.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from functools import cache, cached_property
 from itertools import chain
 
@@ -58,10 +60,12 @@ from .rootdata import Record, RootSystem, checked_vertices, root_subsystem, weyl
 #: keeps about 88 bytes per coset (113 at the peak of its BFS), so a table at
 #: the cap takes about 0.9 GB (1.1 GB while it is built).  The point index,
 #: built on the first lookup (Hasse edges, the motive cut, duals, subwords),
-#: adds about 86 bytes per coset and `word_text` about 150; `cosets` prints
-#: two length layers of text at a time and holds no copy of its output, so a
-#: whole `cosets` run peaked at 214 MB RSS there, about 150 bytes per coset,
-#: or some 1.5 GB at the cap.
+#: adds about 86 bytes per coset and `word_text` about 150.  The printers
+#: hold two length layers of text, or one source layer of Hasse edges, at a
+#: time and no copy of their output: there a whole `cosets` run peaked at
+#: 214 MB RSS (about 150 bytes per coset, some 1.5 GB at the cap) and a
+#: whole `hasse --format json` run, 5.0M edges and 395 MB of output, at
+#: 362 MB (about 250 bytes per coset, some 2.5 GB at the cap).
 DEFAULT_COSET_CAP = 10_000_000
 
 #: a packed lambda-point stores coordinate j as p_j + _BIAS in bits [8j, 8j + 8)
@@ -203,16 +207,18 @@ class CosetTable:
 
     Everything else is a view built on first use: `_points` (packed point
     -> position, for the lookups of Hasse edges, descents, duals and
-    subwords) and, in one pass over the parent links, `words` (a rep's
-    canonical word is (label,) + its parent's), `word_text` (each word's
-    JSON-array text, made from its parent's text), `reps` (the WeylElements,
-    for code that multiplies them) and `index` (word -> position).
+    subwords; one position per point, which with the layer check certifies
+    that the table is the whole orbit) and, in one pass over the parent
+    links, `words` (a rep's canonical word is (label,) + its parent's),
+    `word_text` (each word's JSON-array text, made from its parent's text),
+    `reps` (the WeylElements, for code that multiplies them) and `index`
+    (word -> position).
     `text_layers` yields the same texts one length layer at a time, each
     from the layer below, so printing a table in layer order builds no
     tuple or element per rep and holds two layers of text at a time.
 
     A packed point holds coordinate j plus 128 in bits [8j, 8j + 8), and
-    `_step` reflects it; the BFS, `hasse_diagram`, `first_descents` and
+    `_step` reflects it; the BFS, `hasse_edges`, `first_descents` and
     `subword_positions` take the same step inlined, with each label's shift
     and Cartan column hoisted.  Before the BFS the table checks that
     `orbit_bound` is below 128, so every coordinate of the orbit fits its
@@ -369,8 +375,15 @@ class CosetTable:
 
     @cached_property
     def _points(self) -> dict:
-        """Packed lambda-point -> position, in table order, built on first lookup."""
-        return {p: k for k, p in enumerate(self._order)}
+        """Packed lambda-point -> position, in table order, built on first lookup.
+
+        The table has g(1) = |W lambda_Theta| points (its layers are g's), so
+        one position per point certifies that it is the whole orbit and holds
+        every s_i p; a repeated point raises InternalComputationError."""
+        points = {p: k for k, p in enumerate(self._order)}
+        if len(points) != len(self):
+            raise InternalComputationError("a lambda-point repeats in the coset table")
+        return points
 
     @cached_property
     def index(self):
@@ -473,47 +486,26 @@ def _coset_table(rs: RootSystem, theta: tuple) -> CosetTable:
     return CosetTable(rs, theta)
 
 
-class HasseDiagram(Record):
-    """Labelled weak-order diagram on W^Theta: w -> s_i w when both are
-    representatives and the length goes up (necessarily by exactly 1)."""
-
-    __slots__ = (
-        "theta",
-        "vertices",              # rep indices, in table order
-        "edges",                 # (from_index, to_index, label)
-        "table",
-    )
-
-    def __init__(self, theta: tuple, vertices: tuple, edges: tuple, table: CosetTable):
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "table", table)
-
-
-def hasse_diagram(ct: CosetTable) -> HasseDiagram:
-    """Edges k -> pos(s_i p) for every lambda-image p of the table with p_i > 0."""
-    points = ct._points
+def hasse_edges(ct: CosetTable):
+    """Yield the weak-order Hasse edges w -> s_i w of W^Theta in sorted runs, one per
+    length l = 0..max_length of their sources: the edges (k, pos(s_i p_k), i) over the
+    positions k of `of_length(l)` and every i with p_i > 0, so the runs chained are
+    sorted.  The length goes up by exactly 1 along each edge."""
+    points, order = ct._points, ct._order
     steps = [(_BITS * i, col, i + 1) for i, col in enumerate(ct._cols)]
-    edges = []
-    for k, p in enumerate(ct._order):
-        for shift, col, label in steps:
-            f = (p >> shift) & _MASK
-            if f > _BIAS:
-                m = points.get(p - (f - _BIAS) * col)
-                if m is None:
-                    raise InternalComputationError("an ascent leaves the coset table")
-                edges.append((k, m, label))
-    edges.sort()
-    return HasseDiagram(theta=ct.theta, vertices=tuple(range(len(ct))), edges=tuple(edges), table=ct)
-
-
-def edge_runs(h: HasseDiagram):
-    """Yield h's edges in runs, one per length layer of their sources (h.edges sorts by source)."""
-    edges = h.edges
-    cuts = [bisect_left(edges, (k,)) for k in h.table._layers]
-    for a, b in zip(cuts, cuts[1:]):
-        yield edges[a:b]
+    for l in range(ct.max_length + 1):
+        run = []
+        for k in ct.of_length(l):
+            p = order[k]
+            for shift, col, label in steps:
+                f = (p >> shift) & _MASK
+                if f > _BIAS:
+                    m = points.get(p - (f - _BIAS) * col)
+                    if m is None:
+                        raise InternalComputationError("an ascent leaves the coset table")
+                    run.append((k, m, label))
+        run.sort()
+        yield run
 
 
 def join_pieces(parts, sep=", "):
@@ -543,28 +535,32 @@ def cosets_to_json(ct: CosetTable):
     return chain((f'{{"count": {len(ct)}, "dim": {dim}, "reps": [',), join_pieces(reps), (tail,))
 
 
-def hasse_to_dot(h: HasseDiagram):
-    """The diagram in DOT, in pieces: one per length layer of vertices and of edge sources."""
-    ct = h.table
+def hasse_to_dot(ct: CosetTable):
+    """The Hasse diagram in DOT, in pieces: one per length layer of vertices and of edge
+    sources.  The point index is built, and certified, before the pieces are returned."""
+    ct._points
     vertices = (
         "\n".join(f'  n{k} [label="{t} ({l})"];' for k, t in zip(ct.of_length(l), texts))
         for l, texts in enumerate(ct.text_layers())
     )
-    edges = ("\n".join(f'  n{a} -> n{b} [label="{i}"];' for a, b, i in run) for run in edge_runs(h))
+    edges = (
+        "\n".join(f'  n{a} -> n{b} [label="{i}"];' for a, b, i in run) for run in hasse_edges(ct)
+    )
     return join_pieces(chain(("digraph hasse {",), vertices, edges, ("}",)), "\n")
 
 
-def hasse_to_json(h: HasseDiagram):
-    """The diagram as the JSON object {edges, theta, type, vertices}, keys sorted, in pieces:
-    one per length layer of edge sources and of vertices."""
-    ct = h.table
+def hasse_to_json(ct: CosetTable):
+    """The Hasse diagram as the JSON object {edges, theta, type, vertices}, keys sorted, in
+    pieces: one per length layer of edge sources and of vertices.  The point index is
+    built, and certified, before the pieces are returned."""
+    ct._points
     edges = join_pieces(
         ", ".join(f'{{"from": {a}, "label": {i}, "to": {b}}}' for a, b, i in run)
-        for run in edge_runs(h)
+        for run in hasse_edges(ct)
     )
     vertices = join_pieces(_word_objects(ct, lambda l: f'"length": {l}, '))
     middle = (
-        f'], "theta": {json.dumps(list(h.theta))}, "type": {json.dumps(ct.rs.type.name())}, '
+        f'], "theta": {json.dumps(list(ct.theta))}, "type": {json.dumps(ct.rs.type.name())}, '
         f'"vertices": ['
     )
     return chain(('{"edges": [',), edges, (middle,), vertices, ("]}",))

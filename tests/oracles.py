@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import chain
 
 from weylchow.errors import InternalComputationError
 from weylchow.motive import MotiveSummand, decompose, refine_rost
@@ -14,7 +15,7 @@ from weylchow.schubert import (
     _orbit,
     _sub_fundamental_seeds,
 )
-from weylchow.weyl import CosetTable, apply_word, coset_reps, hasse_diagram
+from weylchow.weyl import CosetTable, apply_word, coset_reps, hasse_edges
 
 
 def all_reduced_words(rs, w):
@@ -291,6 +292,12 @@ def hasse_edges_by_tuples(rs, order):
     return tuple(sorted(edges))
 
 
+def table_edges_by_tuples(ct):
+    """hasse_edges_by_tuples on the table's reps, their lambda_Theta-images taken as tuples."""
+    lam = tuple(0 if j + 1 in ct.theta else 1 for j in range(ct.rs.rank))
+    return hasse_edges_by_tuples(ct.rs, [apply_word(ct.rs, w, lam) for w in ct.words])
+
+
 def dual_table_by_tuples(rs, order, w0):
     """Position of w0(p) for every tuple point p, with w0 as the matrix of its omega images."""
     rank = rs.rank
@@ -314,16 +321,15 @@ def decompose_by_hasse_dfs(rs, theta, circled):
     """
     circled = set(circled)
     ct = coset_reps(rs, theta)
-    h = hasse_diagram(ct)
-    adj = {v: [] for v in h.vertices}
-    for a, b, label in h.edges:
+    adj = {v: [] for v in range(len(ct))}
+    for a, b, label in chain.from_iterable(hasse_edges(ct)):
         if label not in circled:
             adj[a].append(b)
             adj[b].append(a)
     kernel = root_subsystem(rs, sorted(set(range(1, rs.rank + 1)) - circled))
     seen = set()
     out = []
-    for start in h.vertices:
+    for start in range(len(ct)):
         if start in seen:
             continue
         comp = {start}
@@ -370,25 +376,24 @@ def cosets_by_json_dumps(ct):
     )
 
 
-def hasse_json_by_json_dumps(h):
+def hasse_json_by_json_dumps(ct):
     payload = {
-        "type": h.table.rs.type.name(),
-        "theta": list(h.theta),
+        "type": ct.rs.type.name(),
+        "theta": list(ct.theta),
         "vertices": [
-            {"word": list(w.word), "length": w.length} for w in h.table.reps
+            {"word": list(w.word), "length": w.length} for w in ct.reps
         ],
-        "edges": [{"from": a, "to": b, "label": i} for a, b, i in h.edges],
+        "edges": [{"from": a, "to": b, "label": i} for a, b, i in table_edges_by_tuples(ct)],
     }
     return json.dumps(payload, sort_keys=True)
 
 
-def hasse_dot_by_fstrings(h):
+def hasse_dot_by_fstrings(ct):
     lines = ["digraph hasse {"]
-    for k in h.vertices:
-        w = h.table.reps[k]
+    for k, w in enumerate(ct.reps):
         label = f"{list(w.word)} ({w.length})"
         lines.append(f'  n{k} [label="{label}"];')
-    for a, b, i in h.edges:
+    for a, b, i in table_edges_by_tuples(ct):
         lines.append(f'  n{a} -> n{b} [label="{i}"];')
     lines.append("}")
     return "\n".join(lines)
@@ -419,7 +424,6 @@ def decomposition_json_by_json_dumps(rs, theta, circled, rost=False):
 
 def decomposition_dot_by_fstrings(rs, theta, circled):
     ct = coset_reps(rs, theta)
-    h = hasse_diagram(ct)
     summands = decompose(rs, theta, circled)
     colors = ["red", "blue", "green", "orange", "purple", "brown", "cyan",
               "magenta", "gray", "olive", "pink", "navy"]
@@ -429,12 +433,11 @@ def decomposition_dot_by_fstrings(rs, theta, circled):
             color_of[v] = colors[n % len(colors)]
     circled = set(circled)
     lines = ["digraph motive {"]
-    for v in h.vertices:
-        w = ct.reps[v]
+    for v, w in enumerate(ct.reps):
         lines.append(
             f'  n{v} [label="{list(w.word)} ({w.length})", color={color_of[v]}];'
         )
-    for a, b, label in h.edges:
+    for a, b, label in table_edges_by_tuples(ct):
         if label in circled:
             lines.append(f'  n{a} -> n{b} [label="{label}", style=dotted];')
         else:

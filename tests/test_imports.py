@@ -22,7 +22,7 @@ EXPORTED = {
     ],
     "rootdata": ["DynkinType", "RootSystem", "build_root_system", "root_subsystem", "weyl_degrees"],
     "weyl": [
-        "CosetTable", "WeylElement", "coset_reps", "hasse_diagram", "longest_element",
+        "CosetTable", "WeylElement", "coset_reps", "hasse_edges", "longest_element",
         "poincare_polynomial",
     ],
     "schubert": [

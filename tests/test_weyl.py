@@ -10,7 +10,7 @@ from weylchow.weyl import (
     WeylElement,
     apply_word,
     coset_reps,
-    hasse_diagram,
+    hasse_edges,
     hasse_to_dot,
     hasse_to_json,
     longest_element,
@@ -161,11 +161,19 @@ def test_resource_cap():
         CosetTable(rs, (), cap=100)
 
 
+def _edges(ct):
+    """hasse_edges chained, after checking its runs: one per length l, each holding only
+    edges whose source has length l."""
+    runs = list(hasse_edges(ct))
+    assert len(runs) == ct.max_length + 1
+    for l, run in enumerate(runs):
+        assert all(a in ct.of_length(l) for a, _, _ in run)
+    return tuple(itertools.chain.from_iterable(runs))
+
+
 def test_hasse_a1():
     rs = build_root_system("A1")
-    h = hasse_diagram(coset_reps(rs, ()))
-    assert len(h.vertices) == 2
-    assert h.edges == ((0, 1, 1),)
+    assert list(hasse_edges(coset_reps(rs, ()))) == [[(0, 1, 1)], []]
 
 
 def test_hasse_a2_weak_order_edge_count():
@@ -173,16 +181,16 @@ def test_hasse_a2_weak_order_edge_count():
     # left weak order on S3 is a hexagon with 6 edges.
     rs = build_root_system("A2")
     ct = coset_reps(rs, ())
-    h = hasse_diagram(ct)
-    assert len(h.vertices) == 6
+    edges = _edges(ct)
+    assert len(ct) == 6
     count = 0
     for w in exhaustive_elements(rs):
         for i in range(1, 3):
             u = WeylElement.from_word(rs, [i]) * w
             if u.length == w.length + 1:
                 count += 1
-    assert len(h.edges) == count == 6
-    for a, b, i in h.edges:
+    assert len(edges) == count == 6
+    for a, b, i in edges:
         assert ct.reps[b] == WeylElement.from_word(rs, [i]) * ct.reps[a]
 
 
@@ -190,8 +198,7 @@ def test_hasse_edges_increase_length_by_one():
     rs = build_root_system("B3")
     for theta in [(), (1,), (2, 3)]:
         ct = coset_reps(rs, theta)
-        h = hasse_diagram(ct)
-        for a, b, i in h.edges:
+        for a, b, i in _edges(ct):
             assert ct.reps[b].length == ct.reps[a].length + 1
             assert WeylElement.from_word(rs, [i]) * ct.reps[a] == ct.reps[b]
 
@@ -199,23 +206,38 @@ def test_hasse_edges_increase_length_by_one():
 def test_hasse_unique_min_max():
     rs = build_root_system("B2")
     ct = coset_reps(rs, (2,))
-    h = hasse_diagram(ct)
-    indeg = {v: 0 for v in h.vertices}
-    outdeg = {v: 0 for v in h.vertices}
-    for a, b, _ in h.edges:
+    indeg = [0] * len(ct)
+    outdeg = [0] * len(ct)
+    for a, b, _ in _edges(ct):
         outdeg[a] += 1
         indeg[b] += 1
-    assert sum(1 for v in h.vertices if indeg[v] == 0) == 1
-    assert sum(1 for v in h.vertices if outdeg[v] == 0) == 1
+    assert indeg.count(0) == 1
+    assert outdeg.count(0) == 1
 
 
 def test_hasse_export_formats():
     rs = build_root_system("A2")
-    h = hasse_diagram(coset_reps(rs, ()))
-    dot = "".join(hasse_to_dot(h))
+    ct = coset_reps(rs, ())
+    dot = "".join(hasse_to_dot(ct))
     assert dot.startswith("digraph") and '"1"' in dot
-    js = "".join(hasse_to_json(h))
+    js = "".join(hasse_to_json(ct))
     assert '"edges"' in js and '"type": "A2"' in js
+
+
+def test_a_repeated_point_is_refused_on_the_call(monkeypatch):
+    # one position per point, with the layer counts, certifies that the table is the
+    # whole orbit; a table whose points repeat is refused before any piece is taken
+    from weylchow import motive
+
+    rs = build_root_system("B3")
+    ct = CosetTable(rs, ())
+    ct._order = ct._order[:-1] + ct._order[-2:-1]
+    monkeypatch.setattr(motive, "coset_reps", lambda *_: ct)
+    calls = [hasse_to_json, hasse_to_dot, lambda t: t.dual_index(0),
+             lambda t: motive.decomposition_to_dot(rs, (), (1,))]
+    for call in calls:
+        with pytest.raises(InternalComputationError, match="repeats"):
+            call(ct)
 
 
 def test_dual_index_involution():
@@ -312,7 +334,7 @@ def test_coset_table_matches_definitions(name):
                 m = pos.get(rs.reflect_weight(i, points[k]))
                 if m is not None and ct.reps[m].length == w.length + 1:
                     edges.add((k, m, i + 1))
-        assert set(hasse_diagram(ct).edges) == edges
+        assert set(_edges(ct)) == edges
 
 
 def test_e6_full_flag_table():
@@ -347,7 +369,7 @@ def test_packed_table_matches_the_tuple_oracle(name, theta):
     assert ct.index == {w: k for k, w in enumerate(words)}
     assert ct.max_length == len(words[-1])
     assert [ct.codim(k) for k in range(len(ct))] == [ct.max_length - len(w) for w in words]
-    assert hasse_diagram(ct).edges == hasse_edges_by_tuples(rs, order)
+    assert _edges(ct) == hasse_edges_by_tuples(rs, order)
     assert tuple(ct.dual_index(k) for k in range(len(ct))) == dual_table_by_tuples(rs, order, ct.w0)
 
 
@@ -370,7 +392,7 @@ def _assert_canonical_parent_bfs_matches_the_probe_bfs(rs, theta):
     assert "_points" not in vars(ct)  # the point index is built on first lookup
     assert ct._dual == probe._dual
     assert list(ct._points.items()) == list(probe._points.items())
-    assert hasse_diagram(ct).edges == hasse_diagram(probe).edges
+    assert _edges(ct) == _edges(probe)
     last = ct.of_length(min(ct.max_length, 10))[-1]
     word = ct.words[last]
     assert ct.subword_positions(word, len(word)) == probe.subword_positions(word, len(word))
