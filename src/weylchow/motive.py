@@ -25,7 +25,7 @@ from .rootdata import (
     DynkinType, Record, RootSystem, build_root_system, checked_vertices, ring_modulus,
     root_subsystem,
 )
-from .weyl import coset_reps, hasse_edges, join_pieces
+from .weyl import coset_reps, graph_to_dot, join_pieces
 
 
 class MotiveSummand(Record):
@@ -149,9 +149,8 @@ def decomposition_to_json(rs, theta, circled, rost=False):
 
 
 def decomposition_to_dot(rs, theta, circled):
-    """Cut Hasse diagram with one color per component, in pieces: one per length layer
-    of vertices and of edge sources.  `decompose` builds, and certifies, the point index
-    before the pieces are returned."""
+    """Cut Hasse diagram with one color per component and the circled labels dotted, in
+    pieces (see `weyl.graph_to_dot`)."""
     ct = coset_reps(rs, theta)
     summands = decompose(rs, theta, circled)
     colors = ["red", "blue", "green", "orange", "purple", "brown", "cyan",
@@ -160,18 +159,7 @@ def decomposition_to_dot(rs, theta, circled):
     for n, s in enumerate(summands):
         for v in s.vertices:
             color_of[v] = colors[n % len(colors)]
-    circled = set(circled)
-    vertices = (
-        "\n".join(f'  n{v} [label="{t} ({l})", color={color_of[v]}];'
-                  for v, t in zip(ct.of_length(l), texts))
-        for l, texts in enumerate(ct.text_layers())
-    )
-    edges = (
-        "\n".join(f'  n{a} -> n{b} [label="{label}", style=dotted];' if label in circled
-                  else f'  n{a} -> n{b} [label="{label}"];' for a, b, label in run)
-        for run in hasse_edges(ct)
-    )
-    return join_pieces(chain(("digraph motive {",), vertices, edges, ("}",)), "\n")
+    return graph_to_dot(ct, "motive", color_of, circled)
 
 
 # ---------------------------------------------------------------------------

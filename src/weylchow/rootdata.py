@@ -8,17 +8,21 @@ are used throughout the package:
   over omega_1..omega_n.  The two are related by the Cartan matrix A:
   omega-coords of alpha_j = column j of A.
 
-The simple reflection s_i acts on omega-coordinates by
+A positive root is stored in simple-root coordinates, with its
+omega-coordinates and its coroot over the simple coroots alongside.  Every
+reflection acts on omega-coordinates: s_i acts by
     (s_i v)_j = v_j - A[j][i] * v_i,
 which is the matrix form of s_i(omega_j) = omega_j - delta_ij alpha_i.
+The positive roots, their omega-coordinates and their coroots come from one
+closure of the simple roots under these reflections, in integers.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import gcd, isqrt, lcm
+from math import isqrt
 
-from .errors import ResourceLimitError, UsageError
+from .errors import InternalComputationError, ResourceLimitError, UsageError
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -145,6 +149,8 @@ class DynkinType(Record):
                 rank = int(piece[1:])
             except ValueError:
                 raise UsageError(f"cannot parse Dynkin type {text!r}") from None
+            if piece[1:] != str(rank):  # int() also reads "1_0", "+7", " 7", "05" and "٣"
+                raise UsageError(f"cannot parse Dynkin type {text!r}: write {family}{rank}")
             comps.append((family, rank))
         return DynkinType(tuple(comps))
 
@@ -212,47 +218,6 @@ def _simple_cartan(family: str, rank: int):
     return a
 
 
-def _symmetrizer(cartan, n):
-    """Positive integers d_i with d_i A[i][j] = d_j A[j][i].
-
-    Each component is walked from its least vertex, starting at 1 and
-    scaled by the least factor that keeps d_j = d_i A[i][j] / A[j][i]
-    integral, so it ends as its primitive vector.  The components are then
-    brought to a common value at their least vertices and the whole vector
-    is divided by its gcd.  A simple type gets 1 on its short roots; a
-    reducible one can keep a common factor on a component (B2xG2 gives
-    (2, 1, 2, 6)).
-    """
-    d = [0] * n
-    components = []
-    for start in range(n):
-        if d[start]:
-            continue
-        d[start] = 1
-        component = [start]
-        for i in component:
-            for j in range(n):
-                if i != j and cartan[i][j] != 0 and not d[j]:
-                    # d_j / d_i = A[i][j] / A[j][i]; rescale the component if d_j is not integral
-                    num = d[i] * cartan[i][j]
-                    den = cartan[j][i]
-                    scale = -den // gcd(num, den)
-                    if scale > 1:
-                        for k in component:
-                            d[k] *= scale
-                        num *= scale
-                    d[j] = num // den
-                    component.append(j)
-        components.append(component)
-    common = lcm(*(d[c[0]] for c in components))
-    for c in components:
-        factor = common // d[c[0]]
-        for k in c:
-            d[k] *= factor
-    g = gcd(*d)
-    return tuple(v // g for v in d)
-
-
 def _coxeter_number(family: str, rank: int) -> int:
     """The largest fundamental degree of a simple type."""
     if family == "A":
@@ -303,8 +268,7 @@ class RootSystem:
         self._reflection_columns = tuple(
             tuple((j, cartan[j][i]) for j in range(n) if cartan[j][i]) for i in range(n)
         )
-        self.symmetrizer = _symmetrizer(cartan, n) if n else ()
-        self.positive_roots = self._close_positive_roots()
+        self.positive_roots = self._close_positive_roots(count)
         self.rho = tuple([1] * n)
 
     # -- coordinates ---------------------------------------------------
@@ -323,70 +287,48 @@ class RootSystem:
             out[j] -= a * vi
         return tuple(out)
 
-    def reflect_root(self, i: int, c):
-        """Apply s_i in simple-root coordinates: c - <sum c_j alpha_j, alpha_i^vee> e_i."""
-        pairing = sum(self.cartan[i][j] * c[j] for j in range(self.rank))
-        out = list(c)
-        out[i] -= pairing
-        return tuple(out)
-
-    def root_to_omega(self, c):
-        return tuple(
-            sum(self.cartan[j][k] * c[k] for k in range(self.rank)) for j in range(self.rank)
-        )
-
     # -- construction --------------------------------------------------
 
-    def _close_positive_roots(self):
-        """Height-by-height closure from the simple roots via root strings."""
+    def _close_positive_roots(self, count: int):
+        """Phi+ ordered by (height, root), closed from the simple roots under the s_i.
+
+        A positive root beta with <beta, alpha_i^vee> = omega_i < 0 has the higher
+        positive root s_i beta = beta - omega_i alpha_i, with omega-coordinates
+        s_i omega and coroot s_i beta^vee = beta^vee - <alpha_i, beta^vee> alpha_i^vee;
+        every non-simple positive root arises so.  The closure must give the `count`
+        roots of the closed form, each with <beta, beta^vee> = 2.
+        """
         n = self.rank
-        if n == 0:
-            return ()
-        layers = [[tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]]
-        seen = set(layers[0])
-        while True:
-            nxt = []
-            for c in layers[-1]:
-                for i in range(n):
-                    # beta + alpha_i is a root iff q = p - <beta, alpha_i^vee> > 0,
-                    # where p = max k with beta - k alpha_i a root
-                    pairing = sum(self.cartan[i][j] * c[j] for j in range(n))
-                    p = 0
-                    probe = list(c)
-                    while True:
-                        probe[i] -= 1
-                        if probe[i] < 0 or tuple(probe) not in seen:
-                            break
-                        p += 1
-                    if p - pairing > 0:
-                        up = list(c)
-                        up[i] += 1
-                        t = tuple(up)
-                        if t not in seen:
-                            seen.add(t)
-                            nxt.append(t)
-            if not nxt:
-                break
-            nxt.sort()
-            layers.append(nxt)
+        # layers[h - 1]: root of height h -> (omega-coordinates, coroot)
+        layers = [{}]
+        for i in range(n):
+            e = tuple(1 if j == i else 0 for j in range(n))
+            layers[0][e] = (self.alpha_omega(i), e)
         out = []
-        for layer in layers:
-            for c in sorted(layer):
-                omega = self.root_to_omega(c)
-                # (beta,beta) = sum_ij c_i c_j d_i A[i][j]; coroot coords 2 d_i c_i/(beta,beta)
-                norm = 0
-                for i in range(self.rank):
-                    if c[i]:
-                        for j in range(self.rank):
-                            if c[j]:
-                                norm += c[i] * c[j] * self.symmetrizer[i] * self.cartan[i][j]
-                coroot = []
-                for i in range(self.rank):
-                    num = 2 * self.symmetrizer[i] * c[i]
-                    if num % norm != 0 and num != 0:
-                        raise AssertionError("coroot coordinates must be integral")
-                    coroot.append(num // norm if num else 0)
-                out.append(PositiveRoot(root=c, omega=omega, coroot=tuple(coroot)))
+        for layer in layers:  # grows while it is read: s_i beta lies above beta
+            for root in sorted(layer):
+                omega, coroot = layer[root]
+                if sum(c * v for c, v in zip(coroot, omega)) != 2:
+                    raise InternalComputationError(f"<beta, beta^vee> != 2 at root {root}")
+                out.append(PositiveRoot(root, omega, coroot))
+                for i, v in enumerate(omega):
+                    if v < 0:
+                        image = root[:i] + (root[i] - v,) + root[i + 1:]
+                        height = sum(image)
+                        while len(layers) < height:
+                            layers.append({})
+                        if image not in layers[height - 1]:
+                            pairing = sum(coroot[j] * a for j, a in self._reflection_columns[i])
+                            layers[height - 1][image] = (
+                                self.reflect_weight(i, omega),
+                                coroot[:i] + (coroot[i] - pairing,) + coroot[i + 1:],
+                            )
+            if len(out) > count:  # also ends a closure that would never stop
+                break
+        if len(out) != count:
+            raise InternalComputationError(
+                f"type {self.type.name()} closed to {len(out)} positive roots, not {count}"
+            )
         return tuple(out)
 
     def num_positive_roots(self) -> int:

@@ -427,10 +427,10 @@ class _FlagContext:
         theta_set = set(self.theta)
         U = [pr for pr in rs.positive_roots
              if any(pr.root[j] for j in range(rs.rank) if (j + 1) not in theta_set)]
-        uset = {pr.root for pr in U}
+        omegas = {pr.omega for pr in U}
         for i in self.theta:
             for pr in U:
-                if rs.reflect_root(i - 1, pr.root) not in uset:
+                if rs.reflect_weight(i - 1, pr.omega) not in omegas:
                     raise InternalComputationError("unipotent-radical roots not Theta-stable")
         return U
 

@@ -197,7 +197,6 @@ def higher_index_table(type_name: str, invariants: dict) -> HigherIndexSet:
     real = _KERNEL_REALIZATION.get(type_name)
     if real is None:
         raise UsageError(f"no higher-index table for type {type_name}")
-    kernels: list
     if type_name == "F4":
         kernels = ["1", "F4"] if invariants.get("J2_trivial", True) else ["1", "B3", "F4"]
     elif type_name == "E6":
@@ -208,7 +207,7 @@ def higher_index_table(type_name: str, invariants: dict) -> HigherIndexSet:
             kernels.insert(1, "A2xA2")
         if j2:
             kernels.insert(-1, "D4")
-    elif type_name == "E7":
+    else:  # E7, the last type with a realization
         kernels = ["1", "E7"]
         if not invariants.get("J2_trivial", True):
             kernels.insert(1, "D4")
@@ -216,13 +215,7 @@ def higher_index_table(type_name: str, invariants: dict) -> HigherIndexSet:
             kernels.insert(-1, "E6")
         if not invariants.get("has_zero_cycle", True):
             kernels.insert(-1, "D6")
-    else:
-        raise UsageError(f"unsupported type {type_name}")
-    try:
-        subsets = [real[k] for k in kernels]
-    except KeyError as exc:
-        raise UsageError(f"unsupported invariant combination: {exc}") from exc
-    return HigherIndexSet.build(dtype, subsets)
+    return HigherIndexSet.build(dtype, [real[k] for k in kernels])
 
 
 # ---------------------------------------------------------------------------

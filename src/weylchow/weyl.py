@@ -49,7 +49,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from functools import cache, cached_property
-from itertools import chain
+from itertools import chain, repeat
 
 from . import univar
 from .errors import InternalComputationError, ResourceLimitError, UsageError
@@ -535,18 +535,31 @@ def cosets_to_json(ct: CosetTable):
     return chain((f'{{"count": {len(ct)}, "dim": {dim}, "reps": [',), join_pieces(reps), (tail,))
 
 
-def hasse_to_dot(ct: CosetTable):
-    """The Hasse diagram in DOT, in pieces: one per length layer of vertices and of edge
-    sources.  The point index is built, and certified, before the pieces are returned."""
+def graph_to_dot(ct: CosetTable, name: str, color_of=None, dotted=()):
+    """The Hasse diagram as the DOT digraph `name`, in pieces: one per length layer of
+    vertices and of edge sources.  `color_of[k]`, when given, colours the vertex at
+    position k; the edges labelled in `dotted` are drawn dotted.  The point index is
+    built, and certified, before the pieces are returned."""
     ct._points
+    # the layers run through the positions in order, so one iterator serves them all
+    colors = repeat("") if color_of is None else map(", color={}".format, color_of)
+    style = [""] * (ct.rs.rank + 1)
+    for i in dotted:
+        style[i] = ", style=dotted"
     vertices = (
-        "\n".join(f'  n{k} [label="{t} ({l})"];' for k, t in zip(ct.of_length(l), texts))
+        "\n".join(f'  n{k} [label="{t} ({l})"{c}];' for k, t, c in zip(ct.of_length(l), texts, colors))
         for l, texts in enumerate(ct.text_layers())
     )
     edges = (
-        "\n".join(f'  n{a} -> n{b} [label="{i}"];' for a, b, i in run) for run in hasse_edges(ct)
+        "\n".join(f'  n{a} -> n{b} [label="{i}"{style[i]}];' for a, b, i in run)
+        for run in hasse_edges(ct)
     )
-    return join_pieces(chain(("digraph hasse {",), vertices, edges, ("}",)), "\n")
+    return join_pieces(chain((f"digraph {name} {{",), vertices, edges, ("}",)), "\n")
+
+
+def hasse_to_dot(ct: CosetTable):
+    """The Hasse diagram in DOT, in pieces (see `graph_to_dot`)."""
+    return graph_to_dot(ct, "hasse")
 
 
 def hasse_to_json(ct: CosetTable):

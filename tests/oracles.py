@@ -3,11 +3,12 @@
 import json
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 
 from weylchow.errors import InternalComputationError
 from weylchow.motive import MotiveSummand, decompose, refine_rost
 from weylchow.polynomial import BITS, MASK, Polynomial, _unit, unpack_monomial
-from weylchow.rootdata import root_subsystem, weyl_degrees
+from weylchow.rootdata import PositiveRoot, root_subsystem, weyl_degrees
 from weylchow.schubert import (
     _CANDIDATE_POINTS,
     ChowClass,
@@ -16,6 +17,100 @@ from weylchow.schubert import (
     _sub_fundamental_seeds,
 )
 from weylchow.weyl import CosetTable, apply_word, coset_reps, hasse_edges
+
+
+def cartan_symmetrizer(cartan):
+    """Positive integers d_i with d_i A[i][j] = d_j A[j][i].
+
+    Each component is walked from its least vertex, starting at 1 and
+    scaled by the least factor that keeps d_j = d_i A[i][j] / A[j][i]
+    integral, so it ends as its primitive vector.  The components are then
+    brought to a common value at their least vertices and the whole vector
+    is divided by its gcd.  A simple type gets 1 on its short roots; a
+    reducible one can keep a common factor on a component (B2xG2 gives
+    (2, 1, 2, 6)).
+    """
+    n = len(cartan)
+    if not n:
+        return ()
+    d = [0] * n
+    components = []
+    for start in range(n):
+        if d[start]:
+            continue
+        d[start] = 1
+        component = [start]
+        for i in component:
+            for j in range(n):
+                if i != j and cartan[i][j] != 0 and not d[j]:
+                    # d_j / d_i = A[i][j] / A[j][i]; rescale the component if d_j is not integral
+                    num = d[i] * cartan[i][j]
+                    den = cartan[j][i]
+                    scale = -den // gcd(num, den)
+                    if scale > 1:
+                        for k in component:
+                            d[k] *= scale
+                        num *= scale
+                    d[j] = num // den
+                    component.append(j)
+        components.append(component)
+    common = lcm(*(d[c[0]] for c in components))
+    for c in components:
+        factor = common // d[c[0]]
+        for k in c:
+            d[k] *= factor
+    g = gcd(*d)
+    return tuple(v // g for v in d)
+
+
+def positive_roots_by_root_strings(rs):
+    """Phi+ ordered by (height, root), closed by root strings, coroots from norms.
+
+    beta + alpha_i is a root iff p - <beta, alpha_i^vee> > 0, where p is the
+    largest k with beta - k alpha_i a root; beta^vee = 2 beta / (beta, beta) in
+    the norms of the symmetrizer.
+    """
+    n, a = rs.rank, rs.cartan
+    if n == 0:
+        return ()
+    d = cartan_symmetrizer(a)
+    layers = [[tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]]
+    seen = set(layers[0])
+    while True:
+        nxt = []
+        for c in layers[-1]:
+            for i in range(n):
+                pairing = sum(a[i][j] * c[j] for j in range(n))
+                p = 0
+                probe = list(c)
+                while True:
+                    probe[i] -= 1
+                    if probe[i] < 0 or tuple(probe) not in seen:
+                        break
+                    p += 1
+                if p - pairing > 0:
+                    up = list(c)
+                    up[i] += 1
+                    t = tuple(up)
+                    if t not in seen:
+                        seen.add(t)
+                        nxt.append(t)
+        if not nxt:
+            break
+        layers.append(nxt)
+    out = []
+    for layer in layers:
+        for c in sorted(layer):
+            omega = tuple(sum(a[j][k] * c[k] for k in range(n)) for j in range(n))
+            norm = sum(c[i] * c[j] * d[i] * a[i][j] for i in range(n) for j in range(n))
+            coroot = []
+            for i in range(n):
+                num = 2 * d[i] * c[i]
+                if num % norm:
+                    raise InternalComputationError("coroot coordinates must be integral")
+                coroot.append(num // norm)
+            out.append(PositiveRoot(c, omega, tuple(coroot)))
+    return tuple(out)
 
 
 def all_reduced_words(rs, w):

@@ -358,6 +358,14 @@ def test_non_canonical_ring_spellings_exit_2():
         assert code == 2 and out.startswith("usage error"), ring
 
 
+def test_non_canonical_type_spellings_exit_2():
+    # int() reads each of these ranks, and "A1_0" as 10; a type has one spelling, like E7
+    for name in ("A1_0", "E+7", "E 7", "D05", "B\u0663", "E\uff17", "A2xE 7"):
+        code, out = run(["roots", "--type", name])
+        assert code == 2 and out.startswith("usage error"), name
+    assert run(["roots", "--type", "e7"]) == run(["roots", "--type", "E7"])  # a lower-case family
+
+
 def test_non_invertible_denominators_exit_2():
     for ring in ("Z/2", "Z"):
         code, out = run(["mult", "--type", "A2", "--a", _a2_class(ring, "1/2"), "--b", _a2_class(ring, 1)])
@@ -526,6 +534,21 @@ _vertices = st.one_of(
     _junk,
 )
 _formats = st.sampled_from(["json", "dot", "svg"])
+_NON_ASCII_DIGITS = ("\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",  # Arabic-Indic
+                     "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")  # fullwidth
+
+
+def _type_argument(type_name):
+    """The --type value: the name, or as often its first rank spelled in a way int() reads
+    but a Dynkin type does not (a sign, an underscore, an inner space, a leading zero or
+    non-ASCII digits)."""
+    head, x, rest = type_name.partition("x")
+    family, rank = head[:1], head[1:]
+    if not rank.isdigit():
+        return st.just(type_name)
+    ranks = ["+" + rank, "0_" + rank, " " + rank, "0" + rank]
+    ranks += [rank.translate(str.maketrans("0123456789", digits)) for digits in _NON_ASCII_DIGITS]
+    return st.sampled_from([type_name] * len(ranks) + [family + r + x + rest for r in ranks])
 
 
 def _json_text(value):
@@ -578,7 +601,7 @@ def _argvs(draw):
     type_name = draw(st.sampled_from(_TYPES if command in _SLOW_ON_F4 else _TYPES + ["F4"] * 3))
     argv = [command]
     if draw(st.integers(min_value=0, max_value=9)):
-        argv += ["--type", type_name]
+        argv += ["--type", draw(_type_argument(type_name))]
     for option, values in _options(command, type_name).items():
         if not draw(st.integers(min_value=0, max_value=7)):
             continue  # leave the option out, required or not

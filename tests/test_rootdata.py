@@ -17,6 +17,8 @@ from weylchow.schubert import ChowClass
 from weylchow.titsjinv import Automaton, HigherIndexSet, JProfile, KacEntry, TitsIndex
 from weylchow.weyl import WeylElement
 
+from oracles import cartan_symmetrizer, positive_roots_by_root_strings
+
 LIE_DIMENSIONS = {
     # dim g = n + 2 * |Phi+| per simple component
     "A1": 3, "A2": 8, "A3": 15, "B2": 10, "B3": 21, "C3": 21,
@@ -106,19 +108,35 @@ def test_reflection_is_involution_and_fw_rule():
 
 
 def test_each_reflection_permutes_other_positive_roots():
-    for name in ("A2", "B2", "B3", "G2"):
+    for name in ("A2", "B2", "B3", "G2", "F4", "E6", "E7", "E8", "B2xG2"):
         rs = build_root_system(name)
-        pos = {pr.root for pr in rs.positive_roots}
+        pos = {pr.omega for pr in rs.positive_roots}
         for i in range(rs.rank):
-            flipped = 0
-            for c in pos:
-                img = rs.reflect_root(i, c)
-                if all(x <= 0 for x in img):
-                    flipped += 1
-                    assert tuple(-x for x in img) in pos
-                else:
-                    assert img in pos
-            assert flipped == 1  # exactly alpha_i goes negative
+            images = {rs.reflect_weight(i, omega) for omega in pos}
+            # exactly alpha_i goes negative; omega-coordinates determine the root
+            assert images - pos == {tuple(-x for x in rs.alpha_omega(i))}
+            assert pos - images == {rs.alpha_omega(i)}
+
+
+ROOT_ORACLE_TYPES = [
+    "A1", "A2", "A5", "A44", "B2", "B3", "B7", "C2", "C3", "C8", "D3", "D4", "D5", "D9",
+    "E6", "E7", "E8", "F4", "G2", "B2xG2", "G2xB3xC3", "A3xD4", "F4xA2", "C3xB2xG2",
+]
+
+
+@pytest.mark.parametrize("name", ROOT_ORACLE_TYPES)
+def test_positive_roots_match_the_root_string_oracle(name):
+    # root, omega-coordinates, coroot and order, term for term
+    rs = build_root_system(name)
+    assert rs.positive_roots == positive_roots_by_root_strings(rs)
+
+
+@pytest.mark.parametrize("cartan", [((2, -2), (-2, 2)), ((2, -1), (-2, 2))], ids=["affine", "B2"])
+def test_a_closure_that_disagrees_with_the_type_is_refused(monkeypatch, cartan):
+    # the affine matrix closes to infinitely many roots, the B2 one to four, against three for A2
+    monkeypatch.setattr(rootdata, "_simple_cartan", lambda family, rank: [list(row) for row in cartan])
+    with pytest.raises(InternalComputationError, match="positive roots, not 3"):
+        rootdata.RootSystem(DynkinType((("A", 2),)))
 
 
 def test_weyl_degrees_tables():
@@ -168,7 +186,7 @@ def test_root_subsystem_more_shapes():
 
 def _root_counts(rs, support):
     """(positive roots supported on `support`, how many of them have minimal length)."""
-    d, a = rs.symmetrizer, rs.cartan
+    d, a = cartan_symmetrizer(rs.cartan), rs.cartan
     norms = [
         sum(c[i] * c[j] * d[i] * a[i][j] for i in support for j in support)
         for c in (pr.root for pr in rs.positive_roots)
@@ -228,10 +246,11 @@ def test_reducible_system_block_structure():
     ("E7", (1,) * 7),
 ])
 def test_symmetrizer_values(name, symmetrizer):
-    rs = build_root_system(name)
-    assert rs.symmetrizer == symmetrizer
-    d, a = rs.symmetrizer, rs.cartan
-    assert all(d[i] * a[i][j] == d[j] * a[j][i] for i in range(rs.rank) for j in range(rs.rank))
+    # the oracle's symmetrizer feeds _root_counts and the root-string oracle
+    a = build_root_system(name).cartan
+    d = cartan_symmetrizer(a)
+    assert d == symmetrizer
+    assert all(d[i] * a[i][j] == d[j] * a[j][i] for i in range(len(a)) for j in range(len(a)))
 
 
 def _value_cases():
