@@ -34,15 +34,18 @@ chain, one length layer of the table at a time.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import count, islice
 from math import gcd, lcm
+from types import MappingProxyType
 
 from .errors import InternalComputationError, UsageError
 from .polynomial import Polynomial, elementary_symmetric_classes
 from .rootdata import (
-    Record, RootSystem, build_root_system, checked_vertices, ring_modulus, root_subsystem,
-    weyl_degrees,
+    Record, RootSystem, build_root_system, checked_vertices, is_small_prime, ring_modulus,
+    root_subsystem, weyl_degrees,
 )
 from .weyl import CosetTable, WeylElement, _canonical_from_image, checked_word, coset_reps
 
@@ -54,10 +57,11 @@ from .weyl import CosetTable, WeylElement, _canonical_from_image, checked_word, 
 class ChowClass(Record):
     """A sparse element of CH*(G/P_Theta) over the Schubert basis.
 
-    Immutable, and normalized when built: over Z/p every coefficient is
-    reduced into [0, p) (a Fraction through the inverse of its denominator),
-    over Z an integral Fraction becomes an int, over Q values are kept as
-    given, and zero coefficients are dropped.
+    Immutable, coefficients included (a read-only mapping), and normalized
+    when built: over Z/p every coefficient is reduced into [0, p) (a Fraction
+    through the inverse of its denominator), over Z an integral Fraction
+    becomes an int, over Q values are kept as given, and zero coefficients
+    are dropped.
     """
 
     __slots__ = (
@@ -87,7 +91,11 @@ class ChowClass(Record):
         object.__setattr__(self, "type_name", type_name)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", out)
+        object.__setattr__(self, "coeffs", MappingProxyType(out))
+
+    def __reduce__(self):
+        # a mapping proxy does not pickle; its dict does
+        return ChowClass, (self.type_name, self.theta, self.ring, dict(self.coeffs))
 
     def is_zero(self):
         return not self.coeffs
@@ -138,8 +146,11 @@ def class_from_json(text: str) -> ChowClass:
         ring = data.get("ring", "Z")
         if not isinstance(ring, str):
             raise UsageError(f"ring {ring!r} must be a string such as \"Z/2\"")
+        terms = data.get("terms", [])
+        if not isinstance(terms, list):  # an object would iterate as its keys
+            raise UsageError(f"terms {terms!r} must be a list of terms")
         coeffs: dict = {}
-        for term in data.get("terms", []):
+        for term in terms:
             word = term["word"]
             k = ct.index.get(checked_word(rs, word))  # checked first: True would hash as 1
             if k is None:  # not the canonical word of a rep: canonicalize and look again
@@ -165,11 +176,15 @@ def class_from_json(text: str) -> ChowClass:
     return ChowClass(rs.type.name(), ct.theta, ring, coeffs)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _coefficient_from_json(c):
     """An exact coefficient: a JSON integer or a rational string such as "-3/4"."""
     if isinstance(c, int) and not isinstance(c, bool):
         return c
-    if isinstance(c, str):
+    # Fraction() alone would also read "1_0", " 3", "+3", "1e2", "1.5" and non-ASCII digits
+    if isinstance(c, str) and _RATIONAL.fullmatch(c):
         try:
             return Fraction(c)
         except ZeroDivisionError:
@@ -519,11 +534,10 @@ def _flag_context(rs: RootSystem, theta: tuple) -> _FlagContext:
 # Invariant generators
 
 
-_CANDIDATE_POINTS = (
-    (1, 2, 3, 4, 5, 6, 7, 8),
-    (1, 4, 9, 16, 25, 36, 49, 64),
-    (2, 3, 5, 7, 11, 13, 17, 19),
-)
+def _candidate_points(n):
+    """Test points with n coordinates, in the order tried: 1..n, the squares, the first n primes."""
+    primes = tuple(islice(filter(is_small_prime, count(2)), n))
+    return tuple(range(1, n + 1)), tuple(x * x for x in range(1, n + 1)), primes
 
 
 def _sub_fundamental_seeds(rs: RootSystem, theta):
@@ -599,8 +613,7 @@ def _invariant_generators(rs: RootSystem, theta):
     slots = sorted(weyl_degrees(root_subsystem(rs, theta)))
     orbits = sorted((_orbit(rs, theta, s) for s in _sub_fundamental_seeds(rs, theta)), key=len)
 
-    for point in _CANDIDATE_POINTS:
-        pt = point[:n]
+    for pt in _candidate_points(n):
         elim = _Echelon(n)
         for g in base:
             elim.add([g.derivative(j).evaluate(pt) for j in range(n)])

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import comb
+from types import MappingProxyType
 
 from .errors import CalibrationError, InternalComputationError, ResourceLimitError, UsageError
 from .polynomial import Polynomial, unpack_monomial
@@ -362,13 +363,13 @@ def _phi_pieces(rs, theta, idx):
     """Graded pieces of Phi([X_idx]) = pi_*(c(T_Z)^{-+1}), convention-matched, at every offset.
 
     This is the direct route's series without the base factors, truncated
-    at the word length instead of the codimension.  theta must be normalized
-    (sorted, no repeats), as `CosetTable.theta` is.
+    at the word length instead of the codimension, as a read-only mapping.
+    theta must be normalized (sorted, no repeats), as `CosetTable.theta` is.
     """
     _calibrate()
     eps = 1 if WU_CONVENTION == "I" else -1
     ct = coset_reps(rs, theta)
-    return _pushed_series(ct, idx, ct.words[idx], eps, (), ct.length(idx))
+    return MappingProxyType(_pushed_series(ct, idx, ct.words[idx], eps, (), ct.length(idx)))
 
 
 def _steenrod_by_duality(rs, theta, idx, up_to):
@@ -416,15 +417,18 @@ def steenrod_basis_element(rs, theta, idx, up_to=None):
 
 @cache
 def _basis_pieces(rs, theta, idx, want):
-    """S^0..S^want of [X_idx] by the direct ring or, for a long word, the duality route."""
+    """S^0..S^want of [X_idx] by the direct ring or, for a long word, the duality route.
+
+    Read-only, as every caller shares the cached mapping.
+    """
     _calibrate()
     ct = coset_reps(rs, theta)
     codim = ct.codim(idx)
     word_len = ct.length(idx)
     if word_len <= DIRECT_WORD_LIMIT:
-        return _direct_steenrod_pieces(rs, theta, idx, WU_CONVENTION, up_to=want)
+        return MappingProxyType(_direct_steenrod_pieces(rs, theta, idx, WU_CONVENTION, up_to=want))
     if codim + want <= DIRECT_WORD_LIMIT:
-        return _steenrod_by_duality(rs, theta, idx, want)
+        return MappingProxyType(_steenrod_by_duality(rs, theta, idx, want))
     raise ResourceLimitError(
         f"S^<= {want} of a codimension-{codim} class (word length {word_len}) "
         "is out of reach: neither the direct ring nor the duality route fits"

@@ -80,11 +80,8 @@ class HigherIndexSet(Record):
         return HigherIndexSet(dtype, idx)
 
     def minimum(self):
-        members = [set(m) for m in self.indices]
-        for m in members:
-            if not any(set(o) < m for o in self.indices):
-                return tuple(sorted(m))
-        raise AssertionError
+        """The unique minimal member, which every member contains."""
+        return min(self.indices, key=len)
 
 
 class Automaton(Record):
@@ -176,46 +173,44 @@ def automaton_to_json(a: Automaton) -> str:
 # Higher-index tables for F4, E6, E7 (kernel realizations as circled subsets)
 
 
-_KERNEL_REALIZATION = {
-    # type -> kernel name -> circled subset
-    "F4": {"F4": (), "B3": (4,), "1": (1, 2, 3, 4)},
-    "E6": {"E6": (), "D4": (1, 6), "A2xA2": (2, 4), "1": (1, 2, 3, 4, 5, 6)},
-    "E7": {"E7": (), "E6": (7,), "D6": (1,), "D4": (1, 6, 7), "1": (1, 2, 3, 4, 5, 6, 7)},
+# type -> rows (kernel, circled subset, rule): the kernel is in the set when its rule is
+# None, or when the rule is (key, value) and invariants.get(key, not value) == value
+_HIGHER_INDEX_ROWS = {
+    "F4": (("1", (1, 2, 3, 4), None), ("B3", (4,), ("J2_trivial", False)), ("F4", (), None)),
+    "E6": (
+        ("1", (1, 2, 3, 4, 5, 6), None),
+        ("A2xA2", (2, 4), ("J3_j1_nonzero", True)),
+        ("D4", (1, 6), ("J2_trivial", False)),
+        ("E6", (), None),
+    ),
+    "E7": (
+        ("1", (1, 2, 3, 4, 5, 6, 7), None),
+        ("D4", (1, 6, 7), ("J2_trivial", False)),
+        ("E6", (7,), ("J3_trivial", False)),
+        ("D6", (1,), ("has_zero_cycle", False)),
+        ("E7", (), None),
+    ),
 }
 
 
 def higher_index_table(type_name: str, invariants: dict) -> HigherIndexSet:
     """Kernel sets of the published table, realized as circled subsets.
 
-    invariants:
+    invariants (an absent key takes the generic value: trivial, no J3 j_1,
+    a zero-cycle of degree one):
       F4: {"J2_trivial": bool}
       E6: {"J2_trivial": bool, "J3_j1_nonzero": bool}
       E7 (trivial Tits algebras): {"J2_trivial": bool, "J3_trivial": bool,
                                    "has_zero_cycle": bool}
     """
     dtype = DynkinType.parse(type_name)
-    real = _KERNEL_REALIZATION.get(type_name)
-    if real is None:
+    rows = _HIGHER_INDEX_ROWS.get(dtype.name())
+    if rows is None:
         raise UsageError(f"no higher-index table for type {type_name}")
-    if type_name == "F4":
-        kernels = ["1", "F4"] if invariants.get("J2_trivial", True) else ["1", "B3", "F4"]
-    elif type_name == "E6":
-        j2 = not invariants.get("J2_trivial", True)
-        j1of3 = invariants.get("J3_j1_nonzero", False)
-        kernels = ["1", "E6"]
-        if j1of3:
-            kernels.insert(1, "A2xA2")
-        if j2:
-            kernels.insert(-1, "D4")
-    else:  # E7, the last type with a realization
-        kernels = ["1", "E7"]
-        if not invariants.get("J2_trivial", True):
-            kernels.insert(1, "D4")
-        if not invariants.get("J3_trivial", True):
-            kernels.insert(-1, "E6")
-        if not invariants.get("has_zero_cycle", True):
-            kernels.insert(-1, "D6")
-    return HigherIndexSet.build(dtype, [real[k] for k in kernels])
+    return HigherIndexSet.build(dtype, [
+        circled for _, circled, rule in rows
+        if rule is None or invariants.get(rule[0], not rule[1]) == rule[1]
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +272,21 @@ def _doublings(d, n):
     return k
 
 
+# (family, rank, p) -> (d, k) pairs of the exceptional groups at their torsion primes (Kac 1985)
+_EXCEPTIONAL_KAC = {
+    ("G", 2, 2): ((3, 1),),
+    ("F", 4, 2): ((3, 1),),
+    ("F", 4, 3): ((4, 1),),
+    ("E", 6, 2): ((3, 1),),
+    ("E", 6, 3): ((1, 1), (4, 1)),
+    ("E", 7, 2): ((1, 1), (3, 1), (5, 1), (9, 1)),
+    ("E", 7, 3): ((4, 1),),
+    ("E", 8, 2): ((3, 3), (5, 2), (9, 1), (15, 1)),
+    ("E", 8, 3): ((4, 1), (10, 1)),
+    ("E", 8, 5): ((6, 1),),
+}
+
+
 def _simple_kac_pairs(family, rank, p):
     """Transcribed p-exceptional degree data (adjoint forms), split into
     (d, k) with d coprime to p.  Only torsion primes yield entries."""
@@ -287,45 +297,15 @@ def _simple_kac_pairs(family, rank, p):
     if family == "B" and p == 2:
         # SO_{2n+1}: generators x_d for odd d <= m - 2, truncated at d 2^k >= m - 1
         m = 2 * rank + 1
-        pairs = []
-        for d in range(1, m - 1, 2):
-            pairs.append((d, _doublings(d, m - 1)))
-        return pairs
+        return [(d, _doublings(d, m - 1)) for d in range(1, m - 1, 2)]
     if family == "D" and p == 2:
         # transcription for the isogeny forms arising as kernels inside E7
         # (half-spin-compatible): degrees {1} and odd 3..n-1, so D4 -> {1,3}
         # and D6 -> {1,3,5}
-        pairs = [(1, 1)]
-        for d in range(3, rank, 2):
-            pairs.append((d, _doublings(d, 2 * rank - 2)))
-        return pairs
+        return [(1, 1)] + [(d, _doublings(d, 2 * rank - 2)) for d in range(3, rank, 2)]
     if family == "C" and p == 2:
         raise UsageError("mod-2 data for adjoint C-type groups is not transcribed")
-    if family == "G" and p == 2:
-        return [(3, 1)]
-    if family == "F":
-        if p == 2:
-            return [(3, 1)]
-        if p == 3:
-            return [(4, 1)]
-    if family == "E" and rank == 6:
-        if p == 2:
-            return [(3, 1)]
-        if p == 3:
-            return [(1, 1), (4, 1)]
-    if family == "E" and rank == 7:
-        if p == 2:
-            return [(1, 1), (3, 1), (5, 1), (9, 1)]
-        if p == 3:
-            return [(4, 1)]
-    if family == "E" and rank == 8:
-        if p == 2:
-            return [(3, 3), (5, 2), (9, 1), (15, 1)]
-        if p == 3:
-            return [(4, 1), (10, 1)]
-        if p == 5:
-            return [(6, 1)]
-    return []
+    return _EXCEPTIONAL_KAC.get((family, rank, p), ())
 
 
 def kac_entry(dtype, p: int) -> KacEntry:
@@ -337,11 +317,7 @@ def kac_entry(dtype, p: int) -> KacEntry:
     pairs = []
     for family, rank in dtype.components:
         pairs.extend(_simple_kac_pairs(family, rank, p))
-    pairs.sort()
-    for d, _ in pairs:
-        if d % p == 0:
-            raise UsageError("degree not coprime to p in Kac data")
-    return KacEntry(dtype, p, tuple(pairs))
+    return KacEntry(dtype, p, tuple(sorted(pairs)))
 
 
 class JProfile(Record):
@@ -352,6 +328,8 @@ class JProfile(Record):
         object.__setattr__(self, "values", values)
 
     def validate(self, entry: KacEntry):
+        if self.p != entry.p:
+            raise UsageError(f"a profile for p = {self.p} does not fit the Kac entry for p = {entry.p}")
         if len(self.values) != entry.r:
             raise UsageError(
                 f"profile arity {len(self.values)} != r = {entry.r} for this type/prime"
@@ -394,50 +372,35 @@ def predicted_rational_poincare(rs: RootSystem, theta, entry: KacEntry, profile:
 # Generically-split classification (published table as data)
 
 
+# type -> rows (vertices, p, i): the variety of parabolics of type `vertex` is not generically
+# split when vertex is in vertices and j_i (i from 0) of the p-profile is nonzero
+_NOT_GENERICALLY_SPLIT = {
+    "F4": (((4,), 2, 0),),
+    "E6": (((1, 6), 2, 0), ((2, 4), 3, 0)),
+    "E7": (((1, 3, 4, 6), 2, 0), ((1, 6, 7), 2, 1), ((7,), 3, 0)),
+    "E8": (((1, 6, 7, 8), 2, 0), ((7, 8), 3, 0)),
+}
+
+
 def is_generically_split(type_name: str, vertex: int, profiles: dict) -> bool:
-    """profiles: {p: tuple}; missing primes are treated as trivial profiles.
+    """profiles: {p: tuple}, each checked against its Kac entry; a missing prime
+    has the trivial profile.
 
     The 8 published rows say when the variety of parabolics of type `vertex`
     is NOT generically split; everything unmatched is generically split.
     """
     dtype = DynkinType.parse(type_name)
-    if dtype.components not in {(("F", 4),), (("E", 6),), (("E", 7),), (("E", 8),)}:
+    rows = _NOT_GENERICALLY_SPLIT.get(dtype.name())
+    if rows is None:
         raise UsageError("classification covers F4, E6, E7, E8 only")
     checked_vertices(dtype.rank, (vertex,))
-    j2 = tuple(profiles.get(2, ()))
-    j3 = tuple(profiles.get(3, ()))
-
-    def nz(t, i):
-        return len(t) > i and t[i] != 0
-
-    name = type_name
-    if name == "F4" and vertex == 4 and j2 == (1,):
-        return False
-    if name == "E6" and vertex in (1, 6) and j2 == (1,):
-        return False
-    if name == "E6" and vertex in (2, 4) and nz(j3, 0):
-        return False
-    if name == "E7" and vertex in (1, 3, 4, 6) and nz(j2, 0):
-        return False
-    if name == "E7" and vertex in (1, 6, 7) and nz(j2, 1):
-        return False
-    if name == "E7" and vertex == 7 and j3 == (1,):
-        return False
-    if name == "E8" and vertex in (1, 6, 7, 8) and nz(j2, 0):
-        return False
-    if name == "E8" and vertex in (7, 8) and nz(j3, 0) and j3[0] == 1:
-        return False
-    return True
+    for p, values in profiles.items():
+        JProfile(p, tuple(values)).validate(kac_entry(dtype, p))
+    return not any(vertex in vertices and p in profiles and profiles[p][i] for vertices, p, i in rows)
 
 
 def forced_zero_indices(type_name: str, p: int, kernel) -> tuple:
     """Indices i (1-based) with j_i = 0 forced: no kernel generator has degree d_i."""
-    entry = kac_entry(type_name, p)
-    if isinstance(kernel, str):
-        kernel = DynkinType.parse(kernel)
-    kernel_degrees = {d for d, _ in kac_entry(kernel, p).pairs}
-    out = []
-    for i, (d, _) in enumerate(entry.pairs, start=1):
-        if d not in kernel_degrees:
-            out.append(i)
-    return tuple(out)
+    kernel_degrees = set(kac_entry(kernel, p).degrees())
+    return tuple(i for i, d in enumerate(kac_entry(type_name, p).degrees(), start=1)
+                 if d not in kernel_degrees)

@@ -93,7 +93,7 @@ def _canonical_from_image(rs: RootSystem, v):
                 v = rs.reflect_weight(i, v)
                 break
         else:
-            raise AssertionError("vector is not in the rho-orbit")
+            raise InternalComputationError("vector is not in the rho-orbit")
     return tuple(word)
 
 

@@ -5,17 +5,20 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-from weylchow.errors import InternalComputationError
+from weylchow.errors import InternalComputationError, UsageError
 from weylchow.motive import MotiveSummand, decompose, refine_rost
 from weylchow.polynomial import BITS, MASK, Polynomial, _unit, unpack_monomial
-from weylchow.rootdata import PositiveRoot, root_subsystem, weyl_degrees
+from weylchow.rootdata import (
+    DynkinType, PositiveRoot, checked_vertices, root_subsystem, weyl_degrees,
+)
 from weylchow.schubert import (
-    _CANDIDATE_POINTS,
     ChowClass,
+    _candidate_points,
     _Echelon,
     _orbit,
     _sub_fundamental_seeds,
 )
+from weylchow.titsjinv import HigherIndexSet, _doublings, _v_p
 from weylchow.weyl import CosetTable, apply_word, coset_reps, hasse_edges
 
 
@@ -246,8 +249,7 @@ def invariant_generators_by_polynomials(rs, theta):
         _orbit_power_sums(rs, orbits[i], wanted) for i in order
     ]
 
-    for point in _CANDIDATE_POINTS:
-        pt = point[:n]
+    for pt in _candidate_points(n):
         elim = _Echelon(n)
         for g in base:
             elim.add([g.derivative(j).evaluate(pt) for j in range(n)])
@@ -539,3 +541,135 @@ def decomposition_dot_by_fstrings(rs, theta, circled):
             lines.append(f'  n{a} -> n{b} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines)
+
+
+# --- the classification as if-ladders, the references for the tables in titsjinv ---
+
+
+_KERNEL_REALIZATION = {
+    # type -> kernel name -> circled subset
+    "F4": {"F4": (), "B3": (4,), "1": (1, 2, 3, 4)},
+    "E6": {"E6": (), "D4": (1, 6), "A2xA2": (2, 4), "1": (1, 2, 3, 4, 5, 6)},
+    "E7": {"E7": (), "E6": (7,), "D6": (1,), "D4": (1, 6, 7), "1": (1, 2, 3, 4, 5, 6, 7)},
+}
+
+
+def higher_index_table_by_ladder(type_name: str, invariants: dict) -> HigherIndexSet:
+    """Kernel sets of the published table, realized as circled subsets.
+
+    invariants:
+      F4: {"J2_trivial": bool}
+      E6: {"J2_trivial": bool, "J3_j1_nonzero": bool}
+      E7 (trivial Tits algebras): {"J2_trivial": bool, "J3_trivial": bool,
+                                   "has_zero_cycle": bool}
+    """
+    dtype = DynkinType.parse(type_name)
+    real = _KERNEL_REALIZATION.get(type_name)
+    if real is None:
+        raise UsageError(f"no higher-index table for type {type_name}")
+    if type_name == "F4":
+        kernels = ["1", "F4"] if invariants.get("J2_trivial", True) else ["1", "B3", "F4"]
+    elif type_name == "E6":
+        j2 = not invariants.get("J2_trivial", True)
+        j1of3 = invariants.get("J3_j1_nonzero", False)
+        kernels = ["1", "E6"]
+        if j1of3:
+            kernels.insert(1, "A2xA2")
+        if j2:
+            kernels.insert(-1, "D4")
+    else:  # E7, the last type with a realization
+        kernels = ["1", "E7"]
+        if not invariants.get("J2_trivial", True):
+            kernels.insert(1, "D4")
+        if not invariants.get("J3_trivial", True):
+            kernels.insert(-1, "E6")
+        if not invariants.get("has_zero_cycle", True):
+            kernels.insert(-1, "D6")
+    return HigherIndexSet.build(dtype, [real[k] for k in kernels])
+
+
+def simple_kac_pairs_by_ladder(family, rank, p):
+    """Transcribed p-exceptional degree data (adjoint forms), split into
+    (d, k) with d coprime to p.  Only torsion primes yield entries."""
+    if family == "A":
+        # PGL_{rank+1}: one degree-1 generator when p | rank+1
+        v = _v_p(rank + 1, p)
+        return [(1, v)] if v else []
+    if family == "B" and p == 2:
+        # SO_{2n+1}: generators x_d for odd d <= m - 2, truncated at d 2^k >= m - 1
+        m = 2 * rank + 1
+        pairs = []
+        for d in range(1, m - 1, 2):
+            pairs.append((d, _doublings(d, m - 1)))
+        return pairs
+    if family == "D" and p == 2:
+        # transcription for the isogeny forms arising as kernels inside E7
+        # (half-spin-compatible): degrees {1} and odd 3..n-1, so D4 -> {1,3}
+        # and D6 -> {1,3,5}
+        pairs = [(1, 1)]
+        for d in range(3, rank, 2):
+            pairs.append((d, _doublings(d, 2 * rank - 2)))
+        return pairs
+    if family == "C" and p == 2:
+        raise UsageError("mod-2 data for adjoint C-type groups is not transcribed")
+    if family == "G" and p == 2:
+        return [(3, 1)]
+    if family == "F":
+        if p == 2:
+            return [(3, 1)]
+        if p == 3:
+            return [(4, 1)]
+    if family == "E" and rank == 6:
+        if p == 2:
+            return [(3, 1)]
+        if p == 3:
+            return [(1, 1), (4, 1)]
+    if family == "E" and rank == 7:
+        if p == 2:
+            return [(1, 1), (3, 1), (5, 1), (9, 1)]
+        if p == 3:
+            return [(4, 1)]
+    if family == "E" and rank == 8:
+        if p == 2:
+            return [(3, 3), (5, 2), (9, 1), (15, 1)]
+        if p == 3:
+            return [(4, 1), (10, 1)]
+        if p == 5:
+            return [(6, 1)]
+    return []
+
+
+def is_generically_split_by_ladder(type_name: str, vertex: int, profiles: dict) -> bool:
+    """profiles: {p: tuple}; missing primes are treated as trivial profiles.
+
+    The 8 published rows say when the variety of parabolics of type `vertex`
+    is NOT generically split; everything unmatched is generically split.
+    """
+    dtype = DynkinType.parse(type_name)
+    if dtype.components not in {(("F", 4),), (("E", 6),), (("E", 7),), (("E", 8),)}:
+        raise UsageError("classification covers F4, E6, E7, E8 only")
+    checked_vertices(dtype.rank, (vertex,))
+    j2 = tuple(profiles.get(2, ()))
+    j3 = tuple(profiles.get(3, ()))
+
+    def nz(t, i):
+        return len(t) > i and t[i] != 0
+
+    name = type_name
+    if name == "F4" and vertex == 4 and j2 == (1,):
+        return False
+    if name == "E6" and vertex in (1, 6) and j2 == (1,):
+        return False
+    if name == "E6" and vertex in (2, 4) and nz(j3, 0):
+        return False
+    if name == "E7" and vertex in (1, 3, 4, 6) and nz(j2, 0):
+        return False
+    if name == "E7" and vertex in (1, 6, 7) and nz(j2, 1):
+        return False
+    if name == "E7" and vertex == 7 and j3 == (1,):
+        return False
+    if name == "E8" and vertex in (1, 6, 7, 8) and nz(j2, 0):
+        return False
+    if name == "E8" and vertex in (7, 8) and nz(j3, 0) and j3[0] == 1:
+        return False
+    return True

@@ -234,6 +234,23 @@ def test_jinv_commands():
     assert code == 0 and json.loads(out)["generically_split"] is True
 
 
+@pytest.mark.parametrize("type_name,p,profile,vertex", [
+    ("F4", 2, "1", 4), ("E6", 3, "1,0", 2), ("E7", 2, "0,1,0,0", 7), ("E8", 3, "1,0", 8),
+])
+def test_jinv_reads_the_parsed_type_and_checks_every_profile(type_name, p, profile, vertex):
+    head = ["jinv", "--p", str(p)]
+    for action in (["rhs"], ["gensplit", "--vertex", str(vertex)]):
+        upper = run(head + ["--type", type_name, "--profile", profile] + action)
+        lower = run(head + ["--type", type_name.lower(), "--profile", profile] + action)
+        assert upper[0] == 0 and lower == upper
+    rank = int(type_name[1:])
+    theta = ",".join(str(i) for i in range(1, rank + 1) if i != vertex)
+    for bad in ("5", "9" + profile[1:], profile + ",0", ""):  # out of range or of the wrong arity
+        for action in (["rhs"], ["predict", "--theta", theta], ["gensplit", "--vertex", str(vertex)]):
+            code, out = run(head + ["--type", type_name, "--profile", bad] + action)
+            assert code == 2 and out.startswith("usage error: profile"), (bad, action)
+
+
 def test_jinv_non_prime_p_exit_2():
     for p in ("4", "9", "1"):
         code, out = run(["jinv", "--type", "E6", "--p", p, "--profile", "", "rhs"])
@@ -401,8 +418,23 @@ def test_resource_cap_exit_3(monkeypatch):
 
 def test_zero_denominator_coefficient_exit_2():
     code, out = run(["mult", "--type", "A2", "--a", _a2_class("Q", "1/0"), "--b", _a2_class("Q", 1)])
-    assert code == 2
-    assert out.startswith("usage error")
+    assert (code, out) == (2, "usage error: coefficient '1/0' has a zero denominator")
+
+
+def test_non_canonical_coefficient_spellings_exit_2():
+    # Fraction() reads every one of these; a coefficient string is ASCII -?digits(/digits)?
+    for coeff in ("1_0", " \u0663 ", "\u0663", "1e2", "1.5", "+3", " 3", "3 ", "3/+4", "--3", "3/4/5"):
+        for ring in ("Q", "Z"):
+            code, out = run(["mult", "--type", "A2", "--a", _a2_class(ring, coeff), "--b", _a2_class(ring, 1)])
+            assert code == 2 and out.startswith("usage error: coefficient"), (coeff, ring)
+
+
+def test_terms_must_be_a_list_exit_2():
+    # an object would iterate as its keys: {} read as the zero class
+    for terms in ({}, {"word": [1]}, "x", 1):
+        cls = json.dumps({"type": "A2", "theta": [], "ring": "Z", "terms": terms})
+        code, out = run(["mult", "--type", "A2", "--a", cls, "--b", _a2_class("Z", 1)])
+        assert code == 2 and out.startswith("usage error: terms"), terms
 
 
 def test_root_cap_checked_before_closure():
@@ -560,7 +592,8 @@ def _class(type_name):
     letter = st.sampled_from([1, 2, 1, 2, 3, 0, 5])
     term = st.fixed_dictionaries(
         {"word": st.one_of(st.lists(letter, max_size=4), st.sampled_from([[1.0], ["1"], 3, None]))},
-        optional={"coeff": st.one_of(_ints, st.sampled_from(["1/3", "-2", "x", 1.5, True, None])),
+        optional={"coeff": st.one_of(_ints, st.sampled_from(
+                      ["1/3", "-2", "x", 1.5, True, None, "1_0", " 3", "1e2", "1.5", "\u0663"])),
                   "dual": st.booleans()},
     )
     theta = st.lists(st.one_of(letter, st.sampled_from([1.5, "1", None])), max_size=3)

@@ -1,5 +1,6 @@
 import copy
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -297,9 +298,10 @@ def test_records_are_immutable_values(case):
     assert not hasattr(a, "__dict__")
     assert a == b and not a != b and a is not b
     assert copy.copy(a) == a
-    if cls in (ChowClass, Correspondence):  # a dict of coefficients is not hashable
+    if cls in (ChowClass, Correspondence):  # a mapping of coefficients is not hashable
         with pytest.raises(TypeError):
             hash(a)
+        assert pickle.loads(pickle.dumps(a)) == a
     else:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from weylchow import univar
 from weylchow.errors import InternalComputationError, UsageError
 from weylchow.polynomial import Polynomial
-from weylchow.rootdata import build_root_system
+from weylchow.rootdata import build_root_system, root_subsystem, weyl_degrees
 from weylchow.schubert import (
     ChowClass,
     _Echelon,
@@ -160,6 +161,29 @@ def test_invariant_generators_structure():
     assert sorted(g.degree() for g in gens) == [1, 2, 4, 6, 6, 8, 10]
     for g in gens:
         assert g.is_invariant_under((2, 3, 4, 5, 6, 7))
+
+
+@pytest.mark.parametrize("name,theta", [
+    ("A9", range(1, 9)), ("A9", range(2, 10)), ("A11", range(1, 11)), ("B10", range(1, 10)),
+    ("C9", range(1, 9)), ("D10", range(1, 10)),
+])
+def test_invariant_generators_above_rank_8(name, theta):
+    # the test points have a coordinate per variable: cut to 8, they failed the row re-check
+    rs = build_root_system(name)
+    theta = tuple(theta)
+    gens = invariant_generators(rs, theta)
+    assert sorted(g.degree() for g in gens) == sorted((1,) + weyl_degrees(root_subsystem(rs, theta)))
+
+
+def test_product_on_p9():
+    theta = list(range(1, 9))
+
+    def cls(word):
+        return class_from_json(json.dumps({"type": "A9", "theta": theta, "terms": [{"word": word}]}))
+
+    ct = coset_reps(build_root_system("A9"), theta)
+    product = multiply(cls([7, 8, 9]), cls([3, 4, 5, 6, 7, 8, 9]))
+    assert class_to_json(product, ct) == class_to_json(cls([9]), ct)
 
 
 def _all_thetas(name):

@@ -247,6 +247,22 @@ def test_basis_pieces_are_a_steenrod_memo():
     assert not [name for name in vars(_FlagContext(rs, (2,))) if "steenrod" in name]
 
 
+def test_cached_pieces_are_read_only():
+    rs = build_root_system("A2")
+    pieces = steenrod_basis_element(rs, (), 3)
+    want = {d: (piece.ring, dict(piece.coeffs)) for d, piece in pieces.items()}
+    with pytest.raises(AttributeError):
+        pieces[1].coeffs.clear()
+    with pytest.raises(TypeError):
+        pieces[1].coeffs[0] = 1
+    with pytest.raises(TypeError):
+        pieces[9] = pieces[1]
+    with pytest.raises(TypeError):
+        steenrod._phi_pieces(rs, (), 3)[0] = pieces[0]
+    again = steenrod_basis_element(rs, (), 3)
+    assert {d: (piece.ring, dict(piece.coeffs)) for d, piece in again.items()} == want
+
+
 @st.composite
 def bs_elements(draw, max_masks=5):
     """A ring on a reduced word of A3, B3 or G2 and three random mod-2 elements of it."""

@@ -6,6 +6,8 @@ from weylchow import univar
 from weylchow.errors import UsageError
 from weylchow.rootdata import DynkinType, build_root_system
 from weylchow.titsjinv import (
+    _EXCEPTIONAL_KAC,
+    _HIGHER_INDEX_ROWS,
     Automaton,
     HigherIndexSet,
     JProfile,
@@ -24,6 +26,12 @@ from weylchow.titsjinv import (
     kernel_display_name,
     predicted_rational_poincare,
     profile_factor,
+)
+
+from oracles import (
+    higher_index_table_by_ladder,
+    is_generically_split_by_ladder,
+    simple_kac_pairs_by_ladder,
 )
 
 
@@ -201,10 +209,12 @@ def test_kac_exponents_of_the_classical_families():
 
 
 def test_kac_entry_sorted_and_coprime():
-    for name, p in [("E7", 2), ("E8", 2), ("E8", 3), ("B3", 2), ("D4", 2), ("D6", 2)]:
+    cases = [("B3", 2), ("D4", 2), ("D6", 2), ("A5", 2), ("A5", 3), ("A8", 3)]
+    cases += [(f"{family}{rank}", p) for family, rank, p in _EXCEPTIONAL_KAC]
+    for name, p in cases:
         e = kac_entry(name, p)
         degs = e.degrees()
-        assert degs == tuple(sorted(degs))
+        assert degs == tuple(sorted(degs)) and degs
         assert all(d % p for d in degs)
 
 
@@ -235,6 +245,8 @@ def test_profile_factor_examples():
 
 def test_profile_validation():
     f4 = kac_entry("F4", 2)
+    with pytest.raises(UsageError, match=r"profile for p = 3 does not fit the Kac entry for p = 2"):
+        profile_factor(f4, JProfile(3, (1,)))
     with pytest.raises(UsageError, match=r"profile value 2 is outside 0\.\.1"):
         profile_factor(f4, JProfile(2, (2,)))  # exceeds k = 1
     with pytest.raises(UsageError, match=r"profile value -1 is outside 0\.\.1"):
@@ -273,3 +285,66 @@ def test_is_generically_split_rows():
     assert is_generically_split("E6", 3, {2: (1,), 3: (1, 1)})
     assert not is_generically_split("E8", 7, {3: (1, 0)})
     assert is_generically_split("E8", 2, {2: (0, 1, 0, 0)})
+
+
+def _profiles(name, p):
+    """Every valid p-profile of the type, and None for a missing prime."""
+    return [None] + list(itertools.product(*(range(k + 1) for k in kac_entry(name, p).exponents())))
+
+
+def test_generically_split_table_matches_the_ladder():
+    cases = 0
+    for name in ("F4", "E6", "E7", "E8"):
+        for j2, j3 in itertools.product(_profiles(name, 2), _profiles(name, 3)):
+            profiles = {p: j for p, j in ((2, j2), (3, j3)) if j is not None}
+            for vertex in range(1, DynkinType.parse(name).rank + 1):
+                got = is_generically_split(name, vertex, profiles)
+                want = is_generically_split_by_ladder(name, vertex, profiles)
+                assert got == want, (name, vertex, profiles)
+                cases += 1
+    assert cases == 36 + 90 + 357 + 1960  # vertices x (p = 2 profiles) x (p = 3 profiles)
+
+
+def test_higher_index_table_matches_the_ladder():
+    for name, rows in _HIGHER_INDEX_ROWS.items():
+        keys = sorted({rule[0] for _, _, rule in rows if rule is not None})
+        for values in itertools.product((None, True, False), repeat=len(keys)):
+            invariants = {k: v for k, v in zip(keys, values) if v is not None}
+            assert higher_index_table(name, invariants) == higher_index_table_by_ladder(name, invariants)
+
+
+def test_higher_index_rows_name_their_kernels():
+    for name, rows in _HIGHER_INDEX_ROWS.items():
+        dtype = DynkinType.parse(name)
+        assert [kernel for kernel, _, _ in rows] == [kernel_display_name(dtype, c) for _, c, _ in rows]
+
+
+def test_kac_table_matches_the_ladder():
+    for name in ("A1", "A5", "B3", "C3", "D4", "D6", "G2", "F4", "E6", "E7", "E8"):
+        (family, rank), = DynkinType.parse(name).components
+        for p in (2, 3, 5, 7, 11):
+            try:
+                want = tuple(sorted(simple_kac_pairs_by_ladder(family, rank, p)))
+            except UsageError:
+                with pytest.raises(UsageError):
+                    kac_entry(name, p)
+                continue
+            assert kac_entry(name, p).pairs == want, (name, p)
+
+
+def test_type_spelling_does_not_change_the_classification():
+    assert not is_generically_split("f4", 4, {2: (1,)})
+    assert is_generically_split("e7", 7, {3: (0,)}) and not is_generically_split("e7", 7, {3: (1,)})
+    for name, invariants in [("F4", {"J2_trivial": False}), ("E7", {"J3_trivial": False})]:
+        assert higher_index_table(name.lower(), invariants) == higher_index_table(name, invariants)
+
+
+def test_profiles_are_checked_before_the_table():
+    for name, vertex, profiles in [
+        ("E7", 1, {2: (5,)}),           # arity 1 where r = 4
+        ("F4", 4, {2: (2,)}),           # 2 is outside 0..1
+        ("E6", 2, {3: (1,)}),           # arity 1 where r = 2
+        ("E8", 8, {3: (1, 0), 2: ()}),  # an empty profile is not a missing one
+    ]:
+        with pytest.raises(UsageError, match="profile"):
+            is_generically_split(name, vertex, profiles)
