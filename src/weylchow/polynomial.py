@@ -23,7 +23,7 @@ terms of D_i(x_i^k), cached per (root system, i, k).  alpha_i is not a zero
 divisor, so s_i u = u exactly when D_i u = 0: invariance is tested that way.
 Because divided differences are integral, reducing integer coefficients
 mod p commutes with them: divided_difference reduces its output given a
-modulus, and elementary_symmetric_classes reduces while it accumulates.
+modulus.
 """
 
 from __future__ import annotations
@@ -275,40 +275,3 @@ def _divdiff_power(rs, i, k):
             e = em + (k - j) * unit
             acc[e] = acc.get(e, 0) + coef * cm
     return tuple((e, c) for e, c in acc.items() if c)
-
-
-# -- symmetric functions of linear forms ------------------------------------
-
-
-def elementary_symmetric_classes(rs, forms, max_degree, modulus=None):
-    """e_0..e_max of the given linear forms (omega-coordinate tuples), as Polynomials.
-
-    e_{k-1} * gamma is added into the terms of e_k in place, top degree first.  With
-    a prime modulus p the forms and each sum are reduced mod p (Z -> Z/p is a ring
-    map); a zero sum is deleted, and a new key never sums to 0 (c, g != 0, p prime).
-    """
-    gammas = [[(_unit(rs, j), g) for j, c in enumerate(coords) if (g := c % modulus if modulus else c)]
-              for coords in forms]
-    es = [{0: 1}] + [{} for _ in range(max_degree)]
-    # equal forms side by side: their factors collapse early, e.g. (1 + gamma t)^2 = 1 + gamma^2 t^2 mod 2
-    for gamma in sorted(filter(None, gammas)):
-        for k in range(max_degree, 0, -1):
-            src, dst = es[k - 1], es[k]
-            get = dst.get
-            if modulus:
-                for m, c in src.items():
-                    for u, g in gamma:
-                        key = m + u
-                        if v := (get(key, 0) + c * g) % modulus:
-                            dst[key] = v
-                        else:
-                            del dst[key]
-            else:
-                for m, c in src.items():
-                    for u, g in gamma:
-                        key = m + u
-                        if v := get(key, 0) + c * g:
-                            dst[key] = v
-                        else:
-                            del dst[key]
-    return [Polynomial(rs, t) for t in es]

@@ -2,53 +2,71 @@
 
 Basis classes [X_w] are indexed by positions in the CosetTable of W^Theta;
 codim [X_w] = dim X - l(w), so index 0 (the identity) is the point class
-and the longest representative is the fundamental class.
+and the longest representative is the fundamental class.  The basis class at
+position k is the Schubert class xi^v of v = w0 w_k w_Theta, the
+representative at `ct.dual_index(k)`, of codimension l(v).
 
-Multiplication follows the characteristic-map procedure: write both
-factors as combinations of products g^e of W_Theta-invariant generator
-polynomials, multiply those combinations, and push back through the
-characteristic map
+Products and Chern classes are computed by localization at the T-fixed
+points, one per representative x (Kostant-Kumar; Billey, Duke Math. J. 96):
+an equivariant class is determined by its restrictions to the fixed points,
+and the restriction of xi^v to x vanishes unless v <= x, with xi^x(x) the
+product of the roots r_j below.  Every restriction is taken at one integer
+point, t0 = 2 rho^vee, where each positive root takes the value 2 height > 0.
 
-    c(u) = sum over w in W^Theta with l(w) = deg u of Delta_w(u) [X_{w0 w wt}].
+- Restriction rows.  For the canonical word b_1 ... b_l of x and
+  r_j = s_b_1 ... s_b_(j-1)(alpha_b_j), xi^v(x) is the sum over the subwords
+  that are reduced words of v of the product of their r_j.  One right-to-left
+  walk over the word gives it for every v (`CosetTable.subword_sums`); the
+  rows are memoized per flag variety (`_FlagContext.rows`).
+- Triangular solve.  F = sum_w c^w xi^w with c^w of degree deg F - l(w) is
+  solved for c^w(t0) in increasing length (`_FlagContext.solve`); each
+  division is exact in the integers, and a remainder is an internal error.
+  The constants c^x with l(x) = deg F are the Schubert coefficients.  A
+  product takes F = a b, the Chern class c_k takes F = e_k of the tangent
+  weights x(-U), and every degree is solved in one pass.
+- Cap before work.  Solving degree n needs the rows of every x with
+  l(x) <= n, counted off the table's layers (the coefficients of g(X)); more
+  than ROW_CAP is refused with ResourceLimitError before any row is built.
 
-The generators are integral, so the images of the monomials g^e are integer
-vectors; one fraction-free elimination per degree picks the pivot products
-and gives D M^-1 for their image matrix M, and a preimage is an integer
-combination of pivot products over one denominator.  c is linear, so a
-product sum x_j y_l g^(e_j + e_l) maps to sum x_j y_l c(g^(e_j + e_l)): the
-image of each generator monomial is swept once per flag variety and every
-product is assembled from those images, with no polynomial product.
-
-A product of codimensions da and db is read either from the images of
-degree da + db (the polynomial route) or from duality pairings
-deg(a * (b * [Z_v])), whose inner products need images of degree
-dim - max(da, db) (the pairing route); it takes the route of lower
-degree, the polynomial route on a tie.
-
-Divided-difference chains Delta_w share work across w: canonical words are
-built by the coset BFS as (letter) + parent word, so Delta_w(u) =
-Delta_letter(Delta_parent(u)) and one sweep over the table computes every
-chain, one length layer of the table at a time.
+The Borel presentation stays for what reads polynomials: `char_map` (the
+characteristic map c(u) = sum over w of Delta_w(u) [X_{w0 w wt}] for a
+W_Theta-invariant u), `preimage` and the invariant generators they rest on,
+which the Steenrod oracle and its duality route use.  A preimage is an
+integer combination of pivot products g^e of the generators: one
+fraction-free elimination per degree picks the pivots and gives D M^-1 for
+their image matrix M.  Divided-difference chains share work across w:
+canonical words are built by the coset BFS as (letter) + parent word, so
+Delta_w(u) = Delta_letter(Delta_parent(u)) and one sweep over the table
+computes every chain, one length layer at a time.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import count, islice
+from itertools import count, islice, repeat
 from math import gcd, lcm
+from operator import mul
 from types import MappingProxyType
 
-from .errors import InternalComputationError, UsageError
-from .polynomial import Polynomial, elementary_symmetric_classes
+from .errors import InternalComputationError, ResourceLimitError, UsageError
+from .polynomial import Polynomial
 from .rootdata import (
     Record, RootSystem, build_root_system, checked_vertices, is_small_prime, ring_modulus,
     root_subsystem, weyl_degrees,
 )
 from .weyl import CosetTable, WeylElement, _canonical_from_image, checked_word, coset_reps
 
+#: fixed-point rows (the x with l(x) <= the degree solved) above which a product or a
+#: Chern class is refused before any row is built.  A row holds one integer per
+#: representative below x, so N rows hold at most N (N + 1) / 2 of them.  Measured with
+#: tracemalloc on CPython 3.11 (E8, Theta = {2, ..., 8}: all 2,160 rows, 1.78M entries,
+#: 157 MB), an entry takes about 88 bytes, so rows at the cap take at most about 275 MB.
+#: There the rows took 7 s and every Chern class a further 15-18 s (180 MB peak RSS).
+ROW_CAP = 2_500
 
 # ---------------------------------------------------------------------------
 # Chow classes
@@ -248,10 +266,12 @@ def divided_difference(rs: RootSystem, word, u: Polynomial) -> Polynomial:
 
 
 class _FlagContext:
-    """Per-(root system, theta) machinery: coset table, generators, preimage grids, memos.
+    """Per-(root system, theta) machinery: coset table, fixed-point rows, generators, memos.
 
-    Codimension layers are read from the coset table (`ct.of_codim`); the
-    one product memo is the image of each generator monomial (`image`).
+    Codimension layers are read from the coset table (`ct.of_codim`).
+    Products and Chern classes share one memo, the fixed-point restriction
+    rows (`rows`); preimages memoize the image of each generator monomial
+    (`image`) and the pivot grids.
     """
 
     def __init__(self, rs: RootSystem, theta):
@@ -261,8 +281,9 @@ class _FlagContext:
         self.dim = self.ct.max_length
         self._grid = {}          # degree -> (pivots, D, A)
         self._images = {}        # generator exponents e -> delta sweep of g^e
-        # grow-on-demand memo: an entry computed up to bound b serves requests <= b
-        self._chern = {}          # ring -> [c_0, ..., c_b]
+        self._rows = []          # fixed-point restriction rows in table order (see rows)
+        # grow-on-demand memo: integral c_0 .. c_b as coefficient maps serve requests <= b
+        self._chern = []
 
     # -- invariant generators -----------------------------------------
 
@@ -449,25 +470,112 @@ class _FlagContext:
                     raise InternalComputationError("unipotent-radical roots not Theta-stable")
         return U
 
+    # -- localization at the fixed points -----------------------------------
+
+    def rows(self, top):
+        """Restriction rows of the fixed points x with l(x) <= top, memoized in table order.
+
+        Row x is ({position v: xi^v(x)}, t) at t0 = 2 rho^vee, with t the
+        coweight x^-1(t0) as its pairings <alpha_i, t>.  Walking the canonical
+        word b_1 ... b_l of x from t = t0 (every <alpha_i, t0> = 2), the letter
+        b_j meets r_j(t0) = <alpha_b_j, t> and then reflects t by s_b_j; those
+        values are Billey's factors r_j = s_b_1 ... s_b_(j-1)(alpha_b_j), and
+        `CosetTable.subword_sums` sums their products over the subwords.  The
+        number of rows is read off the table's layers (the coefficients of g)
+        before any row is built, and more than ROW_CAP is refused.
+        """
+        ct = self.ct
+        need = ct.of_length(min(top, self.dim)).stop
+        if need > ROW_CAP:
+            raise ResourceLimitError(
+                f"{need} fixed-point rows (codim up to {top}) exceed the cap {ROW_CAP} "
+                f"for type {self.rs.type.name()}, theta={list(self.theta)}"
+            )
+        rows = self._rows
+        cartan = self.rs.cartan
+        for k in range(len(rows), need):
+            word = ct.words[k]
+            t = [2] * self.rs.rank
+            factors = []
+            for b in word:
+                tb = t[b - 1]
+                factors.append(tb)
+                t = [x - tb * a for x, a in zip(t, cartan[b - 1])]
+            rows.append((ct.subword_sums(word, factors), t))
+        return rows
+
+    def solve(self, degrees, rhs):
+        """The degree-0 Schubert coefficients of classes given by their restrictions.
+
+        rhs(row, t) lists the values at one fixed point (see `rows`) of
+        equivariant classes F_d, one homogeneous class of degree d per entry of
+        the increasing `degrees`.  With F_d = sum_w c_d^w xi^w and c_d^w a
+        polynomial of degree d - l(w), going through x in increasing length
+        and using xi^w(x) = 0 unless w <= x,
+
+            c_d^x = (F_d(x) - sum over w < x of c_d^w xi^w(x)) / xi^x(x),
+
+        all values at t0.  Every c_d^w(t0) is an integer, so a division that
+        leaves a remainder raises InternalComputationError.  Returns, per
+        degree d, {basis position of xi^x: c_d^x} over l(x) = d, the constants
+        that do not depend on t0.
+        """
+        ct = self.ct
+        top = degrees[-1]
+        rows = self.rows(top)
+        cols = [[0] * len(rows) for _ in degrees]  # degree index -> c_d^x by position x
+        live = [False] * len(degrees)  # whether some c_d^w so far is nonzero
+        out = [{} for _ in degrees]
+        for length in range(top + 1):
+            first = bisect_left(degrees, length)  # c_d^x = 0 for d < l(x)
+            for x in ct.of_length(length):
+                row, t = rows[x]
+                acc = rhs(row, t)
+                ws = None
+                for j in range(first, len(degrees)):
+                    col = cols[j]
+                    if live[j]:  # c_d^x is still 0 in its own sum
+                        if ws is None:
+                            ws, vs = list(row), list(row.values())
+                        acc[j] -= sum(map(mul, map(col.__getitem__, ws), vs))
+                    if acc[j]:
+                        q, r = divmod(acc[j], row[x])
+                        if r:
+                            raise InternalComputationError(
+                                f"restriction at fixed point {x} is not divisible by xi^x(x)"
+                            )
+                        col[x] = q
+                        live[j] = True
+                if first < len(degrees) and degrees[first] == length and cols[first][x]:
+                    out[first][ct.dual_index(x)] = cols[first][x]
+        return out
+
     # -- Chern classes ----------------------------------------------------
 
     def chern_classes(self, max_codim=None, ring="Z"):
-        """Graded Chern classes of the tangent bundle, c_0 .. c_max_codim."""
+        """Graded Chern classes of the tangent bundle, c_0 .. c_max_codim.
+
+        At x the tangent weights are x(-U) for U the unipotent roots, so c_k^T
+        restricts to e_k of their values -<beta, x^-1(t0)>; one `solve` gives
+        every c_k over Z, reduced into the ring when the classes are built.
+        """
         if max_codim is not None and max_codim < 0:
             raise UsageError(f"codimension must be nonnegative, got {max_codim}")
         top = self.dim if max_codim is None else min(max_codim, self.dim)
-        cached = self._chern.get(ring)
-        if cached is not None and len(cached) > top:
-            return cached[: top + 1]
-        forms = [pr.omega for pr in self.unipotent_roots]
-        es = elementary_symmetric_classes(self.rs, forms, top, ring_modulus(ring))
-        # the e_k have distinct degrees, so their terms never collide
-        total = Polynomial(self.rs, {m: c for e in es for m, c in e.terms.items()})
-        graded = self.char_map_graded(total, ring=ring, max_codim=top)
-        empty = ChowClass(self.rs.type.name(), self.theta, ring, {})
-        out = [graded.get(d, empty) for d in range(top + 1)]
-        self._chern[ring] = out
-        return out
+        if len(self._chern) <= top:
+            roots = [pr.root for pr in self.unipotent_roots]
+
+            def esym(row, t):
+                es = [1] + [0] * top
+                for root in roots:
+                    g = -sum(n * x for n, x in zip(root, t))
+                    for k in range(top, 0, -1):
+                        es[k] += es[k - 1] * g
+                return es
+
+            self._chern = self.solve(range(top + 1), esym)
+        name = self.rs.type.name()
+        return [ChowClass(name, self.theta, ring, c) for c in self._chern[: top + 1]]
 
 
 class _Echelon:
@@ -680,26 +788,51 @@ def preimage(cls: ChowClass) -> Polynomial:
 
 
 def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
-    """Product in CH*(G/P_Theta), one _multiply_homogeneous per pair of graded parts."""
+    """Product in CH*(G/P_Theta) by localization at the fixed points.
+
+    The factors are read as integer combinations of the classes xi^v (a
+    coefficient over Q is scaled by its class's common denominator, one over
+    Z/p is its representative in [0, p)); the product of the graded parts of
+    codimensions da and db is solved at degree da + db, every degree in one
+    pass of `_FlagContext.solve`, and the scales are divided out last.
+    """
     _check_compatible(a, b)
     rs = build_root_system(a.type_name)
     ctx = flag_context(rs, a.theta)
-    if a.is_zero() or b.is_zero():
-        return ChowClass(a.type_name, a.theta, a.ring, {})
-    parts_a = _graded_parts(a, ctx)
-    parts_b = _graded_parts(b, ctx)
-    total = ChowClass(a.type_name, a.theta, a.ring, {})
-    for da, ca in parts_a.items():
-        for db, cb in parts_b.items():
-            total = total + _multiply_homogeneous(ctx, ca, cb, da, db)
-    return total
+    ct = ctx.ct
 
+    def integral_parts(cls):
+        """(scale, {codim: [(position of xi^v, scale * coefficient)]}), the entries integers."""
+        scale = lcm(*(c.denominator for c in cls.coeffs.values()))
+        parts = {}
+        for k, c in cls.coeffs.items():
+            term = (ct.dual_index(k), c.numerator * (scale // c.denominator))
+            parts.setdefault(ct.codim(k), []).append(term)
+        return scale, parts
 
-def _graded_parts(cls: ChowClass, ctx: _FlagContext):
-    by_codim = {}
-    for k, c in cls.coeffs.items():
-        by_codim.setdefault(ctx.ct.codim(k), {})[k] = c
-    return {d: ChowClass(cls.type_name, cls.theta, cls.ring, cf) for d, cf in by_codim.items()}
+    la, parts_a = integral_parts(a)
+    lb, parts_b = integral_parts(b)
+    degrees = sorted({da + db for da in parts_a for db in parts_b if da + db <= ctx.dim})
+    where = {n: j for j, n in enumerate(degrees)}
+    # (degree index, a's positions, a's coefficients, b's positions, b's coefficients)
+    pairs = [(where[da + db], *zip(*ta), *zip(*tb)) for da, ta in parts_a.items()
+             for db, tb in parts_b.items() if da + db in where]
+    zeros = repeat(0)
+
+    def products(row, t):
+        out = [0] * len(degrees)
+        get = row.get
+        for j, va, ca, vb, cb in pairs:
+            if fa := sum(map(mul, map(get, va, zeros), ca)):
+                out[j] += fa * sum(map(mul, map(get, vb, zeros), cb))
+        return out
+
+    den = la * lb
+    coeffs = {}
+    if degrees:
+        for layer in ctx.solve(degrees, products):
+            coeffs.update((k, Fraction(c, den)) for k, c in layer.items())
+    return ChowClass(a.type_name, a.theta, a.ring, coeffs)
 
 
 def _poly_limit(dim: int) -> int:
@@ -708,84 +841,6 @@ def _poly_limit(dim: int) -> int:
     Only perfbench/record_golden.py reads it; multiplication does not.
     """
     return max((dim + 1) // 2 + 1, 9)
-
-
-def _multiply_homogeneous(ctx, a, b, da, db):
-    """a * b for nonzero homogeneous factors of codimensions da and db.
-
-    Each route sweeps generator monomials of one degree: da + db for the
-    polynomial route, dim - max(da, db) for the pairing route; the lower
-    degree wins, a tie goes to the polynomial route.
-    """
-    if da + db > ctx.dim:
-        return ChowClass(a.type_name, a.theta, a.ring, {})
-    if da + db <= ctx.dim - max(da, db):
-        return _multiply_poly_route(ctx, a, b)
-    return _multiply_by_pairings(ctx, a, b, da, db)
-
-
-def _pairing(ctx, a, b):
-    """Coefficient of the point class in a product of complementary classes.
-
-    Not reduced mod p: the ChowClass it is stored in reduces it.
-    """
-    total = 0
-    for k, c in a.coeffs.items():
-        d = b.coeffs.get(ctx.ct.dual_index(k))
-        if d:
-            total += c * d
-    return total
-
-
-def _multiply_poly_route(ctx, a, b):
-    """a * b = sum x_j y_l c(g^(e_j + e_l)) / (den_a den_b), from memoized monomial images.
-
-    The caller passes nonzero homogeneous factors of codimensions da and db
-    with da + db <= dim - max(da, db): the images it reads, of degree
-    da + db, are no higher than those the pairing route would read.
-    """
-    return _product_from_coords(ctx, a, ctx.pivot_coords(a), ctx.pivot_coords(b))
-
-
-def _product_from_coords(ctx, like, coords_a, coords_b):
-    """The product of two classes from their pivot coordinates (den, [(exps, x)]).
-
-    The result lives on the variety of `like`, over its ring.
-    """
-    da, xs = coords_a
-    db, ys = coords_b
-    weights = {}  # exponent vector of g^(e_j + e_l) -> sum of x_j y_l
-    for ea, x in xs:
-        for eb, y in ys:
-            e = tuple(p + q for p, q in zip(ea, eb))
-            weights[e] = weights.get(e, 0) + x * y
-    totals = {}
-    for e, w in weights.items():
-        if w:
-            for idx, c in ctx.image(e).items():
-                totals[idx] = totals.get(idx, 0) + w * c
-    den = da * db
-    coeffs = {ctx.ct.dual_index(idx): Fraction(c, den) for idx, c in totals.items() if c}
-    return ChowClass(like.type_name, like.theta, like.ring, coeffs)
-
-
-def _multiply_by_pairings(ctx, a, b, da, db):
-    """Assemble a product from duality pairings.
-
-    coeff of [X_v] in a*b is deg(a * (b * [Z_v])) for da >= db; the inner
-    product has codimension dim - da, below da + db whenever the caller
-    picks this route, and is assembled from pivot coordinates, those of b
-    solved once for every v.  A complementary pair has the one v = point,
-    [Z_pt] the fundamental class, so it is the pairing of a with b.
-    """
-    if da < db:
-        a, b, da, db = b, a, db, da
-    coords_b = ctx.pivot_coords(b)
-    out = {}
-    for v in ctx.ct.of_codim(da + db):
-        zv = ChowClass(a.type_name, a.theta, a.ring, {ctx.ct.dual_index(v): 1})
-        out[v] = _pairing(ctx, a, _product_from_coords(ctx, a, coords_b, ctx.pivot_coords(zv)))
-    return ChowClass(a.type_name, a.theta, a.ring, out)
 
 
 def pullback_to_flags(cls: ChowClass) -> ChowClass:
@@ -801,5 +856,5 @@ def pullback_to_flags(cls: ChowClass) -> ChowClass:
 
 
 def chern_tangent(rs: RootSystem, theta, max_codim=None, ring="Z"):
-    """Graded Chern classes of T_{G/P_Theta} via the characteristic map."""
+    """Graded Chern classes of T_{G/P_Theta}, c_0 .. c_max_codim, by localization."""
     return flag_context(rs, theta).chern_classes(max_codim=max_codim, ring=ring)

@@ -34,9 +34,10 @@ column, exact while every field stays in range.  Every coordinate on the
 orbit is at most max <lambda_Theta, beta^vee> over the positive coroots in
 absolute value (61 at most within rootdata.MAX_POSITIVE_ROOTS), and the
 table checks that bound against 128 before its BFS.  The BFS, the Hasse
-edges, the descents of the motive cut and the Bott-Samelson subword walk
-take this step inlined, one label at a time; the dual table calls
-`CosetTable._step`.  The packing stays inside this module.
+edges, the descents of the motive cut, the Bott-Samelson subword walk and
+the fixed-point restriction walk (`subword_sums`) take this step inlined,
+one label at a time; the dual table calls `CosetTable._step`.  The packing
+stays inside this module.
 
 The Poincare polynomial g(X) of G/P_Theta counts the representatives by
 length.  Solomon's formula gives it as a ratio of products of t^d - 1
@@ -218,11 +219,11 @@ class CosetTable:
     tuple or element per rep and holds two layers of text at a time.
 
     A packed point holds coordinate j plus 128 in bits [8j, 8j + 8), and
-    `_step` reflects it; the BFS, `hasse_edges`, `first_descents` and
-    `subword_positions` take the same step inlined, with each label's shift
-    and Cartan column hoisted.  Before the BFS the table checks that
-    `orbit_bound` is below 128, so every coordinate of the orbit fits its
-    field and the packed reflection is exact; a larger bound raises
+    `_step` reflects it; the BFS, `hasse_edges`, `first_descents`,
+    `subword_positions` and `subword_sums` take the same step inlined, with
+    each label's shift and Cartan column hoisted.  Before the BFS the table
+    checks that `orbit_bound` is below 128, so every coordinate of the orbit
+    fits its field and the packed reflection is exact; a larger bound raises
     InternalComputationError (no accepted type has one).
 
     The lex-least word of a new point q is (i,) + word(s_i q) for the least
@@ -440,6 +441,37 @@ class CosetTable:
             f = (p >> shift) & _MASK
             if f > _BIAS:
                 stack.append((pos - 1, p - (f - _BIAS) * col, mask, spare))
+        return out
+
+    def subword_sums(self, word, factors) -> dict:
+        """position k -> the sum, over the subwords of a reduced word that are reduced
+        words of the representative at k, of the product of factors[j] over the letters
+        j taken.
+
+        The walk of `subword_positions` with one integer per point in place of
+        the masks: going right to left, every state keeps its value (letter j
+        left out), and each state with p_j > 0 also adds its value times
+        factors[j] into the state at s_j p (letter j taken).  Subwords that
+        reach the same point are merged, so a pass holds at most one state per
+        representative below the word.  A walk that ends outside the table
+        raises InternalComputationError.
+        """
+        points = self._points
+        states = {self._lam: 1}
+        get = states.get
+        for i, r in zip(reversed(word), reversed(factors)):
+            shift, col = _BITS * (i - 1), self._cols[i - 1]
+            for p, v in list(states.items()):  # the values before this letter
+                f = (p >> shift) & _MASK
+                if f > _BIAS:
+                    q = p - (f - _BIAS) * col
+                    states[q] = get(q, 0) + v * r
+        out = {}
+        for p, v in states.items():
+            k = points.get(p)
+            if k is None:
+                raise InternalComputationError("subword image is not a coset representative")
+            out[k] = v
         return out
 
     @cached_property

@@ -9,14 +9,17 @@ from weylchow.errors import InternalComputationError, UsageError
 from weylchow.motive import MotiveSummand, decompose, refine_rost
 from weylchow.polynomial import BITS, MASK, Polynomial, _unit, unpack_monomial
 from weylchow.rootdata import (
-    DynkinType, PositiveRoot, checked_vertices, root_subsystem, weyl_degrees,
+    DynkinType, PositiveRoot, build_root_system, checked_vertices, ring_modulus, root_subsystem,
+    weyl_degrees,
 )
 from weylchow.schubert import (
     ChowClass,
     _candidate_points,
+    _check_compatible,
     _Echelon,
     _orbit,
     _sub_fundamental_seeds,
+    flag_context,
 )
 from weylchow.titsjinv import HigherIndexSet, _doublings, _v_p
 from weylchow.weyl import CosetTable, apply_word, coset_reps, hasse_edges
@@ -292,6 +295,158 @@ def multiply_by_preimage_product(ctx, a, b, k, ring):
         if ctx.ct.reps[idx].length == k:
             coeffs[ctx.ct.dual_index(idx)] = Fraction(c, da * db)
     return ChowClass(a.type_name, a.theta, ring, coeffs)
+
+
+# --- the Borel route: products and Chern classes through invariant polynomials ------
+# The package multiplies and takes Chern classes by localization at the fixed
+# points (`_FlagContext.solve`); these are its former routes, kept to check it.
+
+
+def elementary_symmetric_classes(rs, forms, max_degree, modulus=None):
+    """e_0..e_max of the given linear forms (omega-coordinate tuples), as Polynomials.
+
+    e_{k-1} * gamma is added into the terms of e_k in place, top degree first.  With
+    a prime modulus p the forms and each sum are reduced mod p (Z -> Z/p is a ring
+    map); a zero sum is deleted, and a new key never sums to 0 (c, g != 0, p prime).
+    """
+    gammas = [[(_unit(rs, j), g) for j, c in enumerate(coords) if (g := c % modulus if modulus else c)]
+              for coords in forms]
+    es = [{0: 1}] + [{} for _ in range(max_degree)]
+    # equal forms side by side: their factors collapse early, e.g. (1 + gamma t)^2 = 1 + gamma^2 t^2 mod 2
+    for gamma in sorted(filter(None, gammas)):
+        for k in range(max_degree, 0, -1):
+            src, dst = es[k - 1], es[k]
+            get = dst.get
+            if modulus:
+                for m, c in src.items():
+                    for u, g in gamma:
+                        key = m + u
+                        if v := (get(key, 0) + c * g) % modulus:
+                            dst[key] = v
+                        else:
+                            del dst[key]
+            else:
+                for m, c in src.items():
+                    for u, g in gamma:
+                        key = m + u
+                        if v := get(key, 0) + c * g:
+                            dst[key] = v
+                        else:
+                            del dst[key]
+    return [Polynomial(rs, t) for t in es]
+
+
+def chern_classes_by_polynomials(ctx, max_codim=None, ring="Z"):
+    """c_0 .. c_max_codim of the tangent bundle: the characteristic image of the e_k
+    of the unipotent roots' linear forms, one delta sweep of their sum."""
+    top = ctx.dim if max_codim is None else min(max_codim, ctx.dim)
+    forms = [pr.omega for pr in ctx.unipotent_roots]
+    es = elementary_symmetric_classes(ctx.rs, forms, top, ring_modulus(ring))
+    # the e_k have distinct degrees, so their terms never collide
+    total = Polynomial(ctx.rs, {m: c for e in es for m, c in e.terms.items()})
+    graded = ctx.char_map_graded(total, ring=ring, max_codim=top)
+    empty = ChowClass(ctx.rs.type.name(), ctx.theta, ring, {})
+    return [graded.get(d, empty) for d in range(top + 1)]
+
+
+def multiply_by_borel(a, b):
+    """Product in CH*(G/P_Theta), one _multiply_homogeneous per pair of graded parts."""
+    _check_compatible(a, b)
+    ctx = flag_context(build_root_system(a.type_name), a.theta)
+    if a.is_zero() or b.is_zero():
+        return ChowClass(a.type_name, a.theta, a.ring, {})
+    parts_a = _graded_parts(a, ctx)
+    parts_b = _graded_parts(b, ctx)
+    total = ChowClass(a.type_name, a.theta, a.ring, {})
+    for da, ca in parts_a.items():
+        for db, cb in parts_b.items():
+            total = total + _multiply_homogeneous(ctx, ca, cb, da, db)
+    return total
+
+
+def _graded_parts(cls, ctx):
+    by_codim = {}
+    for k, c in cls.coeffs.items():
+        by_codim.setdefault(ctx.ct.codim(k), {})[k] = c
+    return {d: ChowClass(cls.type_name, cls.theta, cls.ring, cf) for d, cf in by_codim.items()}
+
+
+def _multiply_homogeneous(ctx, a, b, da, db):
+    """a * b for nonzero homogeneous factors of codimensions da and db.
+
+    Each route sweeps generator monomials of one degree: da + db for the
+    polynomial route, dim - max(da, db) for the pairing route; the lower
+    degree wins, a tie goes to the polynomial route.
+    """
+    if da + db > ctx.dim:
+        return ChowClass(a.type_name, a.theta, a.ring, {})
+    if da + db <= ctx.dim - max(da, db):
+        return _multiply_poly_route(ctx, a, b)
+    return _multiply_by_pairings(ctx, a, b, da, db)
+
+
+def _pairing(ctx, a, b):
+    """Coefficient of the point class in a product of complementary classes.
+
+    Not reduced mod p: the ChowClass it is stored in reduces it.
+    """
+    total = 0
+    for k, c in a.coeffs.items():
+        d = b.coeffs.get(ctx.ct.dual_index(k))
+        if d:
+            total += c * d
+    return total
+
+
+def _multiply_poly_route(ctx, a, b):
+    """a * b = sum x_j y_l c(g^(e_j + e_l)) / (den_a den_b), from memoized monomial images.
+
+    The caller passes nonzero homogeneous factors of codimensions da and db
+    with da + db <= dim - max(da, db): the images it reads, of degree
+    da + db, are no higher than those the pairing route would read.
+    """
+    return _product_from_coords(ctx, a, ctx.pivot_coords(a), ctx.pivot_coords(b))
+
+
+def _product_from_coords(ctx, like, coords_a, coords_b):
+    """The product of two classes from their pivot coordinates (den, [(exps, x)]).
+
+    The result lives on the variety of `like`, over its ring.
+    """
+    da, xs = coords_a
+    db, ys = coords_b
+    weights = {}  # exponent vector of g^(e_j + e_l) -> sum of x_j y_l
+    for ea, x in xs:
+        for eb, y in ys:
+            e = tuple(p + q for p, q in zip(ea, eb))
+            weights[e] = weights.get(e, 0) + x * y
+    totals = {}
+    for e, w in weights.items():
+        if w:
+            for idx, c in ctx.image(e).items():
+                totals[idx] = totals.get(idx, 0) + w * c
+    den = da * db
+    coeffs = {ctx.ct.dual_index(idx): Fraction(c, den) for idx, c in totals.items() if c}
+    return ChowClass(like.type_name, like.theta, like.ring, coeffs)
+
+
+def _multiply_by_pairings(ctx, a, b, da, db):
+    """Assemble a product from duality pairings.
+
+    coeff of [X_v] in a*b is deg(a * (b * [Z_v])) for da >= db; the inner
+    product has codimension dim - da, below da + db whenever the caller
+    picks this route, and is assembled from pivot coordinates, those of b
+    solved once for every v.  A complementary pair has the one v = point,
+    [Z_pt] the fundamental class, so it is the pairing of a with b.
+    """
+    if da < db:
+        a, b, da, db = b, a, db, da
+    coords_b = ctx.pivot_coords(b)
+    out = {}
+    for v in ctx.ct.of_codim(da + db):
+        zv = ChowClass(a.type_name, a.theta, a.ring, {ctx.ct.dual_index(v): 1})
+        out[v] = _pairing(ctx, a, _product_from_coords(ctx, a, coords_b, ctx.pivot_coords(zv)))
+    return ChowClass(a.type_name, a.theta, a.ring, out)
 
 
 def coset_bfs_by_tuples(rs, theta):

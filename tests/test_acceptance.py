@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Criteria 4 and 5 carry
-the `heavy` marker (E7-scale computations, about 10 s together on a 2-core
-VM); the rest complete in seconds.  All assertions are exact.
+the `heavy` marker (E7-scale computations, under a second together on a
+2-core VM); the rest complete in seconds.  All assertions are exact.
 """
 
 import itertools

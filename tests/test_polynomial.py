@@ -6,7 +6,6 @@ from weylchow.errors import InternalComputationError
 from weylchow.polynomial import (
     MASK,
     Polynomial,
-    elementary_symmetric_classes,
     pack_monomial,
     unpack_monomial,
 )
@@ -15,6 +14,7 @@ from weylchow.schubert import ChowClass, _FlagContext, flag_context
 
 from oracles import (
     elementary_symmetric_by_polynomials,
+    elementary_symmetric_classes,
     exact_divide_by_linear,
     reflect,
     series_inverse,

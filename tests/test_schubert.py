@@ -429,11 +429,12 @@ def test_chern_c1_is_twice_sum_of_divisors():
 
 
 def test_chern_top_is_euler_characteristic():
-    # c_top integrates to chi(G/B) = |W|
-    for name, chi in [("A2", 6), ("B2", 8)]:
+    # c_top integrates to chi(G/P) = |W^Theta|: on A2 and B2 flags, E7/P1 and E8/P8
+    for name, theta, chi in [("A2", (), 6), ("B2", (), 8), ("E7", (2, 3, 4, 5, 6, 7), 126),
+                             ("E8", (1, 2, 3, 4, 5, 6, 7), 240)]:
         rs = build_root_system(name)
-        ct = coset_reps(rs, ())
-        top = chern_tangent(rs, ())[ct.max_length]
+        ct = coset_reps(rs, theta)
+        top = chern_tangent(rs, theta)[ct.max_length]
         assert top.coeffs == {0: chi}
 
 
@@ -492,19 +493,19 @@ def test_each_product_takes_the_lower_degree_route(monkeypatch):
     # special case
     import types
 
-    import weylchow.schubert as schubert
+    import oracles
 
     routed = []
-    monkeypatch.setattr(schubert, "_multiply_poly_route",
+    monkeypatch.setattr(oracles, "_multiply_poly_route",
                         lambda ctx, a, b: routed.append("poly"))
-    monkeypatch.setattr(schubert, "_multiply_by_pairings",
+    monkeypatch.setattr(oracles, "_multiply_by_pairings",
                         lambda ctx, a, b, da, db: routed.append("pairing"))
     cls = ChowClass("A1", (), "Z", {})
     for dim in range(1, 71):
         ctx = types.SimpleNamespace(dim=dim)
         for da in range(dim + 1):
             for db in range(dim - da + 1):
-                schubert._multiply_homogeneous(ctx, cls, cls, da, db)
+                oracles._multiply_homogeneous(ctx, cls, cls, da, db)
                 want = "poly" if da + db <= dim - max(da, db) else "pairing"
                 assert routed.pop() == want and not routed, (dim, da, db)
 
@@ -540,7 +541,7 @@ def test_poly_and_pairing_routes_agree(name, theta):
     # the pairing route pairs against the dual class [Z_v] of every v through
     # dual_index; the polynomial route reads the product off the delta sweep,
     # so a wrong dual shows up as a mismatch
-    from weylchow.schubert import _multiply_by_pairings, _multiply_poly_route
+    from oracles import _multiply_by_pairings, _multiply_poly_route
 
     rs = build_root_system(name)
     ctx = flag_context(rs, theta)
@@ -560,10 +561,10 @@ def test_poly_and_pairing_routes_agree(name, theta):
 
 def test_pairing_route_solves_the_fixed_factor_once(monkeypatch):
     # E6/P1 (dim 16): codim 7 x codim 3 needs images of degree 10 on the
-    # polynomial route but only 16 - 7 = 9 on the pairing route, so multiply
-    # pairs a against b * [Z_v] for every v of codim 10; b's pivot
+    # polynomial route but only 16 - 7 = 9 on the pairing route, so the Borel
+    # product pairs a against b * [Z_v] for every v of codim 10; b's pivot
     # coordinates are solved once, then one solve per [Z_v] (codim 6)
-    from weylchow.schubert import _multiply_poly_route
+    from oracles import _multiply_poly_route, multiply_by_borel
 
     rs = build_root_system("E6")
     ctx = flag_context(rs, (2, 3, 4, 5, 6))
@@ -577,9 +578,9 @@ def test_pairing_route_solves_the_fixed_factor_once(monkeypatch):
         return pivot_coords(self, cls)
 
     monkeypatch.setattr(_FlagContext, "pivot_coords", counting)
-    got = multiply(a, b)
+    got = multiply_by_borel(a, b)
     assert solved == [3] + [6] * len(ctx.ct.of_codim(10))
-    assert got == _multiply_poly_route(ctx, a, b)
+    assert got == _multiply_poly_route(ctx, a, b) == multiply(a, b)
 
 
 def _det(m):
@@ -730,9 +731,7 @@ _FRACTIONS = {  # coefficient j of a test class, fractional where the ring allow
 
 @pytest.mark.parametrize("name,theta", _ROUTE_SPACES, ids=_ROUTE_IDS)
 def test_poly_route_matches_the_preimage_product_oracle(name, theta):
-    from weylchow.schubert import _multiply_poly_route
-
-    from oracles import multiply_by_preimage_product
+    from oracles import _multiply_poly_route, multiply_by_preimage_product
 
     rs = build_root_system(name)
     ctx = flag_context(rs, theta)
@@ -757,7 +756,7 @@ def test_poly_route_matches_the_preimage_product_oracle(name, theta):
 
 
 def test_monomial_images_are_swept_once(monkeypatch):
-    from weylchow.schubert import _multiply_poly_route
+    from oracles import _multiply_poly_route
 
     rs = build_root_system("E6")
     ctx = _FlagContext(rs, (2, 3, 4, 5, 6))
