@@ -24,9 +24,15 @@ point, t0 = 2 rho^vee, where each positive root takes the value 2 height > 0.
   The constants c^x with l(x) = deg F are the Schubert coefficients.  A
   product takes F = a b, the Chern class c_k takes F = e_k of the tangent
   weights x(-U), and every degree is solved in one pass.
-- Cap before work.  Solving degree n needs the rows of every x with
-  l(x) <= n, counted off the table's layers (the coefficients of g(X)); more
-  than ROW_CAP is refused with ResourceLimitError before any row is built.
+- Cap before work.  Solving degree n visits the x with l(x) <= n, and the
+  walk for x holds at most G(l(x)) states, G(l) the representatives of
+  length <= l (the table's layers, the coefficients of g(X)); more than
+  ENTRY_CAP in all is refused with ResourceLimitError before any row is
+  built.  Past the cap a product keeps only the x above a term of each
+  factor in the Bruhat order, the only ones whose c^x can be nonzero, and
+  their walks keep only the lengths the solve reads
+  (`_FlagContext.fixed_points`), so near-complementary products on large
+  flag varieties stay cheap.
 
 The Borel presentation stays for what reads polynomials: `char_map` (the
 characteristic map c(u) = sum over w of Delta_w(u) [X_{w0 w wt}] for a
@@ -47,7 +53,7 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import count, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from math import gcd, lcm
 from operator import mul
 from types import MappingProxyType
@@ -60,13 +66,15 @@ from .rootdata import (
 )
 from .weyl import CosetTable, WeylElement, _canonical_from_image, checked_word, coset_reps
 
-#: fixed-point rows (the x with l(x) <= the degree solved) above which a product or a
-#: Chern class is refused before any row is built.  A row holds one integer per
-#: representative below x, so N rows hold at most N (N + 1) / 2 of them.  Measured with
-#: tracemalloc on CPython 3.11 (E8, Theta = {2, ..., 8}: all 2,160 rows, 1.78M entries,
-#: 157 MB), an entry takes about 88 bytes, so rows at the cap take at most about 275 MB.
-#: There the rows took 7 s and every Chern class a further 15-18 s (180 MB peak RSS).
-ROW_CAP = 2_500
+#: restriction-walk states above which a product or a Chern class is refused before any
+#: row is built.  The walk for x holds at most one state per representative of length
+#: <= l(x), G(l(x)) of them (read off the table's layers), and leaves the whole row, one
+#: value per v <= x; a query is counted as the sum over the x it solves at (a windowed
+#: walk as in `_FlagContext._counts`).  Measured with tracemalloc on CPython 3.11 (E8,
+#: Theta = {2, ..., 8}: all 2,160 rows, counted 2,380,359, 1.78M values, 157 MB), a value
+#: takes about 88 bytes, so rows at the cap take at most about 265 MB.  There the rows
+#: took 7 s and every Chern class a further 15-18 s (180 MB peak RSS).
+ENTRY_CAP = 3_000_000
 
 # ---------------------------------------------------------------------------
 # Chow classes
@@ -133,6 +141,14 @@ class ChowClass(Record):
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0) + c
         return ChowClass(self.type_name, self.theta, self.ring, out)
+
+
+def _integral(cls: ChowClass):
+    """(L, {position: L * coefficient}): cls read over the integers, L the common
+    denominator of its coefficients.  A Z/p coefficient is its representative in
+    [0, p), so L = 1 there."""
+    L = lcm(*(c.denominator for c in cls.coeffs.values()))
+    return L, {k: c.numerator * (L // c.denominator) for k, c in cls.coeffs.items()}
 
 
 def _check_compatible(a: ChowClass, b: ChowClass):
@@ -281,7 +297,8 @@ class _FlagContext:
         self.dim = self.ct.max_length
         self._grid = {}          # degree -> (pivots, D, A)
         self._images = {}        # generator exponents e -> delta sweep of g^e
-        self._rows = []          # fixed-point restriction rows in table order (see rows)
+        self._rows = {}          # position x -> restriction row of x (see rows)
+        self._row_entries = 0    # the memo's rows counted as in ENTRY_CAP
         # grow-on-demand memo: integral c_0 .. c_b as coefficient maps serve requests <= b
         self._chern = []
 
@@ -425,10 +442,9 @@ class _FlagContext:
         d = cls.codim(self.ct)
         pivots, D, A = self.grid(d)
         start = self.ct.of_codim(d).start
-        L = lcm(*(c.denominator for c in cls.coeffs.values()))
+        L, ints = _integral(cls)
         x = [0] * len(pivots)
-        for k, c in cls.coeffs.items():
-            c = c.numerator * (L // c.denominator)
+        for k, c in ints.items():
             for j, a in enumerate(A[k - start]):
                 x[j] += c * a
         return D * L, [(exps, xj) for exps, xj in zip(pivots, x) if xj]
@@ -472,46 +488,139 @@ class _FlagContext:
 
     # -- localization at the fixed points -----------------------------------
 
-    def rows(self, top):
-        """Restriction rows of the fixed points x with l(x) <= top, memoized in table order.
+    def _counts(self, top, lengths=None):
+        """l -> the most states the restriction walk of an x of length l holds at once,
+        for l = 0..top (see ENTRY_CAP).
+
+        After j letters the states are reps of length m <= j, at most g_m of
+        each.  A whole row ends with one state per v <= x, so at most G(l), the
+        reps of length <= l.  With `lengths` (see `CosetTable.subword_sums`), a
+        state of length m is kept only while some wanted length lies in
+        m..m + (l - j), which bounds every step and so the row.
+        """
+        sizes = [len(self.ct.of_length(m)) for m in range(top + 1)]
+        if lengths is None:
+            return list(accumulate(sizes))
+        wanted = sorted(lengths)
+        reach = [next((n for n in wanted if n >= m), top + 1) for m in range(top + 1)]
+        return [max(sum(g for m, g in enumerate(sizes[: j + 1]) if reach[m] <= m + l - j)
+                    for j in range(l + 1))
+                for l in range(top + 1)]
+
+    @cached_property
+    def _layers(self):
+        """[(positions of length l, the most states the walks of every x with l(x) <= l
+        hold)] for l = 0..dim."""
+        out, total = [], 0
+        for l, count in enumerate(self._counts(self.dim)):
+            layer = self.ct.of_length(l)
+            total += len(layer) * count
+            out.append((layer, total))
+        return out
+
+    def _refuse(self, entries, top):
+        return ResourceLimitError(
+            f"{entries} restriction-walk states (codim up to {top}) exceed the cap {ENTRY_CAP} "
+            f"for type {self.rs.type.name()}, theta={list(self.theta)}"
+        )
+
+    def fixed_points(self, top, supports=()):
+        """(layers, lengths): the fixed points a solve up to degree top visits, as one
+        list of positions per length 0..top, each in table order, and the lengths of
+        the v whose xi^v(x) the solve reads (None: every v <= x).  Refused above
+        ENTRY_CAP before any row is built.
+
+        These are the x with l(x) <= top.  When their walks count more than
+        ENTRY_CAP states and the two supports of a product's factors (positions
+        of classes xi^v) are given, only the x above some v of each support in
+        the Bruhat order are kept: a(x) b(x) vanishes at every other x, and so
+        does every c^x of the product.  Such an x is no shorter than the longest
+        of the two supports' shortest terms, so the solve reads only the values
+        at the supports' lengths and from there up.  The smaller of the two
+        upper sets is grown, the two in turn until one is complete, then cut to
+        the x above the other support; when both pass the cap the product is
+        refused without finishing either.
+        """
+        ct = self.ct
+        top = min(top, self.dim)
+        layers = self._layers[: top + 1]
+        entries = layers[-1][1]
+        if entries <= ENTRY_CAP:
+            return [layer for layer, _ in layers], None
+        if not supports:
+            raise self._refuse(entries, top)
+        terms = [{ct.length(v) for v in s} for s in supports]
+        lengths = set.union(*terms, range(max(map(min, terms)), top + 1))
+        counts = self._counts(top, lengths)
+        walks = [ct.upper_set(s, top) for s in supports]
+        found = [[] for _ in walks]
+        entries = [0 for _ in walks]
+        while min(entries) <= ENTRY_CAP:
+            for i, walk in enumerate(walks):
+                if entries[i] > ENTRY_CAP:
+                    continue
+                x = next(walk, None)
+                if x is None:
+                    layers = [[] for _ in range(top + 1)]
+                    for x in sorted(found[i]):
+                        if ct.bruhat_above(x, supports[1 - i]):
+                            layers[ct.length(x)].append(x)
+                    return layers, lengths
+                found[i].append(x)
+                entries[i] += counts[ct.length(x)]
+        raise self._refuse(min(entries), top)
+
+    def _row(self, x, lengths=None):
+        """The restriction row of the fixed point x (see `rows`)."""
+        word = self.ct.words[x]
+        t = [2] * self.rs.rank
+        factors = []
+        for b in word:
+            tb = t[b - 1]
+            factors.append(tb)
+            t = [v - tb * a for v, a in zip(t, self.rs.cartan[b - 1])]
+        return self.ct.subword_sums(word, factors, lengths), t
+
+    def rows(self, xs, lengths=None):
+        """Restriction rows of the fixed points at the positions xs, by position.
 
         Row x is ({position v: xi^v(x)}, t) at t0 = 2 rho^vee, with t the
         coweight x^-1(t0) as its pairings <alpha_i, t>.  Walking the canonical
         word b_1 ... b_l of x from t = t0 (every <alpha_i, t0> = 2), the letter
         b_j meets r_j(t0) = <alpha_b_j, t> and then reflects t by s_b_j; those
         values are Billey's factors r_j = s_b_1 ... s_b_(j-1)(alpha_b_j), and
-        `CosetTable.subword_sums` sums their products over the subwords.  The
-        number of rows is read off the table's layers (the coefficients of g)
-        before any row is built, and more than ROW_CAP is refused.
-        """
-        ct = self.ct
-        need = ct.of_length(min(top, self.dim)).stop
-        if need > ROW_CAP:
-            raise ResourceLimitError(
-                f"{need} fixed-point rows (codim up to {top}) exceed the cap {ROW_CAP} "
-                f"for type {self.rs.type.name()}, theta={list(self.theta)}"
-            )
-        rows = self._rows
-        cartan = self.rs.cartan
-        for k in range(len(rows), need):
-            word = ct.words[k]
-            t = [2] * self.rs.rank
-            factors = []
-            for b in word:
-                tb = t[b - 1]
-                factors.append(tb)
-                t = [x - tb * a for x, a in zip(t, cartan[b - 1])]
-            rows.append((ct.subword_sums(word, factors), t))
-        return rows
+        `CosetTable.subword_sums` sums their products over the subwords.
 
-    def solve(self, degrees, rhs):
+        Whole rows come from the memo, which is emptied when new rows would
+        take it past ENTRY_CAP (counted as there), so it holds no more
+        than one query may.  With `lengths`, the rows hold only the v of those
+        lengths; they are built for this call and not kept.
+        """
+        if lengths is not None:
+            return {x: self._row(x, lengths) for x in xs}
+        memo = self._rows
+        xs = list(xs)
+        missing = [x for x in xs if x not in memo]
+        if not missing:
+            return memo
+        counts = self._counts(self.dim)
+        if self._row_entries + sum(counts[self.ct.length(x)] for x in missing) > ENTRY_CAP:
+            memo.clear()
+            self._row_entries, missing = 0, xs
+        for x in missing:
+            memo[x] = self._row(x)
+            self._row_entries += counts[self.ct.length(x)]
+        return memo
+
+    def solve(self, degrees, rhs, supports=()):
         """The degree-0 Schubert coefficients of classes given by their restrictions.
 
         rhs(row, t) lists the values at one fixed point (see `rows`) of
         equivariant classes F_d, one homogeneous class of degree d per entry of
         the increasing `degrees`.  With F_d = sum_w c_d^w xi^w and c_d^w a
-        polynomial of degree d - l(w), going through x in increasing length
-        and using xi^w(x) = 0 unless w <= x,
+        polynomial of degree d - l(w), going through the x of `fixed_points`
+        (supports as there) in increasing length and using xi^w(x) = 0 unless
+        w <= x,
 
             c_d^x = (F_d(x) - sum over w < x of c_d^w xi^w(x)) / xi^x(x),
 
@@ -521,23 +630,23 @@ class _FlagContext:
         that do not depend on t0.
         """
         ct = self.ct
-        top = degrees[-1]
-        rows = self.rows(top)
-        cols = [[0] * len(rows) for _ in degrees]  # degree index -> c_d^x by position x
-        live = [False] * len(degrees)  # whether some c_d^w so far is nonzero
+        layers, lengths = self.fixed_points(degrees[-1], supports)
+        rows = self.rows(chain.from_iterable(layers), lengths)
+        cols = [{} for _ in degrees]  # degree index -> {x: c_d^x}, the nonzero ones
         out = [{} for _ in degrees]
-        for length in range(top + 1):
+        zeros = repeat(0)
+        for length, layer in enumerate(layers):
             first = bisect_left(degrees, length)  # c_d^x = 0 for d < l(x)
-            for x in ct.of_length(length):
+            for x in layer:
                 row, t = rows[x]
                 acc = rhs(row, t)
                 ws = None
                 for j in range(first, len(degrees)):
                     col = cols[j]
-                    if live[j]:  # c_d^x is still 0 in its own sum
+                    if col:  # c_d^x is still 0 in its own sum
                         if ws is None:
                             ws, vs = list(row), list(row.values())
-                        acc[j] -= sum(map(mul, map(col.__getitem__, ws), vs))
+                        acc[j] -= sum(map(mul, map(col.get, ws, zeros), vs))
                     if acc[j]:
                         q, r = divmod(acc[j], row[x])
                         if r:
@@ -545,8 +654,7 @@ class _FlagContext:
                                 f"restriction at fixed point {x} is not divisible by xi^x(x)"
                             )
                         col[x] = q
-                        live[j] = True
-                if first < len(degrees) and degrees[first] == length and cols[first][x]:
+                if first < len(degrees) and degrees[first] == length and x in cols[first]:
                     out[first][ct.dual_index(x)] = cols[first][x]
         return out
 
@@ -794,7 +902,9 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
     coefficient over Q is scaled by its class's common denominator, one over
     Z/p is its representative in [0, p)); the product of the graded parts of
     codimensions da and db is solved at degree da + db, every degree in one
-    pass of `_FlagContext.solve`, and the scales are divided out last.
+    pass of `_FlagContext.solve` (given both factors' supports, which cut a
+    large space to the fixed points above them), and the scales are divided
+    out last.
     """
     _check_compatible(a, b)
     rs = build_root_system(a.type_name)
@@ -802,12 +912,11 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
     ct = ctx.ct
 
     def integral_parts(cls):
-        """(scale, {codim: [(position of xi^v, scale * coefficient)]}), the entries integers."""
-        scale = lcm(*(c.denominator for c in cls.coeffs.values()))
+        """(scale, {codim: [(position of xi^v, integer coefficient)]}) from `_integral`."""
+        scale, ints = _integral(cls)
         parts = {}
-        for k, c in cls.coeffs.items():
-            term = (ct.dual_index(k), c.numerator * (scale // c.denominator))
-            parts.setdefault(ct.codim(k), []).append(term)
+        for k, c in ints.items():
+            parts.setdefault(ct.codim(k), []).append((ct.dual_index(k), c))
         return scale, parts
 
     la, parts_a = integral_parts(a)
@@ -830,7 +939,9 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
     den = la * lb
     coeffs = {}
     if degrees:
-        for layer in ctx.solve(degrees, products):
+        supports = [[v for terms in parts.values() for v, _ in terms]
+                    for parts in (parts_a, parts_b)]
+        for layer in ctx.solve(degrees, products, supports):
             coeffs.update((k, Fraction(c, den)) for k, c in layer.items())
     return ChowClass(a.type_name, a.theta, a.ring, coeffs)
 

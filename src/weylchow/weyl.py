@@ -35,9 +35,10 @@ orbit is at most max <lambda_Theta, beta^vee> over the positive coroots in
 absolute value (61 at most within rootdata.MAX_POSITIVE_ROOTS), and the
 table checks that bound against 128 before its BFS.  The BFS, the Hasse
 edges, the descents of the motive cut, the Bott-Samelson subword walk and
-the fixed-point restriction walk (`subword_sums`) take this step inlined,
-one label at a time; the dual table calls `CosetTable._step`.  The packing
-stays inside this module.
+the fixed-point restriction walk (`subword_sums`) and the Bruhat-order
+test `bruhat_above` take this step inlined, one label at a time; the dual
+table calls `CosetTable._step`, and `upper_set` reflects packed points by
+every positive root the same way.  The packing stays inside this module.
 
 The Poincare polynomial g(X) of G/P_Theta counts the representatives by
 length.  Solomon's formula gives it as a ratio of products of t^d - 1
@@ -51,6 +52,7 @@ import json
 from bisect import bisect_right
 from functools import cache, cached_property
 from itertools import chain, repeat
+from operator import mul
 
 from . import univar
 from .errors import InternalComputationError, ResourceLimitError, UsageError
@@ -220,8 +222,9 @@ class CosetTable:
 
     A packed point holds coordinate j plus 128 in bits [8j, 8j + 8), and
     `_step` reflects it; the BFS, `hasse_edges`, `first_descents`,
-    `subword_positions` and `subword_sums` take the same step inlined, with
-    each label's shift and Cartan column hoisted.  Before the BFS the table
+    `subword_positions`, `subword_sums` and `bruhat_above` take the same step
+    inlined, with each label's shift and Cartan column hoisted, and
+    `upper_set` reflects by every positive root alike.  Before the BFS the table
     checks that `orbit_bound` is below 128, so every coordinate of the orbit
     fits its field and the packed reflection is exact; a larger bound raises
     InternalComputationError (no accepted type has one).
@@ -443,36 +446,104 @@ class CosetTable:
                 stack.append((pos - 1, p - (f - _BIAS) * col, mask, spare))
         return out
 
-    def subword_sums(self, word, factors) -> dict:
+    def subword_sums(self, word, factors, lengths=None) -> dict:
         """position k -> the sum, over the subwords of a reduced word that are reduced
         words of the representative at k, of the product of factors[j] over the letters
-        j taken.
+        j taken; with `lengths` (a collection of lengths), only the k of those lengths.
 
         The walk of `subword_positions` with one integer per point in place of
         the masks: going right to left, every state keeps its value (letter j
         left out), and each state with p_j > 0 also adds its value times
         factors[j] into the state at s_j p (letter j taken).  Subwords that
         reach the same point are merged, so a pass holds at most one state per
-        representative below the word.  A walk that ends outside the table
-        raises InternalComputationError.
+        representative below the word.  With `lengths`, a state of length m
+        with r letters still to walk ends at a length in m..m + r, and it is
+        dropped when none of those is wanted.  A walk that ends outside the
+        table raises InternalComputationError.
         """
         points = self._points
         states = {self._lam: 1}
         get = states.get
+        if lengths is not None:
+            wanted = sorted(set(lengths))
+            # reach[m]: the least wanted length >= m (past the word when there is none)
+            reach = [next((n for n in wanted if n >= m), len(word) + 1)
+                     for m in range(len(word) + 1)]
+            size = {self._lam: 0}  # letters taken, the length of the state's rep
+        left = len(word)
         for i, r in zip(reversed(word), reversed(factors)):
             shift, col = _BITS * (i - 1), self._cols[i - 1]
+            left -= 1
             for p, v in list(states.items()):  # the values before this letter
                 f = (p >> shift) & _MASK
                 if f > _BIAS:
                     q = p - (f - _BIAS) * col
                     states[q] = get(q, 0) + v * r
+                    if lengths is not None:
+                        size[q] = size[p] + 1
+            if lengths is not None:
+                for p in [p for p in states if reach[size[p]] > size[p] + left]:
+                    del states[p]
         out = {}
         for p, v in states.items():
             k = points.get(p)
             if k is None:
                 raise InternalComputationError("subword image is not a coset representative")
-            out[k] = v
+            if lengths is None or reach[size[p]] == size[p]:
+                out[k] = v
         return out
+
+    @cached_property
+    def _reflections(self):
+        """(coroot, packed omega-coordinates) of every positive root beta, so that
+        s_beta p = p - <p, beta^vee> beta on packed points."""
+        return tuple((pr.coroot, sum(a << (_BITS * j) for j, a in enumerate(pr.omega)))
+                     for pr in self.rs.positive_roots)
+
+    def upper_set(self, starts, top: int):
+        """Yield once each position x with l(x) <= top that lies above the rep at some
+        position in starts in the Bruhat order.
+
+        For a positive root beta with <p, beta^vee> > 0 at the point p of u,
+        the rep of s_beta u lies above u; every x above u is reached from u
+        through such steps, one cover (one length) at a time, so a search that
+        never leaves length <= top finds them all.
+        """
+        points, order, rank = self._points, self._order, self.rs.rank
+        reflections = self._reflections
+        seen = {k for k in starts if self.length(k) <= top}
+        todo = list(seen)
+        while todo:
+            k = todo.pop()
+            yield k
+            p = order[k]
+            coords = [((p >> (_BITS * j)) & _MASK) - _BIAS for j in range(rank)]
+            for coroot, col in reflections:
+                m = sum(map(mul, coroot, coords))
+                if m > 0:
+                    q = points.get(p - m * col)
+                    if q is None:
+                        raise InternalComputationError("a reflection leaves the coset table")
+                    if q not in seen and self.length(q) <= top:
+                        seen.add(q)
+                        todo.append(q)
+
+    def bruhat_above(self, x: int, positions) -> bool:
+        """Whether the rep at position x lies above the rep at some position in positions
+        in the Bruhat order.
+
+        The lifting property along the canonical word b_1 ... b_l of x: s = s_b_1
+        is a left descent of x, and u <= x exactly when min(u, s u) <= s x, where
+        s u < u exactly when u's point has p_b_1 < 0.  So each letter reflects
+        the points that have it as a descent, and x lies above one of them when
+        lambda_Theta (the identity) is reached.
+        """
+        pts = {self._order[u] for u in positions}
+        for b in self.words[x]:
+            shift, col = _BITS * (b - 1), self._cols[b - 1]
+            pts = {p - (f - _BIAS) * col if (f := (p >> shift) & _MASK) < _BIAS else p
+                   for p in pts}
+        return self._lam in pts
 
     @cached_property
     def _dual(self):

@@ -16,8 +16,10 @@ import pytest
 from weylchow.cli import run
 from weylchow.errors import ResourceLimitError
 from weylchow.rootdata import build_root_system
-from weylchow.schubert import ROW_CAP, ChowClass, _FlagContext, flag_context, multiply
-from weylchow.weyl import CosetTable, apply_word, coset_reps
+from weylchow.schubert import (
+    ENTRY_CAP, ChowClass, _FlagContext, flag_context, multiply, pieri_multiply,
+)
+from weylchow.weyl import CosetTable, WeylElement, apply_word, coset_reps
 
 from oracles import chern_classes_by_polynomials, multiply_by_borel
 
@@ -97,6 +99,10 @@ def test_subword_sums_add_the_subword_products():
                 value = prod(f for j, f in enumerate(factors) if not mask >> j & 1)
                 want[v] = want.get(v, 0) + value
             assert ct.subword_sums(word, factors) == want, (name, k)
+            # a window keeps the sums at the wanted lengths and nothing else
+            lengths = set(rng.sample(range(len(word) + 1), min(3, len(word) + 1)))
+            assert ct.subword_sums(word, factors, lengths) == {
+                v: c for v, c in want.items() if ct.length(v) in lengths}, (name, k, lengths)
 
 
 def test_row_factors_are_the_roots_r_j_at_2_rho_vee():
@@ -105,7 +111,8 @@ def test_row_factors_are_the_roots_r_j_at_2_rho_vee():
     rs = build_root_system("F4")
     ctx = _FlagContext(rs, (2, 3))
     c = [sum(pr.coroot[i] for pr in rs.positive_roots) for i in range(rs.rank)]
-    for x, (row, t) in enumerate(ctx.rows(ctx.dim)):
+    rows = ctx.rows(range(len(ctx.ct)))
+    for x, (row, t) in rows.items():
         word = ctx.ct.words[x]
         r = [sum(ci * vi for ci, vi in zip(c, apply_word(rs, word[:j], rs.alpha_omega(b - 1))))
              for j, b in enumerate(word)]
@@ -178,46 +185,109 @@ def _basis_json(name, theta, word, ring="Z"):
                        "terms": [{"word": list(word), "coeff": 1}]})
 
 
-def test_product_above_the_row_cap_exits_3_before_any_row():
-    # E6 full flags, the first and last codim-8 classes: 20,478 rows of length <= 16
-    ct = coset_reps(build_root_system("E6"), ())
+class _Started(Exception):
+    pass
+
+
+def _no_rows(monkeypatch):
+    """Make building any restriction row raise _Started."""
+
+    def first_row(self, word, factors, lengths=None):
+        raise _Started
+
+    monkeypatch.setattr(CosetTable, "subword_sums", first_row)
+
+
+def test_product_above_the_cap_exits_3_before_any_row(monkeypatch):
+    # E6 full flags, the first and last codim-8 classes: 20,478 fixed points of length
+    # <= 16 and both Bruhat upper sets of the factors count past the cap
+    ctx = flag_context(build_root_system("E6"), ())
+    ct = ctx.ct
     layer = ct.of_codim(8)
     a, b = (_basis_json("E6", (), ct.words[k]) for k in (layer[0], layer[-1]))
+    assert ctx._layers[16][1] > ENTRY_CAP
+    _no_rows(monkeypatch)
     t0 = time.perf_counter()
     code, out = run(["mult", "--type", "E6", "--theta", "", "--a", a, "--b", b])
     assert time.perf_counter() - t0 < 2.0
     assert code == 3 and "cap" in out, out
-    assert ct.of_length(16).stop > ROW_CAP
 
 
 def test_every_e8p1_query_passes_the_cap(monkeypatch):
     # the top degree needs all 2,160 rows; a refusal would raise before the first row
     rs = build_root_system(E8P1[0])
     ctx = _FlagContext(rs, E8P1[1])
-    assert len(ctx.ct) == 2160 <= ROW_CAP
-
-    class Started(Exception):
-        pass
-
-    def first_row(self, word, factors):
-        raise Started
-
-    monkeypatch.setattr(CosetTable, "subword_sums", first_row)
-    with pytest.raises(Started):
+    assert len(ctx.ct) == 2160 and ctx._layers[-1][1] <= ENTRY_CAP
+    _no_rows(monkeypatch)
+    with pytest.raises(_Started):
         ctx.chern_classes()
     point, fundamental = (ChowClass("E8", ctx.theta, "Z", {k: 1}) for k in (0, len(ctx.ct) - 1))
     monkeypatch.setattr("weylchow.schubert.flag_context", lambda rs, theta: ctx)
-    with pytest.raises(Started):
+    with pytest.raises(_Started):
         multiply(point, fundamental)
-    monkeypatch.setattr("weylchow.schubert.ROW_CAP", len(ctx.ct) - 1)
-    with pytest.raises(ResourceLimitError):  # one row over the cap is refused before any row
+    monkeypatch.setattr("weylchow.schubert.ENTRY_CAP", ctx._layers[-1][1] - 1)
+    with pytest.raises(ResourceLimitError):  # one state over the cap is refused before any row
         ctx.chern_classes()
+    # a product is cut to the fixed points above both factors: here the one point
+    layers, lengths = ctx.fixed_points(ctx.dim, ([0], [len(ctx.ct) - 1]))
+    assert [x for layer in layers for x in layer] == [len(ctx.ct) - 1] and lengths == {0, ctx.dim}
 
 
-def test_chern_above_the_row_cap_exits_3():
+def test_chern_above_the_cap_exits_3():
     t0 = time.perf_counter()
     code, out = run(["chern", "--type", "E6", "--theta", "", "--codim", "20", "--mod", "2"])
     assert code == 3 and time.perf_counter() - t0 < 2.0, out
+
+
+@pytest.mark.parametrize("name,da,db", [("E6", 36, 0), ("E6", 0, 36), ("E6", 32, 4),
+                                        ("E6", 1, 35), ("A6", 20, 1), ("A6", 1, 20),
+                                        ("A6", 19, 2)])
+def test_near_complementary_products_past_the_prefix_count_are_answered(name, da, db):
+    # the x with l(x) <= da + db count far past the cap; those above both factors are few
+    rs = build_root_system(name)
+    ctx = flag_context(rs, ())
+    ct = ctx.ct
+    assert ctx._layers[da + db][1] > ENTRY_CAP
+    ka, kb = ct.of_codim(da)[-1], ct.of_codim(db)[0]
+    a, b = (_basis_json(name, (), ct.words[k]) for k in (ka, kb))
+    t0 = time.perf_counter()
+    code, out = run(["mult", "--type", name, "--theta", "", "--a", a, "--b", b])
+    assert code == 0 and time.perf_counter() - t0 < 5.0, out
+    want = multiply_by_borel(*(ChowClass(rs.type.name(), (), "Z", {k: 1}) for k in (ka, kb)))
+    got = {ct.index[tuple(t["word"])]: t["coeff"] for t in json.loads(out)["terms"]}
+    assert got == {k: int(c) for k, c in want.coeffs.items()}
+
+
+@pytest.mark.parametrize("name,lengths", [("A6", (1, 2, 3, 4)), ("E6", (2, 4, 6))])
+def test_monk_products_past_the_prefix_count_match_chevalley(name, lengths):
+    # [X_(w0 s_alpha)] [X_w] for short w on full flags, against the Chevalley formula
+    rs = build_root_system(name)
+    ctx = flag_context(rs, ())
+    ct = ctx.ct
+    rng = random.Random(6)
+    for length in lengths:
+        assert ctx._layers[ctx.dim - length + 1][1] > ENTRY_CAP
+        for k in rng.sample(ct.of_length(length), 2):
+            alpha = rng.randint(1, rs.rank)
+            h = ChowClass(name, (), "Z", {ct.index[(ct.w0 * WeylElement(rs, (alpha,))).word]: 1})
+            want = pieri_multiply(rs, alpha, WeylElement(rs, ct.words[k]))
+            assert multiply(h, ChowClass(name, (), "Z", {k: 1})) == want, (alpha, k)
+
+
+def test_upper_sets_and_bruhat_order_match_the_rows():
+    # xi^u(x) at t0 is a sum of products of positive values, nonzero exactly when u <= x
+    for name, theta in [("B3", ()), ("G2", ()), ("F4", (2, 3)), ("A4", (2,))]:
+        ctx = _FlagContext(build_root_system(name), theta)
+        ct = ctx.ct
+        rows = ctx.rows(range(len(ct)))
+        above = {u: {x for x in range(len(ct)) if rows[x][0].get(u)} for u in range(len(ct))}
+        for u in range(len(ct)):
+            for top in (ct.length(u) + 2, ct.max_length):
+                want = {x for x in above[u] if ct.length(x) <= top}
+                assert sorted(ct.upper_set([u], top)) == sorted(want), (name, u, top)
+        for x in range(len(ct)):
+            for us in ([0], [len(ct) - 1], list(ct.of_length(ct.length(x))), range(0, len(ct), 5)):
+                assert ct.bruhat_above(x, us) == any(x in above[u] for u in us), (name, x, us)
 
 
 def test_a_corrupted_row_exits_4(monkeypatch):
@@ -230,19 +300,24 @@ def test_a_corrupted_row_exits_4(monkeypatch):
     assert code == 0
     k = next(iter(json.loads(out)["terms"]))["word"]
     x = ctx.ct.dual_index(ctx.ct.index[tuple(k)])  # a fixed point whose coefficient is nonzero
-    rows = [(dict(row), t) for row, t in ctx.rows(5)]
+    rows = {y: (dict(row), t) for y, (row, t) in ctx._rows.items()}
     rows[x][0][x] += 1  # coprime to xi^x(x) and above c^x, so it cannot divide c^x xi^x(x)
     monkeypatch.setattr(ctx, "_rows", rows)
     code, out = run(argv)
     assert code == 4 and "not divisible" in out, out
 
 
-def test_row_memo_is_shared_and_grows_on_demand():
+def test_row_memo_is_shared_and_stays_under_the_cap(monkeypatch):
     ctx = _FlagContext(build_root_system("F4"), (2, 3, 4))
-    low = ctx.rows(3)
+    low = ctx.rows(range(ctx.ct.of_length(3).stop))
     assert len(low) == ctx.ct.of_length(3).stop
     first = low[ctx.ct.of_length(3)[0]]
     ctx.chern_classes(max_codim=6)
-    assert len(ctx._rows) == ctx.ct.of_length(6).stop
+    assert ctx.rows([]) is ctx._rows and len(ctx._rows) == ctx.ct.of_length(6).stop
     assert ctx._rows[ctx.ct.of_length(3)[0]] is first
-    assert ctx.rows(2) is ctx._rows and len(ctx._rows) == ctx.ct.of_length(6).stop
+    assert ctx._row_entries == ctx._layers[6][1]
+    # rows that would take the memo past the cap replace it
+    top = ctx.ct.of_length(ctx.dim)[0]
+    monkeypatch.setattr("weylchow.schubert.ENTRY_CAP", ctx._layers[6][1] + 1)
+    assert set(ctx.rows([top])) == {top}
+    assert ctx._row_entries == len(ctx.ct)
