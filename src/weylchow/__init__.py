@@ -1,13 +1,14 @@
 """weylchow: exact Schubert calculus and discrete splitting invariants.
 
 Modules:
-  rootdata  - Cartan/root/weight data in Bourbaki numbering
-  weyl      - Weyl group elements, coset tables, Hasse diagrams
-  schubert  - Chow rings of G/P in the Schubert basis
-  steenrod  - mod-2 Steenrod operations via Bott-Samelson resolutions
-  motive    - motivic decompositions and correspondence arithmetic
-  titsjinv  - Tits indices, automata, Kac data and J-invariant identities
-  cli       - batch command line over everything
+  rootdata   - Cartan/root/weight data in Bourbaki numbering
+  weyl       - Weyl group elements, coset tables, Bruhat order
+  schubert   - Chow rings of G/P in the Schubert basis
+  polynomial - polynomials in the fundamental weights, invariant generators
+  steenrod   - mod-2 Steenrod operations via Bott-Samelson resolutions
+  motive     - motivic decompositions and correspondence arithmetic
+  titsjinv   - Tits indices, automata, Kac data and J-invariant identities
+  cli        - batch command line over everything
 
 `import weylchow` loads only the error classes.  Every other public name
 below is resolved on first access (PEP 562) from the module that defines
@@ -32,9 +33,8 @@ _EXPORTS = {
                       "weyl_degrees")),
         ("weyl", ("CosetTable", "WeylElement", "coset_reps", "hasse_edges",
                   "longest_element", "poincare_polynomial")),
-        ("schubert", ("ChowClass", "char_map", "chern_tangent", "divided_difference", "dual",
-                      "duality_product", "invariant_generators", "multiply", "pieri_multiply",
-                      "preimage", "pullback_to_flags")),
+        ("schubert", ("ChowClass", "chern_tangent", "dual", "duality_product",
+                      "invariant_generators", "multiply", "pullback_to_flags")),
         ("polynomial", ("Polynomial",)),
         ("steenrod", ("BottSamelsonRing", "bs_pushforward", "steenrod_on_bs",
                       "steenrod_total")),

@@ -21,10 +21,10 @@ class InternalComputationError(WeylchowError):
     """A mathematical invariant was violated.
 
     Raised when an exact computation produces something that is impossible
-    if the code is correct (nonzero remainder in a divided difference,
-    inconsistent preimage system, ...).  Always a bug, never user error.
+    if the code is correct (a restriction not divisible at a fixed point, a
+    resolution that is not birational, ...).  Always a bug, never user error.
     """
 
 
 class CalibrationError(InternalComputationError):
-    """Neither pushforward convention matched the Steenrod oracle."""
+    """The fixed Wu convention failed the Cartan-formula check of the Steenrod squares."""

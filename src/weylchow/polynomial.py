@@ -24,16 +24,22 @@ divisor, so s_i u = u exactly when D_i u = 0: invariance is tested that way.
 Because divided differences are integral, reducing integer coefficients
 mod p commutes with them: divided_difference reduces its output given a
 modulus.
+
+The module also builds the W_Theta-invariant generators of the Borel
+presentation (`_invariant_generators`, served cached by
+`schubert.invariant_generators`).  No product, Chern class or Steenrod
+square reads a polynomial, so only that public name loads this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb
+from itertools import count, islice
+from math import comb, gcd, lcm
 
 from .errors import InternalComputationError
-from .rootdata import RootSystem
+from .rootdata import RootSystem, is_small_prime, root_subsystem, weyl_degrees
 
 BITS = 8
 MASK = (1 << BITS) - 1
@@ -103,17 +109,6 @@ class Polynomial:
 
     def degree(self):
         return max(self.terms) >> (BITS * self.rs.rank) if self.terms else -1
-
-    def is_homogeneous(self):
-        shift = BITS * self.rs.rank
-        return len({e >> shift for e in self.terms}) <= 1
-
-    def graded_parts(self):
-        shift = BITS * self.rs.rank
-        out = {}
-        for e, c in self.terms.items():
-            out.setdefault(e >> shift, {})[e] = c
-        return {d: Polynomial(self.rs, t) for d, t in sorted(out.items())}
 
     def __add__(self, other):
         t = dict(self.terms)
@@ -220,20 +215,6 @@ class Polynomial:
         """s_i u = u for every listed i, read as D_i u = 0."""
         return all(self.divided_difference(i - 1).is_zero() for i in indices_1based)
 
-    # -- coefficient handling ---------------------------------------------
-
-    def reduce_mod(self, p):
-        out = {}
-        for e, c in self.terms.items():
-            if type(c) is Fraction:  # not isinstance: the check against an ABC dominates this loop
-                if c.denominator % p == 0:
-                    raise InternalComputationError(f"denominator not invertible mod {p}")
-                c = c.numerator * pow(c.denominator, -1, p)
-            v = c % p
-            if v:
-                out[e] = v
-        return Polynomial(self.rs, out)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -275,3 +256,167 @@ def _divdiff_power(rs, i, k):
             e = em + (k - j) * unit
             acc[e] = acc.get(e, 0) + coef * cm
     return tuple((e, c) for e, c in acc.items() if c)
+
+
+# ---------------------------------------------------------------------------
+# Invariant generators
+
+
+class _Echelon:
+    """Fraction-free Gauss-Jordan elimination over the integers.
+
+    Like Bareiss (Math. Comp. 1968) it never leaves Z, but each row is kept
+    primitive by dividing out its content.  The rows are in reduced echelon
+    form, keyed by pivot column, and each row [v | a] carries in a the
+    combination of the accepted inputs that gives v, so a M = v for M the
+    matrix whose j-th row is the j-th accepted input.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.rows = {}   # pivot column -> primitive row of 2n ints
+
+    def add(self, vec) -> bool:
+        """Insert an integer vector of length n; True if it was independent of the rows so far."""
+        n = self.n
+        if len(self.rows) == n:  # full rank: every vector is dependent
+            return False
+        r = list(vec) + [0] * n
+        r[n + len(self.rows)] = 1
+        for p, row in self.rows.items():
+            c = r[p]
+            if c:
+                r = _primitive([row[p] * x - c * y for x, y in zip(r, row)])
+        q = next((i for i in range(n) if r[i]), None)
+        if q is None:
+            return False
+        for p, row in self.rows.items():
+            c = row[q]
+            if c:
+                self.rows[p] = _primitive([r[q] * x - c * y for x, y in zip(row, r)])
+        self.rows[q] = r
+        return True
+
+    def inverse(self):
+        """(D, A) with D > 0 and A = D M^-1 integral, once n inputs are accepted."""
+        n = self.n
+        if len(self.rows) < n:
+            raise InternalComputationError("singular matrix")
+        # at full rank row p is [a_p e_p | a_p (row p of M^-1)]
+        D = lcm(*(row[p] for p, row in self.rows.items()))
+        return D, [[D // row[p] * y for y in row[n:]] for p, row in sorted(self.rows.items())]
+
+
+def _primitive(row):
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _candidate_points(n):
+    """Test points with n coordinates, in the order tried: 1..n, the squares, the first n primes."""
+    primes = tuple(islice(filter(is_small_prime, count(2)), n))
+    return tuple(range(1, n + 1)), tuple(x * x for x in range(1, n + 1)), primes
+
+
+def _sub_fundamental_seeds(rs: RootSystem, theta):
+    """Fundamental weights of <Theta> in ambient omega-coordinates, integer-scaled."""
+    m = len(theta)
+    # seed j solves sum_k A[i][k] c_k = delta_ij over i, k in theta: column j of A_Theta^-1,
+    # here D A_Theta^-1; dividing by gcd(D, content) leaves the least integer multiple
+    elim = _Echelon(m)
+    for i in theta:
+        elim.add([rs.cartan[i - 1][k - 1] for k in theta])
+    D, inv = elim.inverse()
+    alphas = [rs.alpha_omega(i - 1) for i in theta]
+    seeds = []
+    for j in range(m):
+        coords = [sum(inv[k][j] * alphas[k][t] for k in range(m)) for t in range(rs.rank)]
+        g = gcd(D, *coords)
+        seeds.append(tuple(x // g for x in coords))
+    return seeds
+
+
+def _orbit(rs: RootSystem, theta, seed):
+    seen = {tuple(seed)}
+    frontier = [tuple(seed)]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in theta:
+                u = rs.reflect_weight(i - 1, v)
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return sorted(seen)
+
+
+def _power_sum_row(orbit, values, d):
+    """Jacobian row of p_d = sum_mu (mu.x)^d at a point where mu.x takes the given values.
+
+    d/dx_j p_d = d sum_mu (mu.x)^(d-1) mu_j, an exact integer per j.
+    """
+    weights = [d * v ** (d - 1) for v in values]
+    return [sum(c * mu[j] for c, mu in zip(weights, orbit)) for j in range(len(orbit[0]))]
+
+
+def _power_sum(rs, orbit, d):
+    """p_d = sum over the orbit of (mu.x)^d as a polynomial."""
+    total = Polynomial.zero(rs)
+    for mu in orbit:
+        form = Polynomial.linear_form(rs, mu)
+        p = form
+        for _ in range(d - 1):
+            p = p * form
+        total = total + p
+    return total
+
+
+def _invariant_generators(rs: RootSystem, theta):
+    """omega_i (i not in theta) plus one invariant per fundamental degree of <Theta>.
+
+    theta is a sorted tuple without repeats.  Candidates are orbit power sums
+    p_d of the subsystem's fundamental weights, offered slot by slot (degrees
+    ascending, smallest orbit first).  A candidate fills a slot when its
+    Jacobian row at a fixed test point enlarges the rank; that row is computed
+    numerically from the values mu.pt, so only the winning power sums are ever
+    expanded as polynomials.  Each winner's row is recomputed from its
+    polynomial, the final Jacobian has rank n (functional independence, hence
+    a generating set by the degree-product criterion), and every winner is
+    checked W_Theta-invariant.
+    """
+    n = rs.rank
+    base = [Polynomial.variable(rs, i) for i in range(1, n + 1) if i not in theta]
+    if not theta:
+        return base
+    slots = sorted(weyl_degrees(root_subsystem(rs, theta)))
+    orbits = sorted((_orbit(rs, theta, s) for s in _sub_fundamental_seeds(rs, theta)), key=len)
+
+    for pt in _candidate_points(n):
+        elim = _Echelon(n)
+        for g in base:
+            elim.add([g.derivative(j).evaluate(pt) for j in range(n)])
+        values = [[sum(m * x for m, x in zip(mu, pt)) for mu in orbit] for orbit in orbits]
+        chosen = []
+        for d in slots:
+            for orbit, vals in zip(orbits, values):
+                row = _power_sum_row(orbit, vals, d)
+                if elim.add(row):
+                    chosen.append((orbit, d, row))
+                    break
+            else:
+                break
+        if len(chosen) < len(slots) or len(elim.rows) < n:
+            continue
+        gens = []
+        for orbit, d, row in chosen:
+            g = _power_sum(rs, orbit, d)
+            if [g.derivative(j).evaluate(pt) for j in range(n)] != row:
+                raise InternalComputationError("orbit power sum disagrees with its Jacobian row")
+            if not g.is_invariant_under(theta):
+                raise InternalComputationError("orbit power sum failed invariance")
+            gens.append(g)
+        return base + gens
+    raise InternalComputationError(
+        f"could not assemble invariant generators for theta={list(theta)}"
+    )

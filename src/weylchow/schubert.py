@@ -34,16 +34,11 @@ point, t0 = 2 rho^vee, where each positive root takes the value 2 height > 0.
   (`_FlagContext.fixed_points`), so near-complementary products on large
   flag varieties stay cheap.
 
-The Borel presentation stays for what reads polynomials: `char_map` (the
-characteristic map c(u) = sum over w of Delta_w(u) [X_{w0 w wt}] for a
-W_Theta-invariant u), `preimage` and the invariant generators they rest on,
-which the Steenrod oracle and its duality route use.  A preimage is an
-integer combination of pivot products g^e of the generators: one
-fraction-free elimination per degree picks the pivots and gives D M^-1 for
-their image matrix M.  Divided-difference chains share work across w:
-canonical words are built by the coset BFS as (letter) + parent word, so
-Delta_w(u) = Delta_letter(Delta_parent(u)) and one sweep over the table
-computes every chain, one length layer at a time.
+No product, Chern class or Steenrod square reads a polynomial.  The Borel
+presentation (invariant polynomials, the characteristic map, preimages and
+the divided-difference sweep) is kept in the tests as the reference these
+routes are held to; the package keeps only `invariant_generators`, which
+builds the W_Theta-invariant generators in `polynomial` on first call.
 """
 
 from __future__ import annotations
@@ -53,18 +48,14 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import accumulate, chain, count, islice, repeat
-from math import gcd, lcm
+from itertools import accumulate, chain, repeat
+from math import lcm
 from operator import mul
 from types import MappingProxyType
 
 from .errors import InternalComputationError, ResourceLimitError, UsageError
-from .polynomial import Polynomial
-from .rootdata import (
-    Record, RootSystem, build_root_system, checked_vertices, is_small_prime, ring_modulus,
-    root_subsystem, weyl_degrees,
-)
-from .weyl import CosetTable, WeylElement, _canonical_from_image, checked_word, coset_reps
+from .rootdata import Record, RootSystem, build_root_system, checked_vertices, ring_modulus
+from .weyl import CosetTable, WeylElement, checked_word, coset_reps
 
 #: restriction-walk states above which a product or a Chern class is refused before any
 #: row is built.  The walk for x holds at most one state per representative of length
@@ -188,7 +179,10 @@ def class_from_json(text: str) -> ChowClass:
             word = term["word"]
             k = ct.index.get(checked_word(rs, word))  # checked first: True would hash as 1
             if k is None:  # not the canonical word of a rep: canonicalize and look again
-                k = ct.index.get(WeylElement.from_word(rs, word).word)
+                w = WeylElement.from_word(rs, word)
+                if w.length != len(word):
+                    raise UsageError(f"word {word} is not reduced")
+                k = ct.index.get(w.word)
             if k is None:
                 raise UsageError(f"word {word} is not a minimal coset representative")
             dual = term.get("dual", False)
@@ -227,7 +221,7 @@ def _coefficient_from_json(c):
 
 
 # ---------------------------------------------------------------------------
-# Duality and Pieri
+# Duality
 
 
 def dual(ct: CosetTable, w) -> int:
@@ -248,46 +242,12 @@ def duality_product(ct: CosetTable, a: int, b: int) -> int:
     return 1 if ct.dual_index(a) == b else 0
 
 
-def pieri_multiply(rs: RootSystem, alpha: int, w: WeylElement) -> ChowClass:
-    """Chevalley/Pieri product [X_{w0 s_alpha}] * [X_w] on the full flag variety.
-
-    Runs over positive roots beta with l(w s_beta) = l(w) - 1; the
-    coefficient is <beta^vee, omega_alpha>.
-    """
-    checked_vertices(rs.rank, (alpha,), "divisor index")
-    ct = coset_reps(rs, ())
-    out = {}
-    for pr in rs.positive_roots:
-        pairing_rho = sum(pr.coroot)  # <rho, beta^vee>
-        v = tuple(r - pairing_rho * o for r, o in zip(rs.rho, pr.omega))
-        word = _canonical_from_image(rs, w.act(v))  # canonical word of w s_beta
-        if len(word) != w.length - 1:
-            continue
-        coeff = pr.coroot[alpha - 1]  # <beta^vee, omega_alpha>
-        if coeff:
-            k = ct.index[word]
-            out[k] = out.get(k, 0) + coeff
-    return ChowClass(rs.type.name(), (), "Z", out)
-
-
-# ---------------------------------------------------------------------------
-# Divided differences and the characteristic map
-
-
-def divided_difference(rs: RootSystem, word, u: Polynomial) -> Polynomial:
-    """Delta_{s_{i1}} o ... o Delta_{s_ik} applied to u (word need not be reduced)."""
-    for i in reversed(checked_word(rs, word)):
-        u = u.divided_difference(i - 1)
-    return u
-
-
 class _FlagContext:
-    """Per-(root system, theta) machinery: coset table, fixed-point rows, generators, memos.
+    """Per-(root system, theta) machinery: coset table, fixed-point rows, memos.
 
     Codimension layers are read from the coset table (`ct.of_codim`).
     Products and Chern classes share one memo, the fixed-point restriction
-    rows (`rows`); preimages memoize the image of each generator monomial
-    (`image`) and the pivot grids.
+    rows (`rows`), and the Chern classes keep their own.
     """
 
     def __init__(self, rs: RootSystem, theta):
@@ -295,176 +255,10 @@ class _FlagContext:
         self.ct = coset_reps(rs, theta)
         self.theta = self.ct.theta
         self.dim = self.ct.max_length
-        self._grid = {}          # degree -> (pivots, D, A)
-        self._images = {}        # generator exponents e -> delta sweep of g^e
         self._rows = {}          # position x -> restriction row of x (see rows)
         self._row_entries = 0    # the memo's rows counted as in ENTRY_CAP
         # grow-on-demand memo: integral c_0 .. c_b as coefficient maps serve requests <= b
         self._chern = []
-
-    # -- invariant generators -----------------------------------------
-
-    @cached_property
-    def gens(self):
-        return _invariant_generators(self.rs, self.theta)
-
-    # -- delta tree -----------------------------------------------------
-
-    def delta_scalars(self, P: Polynomial, max_len=None, modulus=None):
-        """Constant terms of Delta_w(P) for every rep w, sharing chain prefixes.
-
-        P may be inhomogeneous: the constant term of Delta_w(P) picks out
-        exactly the degree-l(w) component's contribution.  Each length layer
-        of the table is computed from the previous one through the BFS
-        parents, so only two layers of polynomials are alive at a time.
-        With a prime modulus every layer is reduced mod p (exact: D_i is integral).
-        """
-        ct = self.ct
-        dmax = P.degree() if max_len is None else min(P.degree(), max_len)
-        out = {}
-        layer = {0: P}
-        for length in range(dmax + 1):
-            if length:
-                layer = {k: layer[ct.parent[k]].divided_difference(ct.parent_label[k] - 1, modulus)
-                         for k in ct.of_length(length)}
-            for k, q in layer.items():
-                c = q.terms.get(0, 0)  # the packed key of the constant monomial
-                if c:
-                    out[k] = c
-        return out
-
-    def char_map_graded(self, P: Polynomial, ring="Q", max_codim=None):
-        """Characteristic image of a possibly inhomogeneous invariant P.
-
-        Returns {degree: ChowClass}; each graded piece of P of degree d
-        contributes at codimension d via index w -> dual index.
-        """
-        scalars = self.delta_scalars(P, max_len=max_codim, modulus=ring_modulus(ring))
-        graded = {}
-        for k, c in scalars.items():
-            d = self.ct.length(k)
-            graded.setdefault(d, {})[self.ct.dual_index(k)] = c
-        return {
-            d: ChowClass(self.rs.type.name(), self.theta, ring, coeffs)
-            for d, coeffs in sorted(graded.items())
-        }
-
-    # -- preimage grid ----------------------------------------------------
-
-    def _grid_products(self, d):
-        """Exponent vectors of the candidate products for grid(d), in the order tried.
-
-        c is a ring map onto CH tensor Q, so CH^d tensor Q is spanned by the
-        pivots of grid(d - deg g_j) times g_j.  Generators are taken in order
-        (base weights first) and repeats dropped; grid(0) has the one candidate 1.
-        """
-        if d == 0:
-            return [(0,) * len(self.gens)]
-        return list(dict.fromkeys(
-            exps[:j] + (exps[j] + 1,) + exps[j + 1:]
-            for j, g in enumerate(self.gens) if g.degree() <= d
-            for exps in self.grid(d - g.degree())[0]
-        ))
-
-    def _product_poly(self, exps):
-        gens = self.gens
-        P = Polynomial.one(self.rs)
-        for j, e in enumerate(exps):
-            for _ in range(e):
-                P = P * gens[j]
-        return P
-
-    def image(self, exps):
-        """Delta sweep of the generator monomial g^exps, {rep index: scalar}, memoized.
-
-        g^exps is homogeneous, so only reps of length sum(exps * deg g)
-        appear; the grids and the product route share these entries.
-        """
-        hit = self._images.get(exps)
-        if hit is None:
-            hit = self._images[exps] = self.delta_scalars(self._product_poly(exps))
-        return hit
-
-    def grid(self, d):
-        """Pivot products spanning CH^d tensor Q, with a solver for preimages.
-
-        The candidates, each a pivot of a lower grid times one generator
-        (_grid_products), are imaged one by one through one integer
-        elimination until the images span; the rest are never touched.
-        Returns (pivots, D, A): pivots[j] = exps_j, the exponent
-        vector of the pivot product P_j, and A = D M^-1 is integral for M the
-        image matrix of the pivots (row j is the image of P_j).  Columns are
-        the codim-d layer of the table: basis index k is column
-        k - ct.of_codim(d).start.
-        A M = D I is re-verified exactly against the raw images before the
-        grid is stored, which certifies char_map of every preimage built
-        from it (char_map is linear).
-        """
-        hit = self._grid.get(d)
-        if hit is not None:
-            return hit
-        layer = self.ct.of_codim(d)
-        n = len(layer)
-        pivots = []       # exponent vectors of the pivot products
-        images = []       # integer image vector over the codim-d layer, one per pivot
-        elim = _Echelon(n)
-        for exps in self._grid_products(d):
-            vec = [0] * n
-            for k, c in self.image(exps).items():
-                vec[self.ct.dual_index(k) - layer.start] = c
-            if elim.add(vec):
-                pivots.append(exps)
-                images.append(vec)
-                if len(pivots) == n:
-                    break
-        if len(pivots) < n:
-            raise InternalComputationError(
-                f"invariant products do not span CH^{d} (rank {len(pivots)} < {n})"
-            )
-        D, A = elim.inverse()
-        for t in range(n):
-            for s in range(n):
-                if sum(A[t][j] * images[j][s] for j in range(n)) != (D if s == t else 0):
-                    raise InternalComputationError("preimage verification failed")
-        self._grid[d] = (pivots, D, A)
-        return self._grid[d]
-
-    def pivot_coords(self, cls: ChowClass):
-        """(den, [(exps_j, x_j)]): char_map(sum_j x_j g^exps_j) = den * cls.
-
-        cls must be homogeneous and nonzero; only the nonzero integers x_j
-        are listed.  A Z/p coefficient is read as its integer representative
-        in [0, p) (any lift works, c is functorial in coefficients).  With L
-        the common denominator of the coefficients, den = D L and
-        x = sum_k L c_k A[k - start] over the pivot products (pivots, D, A)
-        of grid(d), d = codim cls, whose columns start at ct.of_codim(d).start.
-        """
-        d = cls.codim(self.ct)
-        pivots, D, A = self.grid(d)
-        start = self.ct.of_codim(d).start
-        L, ints = _integral(cls)
-        x = [0] * len(pivots)
-        for k, c in ints.items():
-            for j, a in enumerate(A[k - start]):
-                x[j] += c * a
-        return D * L, [(exps, xj) for exps, xj in zip(pivots, x) if xj]
-
-    def preimage_of(self, cls: ChowClass):
-        """(den, U): an integer polynomial U with char_map(U / den) = cls.
-
-        den > 0 and gcd(den, content U) = 1; cls must be homogeneous.
-        U = sum_j x_j P_j over the pivot products of pivot_coords, with the
-        common content of den and U divided out.
-        """
-        if cls.is_zero():
-            return 1, Polynomial.zero(self.rs)
-        den, coords = self.pivot_coords(cls)
-        acc = {}
-        for exps, xj in coords:
-            for m, c in self._product_poly(exps).terms.items():
-                acc[m] = acc.get(m, 0) + xj * c
-        g = gcd(den, *acc.values())
-        return den // g, Polynomial(self.rs, {m: c // g for m, c in acc.items() if c})
 
     # -- unipotent radical --------------------------------------------------
 
@@ -686,56 +480,6 @@ class _FlagContext:
         return [ChowClass(name, self.theta, ring, c) for c in self._chern[: top + 1]]
 
 
-class _Echelon:
-    """Fraction-free Gauss-Jordan elimination over the integers.
-
-    Like Bareiss (Math. Comp. 1968) it never leaves Z, but each row is kept
-    primitive by dividing out its content.  The rows are in reduced echelon
-    form, keyed by pivot column, and each row [v | a] carries in a the
-    combination of the accepted inputs that gives v, so a M = v for M the
-    matrix whose j-th row is the j-th accepted input.
-    """
-
-    def __init__(self, n):
-        self.n = n
-        self.rows = {}   # pivot column -> primitive row of 2n ints
-
-    def add(self, vec) -> bool:
-        """Insert an integer vector of length n; True if it was independent of the rows so far."""
-        n = self.n
-        if len(self.rows) == n:  # full rank: every vector is dependent
-            return False
-        r = list(vec) + [0] * n
-        r[n + len(self.rows)] = 1
-        for p, row in self.rows.items():
-            c = r[p]
-            if c:
-                r = _primitive([row[p] * x - c * y for x, y in zip(r, row)])
-        q = next((i for i in range(n) if r[i]), None)
-        if q is None:
-            return False
-        for p, row in self.rows.items():
-            c = row[q]
-            if c:
-                self.rows[p] = _primitive([r[q] * x - c * y for x, y in zip(row, r)])
-        self.rows[q] = r
-        return True
-
-    def inverse(self):
-        """(D, A) with D > 0 and A = D M^-1 integral, once n inputs are accepted."""
-        n = self.n
-        if len(self.rows) < n:
-            raise InternalComputationError("singular matrix")
-        # at full rank row p is [a_p e_p | a_p (row p of M^-1)]
-        D = lcm(*(row[p] for p, row in self.rows.items()))
-        return D, [[D // row[p] * y for y in row[n:]] for p, row in sorted(self.rows.items())]
-
-
-def _primitive(row):
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
 def flag_context(rs: RootSystem, theta) -> _FlagContext:
     """The shared _FlagContext of G/P_Theta (cached per root system and theta)."""
     return _flag_context(rs, checked_vertices(rs.rank, theta))
@@ -746,153 +490,21 @@ def _flag_context(rs: RootSystem, theta: tuple) -> _FlagContext:
     return _FlagContext(rs, theta)
 
 
-# ---------------------------------------------------------------------------
-# Invariant generators
-
-
-def _candidate_points(n):
-    """Test points with n coordinates, in the order tried: 1..n, the squares, the first n primes."""
-    primes = tuple(islice(filter(is_small_prime, count(2)), n))
-    return tuple(range(1, n + 1)), tuple(x * x for x in range(1, n + 1)), primes
-
-
-def _sub_fundamental_seeds(rs: RootSystem, theta):
-    """Fundamental weights of <Theta> in ambient omega-coordinates, integer-scaled."""
-    m = len(theta)
-    # seed j solves sum_k A[i][k] c_k = delta_ij over i, k in theta: column j of A_Theta^-1,
-    # here D A_Theta^-1; dividing by gcd(D, content) leaves the least integer multiple
-    elim = _Echelon(m)
-    for i in theta:
-        elim.add([rs.cartan[i - 1][k - 1] for k in theta])
-    D, inv = elim.inverse()
-    alphas = [rs.alpha_omega(i - 1) for i in theta]
-    seeds = []
-    for j in range(m):
-        coords = [sum(inv[k][j] * alphas[k][t] for k in range(m)) for t in range(rs.rank)]
-        g = gcd(D, *coords)
-        seeds.append(tuple(x // g for x in coords))
-    return seeds
-
-
-def _orbit(rs: RootSystem, theta, seed):
-    seen = {tuple(seed)}
-    frontier = [tuple(seed)]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in theta:
-                u = rs.reflect_weight(i - 1, v)
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return sorted(seen)
-
-
-def _power_sum_row(orbit, values, d):
-    """Jacobian row of p_d = sum_mu (mu.x)^d at a point where mu.x takes the given values.
-
-    d/dx_j p_d = d sum_mu (mu.x)^(d-1) mu_j, an exact integer per j.
-    """
-    weights = [d * v ** (d - 1) for v in values]
-    return [sum(c * mu[j] for c, mu in zip(weights, orbit)) for j in range(len(orbit[0]))]
-
-
-def _power_sum(rs, orbit, d):
-    """p_d = sum over the orbit of (mu.x)^d as a polynomial."""
-    total = Polynomial.zero(rs)
-    for mu in orbit:
-        form = Polynomial.linear_form(rs, mu)
-        p = form
-        for _ in range(d - 1):
-            p = p * form
-        total = total + p
-    return total
-
-
-def _invariant_generators(rs: RootSystem, theta):
-    """omega_i (i not in theta) plus one invariant per fundamental degree of <Theta>.
-
-    Candidates are orbit power sums p_d of the subsystem's fundamental
-    weights, offered slot by slot (degrees ascending, smallest orbit first).
-    A candidate fills a slot when its Jacobian row at a fixed test point
-    enlarges the rank; that row is computed numerically from the values
-    mu.pt, so only the winning power sums are ever expanded as polynomials.
-    Each winner's row is recomputed from its polynomial, the final Jacobian
-    has rank n (functional independence, hence a generating set by the
-    degree-product criterion), and every winner is checked W_Theta-invariant.
-    """
-    n = rs.rank
-    base = [Polynomial.variable(rs, i) for i in range(1, n + 1) if i not in theta]
-    if not theta:
-        return base
-    slots = sorted(weyl_degrees(root_subsystem(rs, theta)))
-    orbits = sorted((_orbit(rs, theta, s) for s in _sub_fundamental_seeds(rs, theta)), key=len)
-
-    for pt in _candidate_points(n):
-        elim = _Echelon(n)
-        for g in base:
-            elim.add([g.derivative(j).evaluate(pt) for j in range(n)])
-        values = [[sum(m * x for m, x in zip(mu, pt)) for mu in orbit] for orbit in orbits]
-        chosen = []
-        for d in slots:
-            for orbit, vals in zip(orbits, values):
-                row = _power_sum_row(orbit, vals, d)
-                if elim.add(row):
-                    chosen.append((orbit, d, row))
-                    break
-            else:
-                break
-        if len(chosen) < len(slots) or len(elim.rows) < n:
-            continue
-        gens = []
-        for orbit, d, row in chosen:
-            g = _power_sum(rs, orbit, d)
-            if [g.derivative(j).evaluate(pt) for j in range(n)] != row:
-                raise InternalComputationError("orbit power sum disagrees with its Jacobian row")
-            if not g.is_invariant_under(theta):
-                raise InternalComputationError("orbit power sum failed invariance")
-            gens.append(g)
-        return base + gens
-    raise InternalComputationError(
-        f"could not assemble invariant generators for theta={list(theta)}"
-    )
-
-
 def invariant_generators(rs: RootSystem, theta):
-    return flag_context(rs, theta).gens
+    """The W_Theta-invariant generators of the Borel presentation, as polynomials.
 
-
-# ---------------------------------------------------------------------------
-# Public characteristic map / preimage / multiplication
-
-
-def char_map(rs: RootSystem, theta, u: Polynomial) -> ChowClass:
-    """The map c(u) = sum Delta_w(u) [X_{w0 w wt}] for homogeneous invariant u."""
-    ctx = flag_context(rs, theta)
-    if not u.is_homogeneous():
-        raise UsageError("char_map requires a homogeneous polynomial")
-    if not u.is_invariant_under(ctx.theta):
-        raise UsageError("polynomial is not W_Theta-invariant")
-    if u.is_zero() or u.degree() > ctx.dim:
-        return ChowClass(rs.type.name(), ctx.theta, "Q", {})
-    graded = ctx.char_map_graded(u)
-    cls = graded.get(u.degree(), ChowClass(rs.type.name(), ctx.theta, "Q", {}))
-    if all(not isinstance(c, Fraction) or c.denominator == 1 for c in cls.coeffs.values()):
-        return ChowClass(cls.type_name, cls.theta, "Z", cls.coeffs)
-    return cls
-
-
-def preimage(cls: ChowClass) -> Polynomial:
-    """A W_Theta-invariant polynomial u with char_map(u) = cls.
-
-    u = U / den for the integer pair (den, U) of _FlagContext.preimage_of,
-    whose grid re-verifies its solve exactly; mod-p classes are lifted to
-    integer representatives (any lift works, c is functorial in coefficients).
+    omega_i for i not in theta and one orbit power sum per fundamental degree
+    of <Theta>, built by `polynomial._invariant_generators` on first call (the
+    only use of `polynomial` in the package) and cached per root system and theta.
     """
-    rs = build_root_system(cls.type_name)
-    den, U = flag_context(rs, cls.theta).preimage_of(cls)
-    return U.scale(Fraction(1, den)) if den > 1 else U
+    return _invariant_generators(rs, checked_vertices(rs.rank, theta))
+
+
+@cache
+def _invariant_generators(rs: RootSystem, theta: tuple):
+    from . import polynomial
+
+    return polynomial._invariant_generators(rs, theta)
 
 
 def multiply(a: ChowClass, b: ChowClass) -> ChowClass:

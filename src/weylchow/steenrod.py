@@ -28,10 +28,12 @@ The total operation on a pushed fundamental class is a Wu-type formula
 
 everything evaluated inside the resolution ring mod 2 (pullbacks of line
 bundles are explicit linear combinations of the D_j).  Convention I is the
-one that reproduces the divisor-generated closed form on type-A flag
-varieties (II disagrees on A3); it is fixed as WU_CONVENTION and checked
-against that closed form on A2 and A3 before the first answer, and a
-disagreement raises CalibrationError.
+one that gives a ring map (II fails the Cartan formula on A3); it is fixed
+as WU_CONVENTION and checked before the first answer with products alone:
+on the A2 and A3 full flags, S(h) = h + h^2 for every divisor h and
+S(h b) = S(h) S(b) for every basis class b.  These rings are generated by
+their divisors, so an additive S that passes is the total square; a
+failure raises CalibrationError.
 
 For basis classes whose reduced word is too long to expand a 2^l ring, the
 graded pieces are recovered from duality pairings: with Phi(u) :=
@@ -48,19 +50,17 @@ with short words.
 from __future__ import annotations
 
 from functools import cache
-from math import comb
 from types import MappingProxyType
 
 from .errors import CalibrationError, InternalComputationError, ResourceLimitError, UsageError
-from .polynomial import Polynomial, unpack_monomial
 from .rootdata import RootSystem, build_root_system
-from .schubert import ChowClass, char_map, flag_context
+from .schubert import ChowClass, flag_context, multiply
 from .weyl import CosetTable, checked_word, coset_reps
 
 #: maximal reduced-word length for direct ring expansion (2^l basis monomials)
 DIRECT_WORD_LIMIT = 18
 
-#: the Wu-type formula below that matches the type-A divisor oracle (II fails on A3)
+#: the Wu-type formula below that passes the calibration (II fails it on A3)
 WU_CONVENTION = "I"
 
 
@@ -285,44 +285,6 @@ def _pushed_series(ct: CosetTable, idx, word, eps, weights, top):
 # Calibration of the Wu-formula convention
 
 
-def _substitute_total_square_mod2(P: Polynomial) -> Polynomial:
-    """x^e |-> prod_j x_j^{e_j} (1+x_j)^{e_j} mod 2 (the image of S on divisors)."""
-    rs = P.rs
-    out = Polynomial.zero(rs)
-    for e, c in P.terms.items():
-        if c % 2 == 0:
-            continue
-        acc = Polynomial.one(rs)
-        for j, ej in enumerate(unpack_monomial(e, rs.rank)):
-            if not ej:
-                continue
-            piece = Polynomial.zero(rs)
-            for t in range(ej + 1):
-                if comb(ej, t) % 2:
-                    exps = [ej + t if k == j else 0 for k in range(rs.rank)]
-                    piece = piece + Polynomial.monomial(rs, exps)
-            acc = (acc * piece).reduce_mod(2)
-        out = (out + acc).reduce_mod(2)
-    return out
-
-
-def _oracle_steenrod_divisor_generated(rs: RootSystem, idx):
-    """Closed-form total Steenrod on a divisor-generated mod-2 Chow ring (type A)."""
-    ct = coset_reps(rs, ())
-    cls = ChowClass(rs.type.name(), (), "Z", {idx: 1})
-    den, iu = flag_context(rs, ()).preimage_of(cls)
-    if den % 2 == 0:
-        raise InternalComputationError("oracle needs an odd-denominator preimage")
-    subbed = _substitute_total_square_mod2(iu.reduce_mod(2))
-    graded = {}
-    for d, piece in subbed.graded_parts().items():
-        img = char_map(rs, (), piece)
-        img2 = ChowClass(rs.type.name(), (), "Z/2", img.coeffs)
-        if not img2.is_zero():
-            graded[d - ct.codim(idx)] = img2
-    return graded
-
-
 def _direct_steenrod_pieces(rs, theta, idx, convention, up_to=None, word=None):
     """S^i([X_idx]) for all i <= up_to via the resolution ring, one convention.
 
@@ -339,18 +301,53 @@ def _direct_steenrod_pieces(rs, theta, idx, convention, up_to=None, word=None):
     return _pushed_series(ct, idx, ct.words[idx] if word is None else word, eps, weights, emax)
 
 
+def _cartan_failures(name, convention):
+    """The checks of the total square by `convention` that fail on the full flags of `name`.
+
+    S is the direct route's total square of each basis class, extended
+    additively.  On every divisor h it is checked that S(h) = h + h^2 (listed
+    as (h, None) when it fails), and on every basis class b other than the
+    point class that S(h b) = S(h) S(b) (listed as (h, b)); h pt = 0 needs no
+    check.  A full flag ring of type A is generated by its divisors, so an
+    additive map that passes every check is the ring map with S(h) = h + h^2,
+    the total square itself.
+    """
+    rs = build_root_system(name)
+    ct = coset_reps(rs, ())
+    type_name = rs.type.name()
+
+    def cls(positions):
+        return ChowClass(type_name, (), "Z/2", dict.fromkeys(positions, 1))
+
+    # S(b) for every basis class b, as the set of positions of its terms
+    total = [set().union(*(piece.coeffs for piece in
+                           _direct_steenrod_pieces(rs, (), k, convention).values()))
+             for k in range(len(ct))]
+    failures = []
+    for h in ct.of_codim(1):
+        sh, hh = cls(total[h]), cls([h])
+        if sh != hh + multiply(hh, hh):
+            failures.append((h, None))
+        for b in range(1, len(ct)):  # position 0 is the point class
+            image = set()
+            for k in multiply(hh, cls([b])).coeffs:
+                image ^= total[k]
+            if cls(image) != multiply(sh, cls(total[b])):
+                failures.append((h, b))
+    return failures
+
+
 @cache
 def _calibrate():
-    """Check WU_CONVENTION against the divisor oracle on every A2 and A3 flag class."""
+    """Check WU_CONVENTION by the Cartan formula on the A2 and A3 full flags (see
+    `_cartan_failures`); convention II fails on A3."""
     for name in ("A2", "A3"):
-        rs = build_root_system(name)
-        for idx in range(len(coset_reps(rs, ()))):
-            got = _direct_steenrod_pieces(rs, (), idx, WU_CONVENTION)
-            if got != _oracle_steenrod_divisor_generated(rs, idx):
-                raise CalibrationError(
-                    f"Wu convention {WU_CONVENTION} disagrees with the divisor-generated "
-                    f"oracle on {name} class {idx}"
-                )
+        failures = _cartan_failures(name, WU_CONVENTION)
+        if failures:
+            raise CalibrationError(
+                f"Wu convention {WU_CONVENTION} fails {len(failures)} Cartan-formula checks "
+                f"on the {name} full flags, the first at (divisor, class) {failures[0]}"
+            )
     return WU_CONVENTION
 
 
@@ -462,7 +459,7 @@ def steenrod_total(cls: ChowClass, up_to=None):
 
 
 def wu_convention():
-    """The Wu convention name, checked against the oracle on first use.
+    """The Wu convention name, checked by the calibration on first use.
 
     "I": S(f_* a) = c(T_Y) f_*(c(T_X)^{-1} S(a)).
     """

@@ -1,28 +1,29 @@
 """Slow, independent reference implementations that only the tests use."""
 
 import json
+import weakref
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from weylchow.errors import InternalComputationError, UsageError
 from weylchow.motive import MotiveSummand, decompose, refine_rost
-from weylchow.polynomial import BITS, MASK, Polynomial, _unit, unpack_monomial
+from weylchow.polynomial import (
+    BITS, MASK, Polynomial, _candidate_points, _Echelon, _orbit, _sub_fundamental_seeds, _unit,
+    unpack_monomial,
+)
 from weylchow.rootdata import (
     DynkinType, PositiveRoot, build_root_system, checked_vertices, ring_modulus, root_subsystem,
     weyl_degrees,
 )
 from weylchow.schubert import (
-    ChowClass,
-    _candidate_points,
-    _check_compatible,
-    _Echelon,
-    _orbit,
-    _sub_fundamental_seeds,
-    flag_context,
+    ChowClass, _check_compatible, _integral, flag_context, invariant_generators,
 )
 from weylchow.titsjinv import HigherIndexSet, _doublings, _v_p
-from weylchow.weyl import CosetTable, apply_word, coset_reps, hasse_edges
+from weylchow.weyl import (
+    CosetTable, WeylElement, _canonical_from_image, apply_word, checked_word, coset_reps,
+    hasse_edges,
+)
 
 
 def cartan_symmetrizer(cartan):
@@ -178,7 +179,7 @@ def elementary_symmetric_by_polynomials(rs, forms, max_degree, modulus=None):
         for k in range(max_degree, 0, -1):
             if not es[k - 1].is_zero():
                 e = es[k] + es[k - 1] * gamma
-                es[k] = e.reduce_mod(modulus) if modulus else e
+                es[k] = reduce_mod(e, modulus) if modulus else e
     return es
 
 
@@ -281,15 +282,326 @@ def invariant_generators_by_polynomials(rs, theta):
     )
 
 
+# --- the Borel presentation: invariant polynomials and the characteristic map ------
+# The package computes in the Schubert basis only; the characteristic map
+# c(u) = sum over w of Delta_w(u) [X_{w0 w wt}] of a W_Theta-invariant u,
+# its preimages and the divided-difference sweep are kept here as references.
+# A preimage is an integer combination of pivot products g^e of the invariant
+# generators: one fraction-free elimination per degree picks the pivots and
+# gives D M^-1 for their image matrix M.  Divided-difference chains share work
+# across w: canonical words are built by the coset BFS as (letter) + parent
+# word, so Delta_w(u) = Delta_letter(Delta_parent(u)) and one sweep over the
+# table computes every chain, one length layer at a time.
+
+
+def is_homogeneous(P: Polynomial) -> bool:
+    shift = BITS * P.rs.rank
+    return len({e >> shift for e in P.terms}) <= 1
+
+
+def graded_parts(P: Polynomial) -> dict:
+    """{degree: the homogeneous part of P of that degree}, increasing."""
+    shift = BITS * P.rs.rank
+    out = {}
+    for e, c in P.terms.items():
+        out.setdefault(e >> shift, {})[e] = c
+    return {d: Polynomial(P.rs, t) for d, t in sorted(out.items())}
+
+
+def reduce_mod(P: Polynomial, p) -> Polynomial:
+    """P with every coefficient (a Fraction through the inverse of its denominator) in [0, p)."""
+    out = {}
+    for e, c in P.terms.items():
+        if type(c) is Fraction:  # not isinstance: the check against an ABC dominates this loop
+            if c.denominator % p == 0:
+                raise InternalComputationError(f"denominator not invertible mod {p}")
+            c = c.numerator * pow(c.denominator, -1, p)
+        v = c % p
+        if v:
+            out[e] = v
+    return Polynomial(P.rs, out)
+
+
+def divided_difference(rs, word, u: Polynomial) -> Polynomial:
+    """Delta_{s_{i1}} o ... o Delta_{s_ik} applied to u (word need not be reduced)."""
+    for i in reversed(checked_word(rs, word)):
+        u = u.divided_difference(i - 1)
+    return u
+
+
+#: _FlagContext -> ({degree: grid}, {generator exponents: image}), the Borel memos
+_BOREL_MEMOS = weakref.WeakKeyDictionary()
+
+
+def borel_memos(ctx):
+    """(grids, images) of ctx, the memos of `grid` and `image`."""
+    return _BOREL_MEMOS.setdefault(ctx, ({}, {}))
+
+
+def delta_scalars(ctx, P: Polynomial, max_len=None, modulus=None):
+    """Constant terms of Delta_w(P) for every rep w, sharing chain prefixes.
+
+    P may be inhomogeneous: the constant term of Delta_w(P) picks out
+    exactly the degree-l(w) component's contribution.  Each length layer
+    of the table is computed from the previous one through the BFS
+    parents, so only two layers of polynomials are alive at a time.
+    With a prime modulus every layer is reduced mod p (exact: D_i is integral).
+    """
+    ct = ctx.ct
+    dmax = P.degree() if max_len is None else min(P.degree(), max_len)
+    out = {}
+    layer = {0: P}
+    for length in range(dmax + 1):
+        if length:
+            layer = {k: layer[ct.parent[k]].divided_difference(ct.parent_label[k] - 1, modulus)
+                     for k in ct.of_length(length)}
+        for k, q in layer.items():
+            c = q.terms.get(0, 0)  # the packed key of the constant monomial
+            if c:
+                out[k] = c
+    return out
+
+
+def char_map_graded(ctx, P: Polynomial, ring="Q", max_codim=None):
+    """Characteristic image of a possibly inhomogeneous invariant P.
+
+    Returns {degree: ChowClass}; each graded piece of P of degree d
+    contributes at codimension d via index w -> dual index.
+    """
+    scalars = delta_scalars(ctx, P, max_len=max_codim, modulus=ring_modulus(ring))
+    graded = {}
+    for k, c in scalars.items():
+        d = ctx.ct.length(k)
+        graded.setdefault(d, {})[ctx.ct.dual_index(k)] = c
+    return {
+        d: ChowClass(ctx.rs.type.name(), ctx.theta, ring, coeffs)
+        for d, coeffs in sorted(graded.items())
+    }
+
+
+def _grid_products(ctx, d):
+    """Exponent vectors of the candidate products for grid(ctx, d), in the order tried.
+
+    c is a ring map onto CH tensor Q, so CH^d tensor Q is spanned by the
+    pivots of grid(d - deg g_j) times g_j.  Generators are taken in order
+    (base weights first) and repeats dropped; grid(0) has the one candidate 1.
+    """
+    gens = invariant_generators(ctx.rs, ctx.theta)
+    if d == 0:
+        return [(0,) * len(gens)]
+    return list(dict.fromkeys(
+        exps[:j] + (exps[j] + 1,) + exps[j + 1:]
+        for j, g in enumerate(gens) if g.degree() <= d
+        for exps in grid(ctx, d - g.degree())[0]
+    ))
+
+
+def _product_poly(ctx, exps):
+    gens = invariant_generators(ctx.rs, ctx.theta)
+    P = Polynomial.one(ctx.rs)
+    for j, e in enumerate(exps):
+        for _ in range(e):
+            P = P * gens[j]
+    return P
+
+
+def image(ctx, exps):
+    """Delta sweep of the generator monomial g^exps, {rep index: scalar}, memoized.
+
+    g^exps is homogeneous, so only reps of length sum(exps * deg g)
+    appear; the grids and the product route share these entries.
+    """
+    images = borel_memos(ctx)[1]
+    hit = images.get(exps)
+    if hit is None:
+        hit = images[exps] = delta_scalars(ctx, _product_poly(ctx, exps))
+    return hit
+
+
+def grid(ctx, d):
+    """Pivot products spanning CH^d tensor Q, with a solver for preimages.
+
+    The candidates, each a pivot of a lower grid times one generator
+    (_grid_products), are imaged one by one through one integer
+    elimination until the images span; the rest are never touched.
+    Returns (pivots, D, A): pivots[j] = exps_j, the exponent
+    vector of the pivot product P_j, and A = D M^-1 is integral for M the
+    image matrix of the pivots (row j is the image of P_j).  Columns are
+    the codim-d layer of the table: basis index k is column
+    k - ct.of_codim(d).start.
+    A M = D I is re-verified exactly against the raw images before the
+    grid is stored, which certifies char_map of every preimage built
+    from it (char_map is linear).
+    """
+    grids = borel_memos(ctx)[0]
+    hit = grids.get(d)
+    if hit is not None:
+        return hit
+    layer = ctx.ct.of_codim(d)
+    n = len(layer)
+    pivots = []       # exponent vectors of the pivot products
+    images = []       # integer image vector over the codim-d layer, one per pivot
+    elim = _Echelon(n)
+    for exps in _grid_products(ctx, d):
+        vec = [0] * n
+        for k, c in image(ctx, exps).items():
+            vec[ctx.ct.dual_index(k) - layer.start] = c
+        if elim.add(vec):
+            pivots.append(exps)
+            images.append(vec)
+            if len(pivots) == n:
+                break
+    if len(pivots) < n:
+        raise InternalComputationError(
+            f"invariant products do not span CH^{d} (rank {len(pivots)} < {n})"
+        )
+    D, A = elim.inverse()
+    for t in range(n):
+        for s in range(n):
+            if sum(A[t][j] * images[j][s] for j in range(n)) != (D if s == t else 0):
+                raise InternalComputationError("preimage verification failed")
+    grids[d] = (pivots, D, A)
+    return grids[d]
+
+
+def pivot_coords(ctx, cls: ChowClass):
+    """(den, [(exps_j, x_j)]): char_map(sum_j x_j g^exps_j) = den * cls.
+
+    cls must be homogeneous and nonzero; only the nonzero integers x_j
+    are listed.  A Z/p coefficient is read as its integer representative
+    in [0, p) (any lift works, c is functorial in coefficients).  With L
+    the common denominator of the coefficients, den = D L and
+    x = sum_k L c_k A[k - start] over the pivot products (pivots, D, A)
+    of grid(d), d = codim cls, whose columns start at ct.of_codim(d).start.
+    """
+    d = cls.codim(ctx.ct)
+    pivots, D, A = grid(ctx, d)
+    start = ctx.ct.of_codim(d).start
+    L, ints = _integral(cls)
+    x = [0] * len(pivots)
+    for k, c in ints.items():
+        for j, a in enumerate(A[k - start]):
+            x[j] += c * a
+    return D * L, [(exps, xj) for exps, xj in zip(pivots, x) if xj]
+
+
+def preimage_of(ctx, cls: ChowClass):
+    """(den, U): an integer polynomial U with char_map(U / den) = cls.
+
+    den > 0 and gcd(den, content U) = 1; cls must be homogeneous.
+    U = sum_j x_j P_j over the pivot products of pivot_coords, with the
+    common content of den and U divided out.
+    """
+    if cls.is_zero():
+        return 1, Polynomial.zero(ctx.rs)
+    den, coords = pivot_coords(ctx, cls)
+    acc = {}
+    for exps, xj in coords:
+        for m, c in _product_poly(ctx, exps).terms.items():
+            acc[m] = acc.get(m, 0) + xj * c
+    g = gcd(den, *acc.values())
+    return den // g, Polynomial(ctx.rs, {m: c // g for m, c in acc.items() if c})
+
+
+def char_map(rs, theta, u: Polynomial) -> ChowClass:
+    """The map c(u) = sum Delta_w(u) [X_{w0 w wt}] for homogeneous invariant u."""
+    ctx = flag_context(rs, theta)
+    if not is_homogeneous(u):
+        raise UsageError("char_map requires a homogeneous polynomial")
+    if not u.is_invariant_under(ctx.theta):
+        raise UsageError("polynomial is not W_Theta-invariant")
+    if u.is_zero() or u.degree() > ctx.dim:
+        return ChowClass(rs.type.name(), ctx.theta, "Q", {})
+    graded = char_map_graded(ctx, u)
+    cls = graded.get(u.degree(), ChowClass(rs.type.name(), ctx.theta, "Q", {}))
+    if all(not isinstance(c, Fraction) or c.denominator == 1 for c in cls.coeffs.values()):
+        return ChowClass(cls.type_name, cls.theta, "Z", cls.coeffs)
+    return cls
+
+
+def preimage(cls: ChowClass) -> Polynomial:
+    """A W_Theta-invariant polynomial u with char_map(u) = cls.
+
+    u = U / den for the integer pair (den, U) of preimage_of, whose grid
+    re-verifies its solve exactly; mod-p classes are lifted to integer
+    representatives (any lift works, c is functorial in coefficients).
+    """
+    rs = build_root_system(cls.type_name)
+    den, U = preimage_of(flag_context(rs, cls.theta), cls)
+    return U.scale(Fraction(1, den)) if den > 1 else U
+
+
+def pieri_multiply(rs, alpha: int, w: WeylElement) -> ChowClass:
+    """Chevalley/Pieri product [X_{w0 s_alpha}] * [X_w] on the full flag variety.
+
+    Runs over positive roots beta with l(w s_beta) = l(w) - 1; the
+    coefficient is <beta^vee, omega_alpha>.
+    """
+    checked_vertices(rs.rank, (alpha,), "divisor index")
+    ct = coset_reps(rs, ())
+    out = {}
+    for pr in rs.positive_roots:
+        pairing_rho = sum(pr.coroot)  # <rho, beta^vee>
+        v = tuple(r - pairing_rho * o for r, o in zip(rs.rho, pr.omega))
+        word = _canonical_from_image(rs, w.act(v))  # canonical word of w s_beta
+        if len(word) != w.length - 1:
+            continue
+        coeff = pr.coroot[alpha - 1]  # <beta^vee, omega_alpha>
+        if coeff:
+            k = ct.index[word]
+            out[k] = out.get(k, 0) + coeff
+    return ChowClass(rs.type.name(), (), "Z", out)
+
+
+def _substitute_total_square_mod2(P: Polynomial) -> Polynomial:
+    """x^e |-> prod_j x_j^{e_j} (1+x_j)^{e_j} mod 2 (the image of S on divisors)."""
+    rs = P.rs
+    out = Polynomial.zero(rs)
+    for e, c in P.terms.items():
+        if c % 2 == 0:
+            continue
+        acc = Polynomial.one(rs)
+        for j, ej in enumerate(unpack_monomial(e, rs.rank)):
+            if not ej:
+                continue
+            piece = Polynomial.zero(rs)
+            for t in range(ej + 1):
+                if comb(ej, t) % 2:
+                    exps = [ej + t if k == j else 0 for k in range(rs.rank)]
+                    piece = piece + Polynomial.monomial(rs, exps)
+            acc = reduce_mod(acc * piece, 2)
+        out = reduce_mod(out + acc, 2)
+    return out
+
+
+def steenrod_divisor_generated(rs, idx):
+    """Closed-form total Steenrod square {i: S^i} of a basis class of a full flag
+    variety whose mod-2 Chow ring is generated by divisors (type A): S(h) = h + h^2
+    substituted into a preimage."""
+    ct = coset_reps(rs, ())
+    cls = ChowClass(rs.type.name(), (), "Z", {idx: 1})
+    den, iu = preimage_of(flag_context(rs, ()), cls)
+    if den % 2 == 0:
+        raise InternalComputationError("oracle needs an odd-denominator preimage")
+    subbed = _substitute_total_square_mod2(reduce_mod(iu, 2))
+    graded = {}
+    for d, piece in graded_parts(subbed).items():
+        img = char_map(rs, (), piece)
+        img2 = ChowClass(rs.type.name(), (), "Z/2", img.coeffs)
+        if not img2.is_zero():
+            graded[d - ct.codim(idx)] = img2
+    return graded
+
+
 def multiply_by_preimage_product(ctx, a, b, k, ring):
     """a * b from one delta sweep of the product of the two preimage polynomials.
 
-    The package assembles the same product from memoized images of
+    `_multiply_poly_route` assembles the same product from memoized images of
     generator monomials, without multiplying polynomials.
     """
-    da, A = ctx.preimage_of(a)
-    db, B = ctx.preimage_of(b)
-    scalars = ctx.delta_scalars(A * B, max_len=k)
+    da, A = preimage_of(ctx, a)
+    db, B = preimage_of(ctx, b)
+    scalars = delta_scalars(ctx, A * B, max_len=k)
     coeffs = {}
     for idx, c in scalars.items():
         if ctx.ct.reps[idx].length == k:
@@ -344,7 +656,7 @@ def chern_classes_by_polynomials(ctx, max_codim=None, ring="Z"):
     es = elementary_symmetric_classes(ctx.rs, forms, top, ring_modulus(ring))
     # the e_k have distinct degrees, so their terms never collide
     total = Polynomial(ctx.rs, {m: c for e in es for m, c in e.terms.items()})
-    graded = ctx.char_map_graded(total, ring=ring, max_codim=top)
+    graded = char_map_graded(ctx, total, ring=ring, max_codim=top)
     empty = ChowClass(ctx.rs.type.name(), ctx.theta, ring, {})
     return [graded.get(d, empty) for d in range(top + 1)]
 
@@ -405,7 +717,7 @@ def _multiply_poly_route(ctx, a, b):
     with da + db <= dim - max(da, db): the images it reads, of degree
     da + db, are no higher than those the pairing route would read.
     """
-    return _product_from_coords(ctx, a, ctx.pivot_coords(a), ctx.pivot_coords(b))
+    return _product_from_coords(ctx, a, pivot_coords(ctx, a), pivot_coords(ctx, b))
 
 
 def _product_from_coords(ctx, like, coords_a, coords_b):
@@ -423,7 +735,7 @@ def _product_from_coords(ctx, like, coords_a, coords_b):
     totals = {}
     for e, w in weights.items():
         if w:
-            for idx, c in ctx.image(e).items():
+            for idx, c in image(ctx, e).items():
                 totals[idx] = totals.get(idx, 0) + w * c
     den = da * db
     coeffs = {ctx.ct.dual_index(idx): Fraction(c, den) for idx, c in totals.items() if c}
@@ -441,11 +753,11 @@ def _multiply_by_pairings(ctx, a, b, da, db):
     """
     if da < db:
         a, b, da, db = b, a, db, da
-    coords_b = ctx.pivot_coords(b)
+    coords_b = pivot_coords(ctx, b)
     out = {}
     for v in ctx.ct.of_codim(da + db):
         zv = ChowClass(a.type_name, a.theta, a.ring, {ctx.ct.dual_index(v): 1})
-        out[v] = _pairing(ctx, a, _product_from_coords(ctx, a, coords_b, ctx.pivot_coords(zv)))
+        out[v] = _pairing(ctx, a, _product_from_coords(ctx, a, coords_b, pivot_coords(ctx, zv)))
     return ChowClass(a.type_name, a.theta, a.ring, out)
 
 

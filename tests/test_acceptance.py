@@ -17,16 +17,13 @@ from weylchow.polynomial import Polynomial
 from weylchow.rootdata import build_root_system
 from weylchow.schubert import (
     ChowClass,
-    char_map,
     duality_product,
     flag_context,
     invariant_generators,
     multiply,
-    pieri_multiply,
 )
 from weylchow.steenrod import (
     _direct_steenrod_pieces,
-    _oracle_steenrod_divisor_generated,
     steenrod_basis_element,
     steenrod_total,
     wu_convention,
@@ -44,7 +41,13 @@ from weylchow.titsjinv import (
 )
 from weylchow.weyl import WeylElement, coset_reps, poincare_polynomial
 
-from oracles import all_reduced_words
+from oracles import (
+    all_reduced_words,
+    char_map,
+    divided_difference,
+    pieri_multiply,
+    steenrod_divisor_generated,
+)
 
 E7_THETA_P1 = (2, 3, 4, 5, 6, 7)
 E7_THETA_P7 = (1, 2, 3, 4, 5, 6)
@@ -221,7 +224,7 @@ def test_criterion_6_steenrod_calibration_and_axioms():
         ct = coset_reps(rs, ())
         for idx in range(len(ct)):
             got = _direct_steenrod_pieces(rs, (), idx, conv)
-            want = _oracle_steenrod_divisor_generated(rs, idx)
+            want = steenrod_divisor_generated(rs, idx)
             assert got == want, (name, idx)
     # axioms exhaustively on A2/B2/A3
     for name in ("A2", "B2", "A3"):
@@ -401,8 +404,6 @@ def test_criterion_11_property_suites():
     for name in ("A2", "B2", "A3", "B3"):
         rs = build_root_system(name)
         ct = coset_reps(rs, ())
-        from weylchow.schubert import divided_difference
-
         x = Polynomial.variable(rs, 1)
         y = Polynomial.variable(rs, rs.rank)
         u = x * x * y + y * y

@@ -313,6 +313,24 @@ def test_non_integer_word_letters_exit_2():
             assert code == 2 and out.startswith("usage error"), (word, argv[0])
 
 
+def test_non_reduced_words_exit_2():
+    # a word that is not reduced names no Schubert class: [1, 1] is not the point class,
+    # [1, 2, 1, 2] not [2, 1]; the reduced non-canonical [2, 1, 2] is still accepted
+    def argvs(word, dual):
+        cls = json.dumps({"type": "A2", "theta": [], "ring": "Z/2",
+                          "terms": [{"word": word, "coeff": 1, "dual": dual}]})
+        return (["mult", "--type", "A2", "--a", cls, "--b", _a2_class("Z/2", 1)],
+                ["steenrod", "--type", "A2", "--class", cls])
+
+    for dual in (False, True):
+        for word in ([1, 1], [1, 2, 1, 2]):
+            for argv in argvs(word, dual):
+                assert run(argv) == (2, f"usage error: word {word} is not reduced"), (word, dual)
+        for argv, canonical in zip(argvs([2, 1, 2], dual), argvs([1, 2, 1], dual)):
+            code, out = run(argv)
+            assert code == 0 and (code, out) == run(canonical), (dual, argv[0])
+
+
 def test_non_integer_theta_vertices_exit_2():
     # theta entries are JSON integers: true is not vertex 1, 2.0 and "2" are not coerced
     for theta in ([True, 2], [1, 2.0], ["2"], "12"):

@@ -26,9 +26,8 @@ EXPORTED = {
         "poincare_polynomial",
     ],
     "schubert": [
-        "ChowClass", "char_map", "chern_tangent", "divided_difference", "dual",
-        "duality_product", "invariant_generators", "multiply", "pieri_multiply", "preimage",
-        "pullback_to_flags",
+        "ChowClass", "chern_tangent", "dual", "duality_product", "invariant_generators",
+        "multiply", "pullback_to_flags",
     ],
     "polynomial": ["Polynomial"],
     "steenrod": ["BottSamelsonRing", "bs_pushforward", "steenrod_on_bs", "steenrod_total"],
@@ -127,6 +126,25 @@ def test_roots_and_cosets_load_only_root_data_and_weyl(argv):
 def test_cut_hasse_and_tits_commands_load_no_schubert_machinery(argv):
     package, _ = _modules_loaded_by(argv)
     assert package & {"schubert", "polynomial", "steenrod"} == set()
+
+
+@_params(SCHUBERT_COMMANDS)
+def test_schubert_commands_load_no_polynomials(argv):
+    # products, Chern classes and Steenrod squares compute in the Schubert basis alone
+    package, _ = _modules_loaded_by(argv)
+    assert "schubert" in package
+    assert "polynomial" not in package
+
+
+def test_steenrod_import_loads_no_polynomials():
+    script = (
+        "import json, sys\n"
+        "import weylchow.steenrod\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('weylchow.'))))\n"
+    )
+    loaded = set(json.loads(_last_line_of_python(script)))
+    assert "weylchow.schubert" in loaded
+    assert "weylchow.polynomial" not in loaded
 
 
 @_params(HELP_AND_ARGV_ERRORS, ROOTS_AND_COSETS, CUT_HASSE_AND_TITS, POINCARE_COMMANDS,

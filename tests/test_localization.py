@@ -17,11 +17,11 @@ from weylchow.cli import run
 from weylchow.errors import ResourceLimitError
 from weylchow.rootdata import build_root_system
 from weylchow.schubert import (
-    ENTRY_CAP, ChowClass, _FlagContext, flag_context, multiply, pieri_multiply,
+    ENTRY_CAP, ChowClass, _FlagContext, flag_context, multiply,
 )
 from weylchow.weyl import CosetTable, WeylElement, apply_word, coset_reps
 
-from oracles import chern_classes_by_polynomials, multiply_by_borel
+from oracles import chern_classes_by_polynomials, multiply_by_borel, pieri_multiply
 
 E7P1 = ("E7", (2, 3, 4, 5, 6, 7))
 E8P8 = ("E8", (1, 2, 3, 4, 5, 6, 7))

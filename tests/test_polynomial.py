@@ -16,6 +16,8 @@ from oracles import (
     elementary_symmetric_by_polynomials,
     elementary_symmetric_classes,
     exact_divide_by_linear,
+    graded_parts,
+    reduce_mod,
     reflect,
     series_inverse,
 )
@@ -105,8 +107,8 @@ def test_to_integer_and_mod():
     x = w(rs, 1)
     ip = x.scale(3) + Polynomial.one(rs).scale(2)
     # 3x + 2 mod 2 = x
-    assert ip.reduce_mod(2) == x
-    assert ip.reduce_mod(3) == Polynomial.one(rs).scale(2)
+    assert reduce_mod(ip, 2) == x
+    assert reduce_mod(ip, 3) == Polynomial.one(rs).scale(2)
 
 
 def test_elementary_symmetric():
@@ -149,7 +151,7 @@ def test_series_inverse():
             j = d - k
             if j <= 3:
                 total = total + pk * inv[j]
-    for d, part in total.graded_parts().items():
+    for d, part in graded_parts(total).items():
         if d <= 3:
             assert part == (Polynomial.one(rs) if d == 0 else Polynomial.zero(rs))
 

@@ -10,33 +10,42 @@ from hypothesis import strategies as st
 
 from weylchow import univar
 from weylchow.errors import InternalComputationError, UsageError
-from weylchow.polynomial import Polynomial
-from weylchow.rootdata import build_root_system, root_subsystem, weyl_degrees
-from weylchow.schubert import (
-    ChowClass,
+from weylchow.polynomial import (
+    Polynomial,
     _Echelon,
-    _FlagContext,
     _invariant_generators,
     _orbit,
     _power_sum,
     _power_sum_row,
-    char_map,
+)
+from weylchow.rootdata import build_root_system, root_subsystem, weyl_degrees
+from weylchow.schubert import (
+    ChowClass,
+    _FlagContext,
     chern_tangent,
     class_from_json,
     class_to_json,
-    divided_difference,
     dual,
     duality_product,
     flag_context,
     invariant_generators,
     multiply,
-    pieri_multiply,
-    preimage,
     pullback_to_flags,
 )
 from weylchow.weyl import WeylElement, coset_reps, poincare_polynomial
 
-from oracles import all_reduced_words, invariant_generators_by_polynomials
+from oracles import (
+    _grid_products,
+    all_reduced_words,
+    borel_memos,
+    char_map,
+    divided_difference,
+    grid,
+    invariant_generators_by_polynomials,
+    pieri_multiply,
+    preimage,
+    preimage_of,
+)
 
 
 def basis_class(rs, theta, k, ring="Z"):
@@ -222,10 +231,10 @@ def test_power_sum_row_is_the_polynomial_jacobian_row(data):
 
 
 def test_generator_row_recheck_catches_a_wrong_expansion(monkeypatch):
-    import weylchow.schubert as schubert
+    import weylchow.polynomial as polynomial
 
     # twice the power sum is still invariant, so only the row re-check can see it
-    monkeypatch.setattr(schubert, "_power_sum", lambda rs, orbit, d: _power_sum(rs, orbit, d).scale(2))
+    monkeypatch.setattr(polynomial, "_power_sum", lambda rs, orbit, d: _power_sum(rs, orbit, d).scale(2))
     with pytest.raises(InternalComputationError, match="Jacobian row"):
         _invariant_generators(build_root_system("B3"), (2, 3))
 
@@ -525,11 +534,15 @@ def test_class_json_roundtrip():
     )
     got = class_from_json(js2)
     assert got.coeffs == {ct.dual_index(1): 1}
-    # a word that is not the canonical one is canonicalized before the lookup
+    # a reduced word that is not the canonical one is canonicalized before the lookup;
+    # a word that is not reduced names no Schubert class and is refused
     ct = coset_reps(build_root_system("A2"), ())
-    for word in ([2, 1, 2], [1, 1, 2, 1, 2]):
+    for word in ([2, 1, 2], [2, 1]):
         got = class_from_json('{"type": "A2", "ring": "Z", "terms": [{"word": %s}]}' % word)
         assert got.coeffs == {ct.index[WeylElement.from_word(ct.rs, word).word]: 1}
+    for word in ([1, 1], [1, 2, 1, 2], [1, 1, 2, 1, 2]):
+        with pytest.raises(UsageError, match="not reduced"):
+            class_from_json('{"type": "A2", "ring": "Z", "terms": [{"word": %s}]}' % word)
 
 
 @pytest.mark.parametrize(
@@ -570,14 +583,16 @@ def test_pairing_route_solves_the_fixed_factor_once(monkeypatch):
     ctx = flag_context(rs, (2, 3, 4, 5, 6))
     a = ChowClass("E6", ctx.theta, "Z", {k: 1 for k in ctx.ct.of_codim(7)[:2]})
     b = ChowClass("E6", ctx.theta, "Z", {ctx.ct.of_codim(3)[0]: 1})
+    import oracles
+
     solved = []
-    pivot_coords = _FlagContext.pivot_coords
+    pivot_coords = oracles.pivot_coords
 
-    def counting(self, cls):
-        solved.append(cls.codim(self.ct))
-        return pivot_coords(self, cls)
+    def counting(context, cls):
+        solved.append(cls.codim(context.ct))
+        return pivot_coords(context, cls)
 
-    monkeypatch.setattr(_FlagContext, "pivot_coords", counting)
+    monkeypatch.setattr(oracles, "pivot_coords", counting)
     got = multiply_by_borel(a, b)
     assert solved == [3] + [6] * len(ctx.ct.of_codim(10))
     assert got == _multiply_poly_route(ctx, a, b) == multiply(a, b)
@@ -640,7 +655,7 @@ def test_grid_verification_catches_a_wrong_inverse(monkeypatch):
     monkeypatch.setattr(_Echelon, "inverse", wrong)
     ctx = _FlagContext(build_root_system("B3"), (1, 2))
     with pytest.raises(InternalComputationError, match="preimage verification failed"):
-        ctx.grid(2)
+        grid(ctx, 2)
 
 
 @pytest.mark.parametrize(
@@ -662,7 +677,7 @@ def test_preimages_are_integer_polynomials_over_one_denominator(name, theta, top
             ("Q", {k: Fraction(j + 1, j + 2) for j, k in enumerate(ks)}),
         ):
             cls = ChowClass(name, ctx.theta, ring, coeffs)
-            den, U = ctx.preimage_of(cls)
+            den, U = preimage_of(ctx, cls)
             assert den > 0 and all(type(c) is int for c in U.terms.values())
             assert math.gcd(den, *U.terms.values()) == 1
             u = preimage(cls)
@@ -678,9 +693,9 @@ _ROUTE_IDS = ["B3/P3", "F4/P4", "E6/P1"]
 @pytest.mark.parametrize("name,theta", _ROUTE_SPACES, ids=_ROUTE_IDS)
 def test_grid_products_are_full_length_of_weighted_degree(name, theta):
     ctx = flag_context(build_root_system(name), theta)
-    degs = [g.degree() for g in ctx.gens]
+    degs = [g.degree() for g in invariant_generators(ctx.rs, ctx.theta)]
     for d in range(1, ctx.dim + 1):
-        products = ctx._grid_products(d)
+        products = _grid_products(ctx, d)
         assert products and len(set(products)) == len(products)
         for exps in products:
             assert len(exps) == len(degs), (d, exps)
@@ -690,11 +705,11 @@ def test_grid_products_are_full_length_of_weighted_degree(name, theta):
 @pytest.mark.parametrize("name,theta", _ROUTE_SPACES, ids=_ROUTE_IDS)
 def test_grid_candidates_are_lower_pivots_times_one_generator(name, theta):
     ctx = _FlagContext(build_root_system(name), theta)
-    degs = [g.degree() for g in ctx.gens]
-    assert ctx._grid_products(0) == [(0,) * len(degs)]
+    degs = [g.degree() for g in invariant_generators(ctx.rs, ctx.theta)]
+    assert _grid_products(ctx, 0) == [(0,) * len(degs)]
     for d in range(1, ctx.dim + 1):
-        products = ctx._grid_products(d)
-        lower = {j: set(ctx.grid(d - g)[0]) for j, g in enumerate(degs) if g <= d}
+        products = _grid_products(ctx, d)
+        lower = {j: set(grid(ctx, d - g)[0]) for j, g in enumerate(degs) if g <= d}
         for exps in products:
             assert any(exps[j] and exps[:j] + (exps[j] - 1,) + exps[j + 1:] in pivots
                        for j, pivots in lower.items()), (d, exps)
@@ -705,20 +720,21 @@ def test_grid_candidates_are_lower_pivots_times_one_generator(name, theta):
 def test_grids_built_top_down_match_grids_built_bottom_up(name, theta):
     rs = build_root_system(name)
     up = _FlagContext(rs, theta)
-    bottom_up = [up.grid(d) for d in range(up.dim + 1)]
+    bottom_up = [grid(up, d) for d in range(up.dim + 1)]
     down = _FlagContext(rs, theta)
-    down.grid(down.dim)
-    assert sorted(down._grid) == list(range(down.dim + 1))  # the top grid built every lower one
-    assert [down.grid(d) for d in range(down.dim + 1)] == bottom_up
+    grid(down, down.dim)
+    grids = borel_memos(down)[0]
+    assert sorted(grids) == list(range(down.dim + 1))  # the top grid built every lower one
+    assert [grid(down, d) for d in range(down.dim + 1)] == bottom_up
 
 
 def test_e6p1_grids_sweep_fewer_images_than_the_weighted_degree_enumeration():
     ctx = _FlagContext(build_root_system("E6"), (2, 3, 4, 5, 6))
     for d in range(ctx.dim + 1):
-        ctx.grid(d)
+        grid(ctx, d)
     # every weighted composition of each degree, sparse first, swept 42 images for these 27 pivots
-    assert sum(len(ctx.grid(d)[0]) for d in range(ctx.dim + 1)) == 27
-    assert len(ctx._images) < 42
+    assert sum(len(grid(ctx, d)[0]) for d in range(ctx.dim + 1)) == 27
+    assert len(borel_memos(ctx)[1]) < 42
 
 
 _FRACTIONS = {  # coefficient j of a test class, fractional where the ring allows it
@@ -756,18 +772,19 @@ def test_poly_route_matches_the_preimage_product_oracle(name, theta):
 
 
 def test_monomial_images_are_swept_once(monkeypatch):
+    import oracles
     from oracles import _multiply_poly_route
 
     rs = build_root_system("E6")
     ctx = _FlagContext(rs, (2, 3, 4, 5, 6))
     swept = []
-    sweep = _FlagContext.delta_scalars
+    sweep = oracles.delta_scalars
 
-    def counting(self, P, max_len=None):
+    def counting(context, P, max_len=None):
         swept.append(frozenset(P.terms.items()))
-        return sweep(self, P, max_len)
+        return sweep(context, P, max_len)
 
-    monkeypatch.setattr(_FlagContext, "delta_scalars", counting)
+    monkeypatch.setattr(oracles, "delta_scalars", counting)
     d = 4
     basis = [k for k in range(len(ctx.ct)) if ctx.ct.codim(k) == d]
     assert len(basis) > 1
@@ -783,7 +800,8 @@ def test_monomial_images_are_swept_once(monkeypatch):
     assert len(swept) == after_mod2  # the Z pass reuses every image
     for pair, cls in integral.items():
         assert mod2[pair] == ChowClass("E6", ctx.theta, "Z/2", cls.coeffs)
-    imaged = set(ctx._images)
-    pivots = ctx.grid(2 * d)[0]
+    images = borel_memos(ctx)[1]
+    imaged = set(images)
+    pivots = grid(ctx, 2 * d)[0]
     assert imaged & set(pivots)  # the grid reads images the products already swept
-    assert len(swept) == len(set(swept)) == len(ctx._images)  # no monomial swept twice
+    assert len(swept) == len(set(swept)) == len(images)  # no monomial swept twice

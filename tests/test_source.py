@@ -25,3 +25,43 @@ def test_no_assertion_errors_in_the_package():
     found = [f"{path.name}:{line}: {what}" for path in SOURCES
              for line, what in _asserts(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
+
+
+#: private module-level names kept although no package code reads them, with the reason
+UNREFERENCED_ALLOWED = {
+    "_poly_limit": "perfbench/record_golden.py reads the route split its golden pools were drawn with",
+}
+
+
+def _references(tree, skip=None):
+    """Names and attribute names read anywhere in tree, imported names included, apart
+    from the lines of the node `skip` (a definition's own body)."""
+    lines = range(skip.lineno, skip.end_lineno + 1) if skip else ()
+    for node in ast.walk(tree):
+        if getattr(node, "lineno", None) in lines:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_private_definition_is_referenced_in_the_package():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    everywhere = {path: set(_references(tree)) for path, tree in trees.items()}
+    unreferenced = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or name.endswith("__") or name in UNREFERENCED_ALLOWED:
+                continue
+            used = any(name in refs for other, refs in everywhere.items() if other != path)
+            if not (used or name in set(_references(tree, skip=node))):
+                unreferenced.append(f"{path.name}: {name}")
+    assert unreferenced == []
+    assert set(UNREFERENCED_ALLOWED) <= {node.name for tree in trees.values() for node in tree.body
+                                         if isinstance(node, ast.FunctionDef)}

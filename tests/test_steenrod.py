@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylchow import steenrod
-from weylchow.errors import InternalComputationError, ResourceLimitError, UsageError
+from weylchow.errors import CalibrationError, InternalComputationError, ResourceLimitError, UsageError
 from weylchow.rootdata import build_root_system
 from weylchow.schubert import ChowClass, _FlagContext, multiply
 from weylchow.steenrod import (
     DIRECT_WORD_LIMIT,
     BottSamelsonRing,
     _direct_steenrod_pieces,
-    _oracle_steenrod_divisor_generated,
     bs_pushforward,
     steenrod_basis_element,
     steenrod_on_bs,
@@ -22,7 +21,7 @@ from weylchow.steenrod import (
 )
 from weylchow.weyl import CosetTable, WeylElement, coset_reps, longest_element
 
-from oracles import all_reduced_words
+from oracles import all_reduced_words, steenrod_divisor_generated
 
 
 def mod2_basis(rs, theta, k):
@@ -341,7 +340,7 @@ def test_wu_convention_ii_fails_oracle():
         ct = coset_reps(rs, ())
         bad = [
             idx for idx in range(len(ct))
-            if _direct_steenrod_pieces(rs, (), idx, "II") != _oracle_steenrod_divisor_generated(rs, idx)
+            if _direct_steenrod_pieces(rs, (), idx, "II") != steenrod_divisor_generated(rs, idx)
         ]
         assert len(bad) == mismatches, (name, bad)
 
@@ -353,8 +352,36 @@ def test_direct_route_matches_divisor_oracle_a2_a3():
         ct = coset_reps(rs, ())
         for idx in range(len(ct)):
             got = _direct_steenrod_pieces(rs, (), idx, conv)
-            want = _oracle_steenrod_divisor_generated(rs, idx)
+            want = steenrod_divisor_generated(rs, idx)
             assert got == want, (name, idx)
+
+
+def test_cartan_check_separates_the_conventions_as_the_closed_form_does():
+    # the calibration's Cartan-formula check fails exactly where the direct route
+    # disagrees with the divisor-generated closed form: nowhere for convention I,
+    # and for II on A3 but not on A2
+    failing = {}
+    for name in ("A2", "A3"):
+        rs = build_root_system(name)
+        classes = range(len(coset_reps(rs, ())))
+        for conv in ("I", "II"):
+            failures = steenrod._cartan_failures(name, conv)
+            closed_form = [k for k in classes if _direct_steenrod_pieces(rs, (), k, conv)
+                           != steenrod_divisor_generated(rs, k)]
+            assert bool(failures) == bool(closed_form), (name, conv)
+            failing[name, conv] = len(failures)
+    # 2 + 2 * 5 checks on A2, 3 + 3 * 23 on A3
+    assert failing == {("A2", "I"): 0, ("A2", "II"): 0, ("A3", "I"): 0, ("A3", "II"): 22}
+
+
+def test_calibration_refuses_convention_ii(monkeypatch):
+    steenrod._calibrate.cache_clear()
+    try:
+        monkeypatch.setattr(steenrod, "WU_CONVENTION", "II")
+        with pytest.raises(CalibrationError, match="Wu convention II fails 22 .* A3 full flags"):
+            steenrod._calibrate()
+    finally:
+        steenrod._calibrate.cache_clear()
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "A3"])
