@@ -24,15 +24,20 @@ point, t0 = 2 rho^vee, where each positive root takes the value 2 height > 0.
   The constants c^x with l(x) = deg F are the Schubert coefficients.  A
   product takes F = a b, the Chern class c_k takes F = e_k of the tangent
   weights x(-U), and every degree is solved in one pass.
-- Cap before work.  Solving degree n visits the x with l(x) <= n, and the
-  walk for x holds at most G(l(x)) states, G(l) the representatives of
-  length <= l (the table's layers, the coefficients of g(X)); more than
-  ENTRY_CAP in all is refused with ResourceLimitError before any row is
-  built.  Past the cap a product keeps only the x above a term of each
-  factor in the Bruhat order, the only ones whose c^x can be nonzero, and
-  their walks keep only the lengths the solve reads
-  (`_FlagContext.fixed_points`), so near-complementary products on large
-  flag varieties stay cheap.
+- Only the fixed points that can carry a coefficient.  A Chern class
+  visits every x with l(x) <= its degree; a product only those above a
+  term of each factor in the Bruhat order, since a(x) b(x) vanishes at
+  every other x and so does every c^x (`_FlagContext.fixed_points`).  The
+  cut is read off the factors' supports, never off values: a factor with
+  terms of both signs can vanish at an x above its support by cancellation.
+- Cap before work.  The walk for x holds at most G(l(x)) states, G(l) the
+  representatives of length <= l (the table's layers, the coefficients of
+  g(X)).  Under ENTRY_CAP for every x with l(x) <= n, the rows up to n are
+  memoized and the Bruhat order is read off them; past it a Chern class is
+  refused with ResourceLimitError before any row is built, and a product
+  finds the x above both factors by a walk up the Bruhat order, with only
+  the lengths the solve reads in their rows, so near-complementary products
+  on large flag varieties stay cheap.
 
 No product, Chern class or Steenrod square reads a polynomial.  The Borel
 presentation (invariant polynomials, the characteristic map, preimages and
@@ -47,14 +52,16 @@ import json
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cache, cached_property
-from itertools import accumulate, chain, repeat
+from functools import cache, cached_property, reduce
+from itertools import accumulate, repeat
 from math import lcm
-from operator import mul
+from operator import mul, or_
 from types import MappingProxyType
 
 from .errors import InternalComputationError, ResourceLimitError, UsageError
-from .rootdata import Record, RootSystem, build_root_system, checked_vertices, ring_modulus
+from .rootdata import (
+    Record, RootSystem, build_root_system, checked_vertices, ints_within, ring_modulus,
+)
 from .weyl import CosetTable, WeylElement, checked_word, coset_reps
 
 #: restriction-walk states above which a product or a Chern class is refused before any
@@ -114,6 +121,10 @@ class ChowClass(Record):
         # a mapping proxy does not pickle; its dict does
         return ChowClass, (self.type_name, self.theta, self.ring, dict(self.coeffs))
 
+    def __hash__(self):
+        # nor does it hash; its items do, and equal classes have equal items
+        return hash((self.type_name, self.theta, self.ring, frozenset(self.coeffs.items())))
+
     def is_zero(self):
         return not self.coeffs
 
@@ -167,7 +178,7 @@ def class_from_json(text: str) -> ChowClass:
         theta = data.get("theta", [])
         if not isinstance(theta, list):  # a string or an object would iterate as vertices
             raise UsageError(f"theta {theta!r} must be a list of integer vertices")
-        ct = coset_reps(rs, checked_vertices(rs.rank, theta, "theta vertex"))
+        ct = _flag_context(rs, checked_vertices(rs.rank, theta, "theta vertex")).ct
         ring = data.get("ring", "Z")
         if not isinstance(ring, str):
             raise UsageError(f"ring {ring!r} must be a string such as \"Z/2\"")
@@ -256,6 +267,7 @@ class _FlagContext:
         self.theta = self.ct.theta
         self.dim = self.ct.max_length
         self._rows = {}          # position x -> restriction row of x (see rows)
+        self._above = {}         # position v -> bitmask of the x in _rows with v <= x
         self._row_entries = 0    # the memo's rows counted as in ENTRY_CAP
         # grow-on-demand memo: integral c_0 .. c_b as coefficient maps serve requests <= b
         self._chern = []
@@ -319,28 +331,43 @@ class _FlagContext:
         )
 
     def fixed_points(self, top, supports=()):
-        """(layers, lengths): the fixed points a solve up to degree top visits, as one
-        list of positions per length 0..top, each in table order, and the lengths of
-        the v whose xi^v(x) the solve reads (None: every v <= x).  Refused above
-        ENTRY_CAP before any row is built.
+        """(xs, lengths): the positions of the fixed points a solve up to degree top
+        visits, increasing, and the lengths of the v whose xi^v(x) the solve reads
+        (None: every v <= x).  Table order is by length, so xs is a valid solve order.
 
-        These are the x with l(x) <= top.  When their walks count more than
-        ENTRY_CAP states and the two supports of a product's factors (positions
-        of classes xi^v) are given, only the x above some v of each support in
-        the Bruhat order are kept: a(x) b(x) vanishes at every other x, and so
-        does every c^x of the product.  Such an x is no shorter than the longest
-        of the two supports' shortest terms, so the solve reads only the values
-        at the supports' lengths and from there up.  The smaller of the two
-        upper sets is grown, the two in turn until one is complete, then cut to
-        the x above the other support; when both pass the cap the product is
-        refused without finishing either.
+        These are the x with l(x) <= top and, given the two supports of a
+        product's factors (positions of classes xi^v), only those above some v
+        of each support in the Bruhat order: a(x) b(x) vanishes at every other
+        x, and so does every c^x of the product.  The cut is read off the
+        supports alone, never off a factor's values.
+
+        When the walks of every x with l(x) <= top count at most ENTRY_CAP
+        states, their rows are memoized (`rows`) and the order is read off
+        them: every xi^v(x) at t0 is a sum of products of positive values, so
+        v <= x exactly when v is a key of row x, and `_above[v]` holds those x
+        as one bitmask.  Past the cap a Chern class is refused before any row
+        is built, and a product walks up the Bruhat order instead.  Such an x is
+        no shorter than the longest of the two supports' shortest terms, so the
+        solve reads only the values at the supports' lengths and from there
+        up.  The smaller of the two upper sets is grown, the two in turn until
+        one is complete, then cut to the x above the other support; when both
+        pass the cap the product is refused without finishing either.
         """
         ct = self.ct
         top = min(top, self.dim)
-        layers = self._layers[: top + 1]
-        entries = layers[-1][1]
+        entries = self._layers[top][1]
         if entries <= ENTRY_CAP:
-            return [layer for layer, _ in layers], None
+            end = ct.of_length(top).stop  # the x with l(x) <= top are the positions below end
+            if not supports:
+                return range(end), None
+            within = (1 << end) - 1
+            # xi^e(x) = 1 for every x, so the identity's upper set marks the memoized rows
+            if self._above.get(0, 0) & within != within:
+                self.rows(range(end))
+            above = self._above
+            for support in supports:
+                within &= reduce(or_, [above.get(v, 0) for v in support], 0)
+            return [x for x, bit in enumerate(reversed(bin(within))) if bit == "1"], None
         if not supports:
             raise self._refuse(entries, top)
         terms = [{ct.length(v) for v in s} for s in supports]
@@ -355,11 +382,8 @@ class _FlagContext:
                     continue
                 x = next(walk, None)
                 if x is None:
-                    layers = [[] for _ in range(top + 1)]
-                    for x in sorted(found[i]):
-                        if ct.bruhat_above(x, supports[1 - i]):
-                            layers[ct.length(x)].append(x)
-                    return layers, lengths
+                    other = supports[1 - i]
+                    return sorted(x for x in found[i] if ct.bruhat_above(x, other)), lengths
                 found[i].append(x)
                 entries[i] += counts[ct.length(x)]
         raise self._refuse(min(entries), top)
@@ -387,8 +411,10 @@ class _FlagContext:
 
         Whole rows come from the memo, which is emptied when new rows would
         take it past ENTRY_CAP (counted as there), so it holds no more
-        than one query may.  With `lengths`, the rows hold only the v of those
-        lengths; they are built for this call and not kept.
+        than one query may; `_above` records the keys of its rows as upper
+        sets (see `fixed_points`) and is emptied with it.  With `lengths`, the
+        rows hold only the v of those lengths; they are built for this call
+        and not kept.
         """
         if lengths is not None:
             return {x: self._row(x, lengths) for x in xs}
@@ -400,9 +426,14 @@ class _FlagContext:
         counts = self._counts(self.dim)
         if self._row_entries + sum(counts[self.ct.length(x)] for x in missing) > ENTRY_CAP:
             memo.clear()
+            self._above.clear()
             self._row_entries, missing = 0, xs
+        above = self._above
         for x in missing:
-            memo[x] = self._row(x)
+            memo[x] = row = self._row(x)
+            bit = 1 << x
+            for v in row[0]:
+                above[v] = above.get(v, 0) | bit
             self._row_entries += counts[self.ct.length(x)]
         return memo
 
@@ -418,38 +449,39 @@ class _FlagContext:
 
             c_d^x = (F_d(x) - sum over w < x of c_d^w xi^w(x)) / xi^x(x),
 
-        all values at t0.  Every c_d^w(t0) is an integer, so a division that
-        leaves a remainder raises InternalComputationError.  Returns, per
-        degree d, {basis position of xi^x: c_d^x} over l(x) = d, the constants
-        that do not depend on t0.
+        all values at t0.  The sum runs over the nonzero c_d^w found so far
+        when they are fewer than the keys of row x (a product's sparse
+        columns), else over the row (a Chern class's dense ones).  Every
+        c_d^w(t0) is an integer, so a division that leaves a remainder raises
+        InternalComputationError.  Returns, per degree d, {basis position of
+        xi^x: c_d^x} over l(x) = d, the constants that do not depend on t0.
         """
         ct = self.ct
-        layers, lengths = self.fixed_points(degrees[-1], supports)
-        rows = self.rows(chain.from_iterable(layers), lengths)
+        xs, lengths = self.fixed_points(degrees[-1], supports)
+        rows = self.rows(xs, lengths)
         cols = [{} for _ in degrees]  # degree index -> {x: c_d^x}, the nonzero ones
         out = [{} for _ in degrees]
         zeros = repeat(0)
-        for length, layer in enumerate(layers):
+        for x in xs:
+            length = ct.length(x)
             first = bisect_left(degrees, length)  # c_d^x = 0 for d < l(x)
-            for x in layer:
-                row, t = rows[x]
-                acc = rhs(row, t)
-                ws = None
-                for j in range(first, len(degrees)):
-                    col = cols[j]
-                    if col:  # c_d^x is still 0 in its own sum
-                        if ws is None:
-                            ws, vs = list(row), list(row.values())
-                        acc[j] -= sum(map(mul, map(col.get, ws, zeros), vs))
-                    if acc[j]:
-                        q, r = divmod(acc[j], row[x])
-                        if r:
-                            raise InternalComputationError(
-                                f"restriction at fixed point {x} is not divisible by xi^x(x)"
-                            )
-                        col[x] = q
-                if first < len(degrees) and degrees[first] == length and x in cols[first]:
-                    out[first][ct.dual_index(x)] = cols[first][x]
+            row, t = rows[x]
+            acc = rhs(row, t)
+            for j in range(first, len(degrees)):
+                col = cols[j]  # c_d^x is still 0 in its own sum
+                if len(col) < len(row):
+                    acc[j] -= sum(map(mul, map(row.get, col, zeros), col.values()))
+                else:
+                    acc[j] -= sum(map(mul, map(col.get, row, zeros), row.values()))
+                if acc[j]:
+                    q, r = divmod(acc[j], row[x])
+                    if r:
+                        raise InternalComputationError(
+                            f"restriction at fixed point {x} is not divisible by xi^x(x)"
+                        )
+                    col[x] = q
+            if first < len(degrees) and degrees[first] == length and x in cols[first]:
+                out[first][ct.dual_index(x)] = cols[first][x]
         return out
 
     # -- Chern classes ----------------------------------------------------
@@ -514,14 +546,18 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
     coefficient over Q is scaled by its class's common denominator, one over
     Z/p is its representative in [0, p)); the product of the graded parts of
     codimensions da and db is solved at degree da + db, every degree in one
-    pass of `_FlagContext.solve` (given both factors' supports, which cut a
-    large space to the fixed points above them), and the scales are divided
-    out last.
+    pass of `_FlagContext.solve` at the fixed points above both factors'
+    supports, and the scales are divided out last.  A coefficient key that
+    is not a position of the coset table is a usage error.
     """
     _check_compatible(a, b)
-    rs = build_root_system(a.type_name)
-    ctx = flag_context(rs, a.theta)
+    ctx = _class_context(a.type_name, tuple(a.theta))
     ct = ctx.ct
+    for cls in (a, b):
+        if not ints_within(cls.coeffs.keys(), 0, len(ct) - 1):
+            for k in cls.coeffs:
+                if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k < len(ct):
+                    raise UsageError(f"basis position {k!r} must be an integer in 0..{len(ct) - 1}")
 
     def integral_parts(cls):
         """(scale, {codim: [(position of xi^v, integer coefficient)]}) from `_integral`."""
@@ -554,8 +590,18 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
         supports = [[v for terms in parts.values() for v, _ in terms]
                     for parts in (parts_a, parts_b)]
         for layer in ctx.solve(degrees, products, supports):
-            coeffs.update((k, Fraction(c, den)) for k, c in layer.items())
+            if den == 1 and a.ring != "Q":  # an integer is its own coefficient over Z and Z/p
+                coeffs.update(layer)
+            else:
+                coeffs.update((k, Fraction(c, den)) for k, c in layer.items())
     return ChowClass(a.type_name, a.theta, a.ring, coeffs)
+
+
+@cache
+def _class_context(type_name: str, theta: tuple) -> _FlagContext:
+    """The flag context of classes carrying (type_name, theta), cached by the two as
+    spelled, so a class's variety is parsed and checked once."""
+    return flag_context(build_root_system(type_name), theta)
 
 
 def _poly_limit(dim: int) -> int:

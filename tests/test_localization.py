@@ -9,7 +9,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 import pytest
 
@@ -123,6 +123,153 @@ def test_row_factors_are_the_roots_r_j_at_2_rho_vee():
                      for i in range(rs.rank)]  # <alpha_i, x^-1 t0> = <x alpha_i, t0>
 
 
+# --- the cut to the fixed points above both factors ---------------------------
+
+
+def _cancelling_factors(ctx, x, count):
+    """Up to `count` pairs (a, b) of integral classes with both factors' supports below
+    the fixed point x and l(x) <= codim a + codim b, where a = c1 xi^v1 + c2 xi^v2 has
+    terms of both signs and vanishes at x by cancellation."""
+    ct = ctx.ct
+    row = ctx.rows([x])[x][0]
+    name = ctx.rs.type.name()
+    out = []
+    for length in range(1, ct.length(x)):
+        below = [v for v in ct.of_length(length) if v in row]
+        for v1, v2 in zip(below, below[1:]):
+            g = gcd(row[v1], row[v2])
+            a = ChowClass(name, ctx.theta, "Z", {ct.dual_index(v1): row[v2] // g,
+                                                 ct.dual_index(v2): -row[v1] // g})
+            for u in sorted(row):
+                if ct.length(x) <= length + ct.length(u) <= ctx.dim:
+                    out.append((a, ChowClass(name, ctx.theta, "Z", {ct.dual_index(u): 1})))
+                    break
+            if len(out) == count:
+                return out
+    return out
+
+
+def test_products_of_mixed_sign_factors_match_the_borel_route():
+    # the cut reads the factors' supports: a factor vanishing at an x above its
+    # support by cancellation still has x solved at
+    rs = build_root_system("B3")
+    ctx = flag_context(rs, ())
+    ct = ctx.ct
+    rng = random.Random(29)
+    pairs = []
+    for x in rng.sample(range(len(ct)), 12):
+        for a, b in _cancelling_factors(ctx, x, 2):
+            (va, ca), (vb, cb) = ((ct.dual_index(k), c) for k, c in a.coeffs.items())
+            row = ctx.rows([x])[x][0]
+            assert ca * row[va] + cb * row[vb] == 0 and ca * cb < 0
+            pairs.append((a, b))
+    assert len(pairs) >= 12
+
+    def two_terms(ring):
+        d = rng.randint(1, ctx.dim - 1)
+        ks = rng.sample(ct.of_codim(d), 2)
+        cs = [rng.randint(1, 5), -rng.randint(1, 5)]
+        if ring == "Q":
+            cs = [Fraction(c, rng.randint(1, 4)) for c in cs]
+        return ChowClass("B3", (), ring, dict(zip(ks, cs)))
+
+    for ring in ("Z", "Q"):
+        pairs += [(two_terms(ring), two_terms(ring)) for _ in range(15)]
+    pairs += [(ChowClass("B3", (), "Q", {k: Fraction(c, 3) for k, c in a.coeffs.items()}),
+               ChowClass("B3", (), "Q", b.coeffs)) for a, b in pairs[:6]]
+    for a, b in pairs:
+        assert multiply(a, b) == multiply_by_borel(a, b), (a, b)
+
+
+@pytest.mark.parametrize("name,theta", [("E6", (2, 3, 4, 5, 6)), E7P1], ids=["E6/P1", "E7/P1"])
+def test_the_cut_under_the_cap_matches_the_upper_set_walk(name, theta, monkeypatch):
+    # under the cap the Bruhat order is read off the memoized rows; with the cap just
+    # below a product's count the same fixed points come from `upper_set`
+    rs = build_root_system(name)
+    ctx = flag_context(rs, theta)
+    ct = ctx.ct
+    rng = random.Random(41)
+
+    def sample(ring):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            k = rng.choice(range(len(ct) - 1))  # not the fundamental class: its upper set is all
+            terms[k] = rng.choice([-3, -1, 1, 2, 5]) if ring != "Q" else Fraction(
+                rng.randint(-5, 5), rng.randint(1, 3))
+        return ChowClass(name, ctx.theta, ring, terms)
+
+    for _ in range(25):
+        ring = rng.choice(["Z", "Q", "Z/2", "Z/3"])
+        a, b = sample(ring), sample(ring)
+        degrees = [ct.codim(ka) + ct.codim(kb) for ka in a.coeffs for kb in b.coeffs]
+        top = max([d for d in degrees if d <= ctx.dim], default=None)
+        want = multiply(a, b)
+        if top is None:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr("weylchow.schubert.ENTRY_CAP", ctx._layers[top][1] - 1)
+            walked, real = [], CosetTable.upper_set
+            m.setattr(CosetTable, "upper_set",
+                      lambda ct, starts, top: walked.append(top) or real(ct, starts, top))
+            assert multiply(a, b) == want, (a, b)
+            assert walked == [top, top]
+
+
+class _Reads(dict):
+    """A copy of the rows a solve is given, recording the positions it reads."""
+
+    def __init__(self, rows, seen):
+        super().__init__(rows)
+        self.seen = seen
+
+    def __getitem__(self, x):
+        self.seen.append(x)
+        return super().__getitem__(x)
+
+
+def _recorded_reads(monkeypatch):
+    seen = []
+    real = _FlagContext.rows
+    monkeypatch.setattr(_FlagContext, "rows",
+                        lambda self, xs, lengths=None: _Reads(real(self, xs, lengths), seen))
+    return seen
+
+
+def test_a_product_solves_only_at_the_fixed_points_above_both_factors(monkeypatch):
+    name, theta = "E6", (2, 3, 4, 5, 6)
+    ctx = flag_context(build_root_system(name), theta)
+    ct = ctx.ct
+    seen = _recorded_reads(monkeypatch)
+    visited = 0
+    for ka in range(len(ct)):
+        for kb in range(len(ct)):
+            da, db = ct.codim(ka), ct.codim(kb)
+            if da + db > ctx.dim:
+                continue
+            va, vb = ct.dual_index(ka), ct.dual_index(kb)
+            want = [x for x in range(ct.of_length(da + db).stop)
+                    if ct.bruhat_above(x, [va]) and ct.bruhat_above(x, [vb])]
+            seen.clear()
+            multiply(*(ChowClass(name, ctx.theta, "Z", {k: 1}) for k in (ka, kb)))
+            assert seen == want, (ka, kb)
+            visited += len(want)
+    # of the x with l(x) <= da + db, summed over the products, the cut visits under a third
+    everything = sum(ct.of_length(ct.codim(ka) + ct.codim(kb)).stop
+                     for ka in range(len(ct)) for kb in range(len(ct))
+                     if ct.codim(ka) + ct.codim(kb) <= ctx.dim)
+    assert visited * 3 < everything
+
+
+def test_a_chern_class_still_solves_at_every_fixed_point_up_to_its_codimension(monkeypatch):
+    name, theta = "E6", (2, 3, 4, 5, 6)
+    seen = _recorded_reads(monkeypatch)
+    for codim in (0, 3, 16):
+        ctx = _FlagContext(build_root_system(name), theta)
+        seen.clear()
+        ctx.chern_classes(max_codim=codim)
+        assert seen == list(range(ctx.ct.of_length(codim).stop)), codim
+
+
 # --- closed forms from the root data ----------------------------------------
 
 
@@ -222,15 +369,15 @@ def test_every_e8p1_query_passes_the_cap(monkeypatch):
     with pytest.raises(_Started):
         ctx.chern_classes()
     point, fundamental = (ChowClass("E8", ctx.theta, "Z", {k: 1}) for k in (0, len(ctx.ct) - 1))
-    monkeypatch.setattr("weylchow.schubert.flag_context", lambda rs, theta: ctx)
+    monkeypatch.setattr("weylchow.schubert._class_context", lambda name, theta: ctx)
     with pytest.raises(_Started):
         multiply(point, fundamental)
     monkeypatch.setattr("weylchow.schubert.ENTRY_CAP", ctx._layers[-1][1] - 1)
     with pytest.raises(ResourceLimitError):  # one state over the cap is refused before any row
         ctx.chern_classes()
     # a product is cut to the fixed points above both factors: here the one point
-    layers, lengths = ctx.fixed_points(ctx.dim, ([0], [len(ctx.ct) - 1]))
-    assert [x for layer in layers for x in layer] == [len(ctx.ct) - 1] and lengths == {0, ctx.dim}
+    xs, lengths = ctx.fixed_points(ctx.dim, ([0], [len(ctx.ct) - 1]))
+    assert xs == [len(ctx.ct) - 1] and lengths == {0, ctx.dim}
 
 
 def test_chern_above_the_cap_exits_3():

@@ -495,6 +495,29 @@ def test_chow_class_value_contract():
     assert type(q.coeffs[0]) is Fraction
 
 
+def test_chow_classes_hash_by_value():
+    a = ChowClass("A2", (), "Z/2", {0: 3, 1: 0, 4: 1})
+    b = ChowClass("A2", (), "Z/2", {4: 1, 0: 1})
+    assert a == b and hash(a) == hash(b)
+    q, q2 = ChowClass("A2", (), "Q", {1: 2}), ChowClass("A2", (), "Q", {1: Fraction(4, 2)})
+    assert q == q2 and hash(q) == hash(q2)
+    others = [ChowClass("A2", (), "Z/3", {0: 1, 4: 1}), ChowClass("A2", (1,), "Z/2", {0: 1}),
+              ChowClass("A3", (), "Z/2", {0: 1, 4: 1}), ChowClass("A2", (), "Z/2", {0: 1})]
+    assert len({a, b, q, q2, *others}) == 2 + len(others)
+    assert b in {a} and q2 in {q: 1} and not set(others) & {a}
+
+
+@pytest.mark.parametrize("key", [99, 6, -1, True, "0", 1.0, None])
+def test_multiply_refuses_positions_outside_the_table(key):
+    # A2 full flags: positions 0..5
+    good = ChowClass("A2", (), "Z", {2: 1})
+    bad = ChowClass("A2", (), "Z", {0: 1, key: 1})
+    for a, b in ((bad, good), (good, bad)):
+        with pytest.raises(UsageError, match=r"basis position .* must be an integer in 0\.\.5"):
+            multiply(a, b)
+    assert multiply(good, ChowClass("A2", (), "Z", {5: 1, 0: 1})) == good
+
+
 def test_each_product_takes_the_lower_degree_route(monkeypatch):
     # the polynomial route reads images of degree da + db, the pairing route
     # images of degree dim - max(da, db); the lower one wins, a tie goes to
