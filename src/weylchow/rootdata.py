@@ -407,21 +407,12 @@ def checked_vertices(rank: int, vertices, what: str = "vertex") -> tuple:
     Anything else raises UsageError naming the range; `what` names the vertices.
     """
     vertices = tuple(vertices)
-    if not ints_within(vertices, 1, rank):
-        for i in vertices:
-            if not isinstance(i, int) or isinstance(i, bool):
-                raise UsageError(f"{what} {i!r} must be an integer in 1..{rank}")
-            if not 1 <= i <= rank:
-                raise UsageError(f"{what} {i} out of range 1..{rank}")
+    for i in vertices:
+        if not isinstance(i, int) or isinstance(i, bool):
+            raise UsageError(f"{what} {i!r} must be an integer in 1..{rank}")
+        if not 1 <= i <= rank:
+            raise UsageError(f"{what} {i} out of range 1..{rank}")
     return tuple(sorted(set(vertices)))
-
-
-def ints_within(values, lo: int, hi: int) -> bool:
-    """Whether the sized collection values holds only ints in lo..hi, each of type int
-    exactly: the input checks' fast path, a few C-level passes.  False on anything else
-    (a bool, an int subclass, another type, a value out of range), where a check runs its
-    own loop for the message."""
-    return not values or ({*map(type, values)} == {int} and lo <= min(values) and max(values) <= hi)
 
 
 def root_subsystem(rs: RootSystem, theta) -> DynkinType:

@@ -32,12 +32,13 @@ point, t0 = 2 rho^vee, where each positive root takes the value 2 height > 0.
   terms of both signs can vanish at an x above its support by cancellation.
 - Cap before work.  The walk for x holds at most G(l(x)) states, G(l) the
   representatives of length <= l (the table's layers, the coefficients of
-  g(X)).  Under ENTRY_CAP for every x with l(x) <= n, the rows up to n are
-  memoized and the Bruhat order is read off them; past it a Chern class is
-  refused with ResourceLimitError before any row is built, and a product
-  finds the x above both factors by a walk up the Bruhat order, with only
-  the lengths the solve reads in their rows, so near-complementary products
-  on large flag varieties stay cheap.
+  g(X)).  Under ENTRY_CAP for every x with l(x) <= n, the rows a query
+  needs are memoized and the Bruhat order is read off them (a product
+  needs the rows from the longer of its factors' shortest terms up to n);
+  past it a Chern class is refused with ResourceLimitError before any row
+  is built, and a product finds the x above both factors by a walk up the
+  Bruhat order, with only the lengths the solve reads in their rows, so
+  near-complementary products on large flag varieties stay cheap.
 
 No product, Chern class or Steenrod square reads a polynomial.  The Borel
 presentation (invariant polynomials, the characteristic map, preimages and
@@ -59,9 +60,7 @@ from operator import mul, or_
 from types import MappingProxyType
 
 from .errors import InternalComputationError, ResourceLimitError, UsageError
-from .rootdata import (
-    Record, RootSystem, build_root_system, checked_vertices, ints_within, ring_modulus,
-)
+from .rootdata import Record, RootSystem, build_root_system, checked_vertices, ring_modulus
 from .weyl import CosetTable, WeylElement, checked_word, coset_reps
 
 #: restriction-walk states above which a product or a Chern class is refused before any
@@ -267,7 +266,7 @@ class _FlagContext:
         self.theta = self.ct.theta
         self.dim = self.ct.max_length
         self._rows = {}          # position x -> restriction row of x (see rows)
-        self._above = {}         # position v -> bitmask of the x in _rows with v <= x
+        self._above = {}         # position v -> bitmask of x with v <= x (see fixed_points)
         self._row_entries = 0    # the memo's rows counted as in ENTRY_CAP
         # grow-on-demand memo: integral c_0 .. c_b as coefficient maps serve requests <= b
         self._chern = []
@@ -341,17 +340,25 @@ class _FlagContext:
         x, and so does every c^x of the product.  The cut is read off the
         supports alone, never off a factor's values.
 
-        When the walks of every x with l(x) <= top count at most ENTRY_CAP
-        states, their rows are memoized (`rows`) and the order is read off
-        them: every xi^v(x) at t0 is a sum of products of positive values, so
-        v <= x exactly when v is a key of row x, and `_above[v]` holds those x
-        as one bitmask.  Past the cap a Chern class is refused before any row
-        is built, and a product walks up the Bruhat order instead.  Such an x is
-        no shorter than the longest of the two supports' shortest terms, so the
-        solve reads only the values at the supports' lengths and from there
-        up.  The smaller of the two upper sets is grown, the two in turn until
-        one is complete, then cut to the x above the other support; when both
-        pass the cap the product is refused without finishing either.
+        Such an x is no shorter than the longest of the two supports'
+        shortest terms.  When the walks of every x with l(x) <= top count at
+        most ENTRY_CAP states, the rows of the x from that length up to top
+        are memoized (`rows`) and the order is read off them: every xi^v(x) at
+        t0 is a sum of products of positive values, so v <= x exactly when v
+        is a key of row x.  `_above[v]` keeps the x found above v as one
+        bitmask, and `_above[0]` (the identity, below every x) the x whose
+        rows were read.  The masks are facts of the order, so they outlive
+        the rows; the prefix of n positions they lie in counts at least
+        1 + 2 + ... + n states, under the cap, so they hold fewer than
+        2 ENTRY_CAP bits.
+
+        Past the cap a Chern class is refused before any row is built, and a
+        product walks up the Bruhat order instead, its rows holding only the
+        values at the supports' lengths and from the longest shortest term
+        up.  The smaller of the two upper sets is grown, the two in turn
+        until one is complete, then cut to the x above the other support;
+        when both pass the cap the product is refused without finishing
+        either.
         """
         ct = self.ct
         top = min(top, self.dim)
@@ -360,11 +367,15 @@ class _FlagContext:
             end = ct.of_length(top).stop  # the x with l(x) <= top are the positions below end
             if not supports:
                 return range(end), None
-            within = (1 << end) - 1
-            # xi^e(x) = 1 for every x, so the identity's upper set marks the memoized rows
-            if self._above.get(0, 0) & within != within:
-                self.rows(range(end))
+            start = ct.of_length(min(top, max(min(map(ct.length, s)) for s in supports))).start
+            within = (1 << end) - (1 << start)
             above = self._above
+            if missing := within & ~above.get(0, 0):
+                self.rows(range(start, end))
+                for x in range(start, end):
+                    if missing >> x & 1:
+                        for v in self._rows[x][0]:
+                            above[v] = above.get(v, 0) | 1 << x
             for support in supports:
                 within &= reduce(or_, [above.get(v, 0) for v in support], 0)
             return [x for x, bit in enumerate(reversed(bin(within))) if bit == "1"], None
@@ -411,10 +422,8 @@ class _FlagContext:
 
         Whole rows come from the memo, which is emptied when new rows would
         take it past ENTRY_CAP (counted as there), so it holds no more
-        than one query may; `_above` records the keys of its rows as upper
-        sets (see `fixed_points`) and is emptied with it.  With `lengths`, the
-        rows hold only the v of those lengths; they are built for this call
-        and not kept.
+        than one query may.  With `lengths`, the rows hold only the v of those
+        lengths; they are built for this call and not kept.
         """
         if lengths is not None:
             return {x: self._row(x, lengths) for x in xs}
@@ -426,14 +435,9 @@ class _FlagContext:
         counts = self._counts(self.dim)
         if self._row_entries + sum(counts[self.ct.length(x)] for x in missing) > ENTRY_CAP:
             memo.clear()
-            self._above.clear()
             self._row_entries, missing = 0, xs
-        above = self._above
         for x in missing:
-            memo[x] = row = self._row(x)
-            bit = 1 << x
-            for v in row[0]:
-                above[v] = above.get(v, 0) | bit
+            memo[x] = self._row(x)
             self._row_entries += counts[self.ct.length(x)]
         return memo
 
@@ -554,10 +558,9 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
     ctx = _class_context(a.type_name, tuple(a.theta))
     ct = ctx.ct
     for cls in (a, b):
-        if not ints_within(cls.coeffs.keys(), 0, len(ct) - 1):
-            for k in cls.coeffs:
-                if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k < len(ct):
-                    raise UsageError(f"basis position {k!r} must be an integer in 0..{len(ct) - 1}")
+        for k in cls.coeffs:
+            if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k < len(ct):
+                raise UsageError(f"basis position {k!r} must be an integer in 0..{len(ct) - 1}")
 
     def integral_parts(cls):
         """(scale, {codim: [(position of xi^v, integer coefficient)]}) from `_integral`."""

@@ -56,9 +56,7 @@ from operator import mul
 
 from . import univar
 from .errors import InternalComputationError, ResourceLimitError, UsageError
-from .rootdata import (
-    Record, RootSystem, checked_vertices, ints_within, root_subsystem, weyl_degrees,
-)
+from .rootdata import Record, RootSystem, checked_vertices, root_subsystem, weyl_degrees
 
 #: |W^Theta| above which a table is refused before its BFS.  Measured with
 #: tracemalloc on CPython 3.11 (E7, Theta = {1}: 1,451,520 cosets), the table
@@ -105,12 +103,11 @@ def _canonical_from_image(rs: RootSystem, v):
 def checked_word(rs: RootSystem, word) -> tuple:
     """word as a tuple of letters, each an int (not a bool) in 1..rank; UsageError otherwise."""
     word = tuple(word)
-    if not ints_within(word, 1, rs.rank):
-        for i in word:
-            if not isinstance(i, int) or isinstance(i, bool):
-                raise UsageError(f"letter {i!r} must be an integer")
-            if not 1 <= i <= rs.rank:
-                raise UsageError(f"letter {i} out of range 1..{rs.rank}")
+    for i in word:
+        if not isinstance(i, int) or isinstance(i, bool):
+            raise UsageError(f"letter {i!r} must be an integer")
+        if not 1 <= i <= rs.rank:
+            raise UsageError(f"letter {i} out of range 1..{rs.rank}")
     return word
 
 

@@ -380,6 +380,27 @@ def test_every_e8p1_query_passes_the_cap(monkeypatch):
     assert xs == [len(ctx.ct) - 1] and lengths == {0, ctx.dim}
 
 
+def test_a_product_under_the_cap_builds_only_the_rows_from_its_factors_lengths(monkeypatch):
+    # an x above both factors is no shorter than either factor's shortest term, so on
+    # E8/P1 point times fundamental class builds the top row alone, not all 2,160
+    rs = build_root_system(E8P1[0])
+    ctx = _FlagContext(rs, E8P1[1])
+    ct = ctx.ct
+    assert ctx._layers[-1][1] <= ENTRY_CAP
+    monkeypatch.setattr("weylchow.schubert._class_context", lambda name, theta: ctx)
+    built, real = [], _FlagContext._row
+    monkeypatch.setattr(_FlagContext, "_row",
+                        lambda self, x, lengths=None: built.append(x) or real(self, x, lengths))
+    point, fundamental = (ChowClass("E8", ctx.theta, "Z", {k: 1}) for k in (0, len(ct) - 1))
+    assert multiply(point, fundamental) == point
+    assert built == [len(ct) - 1]
+    # a divisor times a class of codim dim - 2: the rows of lengths dim - 2 and dim - 1
+    built.clear()
+    h, c = (ChowClass("E8", ctx.theta, "Z", {ct.of_codim(d)[0]: 1}) for d in (1, ctx.dim - 2))
+    assert not multiply(h, c).is_zero()
+    assert sorted(built) == list(range(ct.of_length(ctx.dim - 2).start, ct.of_length(ctx.dim).start))
+
+
 def test_chern_above_the_cap_exits_3():
     t0 = time.perf_counter()
     code, out = run(["chern", "--type", "E6", "--theta", "", "--codim", "20", "--mod", "2"])
