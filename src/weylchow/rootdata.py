@@ -343,10 +343,18 @@ def _cached_root_system(name: str) -> RootSystem:
     return RootSystem(DynkinType.parse(name))
 
 
+@cache
+def _root_system_of_string(text: str) -> RootSystem:
+    """The root system of a type string, cached by the string as spelled, so a type
+    is parsed once per spelling a process meets; an invalid one raises on every call
+    (a raising call is not cached)."""
+    return _cached_root_system(DynkinType.parse(text).name())
+
+
 def build_root_system(dtype) -> RootSystem:
     """Build (and cache) the root system of a DynkinType or type string."""
     if isinstance(dtype, str):
-        return _cached_root_system(DynkinType.parse(dtype).name())
+        return _root_system_of_string(dtype)
     if isinstance(dtype, DynkinType):
         return _cached_root_system(dtype.name())
     raise UsageError(f"expected DynkinType or string, got {type(dtype).__name__}")

@@ -23,7 +23,9 @@ point, t0 = 2 rho^vee, where each positive root takes the value 2 height > 0.
   division is exact in the integers, and a remainder is an internal error.
   The constants c^x with l(x) = deg F are the Schubert coefficients.  A
   product takes F = a b, the Chern class c_k takes F = e_k of the tangent
-  weights x(-U), and every degree is solved in one pass.
+  weights x(-U), and every degree is solved in one pass.  At each x the e_k
+  come from one integer product, every degree a field of the same width
+  (`_elementary_symmetric`).
 - Only the fixed points that can carry a coefficient.  A Chern class
   visits every x with l(x) <= its degree; a product only those above a
   term of each factor in the Bruhat order, since a(x) b(x) vanishes at
@@ -55,7 +57,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import accumulate, repeat
-from math import lcm
+from math import lcm, prod
 from operator import mul, or_
 from types import MappingProxyType
 
@@ -70,7 +72,8 @@ from .weyl import CosetTable, WeylElement, checked_word, coset_reps
 #: walk as in `_FlagContext._counts`).  Measured with tracemalloc on CPython 3.11 (E8,
 #: Theta = {2, ..., 8}: all 2,160 rows, counted 2,380,359, 1.78M values, 157 MB), a value
 #: takes about 88 bytes, so rows at the cap take at most about 265 MB.  There the rows
-#: took 7 s and every Chern class a further 15-18 s (180 MB peak RSS).
+#: took 7-10 s and every integral Chern class a further 15-25 s (187 MB peak RSS), most
+#: of it the back-substitution (the range of several runs on a shared 2-core VM).
 ENTRY_CAP = 3_000_000
 
 # ---------------------------------------------------------------------------
@@ -499,21 +502,37 @@ class _FlagContext:
         """
         if max_codim is not None and max_codim < 0:
             raise UsageError(f"codimension must be nonnegative, got {max_codim}")
+        ring_modulus(ring)  # a bad ring is refused before any row is built
         top = self.dim if max_codim is None else min(max_codim, self.dim)
         if len(self._chern) <= top:
             roots = [pr.root for pr in self.unipotent_roots]
 
             def esym(row, t):
-                es = [1] + [0] * top
-                for root in roots:
-                    g = -sum(n * x for n, x in zip(root, t))
-                    for k in range(top, 0, -1):
-                        es[k] += es[k - 1] * g
-                return es
+                return _elementary_symmetric([-sum(map(mul, root, t)) for root in roots], top)
 
             self._chern = self.solve(range(top + 1), esym)
         name = self.rs.type.name()
         return [ChowClass(name, self.theta, ring, c) for c in self._chern[: top + 1]]
+
+
+def _elementary_symmetric(values, top):
+    """[e_0, ..., e_top] of the integers `values`, exact, by Kronecker substitution.
+
+    With P the product of the 1 + |g|, every |e_k(g)| <= e_k(|g|) < 2^(B-1) for
+    B = bitlen(P) + 1, so each e_k is one balanced base-2^B digit of the product
+    of the 1 + g 2^B.  Only the low top + 1 digits are kept after each factor (the
+    low digits of a product depend only on its factors' low digits), then each is
+    read back through a shift by 2^(B-1), which keeps the digits free of borrows.
+    """
+    B = prod([1 + abs(g) for g in values]).bit_length() + 1
+    low = (1 << B) - 1
+    mask = (1 << (top + 1) * B) - 1
+    packed = 1
+    for g in values:
+        packed = (packed + (packed * g << B)) & mask
+    half = 1 << B - 1
+    packed += mask // low * half  # half in every digit
+    return [(packed >> k * B & low) - half for k in range(top + 1)]
 
 
 def flag_context(rs: RootSystem, theta) -> _FlagContext:

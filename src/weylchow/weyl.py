@@ -554,10 +554,12 @@ class CosetTable:
         opposition involution, w0(omega_j) = -omega_e(j) and w0 s_i = s_e(i) w0,
         so the identity's dual point is lambda_Theta with its coordinates
         permuted by e and negated, and w0(p_k) = s_e(label) w0(p_parent) is
-        one step from the parent's.
+        one step from the parent's.  One image gives e: w0 maps
+        sum (j + 1) omega_j to -sum (j + 1) omega_e(j), whose coordinate i is
+        -(e(i) + 1), e being an involution.
         """
         rank = self.rs.rank
-        opp = [self.w0.act(tuple(int(i == j) for i in range(rank))).index(-1) for j in range(rank)]
+        opp = [-c - 1 for c in self.w0.act(tuple(range(1, rank + 1)))]
         points = self._points
         step = self._step
         lam = [step(self._lam, j)[0] for j in range(rank)]

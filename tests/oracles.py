@@ -648,6 +648,17 @@ def elementary_symmetric_classes(rs, forms, max_degree, modulus=None):
     return [Polynomial(rs, t) for t in es]
 
 
+def elementary_symmetric_by_recurrence(values, top):
+    """[e_0, ..., e_top] of the integers `values`: e_k += e_(k-1) g for each g, top
+    degree first, the recurrence the localization route used before it packed the
+    degrees into one integer."""
+    es = [1] + [0] * top
+    for g in values:
+        for k in range(top, 0, -1):
+            es[k] += es[k - 1] * g
+    return es
+
+
 def chern_classes_by_polynomials(ctx, max_codim=None, ring="Z"):
     """c_0 .. c_max_codim of the tangent bundle: the characteristic image of the e_k
     of the unipotent roots' linear forms, one delta sweep of their sum."""

@@ -12,16 +12,22 @@ from fractions import Fraction
 from math import factorial, gcd, prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weylchow.cli import run
-from weylchow.errors import ResourceLimitError
+from weylchow.errors import ResourceLimitError, UsageError
 from weylchow.rootdata import build_root_system
 from weylchow.schubert import (
-    ENTRY_CAP, ChowClass, _FlagContext, flag_context, multiply,
+    ENTRY_CAP, ChowClass, _elementary_symmetric, _FlagContext, chern_tangent, flag_context,
+    multiply,
 )
 from weylchow.weyl import CosetTable, WeylElement, apply_word, coset_reps
 
-from oracles import chern_classes_by_polynomials, multiply_by_borel, pieri_multiply
+from oracles import (
+    chern_classes_by_polynomials, elementary_symmetric_by_recurrence, multiply_by_borel,
+    pieri_multiply,
+)
 
 E7P1 = ("E7", (2, 3, 4, 5, 6, 7))
 E8P8 = ("E8", (1, 2, 3, 4, 5, 6, 7))
@@ -82,6 +88,45 @@ def test_products_match_the_borel_route(name, theta, pairs, most):
         assert got == multiply_by_borel(a, b), (ring, da, db)
         # over Q the Borel route keeps every coefficient a Fraction; so does the solve
         assert all(isinstance(c, Fraction) == (ring == "Q") for c in got.coeffs.values())
+
+
+@st.composite
+def _esym_values(draw):
+    """(kind, values): 0-80 integers, arbitrary (zeros and both signs), n copies of m,
+    of -m or of alternating +-m, or ("edge") large values whose product of the
+    1 + |g| lies just under a power of two, so their e_n fills its field."""
+    kind = draw(st.sampled_from(["any", "same", "negated", "alternating", "edge"]))
+    if kind == "any":
+        return kind, draw(st.lists(st.integers(-3, 3) | st.integers(-2**70, 2**70), max_size=80))
+    n = draw(st.integers(0, 80))
+    if kind != "edge":
+        m = draw(st.integers(0, 2**40))
+        return kind, [-m if kind == "negated" or (kind == "alternating" and i % 2) else m
+                      for i in range(n)]
+    magnitude = st.integers(2**8, 2**24)
+    values = [draw(magnitude) * draw(st.sampled_from([1, -1])) for _ in range(min(n, 79))]
+    q = prod(1 + abs(g) for g in values)
+    bits = q.bit_length() + draw(st.integers(8, 64))
+    last = (2**bits - 1) // q - 1  # then 2^bits - 2^(bits - 8) < prod(1 + |g|) < 2^bits
+    values.insert(draw(st.integers(0, len(values))), last * draw(st.sampled_from([1, -1])))
+    return kind, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(_esym_values(), st.data())
+@example(("edge", [2**61 - 2]), None)    # e_1 = 2^(B-1) - 2, the largest value a field holds
+@example(("edge", [-(2**61 - 2)]), None)
+@example(("edge", [6, 0, 0]), None)      # B = 4: e_1 = 6 needs the top bit of its field
+def test_packed_elementary_symmetric_matches_the_recurrence(case, data):
+    kind, values = case
+    tops = range(len(values) + 3)
+    for top in tops if data is None else [data.draw(st.sampled_from(tops), label="top")]:
+        want = elementary_symmetric_by_recurrence(values, top)
+        assert _elementary_symmetric(values, top) == want
+    if kind == "edge":  # the field B = bitlen(prod(1 + |g|)) + 1 bits is needed in full
+        field = prod(1 + abs(g) for g in values).bit_length() + 1
+        e = elementary_symmetric_by_recurrence(values, len(values))
+        assert max(map(abs, e)) >= 1 << field - 2
 
 
 def test_subword_sums_add_the_subword_products():
@@ -399,6 +444,24 @@ def test_a_product_under_the_cap_builds_only_the_rows_from_its_factors_lengths(m
     h, c = (ChowClass("E8", ctx.theta, "Z", {ct.of_codim(d)[0]: 1}) for d in (1, ctx.dim - 2))
     assert not multiply(h, c).is_zero()
     assert sorted(built) == list(range(ct.of_length(ctx.dim - 2).start, ct.of_length(ctx.dim).start))
+
+
+@pytest.mark.parametrize("ring", ["Z/4", "Q/2"])
+def test_a_bad_ring_is_refused_before_any_row(ring, monkeypatch):
+    rs = build_root_system(E7P1[0])
+    ctx = _FlagContext(rs, E7P1[1])
+
+    def rows(self, xs, lengths=None):
+        raise _Started
+
+    monkeypatch.setattr(_FlagContext, "rows", rows)
+    with pytest.raises(UsageError):
+        ctx.chern_classes(ring=ring)
+    with pytest.raises(UsageError):
+        chern_tangent(rs, E7P1[1], ring=ring)
+    t0 = time.perf_counter()
+    code, out = run(["chern", "--type", "E8", "--theta", "1,2,3,4,5,6,7", "--mod", "4"])
+    assert code == 2 and time.perf_counter() - t0 < 1.0, out
 
 
 def test_chern_above_the_cap_exits_3():

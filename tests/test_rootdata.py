@@ -41,6 +41,20 @@ def test_illegal_types_rejected(bad):
         DynkinType.parse(bad)
 
 
+def test_type_strings_are_parsed_once_per_spelling(monkeypatch):
+    parsed, parse = [], DynkinType.parse
+    monkeypatch.setattr(DynkinType, "parse",
+                        staticmethod(lambda text: parsed.append(text) or parse(text)))
+    spellings = [" e6", "E6\t"]  # unusual, so no other test has cached them
+    systems = [build_root_system(text) for text in spellings * 2]
+    assert all(rs is systems[0] for rs in systems) and systems[0].type.name() == "E6"
+    assert all(parsed.count(text) == 1 for text in spellings)
+    for _ in range(2):  # a failed parse is not cached: a bad string raises every time
+        with pytest.raises(UsageError):
+            build_root_system("E9 ")
+    assert parsed.count("E9 ") == 2
+
+
 def test_a2_positive_roots_by_hand():
     rs = build_root_system("A2")
     roots = {pr.root for pr in rs.positive_roots}
