@@ -155,6 +155,14 @@ def _integral(cls: ChowClass):
     return L, {k: c.numerator * (L // c.denominator) for k, c in cls.coeffs.items()}
 
 
+def check_positions(cls: ChowClass, ct: CosetTable):
+    """UsageError unless every coefficient key of cls is a position of ct: an int,
+    not a bool, in 0..len(ct) - 1."""
+    for k in cls.coeffs:
+        if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k < len(ct):
+            raise UsageError(f"basis position {k!r} must be an integer in 0..{len(ct) - 1}")
+
+
 def _check_compatible(a: ChowClass, b: ChowClass):
     if a.type_name != b.type_name or a.theta != b.theta:
         raise UsageError("classes live on different varieties")
@@ -576,10 +584,8 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
     _check_compatible(a, b)
     ctx = _class_context(a.type_name, tuple(a.theta))
     ct = ctx.ct
-    for cls in (a, b):
-        for k in cls.coeffs:
-            if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k < len(ct):
-                raise UsageError(f"basis position {k!r} must be an integer in 0..{len(ct) - 1}")
+    check_positions(a, ct)
+    check_positions(b, ct)
 
     def integral_parts(cls):
         """(scale, {codim: [(position of xi^v, integer coefficient)]}) from `_integral`."""
@@ -636,12 +642,12 @@ def _poly_limit(dim: int) -> int:
 
 def pullback_to_flags(cls: ChowClass) -> ChowClass:
     """CH*(G/P) -> CH*(G/B), [X_w] -> [X_{w w_theta}] (a ring injection)."""
-    rs = build_root_system(cls.type_name)
-    ctx = flag_context(rs, cls.theta)
-    flags = coset_reps(rs, ())
+    ct = _class_context(cls.type_name, tuple(cls.theta)).ct
+    check_positions(cls, ct)
+    flags = coset_reps(ct.rs, ())
     out = {}
     for k, c in cls.coeffs.items():
-        w = ctx.ct.reps[k] * ctx.ct.w_theta
+        w = ct.reps[k] * ct.w_theta
         out[flags.index[w.word]] = c
     return ChowClass(cls.type_name, (), cls.ring, out)
 

@@ -6,11 +6,13 @@ For a reduced word (i_1..i_l) the resolution's Chow ring is
     nu_j = sum_{k<j} < s_{i_{k+1}} ... s_{i_{j-1}}(alpha_{i_j}), alpha_{i_k}^vee > D_k,
 
 an iterated P^1-bundle presentation: nu_j is the first Chern class of the
-normal bundle of the canonical section at stage j.  Square-free monomials
-prod_{j in T} D_j are the classes of sub-resolutions on the complementary
-position set; such a monomial pushes forward to [X_v] exactly when the
-complementary subword is reduced with product v a minimal coset
-representative, and to 0 otherwise.
+normal bundle of the canonical section at stage j.  Its pairings, and the
+check that the word is reduced, walk packed weights (`weyl.WeightPacking`,
+the coset table's encoding), one shift and multiply-subtract per letter.
+Square-free monomials prod_{j in T} D_j are the classes of sub-resolutions
+on the complementary position set; such a monomial pushes forward to [X_v]
+exactly when the complementary subword is reduced with product v a minimal
+coset representative, and to 0 otherwise.
 
 Over Z/2 a ring element is one int bitset over the 2^l square-free
 monomials, so addition is xor.  Multiplying by a linear form is one sweep
@@ -44,7 +46,10 @@ recursion
     <S^m(g), u> = sum_{m' < m} <S^{m'}(g), Phi(u)_{dim - codim(g) - m'}>,
 
 whose right side needs only Bott-Samelson data of complementary classes
-with short words.
+with short words.  Level m reads Phi(u) in degrees 1..m only, so Phi is
+expanded to degree m and no further; per class, `_phi_pieces` keeps the
+pieces of the deepest degree computed so far and serves shallower reads
+from them.
 """
 
 from __future__ import annotations
@@ -54,8 +59,8 @@ from types import MappingProxyType
 
 from .errors import CalibrationError, InternalComputationError, ResourceLimitError, UsageError
 from .rootdata import RootSystem, build_root_system
-from .schubert import ChowClass, flag_context, multiply
-from .weyl import CosetTable, checked_word, coset_reps
+from .schubert import ChowClass, check_positions, flag_context, multiply
+from .weyl import CosetTable, checked_word, coset_reps, weight_packing
 
 #: maximal reduced-word length for direct ring expansion (2^l basis monomials)
 DIRECT_WORD_LIMIT = 18
@@ -112,21 +117,28 @@ class BottSamelsonRing:
         self.rs = rs
         self.word = word
         self.length = len(word)
+        # weights are walked packed (see WeightPacking): steps[k] reflects by letter k
+        packing = weight_packing(rs)
+        mask, bias = packing.mask, packing.bias
+        steps = [packing.steps[i - 1] for i in word]
         # reducedness check: appending each letter must go up in length
-        y = rs.rho
-        for i in word:
-            if y[i - 1] < 0:
+        y = packing.pack(rs.rho)
+        for shift, col in steps:
+            f = (y >> shift & mask) - bias
+            if f < 0:
                 raise UsageError(f"word {list(word)} is not reduced")
-            y = rs.reflect_weight(i - 1, y)
-        # nu[j]: the positions k < j whose Cartan pairing in nu_j is odd
+            y -= f * col
+        # nu[j]: the positions k < j whose Cartan pairing in nu_j is odd, decreasing
         self.nu = []
         for j in range(self.length):
-            mu = rs.alpha_omega(word[j] - 1)
+            mu = packing.zero + steps[j][1]  # alpha_{i_j}
             odd = []
             for k in range(j - 1, -1, -1):
-                if mu[word[k] - 1] % 2:
+                shift, col = steps[k]
+                f = (mu >> shift & mask) - bias
+                if f & 1:
                     odd.append(k)
-                mu = rs.reflect_weight(word[k] - 1, mu)
+                mu -= f * col
             self.nu.append(tuple(odd))
         self.clear, self.deg, self.below = _selectors(self.length)
 
@@ -355,22 +367,36 @@ def _calibrate():
 # Phi classes and the duality route
 
 
-@cache
-def _phi_pieces(rs, theta, idx):
-    """Graded pieces of Phi([X_idx]) = pi_*(c(T_Z)^{-+1}), convention-matched, at every offset.
+#: (rs, theta, idx) -> (bound, pieces): Phi of one class up to the deepest bound read so far
+_phi_memo = {}
+
+
+def _phi_pieces(rs, theta, idx, bound):
+    """Graded pieces of Phi([X_idx]) = pi_*(c(T_Z)^{-+1}), convention-matched, in degrees <= bound.
 
     This is the direct route's series without the base factors, truncated
-    at the word length instead of the codimension, as a read-only mapping.
-    theta must be normalized (sorted, no repeats), as `CosetTable.theta` is.
+    at `bound`, as a read-only mapping.  The memo keeps, per class, the
+    pieces of the deepest bound computed so far and serves every shallower
+    bound from them, so the mapping may hold pieces above `bound`; a reader
+    reads none.  A deeper bound computes the series again, as
+    `_FlagContext.chern_classes` does.  theta must be normalized (sorted,
+    no repeats), as `CosetTable.theta` is.
     """
-    _calibrate()
-    eps = 1 if WU_CONVENTION == "I" else -1
-    ct = coset_reps(rs, theta)
-    return MappingProxyType(_pushed_series(ct, idx, ct.words[idx], eps, (), ct.length(idx)))
+    memo = _phi_memo.get((rs, theta, idx))
+    if memo is None or memo[0] < bound:
+        _calibrate()
+        eps = 1 if WU_CONVENTION == "I" else -1
+        ct = coset_reps(rs, theta)
+        pieces = MappingProxyType(_pushed_series(ct, idx, ct.words[idx], eps, (), bound))
+        memo = _phi_memo[rs, theta, idx] = (bound, pieces)
+    return memo[1]
 
 
 def _steenrod_by_duality(rs, theta, idx, up_to):
-    """S^m([X_idx]) for m <= up_to from pairings against Phi of complementary classes."""
+    """S^m([X_idx]) for m <= up_to from pairings against Phi of complementary classes.
+
+    Level m reads Phi(u) in degrees 1..m only, so it asks for no more.
+    """
     ct = coset_reps(rs, theta)
     dim = ct.max_length
     c = ct.codim(idx)
@@ -379,7 +405,7 @@ def _steenrod_by_duality(rs, theta, idx, up_to):
     for m in range(1, m_max + 1):
         coeffs = {}
         for u in ct.of_codim(dim - c - m):
-            phi = _phi_pieces(rs, ct.theta, u)
+            phi = _phi_pieces(rs, ct.theta, u, m)
             val = 0
             for mp in range(m):
                 piece = phi.get(m - mp)
@@ -441,10 +467,11 @@ def steenrod_total(cls: ChowClass, up_to=None):
     """
     if cls.ring != "Z/2":
         raise UsageError("steenrod_total expects a Z/2 class")
-    if up_to is not None and up_to < 0:
-        raise UsageError(f"Steenrod degree must be nonnegative, got {up_to}")
+    if up_to is not None and (not isinstance(up_to, int) or isinstance(up_to, bool) or up_to < 0):
+        raise UsageError(f"Steenrod degree must be a nonnegative integer, got {up_to!r}")
     rs = build_root_system(cls.type_name)
     ct = coset_reps(rs, cls.theta)
+    check_positions(cls, ct)
     if cls.is_zero():
         return [cls]
     top = max(ct.codim(k) for k in cls.coeffs)

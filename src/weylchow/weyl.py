@@ -27,8 +27,9 @@ representative at w0(p).  The renderers yield their text in pieces, one
 per length layer (one per summand for the motive), so printing a table
 holds neither its whole output nor a list of its edges.
 
-The lambda-points are packed ints, one 8-bit field per coordinate as for
-the polynomial monomials: coordinate j plus 128 sits in bits [8j, 8j + 8).
+The lambda-points are packed weights (`WeightPacking`), one 8-bit field per
+coordinate as for the polynomial monomials: coordinate j plus 128 sits in
+bits [8j, 8j + 8).
 s_i is linear, so s_i p = p - p_i * col_i with col_i the packed i-th Cartan
 column, exact while every field stays in range.  Every coordinate on the
 orbit is at most max <lambda_Theta, beta^vee> over the positive coroots in
@@ -38,7 +39,9 @@ edges, the descents of the motive cut, the Bott-Samelson subword walk and
 the fixed-point restriction walk (`subword_sums`) and the Bruhat-order
 test `bruhat_above` take this step inlined, one label at a time; the dual
 table calls `CosetTable._step`, and `upper_set` reflects packed points by
-every positive root the same way.  The packing stays inside this module.
+every positive root the same way.  `WeightPacking` is the one place the
+encoding is defined; the Bott-Samelson rings read it too, for their
+reducedness check and normal classes.
 
 The Poincare polynomial g(X) of G/P_Theta counts the representatives by
 length.  Solomon's formula gives it as a ratio of products of t^d - 1
@@ -71,10 +74,43 @@ from .rootdata import Record, RootSystem, checked_vertices, root_subsystem, weyl
 #: 362 MB (about 250 bytes per coset, some 2.5 GB at the cap).
 DEFAULT_COSET_CAP = 10_000_000
 
-#: a packed lambda-point stores coordinate j as p_j + _BIAS in bits [8j, 8j + 8)
+#: a packed weight stores omega-coordinate j as p_j + _BIAS in bits [8j, 8j + 8)
 _BITS = 8
 _BIAS = 1 << (_BITS - 1)
 _MASK = (1 << _BITS) - 1
+
+
+class WeightPacking:
+    """The packed-weight encoding of one root system, read by the coset tables and the
+    Bott-Samelson rings alike (`weight_packing` caches one per root system).
+
+    A packed weight p holds omega-coordinate j plus `bias` in bits
+    [8j, 8j + 8).  For the 0-based vertex i with (shift, col) = steps[i],
+    p_i = (p >> shift & mask) - bias, and s_i p = p - p_i * col, col being
+    the i-th Cartan column packed without bias.  That is exact while every
+    coordinate met lies in -bias..bias - 1: on a root (coordinates in
+    -3..3), on the rho-images along a reduced word (at most the largest
+    coroot height, 61 within rootdata.MAX_POSITIVE_ROOTS) and on a
+    lambda_Theta-orbit, which `CosetTable` checks before its BFS.
+    """
+
+    mask = _MASK
+    bias = _BIAS
+
+    def __init__(self, rs: RootSystem):
+        self.steps = tuple((_BITS * i, self.pack(rs.alpha_omega(i), 0)) for i in range(rs.rank))
+        self.zero = self.pack((0,) * rs.rank)  # so alpha_i packed is zero + steps[i][1]
+
+    @staticmethod
+    def pack(v, bias: int = _BIAS) -> int:
+        """The omega-coordinates v packed, each plus `bias` (0 packs a step to subtract)."""
+        return sum((bias + a) << (_BITS * j) for j, a in enumerate(v))
+
+
+@cache
+def weight_packing(rs: RootSystem) -> WeightPacking:
+    """The packed-weight encoding of rs, built once per root system."""
+    return WeightPacking(rs)
 
 
 def apply_word(rs: RootSystem, word, v):
@@ -256,10 +292,9 @@ class CosetTable:
             raise InternalComputationError(
                 f"lambda-orbit coordinates up to {bound} do not fit a {_BITS}-bit field"
             )
-        self._cols = tuple(
-            sum(a << (_BITS * j) for j, a in enumerate(rs.alpha_omega(i))) for i in range(rs.rank)
-        )
-        lam = sum((_BIAS + (0 if (j + 1) in theta else 1)) << (_BITS * j) for j in range(rs.rank))
+        packing = weight_packing(rs)
+        self._cols = tuple(col for _, col in packing.steps)
+        lam = packing.pack([0 if (j + 1) in theta else 1 for j in range(rs.rank)])
 
         # q = s_i p is kept only from its canonical parent: when i is q's least
         # descent, i.e. every field below i keeps its top bit (q_j >= 0 for j < i)
@@ -497,8 +532,7 @@ class CosetTable:
     def _reflections(self):
         """(coroot, packed omega-coordinates) of every positive root beta, so that
         s_beta p = p - <p, beta^vee> beta on packed points."""
-        return tuple((pr.coroot, sum(a << (_BITS * j) for j, a in enumerate(pr.omega)))
-                     for pr in self.rs.positive_roots)
+        return tuple((pr.coroot, WeightPacking.pack(pr.omega, 0)) for pr in self.rs.positive_roots)
 
     def upper_set(self, starts, top: int):
         """Yield once each position x with l(x) <= top that lies above the rep at some

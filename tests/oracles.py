@@ -593,6 +593,33 @@ def steenrod_divisor_generated(rs, idx):
     return graded
 
 
+def bs_nu_by_reflections(rs, word):
+    """nu_j of the Bott-Samelson ring of a reduced word, for every j: the positions
+    k < j, decreasing, where <s_{i_{k+1}} ... s_{i_{j-1}}(alpha_{i_j}), alpha_{i_k}^vee>
+    is odd, reflecting the weight one letter at a time as a coordinate tuple."""
+    nu = []
+    for j in range(len(word)):
+        mu = rs.alpha_omega(word[j] - 1)
+        odd = []
+        for k in range(j - 1, -1, -1):
+            if mu[word[k] - 1] % 2:
+                odd.append(k)
+            mu = rs.reflect_weight(word[k] - 1, mu)
+        nu.append(tuple(odd))
+    return nu
+
+
+def is_reduced_by_reflections(rs, word):
+    """Whether each letter of word, appended in turn, goes up in length: the letter's
+    coordinate of the image of rho so far, a coordinate tuple, is positive."""
+    y = rs.rho
+    for i in word:
+        if y[i - 1] < 0:
+            return False
+        y = rs.reflect_weight(i - 1, y)
+    return True
+
+
 def multiply_by_preimage_product(ctx, a, b, k, ring):
     """a * b from one delta sweep of the product of the two preimage polynomials.
 

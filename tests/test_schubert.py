@@ -32,6 +32,7 @@ from weylchow.schubert import (
     multiply,
     pullback_to_flags,
 )
+from weylchow.steenrod import steenrod_total
 from weylchow.weyl import WeylElement, coset_reps, poincare_polynomial
 
 from oracles import (
@@ -509,13 +510,32 @@ def test_chow_classes_hash_by_value():
 
 @pytest.mark.parametrize("key", [99, 6, -1, True, "0", 1.0, None])
 def test_multiply_refuses_positions_outside_the_table(key):
-    # A2 full flags: positions 0..5
+    # A2 full flags: positions 0..5; the pullback and the total square read a
+    # class's keys through the same check
     good = ChowClass("A2", (), "Z", {2: 1})
     bad = ChowClass("A2", (), "Z", {0: 1, key: 1})
+    outside = r"basis position .* must be an integer in 0\.\.5"
     for a, b in ((bad, good), (good, bad)):
-        with pytest.raises(UsageError, match=r"basis position .* must be an integer in 0\.\.5"):
+        with pytest.raises(UsageError, match=outside):
             multiply(a, b)
+    with pytest.raises(UsageError, match=outside):
+        pullback_to_flags(bad)
+    with pytest.raises(UsageError, match=outside):
+        steenrod_total(ChowClass("A2", (), "Z/2", {0: 1, key: 1}))
+    # B3/P1: positions 0..23, where 6 is one and 24 the first past the table
+    with pytest.raises(UsageError, match=r"basis position .* must be an integer in 0\.\.23"):
+        pullback_to_flags(ChowClass("B3", (1,), "Z", {24 if key == 6 else key: 1}))
     assert multiply(good, ChowClass("A2", (), "Z", {5: 1, 0: 1})) == good
+    assert pullback_to_flags(good) == good
+    assert steenrod_total(ChowClass("A2", (), "Z/2", {2: 1}))[0].coeffs == {2: 1}
+
+
+@pytest.mark.parametrize("up_to", [-1, 1.5, 2.0, True, False, "1"])
+def test_steenrod_total_refuses_a_bound_that_is_not_a_nonnegative_int(up_to):
+    cls = ChowClass("A2", (), "Z/2", {0: 1})
+    with pytest.raises(UsageError, match="Steenrod degree must be a nonnegative integer"):
+        steenrod_total(cls, up_to=up_to)
+    assert len(steenrod_total(cls, up_to=1)) == 2
 
 
 def test_each_product_takes_the_lower_degree_route(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from functools import cache
 
 import pytest
@@ -21,7 +22,9 @@ from weylchow.steenrod import (
 )
 from weylchow.weyl import CosetTable, WeylElement, coset_reps, longest_element
 
-from oracles import all_reduced_words, steenrod_divisor_generated
+from oracles import (
+    all_reduced_words, bs_nu_by_reflections, is_reduced_by_reflections, steenrod_divisor_generated,
+)
 
 
 def mod2_basis(rs, theta, k):
@@ -227,8 +230,9 @@ def test_production_path_lists_no_monomials(monkeypatch):
         raise AssertionError("a ring element's monomials were listed")
 
     monkeypatch.setattr(BottSamelsonRing, "masks", staticmethod(no_masks))
-    for memo in (steenrod._basis_pieces, steenrod._phi_pieces, steenrod._calibrate):
+    for memo in (steenrod._basis_pieces, steenrod._calibrate):
         memo.cache_clear()
+    steenrod._phi_memo.clear()
     assert [steenrod_total(cls) for cls in classes] == want
     assert steenrod._steenrod_by_duality(b3, (), b3_k, 3) == want_dual
 
@@ -256,10 +260,93 @@ def test_cached_pieces_are_read_only():
         pieces[1].coeffs[0] = 1
     with pytest.raises(TypeError):
         pieces[9] = pieces[1]
-    with pytest.raises(TypeError):
-        steenrod._phi_pieces(rs, (), 3)[0] = pieces[0]
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        steenrod._phi_pieces(rs, (), 3, 2)[0] = pieces[0]
     again = steenrod_basis_element(rs, (), 3)
     assert {d: (piece.ring, dict(piece.coeffs)) for d, piece in again.items()} == want
+
+
+def unbounded_phi(rs, theta, idx):
+    """Phi([X_idx]) at every degree, the series taken up to the word length."""
+    ct = coset_reps(rs, theta)
+    eps = 1 if wu_convention() == "I" else -1
+    return steenrod._pushed_series(ct, idx, ct.words[idx], eps, (), ct.length(idx))
+
+
+@pytest.mark.parametrize("name, theta", [("B3", ()), ("E6", (2, 3, 4, 5, 6))])
+def test_bounded_phi_pieces_are_the_low_degrees_of_the_unbounded(name, theta):
+    # every class and every bound from 0 to past the word length, each
+    # computed afresh: the pieces read up to the bound are the unbounded ones
+    rs = build_root_system(name)
+    ct = coset_reps(rs, theta)
+    for idx in range(len(ct)):
+        full = unbounded_phi(rs, theta, idx)
+        for bound in range(ct.length(idx) + 2):
+            steenrod._phi_memo.clear()
+            got = steenrod._phi_pieces(rs, theta, idx, bound)
+            assert max(got) <= bound
+            assert dict(got) == {d: p for d, p in full.items() if d <= bound}, (idx, bound)
+    steenrod._phi_memo.clear()
+
+
+def test_phi_memo_grows_with_the_bound(monkeypatch):
+    # a shallower bound is served from the deepest pieces computed so far, and
+    # a deeper one computes the series again and replaces them
+    rs = build_root_system("E6")
+    theta = (2, 3, 4, 5, 6)
+    idx = 13  # word length 8, with a nonzero piece in every degree 0..7
+    full = unbounded_phi(rs, theta, idx)
+    assert sorted(full) == list(range(8))
+    built = []
+
+    class Counted(BottSamelsonRing):
+        def __init__(self, rs, word):
+            built.append(word)
+            super().__init__(rs, word)
+
+    monkeypatch.setattr(steenrod, "BottSamelsonRing", Counted)
+    steenrod._phi_memo.clear()
+    three = steenrod._phi_pieces(rs, theta, idx, 3)
+    assert len(built) == 1 and dict(three) == {d: full[d] for d in range(4)}
+    for bound in (0, 1, 2, 3):
+        assert steenrod._phi_pieces(rs, theta, idx, bound) is three
+    assert len(built) == 1
+    six = steenrod._phi_pieces(rs, theta, idx, 6)
+    assert len(built) == 2 and dict(six) == {d: full[d] for d in range(7)}
+    assert steenrod._phi_pieces(rs, theta, idx, 4) is six
+    assert len(built) == 2
+    steenrod._phi_memo.clear()
+
+
+RANK_TO_8 = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+             + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+             + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("name", RANK_TO_8)
+def test_packed_nu_matches_the_reflection_loop(name):
+    # reduced words grown by random ascents of rho, up to the direct limit,
+    # and arbitrary words for the reducedness check; G2 and F4 have Cartan
+    # entries -2 and -3, so their pairings are not all of one parity
+    rs = build_root_system(name)
+    rng = random.Random(name)
+    for _ in range(12):
+        word, y = [], rs.rho
+        while len(word) < DIRECT_WORD_LIMIT:
+            ascents = [i for i in range(rs.rank) if y[i] > 0]
+            if not ascents:
+                break  # w0 was reached
+            i = rng.choice(ascents)
+            word.append(i + 1)
+            y = rs.reflect_weight(i, y)
+        assert BottSamelsonRing(rs, word).nu == bs_nu_by_reflections(rs, word), word
+    for _ in range(40):
+        word = [rng.randint(1, rs.rank) for _ in range(rng.randint(1, DIRECT_WORD_LIMIT))]
+        if is_reduced_by_reflections(rs, word):
+            assert BottSamelsonRing(rs, word).nu == bs_nu_by_reflections(rs, word), word
+        else:
+            with pytest.raises(UsageError, match="is not reduced"):
+                BottSamelsonRing(rs, word)
 
 
 @st.composite
