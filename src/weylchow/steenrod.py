@@ -7,7 +7,7 @@ For a reduced word (i_1..i_l) the resolution's Chow ring is
 
 an iterated P^1-bundle presentation: nu_j is the first Chern class of the
 normal bundle of the canonical section at stage j.  Its pairings, and the
-check that the word is reduced, walk packed weights (`weyl.WeightPacking`,
+check that the word is reduced, walk packed weights (`weyl.packed_steps`,
 the coset table's encoding), one shift and multiply-subtract per letter.
 Square-free monomials prod_{j in T} D_j are the classes of sub-resolutions
 on the complementary position set; such a monomial pushes forward to [X_v]
@@ -47,9 +47,8 @@ recursion
 
 whose right side needs only Bott-Samelson data of complementary classes
 with short words.  Level m reads Phi(u) in degrees 1..m only, so Phi is
-expanded to degree m and no further; per class, `_phi_pieces` keeps the
-pieces of the deepest degree computed so far and serves shallower reads
-from them.
+expanded to degree m and no further; `_phi_pieces` is memoized per class
+and bound.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from types import MappingProxyType
 from .errors import CalibrationError, InternalComputationError, ResourceLimitError, UsageError
 from .rootdata import RootSystem, build_root_system
 from .schubert import ChowClass, check_positions, flag_context, multiply
-from .weyl import CosetTable, checked_word, coset_reps, weight_packing
+from .weyl import _BIAS, _MASK, CosetTable, checked_word, coset_reps, pack_weight, packed_steps
 
 #: maximal reduced-word length for direct ring expansion (2^l basis monomials)
 DIRECT_WORD_LIMIT = 18
@@ -117,25 +116,25 @@ class BottSamelsonRing:
         self.rs = rs
         self.word = word
         self.length = len(word)
-        # weights are walked packed (see WeightPacking): steps[k] reflects by letter k
-        packing = weight_packing(rs)
-        mask, bias = packing.mask, packing.bias
-        steps = [packing.steps[i - 1] for i in word]
+        # weights are walked packed (see weyl.packed_steps): steps[k] reflects by letter k
+        table = packed_steps(rs)
+        steps = [table[i - 1] for i in word]
+        zero = pack_weight([0] * rs.rank)
         # reducedness check: appending each letter must go up in length
-        y = packing.pack(rs.rho)
+        y = pack_weight(rs.rho)
         for shift, col in steps:
-            f = (y >> shift & mask) - bias
+            f = (y >> shift & _MASK) - _BIAS
             if f < 0:
                 raise UsageError(f"word {list(word)} is not reduced")
             y -= f * col
         # nu[j]: the positions k < j whose Cartan pairing in nu_j is odd, decreasing
         self.nu = []
         for j in range(self.length):
-            mu = packing.zero + steps[j][1]  # alpha_{i_j}
+            mu = zero + steps[j][1]  # alpha_{i_j}, packed with bias
             odd = []
             for k in range(j - 1, -1, -1):
                 shift, col = steps[k]
-                f = (mu >> shift & mask) - bias
+                f = (mu >> shift & _MASK) - _BIAS
                 if f & 1:
                     odd.append(k)
                 mu -= f * col
@@ -367,29 +366,18 @@ def _calibrate():
 # Phi classes and the duality route
 
 
-#: (rs, theta, idx) -> (bound, pieces): Phi of one class up to the deepest bound read so far
-_phi_memo = {}
-
-
+@cache
 def _phi_pieces(rs, theta, idx, bound):
     """Graded pieces of Phi([X_idx]) = pi_*(c(T_Z)^{-+1}), convention-matched, in degrees <= bound.
 
     This is the direct route's series without the base factors, truncated
-    at `bound`, as a read-only mapping.  The memo keeps, per class, the
-    pieces of the deepest bound computed so far and serves every shallower
-    bound from them, so the mapping may hold pieces above `bound`; a reader
-    reads none.  A deeper bound computes the series again, as
-    `_FlagContext.chern_classes` does.  theta must be normalized (sorted,
-    no repeats), as `CosetTable.theta` is.
+    at `bound` instead of the codimension, as a read-only mapping.  theta
+    must be normalized (sorted, no repeats), as `CosetTable.theta` is.
     """
-    memo = _phi_memo.get((rs, theta, idx))
-    if memo is None or memo[0] < bound:
-        _calibrate()
-        eps = 1 if WU_CONVENTION == "I" else -1
-        ct = coset_reps(rs, theta)
-        pieces = MappingProxyType(_pushed_series(ct, idx, ct.words[idx], eps, (), bound))
-        memo = _phi_memo[rs, theta, idx] = (bound, pieces)
-    return memo[1]
+    _calibrate()
+    eps = 1 if WU_CONVENTION == "I" else -1
+    ct = coset_reps(rs, theta)
+    return MappingProxyType(_pushed_series(ct, idx, ct.words[idx], eps, (), bound))
 
 
 def _steenrod_by_duality(rs, theta, idx, up_to):

@@ -27,11 +27,11 @@ representative at w0(p).  The renderers yield their text in pieces, one
 per length layer (one per summand for the motive), so printing a table
 holds neither its whole output nor a list of its edges.
 
-The lambda-points are packed weights (`WeightPacking`), one 8-bit field per
+The lambda-points are packed weights (`pack_weight`), one 8-bit field per
 coordinate as for the polynomial monomials: coordinate j plus 128 sits in
 bits [8j, 8j + 8).
 s_i is linear, so s_i p = p - p_i * col_i with col_i the packed i-th Cartan
-column, exact while every field stays in range.  Every coordinate on the
+column (`packed_steps`), exact while every field stays in range.  Every coordinate on the
 orbit is at most max <lambda_Theta, beta^vee> over the positive coroots in
 absolute value (61 at most within rootdata.MAX_POSITIVE_ROOTS), and the
 table checks that bound against 128 before its BFS.  The BFS, the Hasse
@@ -39,8 +39,8 @@ edges, the descents of the motive cut, the Bott-Samelson subword walk and
 the fixed-point restriction walk (`subword_sums`) and the Bruhat-order
 test `bruhat_above` take this step inlined, one label at a time; the dual
 table calls `CosetTable._step`, and `upper_set` reflects packed points by
-every positive root the same way.  `WeightPacking` is the one place the
-encoding is defined; the Bott-Samelson rings read it too, for their
+every positive root the same way.  Every walk takes its (shift, column)
+steps from `packed_steps`; the Bott-Samelson rings walk them too, for their
 reducedness check and normal classes.
 
 The Poincare polynomial g(X) of G/P_Theta counts the representatives by
@@ -80,37 +80,22 @@ _BIAS = 1 << (_BITS - 1)
 _MASK = (1 << _BITS) - 1
 
 
-class WeightPacking:
-    """The packed-weight encoding of one root system, read by the coset tables and the
-    Bott-Samelson rings alike (`weight_packing` caches one per root system).
-
-    A packed weight p holds omega-coordinate j plus `bias` in bits
-    [8j, 8j + 8).  For the 0-based vertex i with (shift, col) = steps[i],
-    p_i = (p >> shift & mask) - bias, and s_i p = p - p_i * col, col being
-    the i-th Cartan column packed without bias.  That is exact while every
-    coordinate met lies in -bias..bias - 1: on a root (coordinates in
-    -3..3), on the rho-images along a reduced word (at most the largest
-    coroot height, 61 within rootdata.MAX_POSITIVE_ROOTS) and on a
-    lambda_Theta-orbit, which `CosetTable` checks before its BFS.
-    """
-
-    mask = _MASK
-    bias = _BIAS
-
-    def __init__(self, rs: RootSystem):
-        self.steps = tuple((_BITS * i, self.pack(rs.alpha_omega(i), 0)) for i in range(rs.rank))
-        self.zero = self.pack((0,) * rs.rank)  # so alpha_i packed is zero + steps[i][1]
-
-    @staticmethod
-    def pack(v, bias: int = _BIAS) -> int:
-        """The omega-coordinates v packed, each plus `bias` (0 packs a step to subtract)."""
-        return sum((bias + a) << (_BITS * j) for j, a in enumerate(v))
+def pack_weight(v, bias: int = _BIAS) -> int:
+    """The omega-coordinates v packed, each plus `bias` (bias 0 packs a column to subtract)."""
+    return sum((bias + a) << (_BITS * j) for j, a in enumerate(v))
 
 
 @cache
-def weight_packing(rs: RootSystem) -> WeightPacking:
-    """The packed-weight encoding of rs, built once per root system."""
-    return WeightPacking(rs)
+def packed_steps(rs: RootSystem) -> tuple:
+    """(shift, col) for each 0-based vertex i of rs, col the packed i-th Cartan column.
+
+    A packed weight p has p_i = (p >> shift & _MASK) - _BIAS and s_i p =
+    p - p_i * col, exact while every coordinate met lies in -128..127: on a
+    root (coordinates in -3..3), on the rho-images along a reduced word (at
+    most the largest coroot height, 61 within rootdata.MAX_POSITIVE_ROOTS)
+    and on a lambda_Theta-orbit, which `CosetTable` checks before its BFS.
+    """
+    return tuple((_BITS * i, pack_weight(rs.alpha_omega(i), 0)) for i in range(rs.rank))
 
 
 def apply_word(rs: RootSystem, word, v):
@@ -292,15 +277,14 @@ class CosetTable:
             raise InternalComputationError(
                 f"lambda-orbit coordinates up to {bound} do not fit a {_BITS}-bit field"
             )
-        packing = weight_packing(rs)
-        self._cols = tuple(col for _, col in packing.steps)
-        lam = packing.pack([0 if (j + 1) in theta else 1 for j in range(rs.rank)])
+        self._steps = packed_steps(rs)
+        lam = pack_weight([0 if (j + 1) in theta else 1 for j in range(rs.rank)])
 
         # q = s_i p is kept only from its canonical parent: when i is q's least
         # descent, i.e. every field below i keeps its top bit (q_j >= 0 for j < i)
         steps = [
-            (_BITS * i, col, sum(_BIAS << (_BITS * j) for j in range(i)))
-            for i, col in enumerate(self._cols)
+            (shift, col, sum(_BIAS << (_BITS * j) for j in range(i)))
+            for i, (shift, col) in enumerate(self._steps)
         ]
         order = [lam]         # packed lambda-images, in table order
         parent = [-1]
@@ -344,8 +328,9 @@ class CosetTable:
 
         p_i > 0 makes s_i p the point of the next longer representative s_i w.
         """
-        pi = ((p >> (_BITS * i)) & _MASK) - _BIAS
-        return pi, p - pi * self._cols[i]
+        shift, col = self._steps[i]
+        pi = ((p >> shift) & _MASK) - _BIAS
+        return pi, p - pi * col
 
     def __len__(self):
         return len(self.parent)
@@ -437,7 +422,7 @@ class CosetTable:
         Hasse edge labelled i below w_k.
         """
         points = self._points
-        steps = [(_BITS * (i - 1), self._cols[i - 1]) for i in labels]
+        steps = [self._steps[i - 1] for i in labels]
         out = []
         for p in self._order:
             m = -1
@@ -462,7 +447,7 @@ class CosetTable:
         A walk that ends outside the table raises InternalComputationError.
         """
         points = self._points
-        steps = [(_BITS * (i - 1), self._cols[i - 1]) for i in word]
+        steps = [self._steps[i - 1] for i in word]
         out = {}
         stack = [(len(word) - 1, self._lam, 0, top)]
         while stack:
@@ -507,7 +492,7 @@ class CosetTable:
             size = {self._lam: 0}  # letters taken, the length of the state's rep
         left = len(word)
         for i, r in zip(reversed(word), reversed(factors)):
-            shift, col = _BITS * (i - 1), self._cols[i - 1]
+            shift, col = self._steps[i - 1]
             left -= 1
             for p, v in list(states.items()):  # the values before this letter
                 f = (p >> shift) & _MASK
@@ -532,7 +517,7 @@ class CosetTable:
     def _reflections(self):
         """(coroot, packed omega-coordinates) of every positive root beta, so that
         s_beta p = p - <p, beta^vee> beta on packed points."""
-        return tuple((pr.coroot, WeightPacking.pack(pr.omega, 0)) for pr in self.rs.positive_roots)
+        return tuple((pr.coroot, pack_weight(pr.omega, 0)) for pr in self.rs.positive_roots)
 
     def upper_set(self, starts, top: int):
         """Yield once each position x with l(x) <= top that lies above the rep at some
@@ -574,7 +559,7 @@ class CosetTable:
         """
         pts = {self._order[u] for u in positions}
         for b in self.words[x]:
-            shift, col = _BITS * (b - 1), self._cols[b - 1]
+            shift, col = self._steps[b - 1]
             pts = {p - (f - _BIAS) * col if (f := (p >> shift) & _MASK) < _BIAS else p
                    for p in pts}
         return self._lam in pts
@@ -597,7 +582,7 @@ class CosetTable:
         points = self._points
         step = self._step
         lam = [step(self._lam, j)[0] for j in range(rank)]
-        d0 = sum((_BIAS - lam[opp[j]]) << (_BITS * j) for j in range(rank))
+        d0 = pack_weight([-lam[opp[j]] for j in range(rank)])
         dual_points = [d0]
         for k in range(1, len(self)):
             dual_points.append(step(dual_points[self.parent[k]], opp[self.parent_label[k] - 1])[1])
@@ -631,7 +616,7 @@ def hasse_edges(ct: CosetTable):
     positions k of `of_length(l)` and every i with p_i > 0, so the runs chained are
     sorted.  The length goes up by exactly 1 along each edge."""
     points, order = ct._points, ct._order
-    steps = [(_BITS * i, col, i + 1) for i, col in enumerate(ct._cols)]
+    steps = [(shift, col, i + 1) for i, (shift, col) in enumerate(ct._steps)]
     for l in range(ct.max_length + 1):
         run = []
         for k in ct.of_length(l):

@@ -230,9 +230,8 @@ def test_production_path_lists_no_monomials(monkeypatch):
         raise AssertionError("a ring element's monomials were listed")
 
     monkeypatch.setattr(BottSamelsonRing, "masks", staticmethod(no_masks))
-    for memo in (steenrod._basis_pieces, steenrod._calibrate):
+    for memo in (steenrod._basis_pieces, steenrod._phi_pieces, steenrod._calibrate):
         memo.cache_clear()
-    steenrod._phi_memo.clear()
     assert [steenrod_total(cls) for cls in classes] == want
     assert steenrod._steenrod_by_duality(b3, (), b3_k, 3) == want_dual
 
@@ -275,47 +274,15 @@ def unbounded_phi(rs, theta, idx):
 
 @pytest.mark.parametrize("name, theta", [("B3", ()), ("E6", (2, 3, 4, 5, 6))])
 def test_bounded_phi_pieces_are_the_low_degrees_of_the_unbounded(name, theta):
-    # every class and every bound from 0 to past the word length, each
-    # computed afresh: the pieces read up to the bound are the unbounded ones
+    # every class and every bound from 0 to past the word length: the bounded
+    # pieces are the unbounded ones up to the bound
     rs = build_root_system(name)
     ct = coset_reps(rs, theta)
     for idx in range(len(ct)):
         full = unbounded_phi(rs, theta, idx)
         for bound in range(ct.length(idx) + 2):
-            steenrod._phi_memo.clear()
             got = steenrod._phi_pieces(rs, theta, idx, bound)
-            assert max(got) <= bound
             assert dict(got) == {d: p for d, p in full.items() if d <= bound}, (idx, bound)
-    steenrod._phi_memo.clear()
-
-
-def test_phi_memo_grows_with_the_bound(monkeypatch):
-    # a shallower bound is served from the deepest pieces computed so far, and
-    # a deeper one computes the series again and replaces them
-    rs = build_root_system("E6")
-    theta = (2, 3, 4, 5, 6)
-    idx = 13  # word length 8, with a nonzero piece in every degree 0..7
-    full = unbounded_phi(rs, theta, idx)
-    assert sorted(full) == list(range(8))
-    built = []
-
-    class Counted(BottSamelsonRing):
-        def __init__(self, rs, word):
-            built.append(word)
-            super().__init__(rs, word)
-
-    monkeypatch.setattr(steenrod, "BottSamelsonRing", Counted)
-    steenrod._phi_memo.clear()
-    three = steenrod._phi_pieces(rs, theta, idx, 3)
-    assert len(built) == 1 and dict(three) == {d: full[d] for d in range(4)}
-    for bound in (0, 1, 2, 3):
-        assert steenrod._phi_pieces(rs, theta, idx, bound) is three
-    assert len(built) == 1
-    six = steenrod._phi_pieces(rs, theta, idx, 6)
-    assert len(built) == 2 and dict(six) == {d: full[d] for d in range(7)}
-    assert steenrod._phi_pieces(rs, theta, idx, 4) is six
-    assert len(built) == 2
-    steenrod._phi_memo.clear()
 
 
 RANK_TO_8 = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
