@@ -4,12 +4,14 @@ Exit codes: 0 success, 2 usage error, 3 resource cap exceeded,
 4 internal assertion (a mathematical invariant was violated).
 
 With --cache-dir, the full output of a successful invocation is stored
-under a content-addressed key (hash of the package version and the
-parsed arguments, with an `@file` omega read in) and replayed
-byte-identically on reruns; this is what makes repeated heavy E7 queries
-cheap.  An entry is written to a temporary file and renamed into place,
-so an interrupted write never leaves a truncated entry; a cache that
-cannot be written costs only the replay, not the answer.
+under a content-addressed key (hash of the package version, a digest of
+each of the package's sources and the parsed arguments, with an `@file`
+omega read in) and replayed byte-identically on reruns; this is what
+makes repeated heavy E7 queries cheap, and an edited package never
+replays an older build's output.  An entry is written to a temporary
+file and renamed into place, so an interrupted write never leaves a
+truncated entry; a cache that cannot be written costs only the replay,
+not the answer.
 
 `cosets`, `hasse` and `decompose` print their output in pieces (a length
 layer of the coset table, or a motive summand, at a time) as they are
@@ -22,6 +24,10 @@ nothing on stdout and exits 2, 3 or 4.
 Each subcommand imports the modules it uses when it runs, so `--help`, an
 argument error or a `roots` query never pays for loading the Schubert,
 Steenrod, motive or Tits machinery.
+
+Every integer argument, and every item of a comma-separated list, has one
+spelling: ASCII digits with an optional minus, as `str(int)` writes them.
+`int` alone would also read "+1", " 1", "01", "1_9" and non-ASCII digits.
 """
 
 from __future__ import annotations
@@ -40,22 +46,29 @@ from .errors import (
 )
 
 
-def _parse_vertices(text):
-    text = (text or "").strip()
-    if not text:
-        return ()
+def _integer(text):
+    """text as an int when str(int) spells it so; ValueError (exit 2 from argparse) otherwise."""
+    n = int(text)
+    if str(n) != text:
+        raise ValueError(f"{text!r} is not an integer")
+    return n
+
+
+def _integers(text, what):
+    """The integers of a comma-separated list, in order; spaces around commas and empty
+    items are dropped."""
     try:
-        out = tuple(sorted({int(x) for x in text.split(",") if x.strip() != ""}))
+        return [_integer(x.strip()) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise UsageError(f"cannot parse vertex list {text!r}") from None
-    return out
+        raise UsageError(f"cannot parse {what} {text.strip()!r}") from None
+
+
+def _parse_vertices(text):
+    return tuple(sorted(set(_integers(text, "vertex list"))))
 
 
 def _parse_profile(text):
-    try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
-    except ValueError:
-        raise UsageError(f"cannot parse profile {text!r}") from None
+    return tuple(_integers(text, "profile"))
 
 
 def _classes_on_args(args, *texts):
@@ -90,10 +103,9 @@ def _build_parser():
     p.add_argument("--cache-dir", default=None, help="replay identical runs from disk")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, theta=True):
+    def common(sp):
         sp.add_argument("--type", required=True)
-        if theta:
-            sp.add_argument("--theta", default="")
+        sp.add_argument("--theta", default="")
 
     sp = sub.add_parser("roots")
     sp.add_argument("--type", required=True)
@@ -111,13 +123,13 @@ def _build_parser():
 
     sp = sub.add_parser("chern")
     common(sp)
-    sp.add_argument("--codim", type=int, default=None)
-    sp.add_argument("--mod", type=int, default=None)
+    sp.add_argument("--codim", type=_integer, default=None)
+    sp.add_argument("--mod", type=_integer, default=None)
 
     sp = sub.add_parser("steenrod")
     common(sp)
     sp.add_argument("--class", dest="cls", required=True)
-    sp.add_argument("--i", type=int, default=None)
+    sp.add_argument("--i", type=_integer, default=None)
 
     sp = sub.add_parser("decompose")
     common(sp)
@@ -136,11 +148,11 @@ def _build_parser():
 
     sp = sub.add_parser("jinv")
     sp.add_argument("--type", required=True)
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=_integer, required=True)
     sp.add_argument("--profile", required=True)
     sp.add_argument("action", choices=("rhs", "predict", "gensplit"))
     sp.add_argument("--theta", default="")
-    sp.add_argument("--vertex", type=int, default=None)
+    sp.add_argument("--vertex", type=_integer, default=None)
     return p
 
 
@@ -313,7 +325,16 @@ def _run_cached(args):
 
     # the parsed arguments, so the cache directory's own path is not part of the key
     request = {k: v for k, v in vars(args).items() if k != "cache_dir"}
-    key = hashlib.sha256(json.dumps([__version__, request], sort_keys=True).encode()).hexdigest()
+    # the version is not bumped between builds, so the sources themselves are keyed too
+    package = os.path.dirname(__file__)
+    sources = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                sources[name] = hashlib.sha256(fh.read()).hexdigest()
+    key = hashlib.sha256(
+        json.dumps([__version__, sources, request], sort_keys=True).encode()
+    ).hexdigest()
     cache_file = os.path.join(args.cache_dir, key + ".out")
     try:
         with open(cache_file, "r", encoding="utf-8") as fh:

@@ -21,9 +21,6 @@ direct division routine is kept only as a cross-check in the tests).  It
 reads k from the packed key, strips x_i^k from it, and adds the packed
 terms of D_i(x_i^k), cached per (root system, i, k).  alpha_i is not a zero
 divisor, so s_i u = u exactly when D_i u = 0: invariance is tested that way.
-Because divided differences are integral, reducing integer coefficients
-mod p commutes with them: divided_difference reduces its output given a
-modulus.
 
 The module also builds the W_Theta-invariant generators of the Borel
 presentation (`_invariant_generators`, served cached by
@@ -187,8 +184,8 @@ class Polynomial:
 
     # -- divided differences and invariance --------------------------------
 
-    def divided_difference(self, i, modulus=None):
-        """D_i = (1 - s_i)/alpha_i (0-based i), exact and division-free; reduced mod a prime modulus.
+    def divided_difference(self, i):
+        """D_i = (1 - s_i)/alpha_i (0-based i), exact and division-free.
 
         Each x_i^k (k > 0) is replaced by D_i(x_i^k); the x_i-free terms drop out.
         """
@@ -209,7 +206,7 @@ class Polynomial:
             for t, ct in table:
                 key = base + t
                 out[key] = get(key, 0) + c * ct
-        return Polynomial(rs, {e: v for e, c in out.items() if (v := c % modulus if modulus else c)})
+        return Polynomial(rs, {e: c for e, c in out.items() if c})
 
     def is_invariant_under(self, indices_1based):
         """s_i u = u for every listed i, read as D_i u = 0."""

@@ -278,7 +278,6 @@ class _FlagContext:
         self.dim = self.ct.max_length
         self._rows = {}          # position x -> restriction row of x (see rows)
         self._above = {}         # position v -> bitmask of x with v <= x (see fixed_points)
-        self._row_entries = 0    # the memo's rows counted as in ENTRY_CAP
         # grow-on-demand memo: integral c_0 .. c_b as coefficient maps serve requests <= b
         self._chern = []
 
@@ -358,9 +357,8 @@ class _FlagContext:
         t0 is a sum of products of positive values, so v <= x exactly when v
         is a key of row x.  `_above[v]` keeps the x found above v as one
         bitmask, and `_above[0]` (the identity, below every x) the x whose
-        rows were read.  The masks are facts of the order, so they outlive
-        the rows; the prefix of n positions they lie in counts at least
-        1 + 2 + ... + n states, under the cap, so they hold fewer than
+        rows were read.  The prefix of n positions the masks lie in counts at
+        least 1 + 2 + ... + n states, under the cap, so they hold fewer than
         2 ENTRY_CAP bits.
 
         Past the cap a Chern class is refused before any row is built, and a
@@ -431,25 +429,19 @@ class _FlagContext:
         values are Billey's factors r_j = s_b_1 ... s_b_(j-1)(alpha_b_j), and
         `CosetTable.subword_sums` sums their products over the subwords.
 
-        Whole rows come from the memo, which is emptied when new rows would
-        take it past ENTRY_CAP (counted as there), so it holds no more
-        than one query may.  With `lengths`, the rows hold only the v of those
-        lengths; they are built for this call and not kept.
+        Whole rows come from the memo.  `fixed_points` asks for them only
+        below the end of a length prefix whose walks it has counted at most
+        ENTRY_CAP states (the whole prefix, as `_layers` counts it), so the
+        memo never holds more than the largest such prefix.  With `lengths`,
+        the rows hold only the v of those lengths; they are built for this
+        call and not kept.
         """
         if lengths is not None:
             return {x: self._row(x, lengths) for x in xs}
         memo = self._rows
-        xs = list(xs)
-        missing = [x for x in xs if x not in memo]
-        if not missing:
-            return memo
-        counts = self._counts(self.dim)
-        if self._row_entries + sum(counts[self.ct.length(x)] for x in missing) > ENTRY_CAP:
-            memo.clear()
-            self._row_entries, missing = 0, xs
-        for x in missing:
-            memo[x] = self._row(x)
-            self._row_entries += counts[self.ct.length(x)]
+        for x in xs:
+            if x not in memo:
+                memo[x] = self._row(x)
         return memo
 
     def solve(self, degrees, rhs, supports=()):

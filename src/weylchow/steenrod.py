@@ -6,9 +6,10 @@ For a reduced word (i_1..i_l) the resolution's Chow ring is
     nu_j = sum_{k<j} < s_{i_{k+1}} ... s_{i_{j-1}}(alpha_{i_j}), alpha_{i_k}^vee > D_k,
 
 an iterated P^1-bundle presentation: nu_j is the first Chern class of the
-normal bundle of the canonical section at stage j.  Its pairings, and the
-check that the word is reduced, walk packed weights (`weyl.packed_steps`,
-the coset table's encoding), one shift and multiply-subtract per letter.
+normal bundle of the canonical section at stage j.  Its pairings, the
+pullbacks of line bundles and the check that the word is reduced walk
+packed weights (`weyl.packed_steps`, the coset table's encoding), one
+shift and multiply-subtract per letter.
 Square-free monomials prod_{j in T} D_j are the classes of sub-resolutions
 on the complementary position set; such a monomial pushes forward to [X_v]
 exactly when the complementary subword is reduced with product v a minimal
@@ -59,7 +60,9 @@ from types import MappingProxyType
 from .errors import CalibrationError, InternalComputationError, ResourceLimitError, UsageError
 from .rootdata import RootSystem, build_root_system
 from .schubert import ChowClass, check_positions, flag_context, multiply
-from .weyl import _BIAS, _MASK, CosetTable, checked_word, coset_reps, pack_weight, packed_steps
+from .weyl import (
+    _BIAS, _MASK, CosetTable, checked_word, coset_reps, orbit_bound, pack_weight, packed_steps,
+)
 
 #: maximal reduced-word length for direct ring expansion (2^l basis monomials)
 DIRECT_WORD_LIMIT = 18
@@ -118,8 +121,7 @@ class BottSamelsonRing:
         self.length = len(word)
         # weights are walked packed (see weyl.packed_steps): steps[k] reflects by letter k
         table = packed_steps(rs)
-        steps = [table[i - 1] for i in word]
-        zero = pack_weight([0] * rs.rank)
+        self._steps = steps = [table[i - 1] for i in word]
         # reducedness check: appending each letter must go up in length
         y = pack_weight(rs.rho)
         for shift, col in steps:
@@ -127,18 +129,9 @@ class BottSamelsonRing:
             if f < 0:
                 raise UsageError(f"word {list(word)} is not reduced")
             y -= f * col
-        # nu[j]: the positions k < j whose Cartan pairing in nu_j is odd, decreasing
-        self.nu = []
-        for j in range(self.length):
-            mu = zero + steps[j][1]  # alpha_{i_j}, packed with bias
-            odd = []
-            for k in range(j - 1, -1, -1):
-                shift, col = steps[k]
-                f = (mu >> shift & _MASK) - _BIAS
-                if f & 1:
-                    odd.append(k)
-                mu -= f * col
-            self.nu.append(tuple(odd))
+        # nu_j: alpha_{i_j} (the bias plus its packed column) pulled back along the letters before j
+        zero = pack_weight([0] * rs.rank)
+        self.nu = [self._pull(zero + col, j) for j, (_, col) in enumerate(steps)]
         self.clear, self.deg, self.below = _selectors(self.length)
 
     def one(self):
@@ -215,19 +208,33 @@ class BottSamelsonRing:
             acc ^= term
         return acc
 
+    def _pull(self, p, end):
+        """The positions k < end, decreasing, where the packed weight p has an odd
+        <s_{i_{k+1}} ... s_{i_{end-1}}(p), alpha_{i_k}^vee>: one shift and
+        multiply-subtract per letter."""
+        steps = self._steps
+        odd = []
+        for k in range(end - 1, -1, -1):
+            shift, col = steps[k]
+            f = (p >> shift & _MASK) - _BIAS
+            if f:
+                if f & 1:
+                    odd.append(k)
+                p -= f * col
+        return tuple(odd)
+
     def pull_weight_class(self, mu):
         """c_1 of the pullback of the line bundle of weight mu, as a tuple of positions.
 
         The coefficient at D_k is <s_{i_{k+1}} ... s_{i_l}(mu), alpha_{i_k}^vee>;
-        the positions kept are those where it is odd.
+        the positions kept are those where it is odd.  The walk is packed, so a
+        weight is refused unless every coordinate it can reach fits its field:
+        those are pairings with coroots, at most max |mu_j| times the largest
+        coroot height, so roots always fit.
         """
-        out = []
-        v = tuple(mu)
-        for k in range(self.length - 1, -1, -1):
-            if v[self.word[k] - 1] % 2:
-                out.append(k)
-            v = self.rs.reflect_weight(self.word[k] - 1, v)
-        return tuple(out)
+        if max(map(abs, mu), default=0) * orbit_bound(self.rs, ()) >= _BIAS:
+            raise UsageError(f"weight {list(mu)} can leave the packed field of its walk")
+        return self._pull(pack_weight(mu), self.length)
 
     def graded_piece(self, elem, d):
         return elem & self.deg[d] if 0 <= d <= self.length else 0
@@ -267,15 +274,17 @@ def bs_pushforward(ring: BottSamelsonRing, elem, theta) -> ChowClass:
     return ChowClass(ring.rs.type.name(), ct.theta, "Z/2", dict.fromkeys(out, 1))
 
 
-def _pushed_series(ct: CosetTable, idx, word, eps, weights, top):
+def _pushed_series(ct: CosetTable, idx, word, weights, top):
     """{d: pi_* of degree d of c(E)^eps c(T_Z)^-eps}, nonzero pieces only, d <= top.
 
     Z is the resolution of `word`, a reduced word of the rep at position idx,
     E the sum of the line bundles pulled back from the weights (omega
-    coordinates), and c(T_Z) = prod_j (1 + nu_j); eps is +1 or -1.  A
+    coordinates), and c(T_Z) = prod_j (1 + nu_j); eps is +1 under
+    WU_CONVENTION I and -1 under II, and no other code picks the sign.  A
     degree-d monomial lands in codimension codim(idx) + d, so one push of
     the whole product is split by codimension; degree 0 must give [X_idx].
     """
+    eps = 1 if WU_CONVENTION == "I" else -1
     ring = BottSamelsonRing(ct.rs, word)
     elem = ring.one()
     for mu in weights:
@@ -296,24 +305,19 @@ def _pushed_series(ct: CosetTable, idx, word, eps, weights, top):
 # Calibration of the Wu-formula convention
 
 
-def _direct_steenrod_pieces(rs, theta, idx, convention, up_to=None, word=None):
-    """S^i([X_idx]) for all i <= up_to via the resolution ring, one convention.
-
-    `word` overrides the canonical reduced word (the result must not depend
-    on the choice; tests recompute with alternatives).
-    """
+def _direct_steenrod_pieces(rs, theta, idx, up_to=None):
+    """S^i([X_idx]) for all i <= up_to via the resolution ring of its canonical word."""
     ctx = flag_context(rs, theta)
     ct = ctx.ct
     codim = ct.codim(idx)
     emax = codim if up_to is None else min(up_to, codim)
-    eps = 1 if convention == "I" else -1
     # the tangent bundle of the base: one line bundle per root in the unipotent radical
     weights = [pr.omega for pr in ctx.unipotent_roots]
-    return _pushed_series(ct, idx, ct.words[idx] if word is None else word, eps, weights, emax)
+    return _pushed_series(ct, idx, ct.words[idx], weights, emax)
 
 
-def _cartan_failures(name, convention):
-    """The checks of the total square by `convention` that fail on the full flags of `name`.
+def _cartan_failures(name):
+    """The checks of the total square by WU_CONVENTION that fail on the full flags of `name`.
 
     S is the direct route's total square of each basis class, extended
     additively.  On every divisor h it is checked that S(h) = h + h^2 (listed
@@ -331,8 +335,7 @@ def _cartan_failures(name, convention):
         return ChowClass(type_name, (), "Z/2", dict.fromkeys(positions, 1))
 
     # S(b) for every basis class b, as the set of positions of its terms
-    total = [set().union(*(piece.coeffs for piece in
-                           _direct_steenrod_pieces(rs, (), k, convention).values()))
+    total = [set().union(*(piece.coeffs for piece in _direct_steenrod_pieces(rs, (), k).values()))
              for k in range(len(ct))]
     failures = []
     for h in ct.of_codim(1):
@@ -353,7 +356,7 @@ def _calibrate():
     """Check WU_CONVENTION by the Cartan formula on the A2 and A3 full flags (see
     `_cartan_failures`); convention II fails on A3."""
     for name in ("A2", "A3"):
-        failures = _cartan_failures(name, WU_CONVENTION)
+        failures = _cartan_failures(name)
         if failures:
             raise CalibrationError(
                 f"Wu convention {WU_CONVENTION} fails {len(failures)} Cartan-formula checks "
@@ -375,9 +378,8 @@ def _phi_pieces(rs, theta, idx, bound):
     must be normalized (sorted, no repeats), as `CosetTable.theta` is.
     """
     _calibrate()
-    eps = 1 if WU_CONVENTION == "I" else -1
     ct = coset_reps(rs, theta)
-    return MappingProxyType(_pushed_series(ct, idx, ct.words[idx], eps, (), bound))
+    return MappingProxyType(_pushed_series(ct, idx, ct.words[idx], (), bound))
 
 
 def _steenrod_by_duality(rs, theta, idx, up_to):
@@ -437,7 +439,7 @@ def _basis_pieces(rs, theta, idx, want):
     codim = ct.codim(idx)
     word_len = ct.length(idx)
     if word_len <= DIRECT_WORD_LIMIT:
-        return MappingProxyType(_direct_steenrod_pieces(rs, theta, idx, WU_CONVENTION, up_to=want))
+        return MappingProxyType(_direct_steenrod_pieces(rs, theta, idx, up_to=want))
     if codim + want <= DIRECT_WORD_LIMIT:
         return MappingProxyType(_steenrod_by_duality(rs, theta, idx, want))
     raise ResourceLimitError(

@@ -89,7 +89,7 @@ def t_power_minus_one(d: int) -> TPoly:
     return tpoly([-1] + [0] * (d - 1) + [1])
 
 
-def to_string(p: TPoly, var: str = "t") -> str:
+def to_string(p: TPoly) -> str:
     """Render like "1+2t+2t^2+t^3"; zero polynomial renders as "0"."""
     if not p:
         return "0"
@@ -100,7 +100,7 @@ def to_string(p: TPoly, var: str = "t") -> str:
         if i == 0:
             parts.append(str(a))
         else:
-            x = var if i == 1 else f"{var}^{i}"
+            x = "t" if i == 1 else f"t^{i}"
             if a == 1:
                 parts.append(x)
             elif a == -1:

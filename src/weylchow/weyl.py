@@ -203,6 +203,7 @@ def poincare_polynomial(rs: RootSystem, theta) -> tuple:
     return univar.divide_exact(num, den, "Poincaré")
 
 
+@cache
 def orbit_bound(rs: RootSystem, theta) -> int:
     """max over positive coroots beta^vee of <lambda_Theta, beta^vee>.
 
@@ -262,8 +263,9 @@ class CosetTable:
     layer-count check against g also certifies this rule.
     """
 
-    def __init__(self, rs: RootSystem, theta, cap: int = DEFAULT_COSET_CAP):
+    def __init__(self, rs: RootSystem, theta):
         theta = checked_vertices(rs.rank, theta)
+        cap = DEFAULT_COSET_CAP
         self.rs = rs
         self.theta = theta
         g = poincare_polynomial(rs, theta)

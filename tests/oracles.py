@@ -353,8 +353,11 @@ def delta_scalars(ctx, P: Polynomial, max_len=None, modulus=None):
     layer = {0: P}
     for length in range(dmax + 1):
         if length:
-            layer = {k: layer[ct.parent[k]].divided_difference(ct.parent_label[k] - 1, modulus)
+            layer = {k: layer[ct.parent[k]].divided_difference(ct.parent_label[k] - 1)
                      for k in ct.of_length(length)}
+            if modulus:
+                layer = {k: Polynomial(q.rs, {e: v for e, c in q.terms.items() if (v := c % modulus)})
+                         for k, q in layer.items()}
         for k, q in layer.items():
             c = q.terms.get(0, 0)  # the packed key of the constant monomial
             if c:
@@ -607,6 +610,19 @@ def bs_nu_by_reflections(rs, word):
             mu = rs.reflect_weight(word[k] - 1, mu)
         nu.append(tuple(odd))
     return nu
+
+
+def bs_pull_by_reflections(rs, word, mu):
+    """The positions k, decreasing, where <s_{i_{k+1}} ... s_{i_l}(mu), alpha_{i_k}^vee> is
+    odd: the pullback of the line bundle of weight mu to the Bott-Samelson ring of word,
+    reflecting mu one letter at a time as a coordinate tuple."""
+    out = []
+    v = tuple(mu)
+    for k in range(len(word) - 1, -1, -1):
+        if v[word[k] - 1] % 2:
+            out.append(k)
+        v = rs.reflect_weight(word[k] - 1, v)
+    return tuple(out)
 
 
 def is_reduced_by_reflections(rs, word):

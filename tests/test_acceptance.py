@@ -223,7 +223,7 @@ def test_criterion_6_steenrod_calibration_and_axioms():
         rs = build_root_system(name)
         ct = coset_reps(rs, ())
         for idx in range(len(ct)):
-            got = _direct_steenrod_pieces(rs, (), idx, conv)
+            got = _direct_steenrod_pieces(rs, (), idx)
             want = steenrod_divisor_generated(rs, idx)
             assert got == want, (name, idx)
     # axioms exhaustively on A2/B2/A3

@@ -401,6 +401,33 @@ def test_non_canonical_type_spellings_exit_2():
     assert run(["roots", "--type", "e7"]) == run(["roots", "--type", "E7"])  # a lower-case family
 
 
+def test_non_canonical_integer_spellings_exit_2():
+    # int() reads each of these, "1_9" as 19 and "\u0663" as 3; an integer argument has one
+    # spelling, ASCII digits with an optional minus as str(int) writes them
+    spellings = ("1_9", "\u0663", "+1", "01", "-0", "0_1", "1.0", "\uff17")
+    cls = _a2_class("Z/2", 1)
+    single = [
+        ["chern", "--type", "A2", "--codim", "{}"],
+        ["chern", "--type", "A2", "--mod", "{}"],
+        ["steenrod", "--type", "A2", "--class", cls, "--i", "{}"],
+        ["jinv", "--type", "F4", "--p", "{}", "--profile", "1", "rhs"],
+        ["jinv", "--type", "F4", "--p", "2", "--profile", "1", "gensplit", "--vertex", "{}"],
+    ]
+    lists = [
+        ["cosets", "--type", "A2", "--theta", "{}"],
+        ["decompose", "--type", "B3", "--circled", "{}"],
+        ["jinv", "--type", "F4", "--p", "2", "--profile", "{}", "rhs"],
+    ]
+    for argv in single + lists:
+        for bad in spellings + ((" 1", "1 ") if argv in single else ("1,0_2", "2, 01")):
+            code, out = run([bad if a == "{}" else a for a in argv])
+            assert code == 2 and out.startswith("usage error"), (argv, bad)
+    # the one spelling still works, with spaces around the commas of a list
+    assert run(["chern", "--type", "A2", "--mod", "3"])[0] == 0
+    spaced, plain = (run(["cosets", "--type", "B3", "--theta", t]) for t in (" 1 , 2 ", "1,2"))
+    assert spaced == plain and plain[0] == 0
+
+
 def test_non_invertible_denominators_exit_2():
     for ring in ("Z/2", "Z"):
         code, out = run(["mult", "--type", "A2", "--a", _a2_class(ring, "1/2"), "--b", _a2_class(ring, 1)])
@@ -550,6 +577,30 @@ def test_cache_key_includes_version(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "__version__", "0.0.0-other")
     run(args)
     assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_cache_key_follows_the_package_sources(tmp_path, monkeypatch):
+    # the version stays put between builds: a changed source byte must miss, unchanged
+    # sources must still replay
+    import shutil
+
+    from weylchow import cli
+
+    package = tmp_path / "package"
+    shutil.copytree(Path(cli.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(cli, "__file__", str(package / "cli.py"))
+    calls = []
+    dispatch = cli._dispatch
+    monkeypatch.setattr(cli, "_dispatch", lambda a: calls.append(a) or dispatch(a))
+    cache = tmp_path / "cache"
+    args = ["--cache-dir", str(cache), "poincare", "--type", "A2", "--theta", ""]
+    answer = (0, "1+2t+2t^2+t^3")
+    assert run(args) == run(args) == answer
+    assert len(calls) == 1 and len(list(cache.iterdir())) == 1
+    source = package / "univar.py"
+    source.write_bytes(source.read_bytes().replace(b"t^", b"x^", 1))
+    assert run(args) == run(args) == answer
+    assert len(calls) == 2 and len(list(cache.iterdir())) == 2
 
 
 def test_cache_key_follows_omega_file_contents(tmp_path):

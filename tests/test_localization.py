@@ -546,9 +546,27 @@ def test_row_memo_is_shared_and_stays_under_the_cap(monkeypatch):
     ctx.chern_classes(max_codim=6)
     assert ctx.rows([]) is ctx._rows and len(ctx._rows) == ctx.ct.of_length(6).stop
     assert ctx._rows[ctx.ct.of_length(3)[0]] is first
-    assert ctx._row_entries == ctx._layers[6][1]
-    # rows that would take the memo past the cap replace it
-    top = ctx.ct.of_length(ctx.dim)[0]
-    monkeypatch.setattr("weylchow.schubert.ENTRY_CAP", ctx._layers[6][1] + 1)
-    assert set(ctx.rows([top])) == {top}
-    assert ctx._row_entries == len(ctx.ct)
+    # whole rows are built only below the end of a length prefix counted under the cap,
+    # so the memo needs no eviction: with the cap at the prefix of length 6, Chern
+    # classes up to codim 6 and products of every degree (those above 6 walk the Bruhat
+    # order, or are refused) leave the memo inside that prefix
+    for name, theta in (("F4", (2, 3, 4)), ("E6", (2, 3, 4, 5, 6))):
+        ctx = _FlagContext(build_root_system(name), theta)
+        ct, top = ctx.ct, 6
+        monkeypatch.setattr("weylchow.schubert.ENTRY_CAP", ctx._layers[top][1])
+        monkeypatch.setattr("weylchow.schubert._class_context", lambda type_name, theta: ctx)
+        ctx.chern_classes(max_codim=top)
+        rng = random.Random(name)
+        degrees = set()
+        for _ in range(60):
+            a, b = (ChowClass(name, ct.theta, "Z", {rng.randrange(len(ct)): 1}) for _ in range(2))
+            degree = a.codim(ct) + b.codim(ct)
+            try:
+                multiply(a, b)
+            except ResourceLimitError:
+                assert degree > top
+            degrees.add(degree)
+        assert min(degrees) <= top < max(degrees), name
+        counts = ctx._counts(ctx.dim)
+        assert max(ctx._rows) < ct.of_length(top).stop, name
+        assert sum(counts[ct.length(x)] for x in ctx._rows) <= ctx._layers[top][1], name

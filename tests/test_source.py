@@ -65,3 +65,46 @@ def test_every_private_definition_is_referenced_in_the_package():
     assert unreferenced == []
     assert set(UNREFERENCED_ALLOWED) <= {node.name for tree in trees.values() for node in tree.body
                                          if isinstance(node, ast.FunctionDef)}
+
+
+def _defaulted(fn, method):
+    """{parameter name: its position in a call} for the parameters of fn with a default;
+    a method's position counts from the argument after self."""
+    args = fn.args.posonlyargs + fn.args.args
+    skip = 1 if method and not any(getattr(d, "id", None) == "staticmethod"
+                                   for d in fn.decorator_list) else 0
+    out = {a.arg: i - skip for i, a in enumerate(args) if i >= len(args) - len(fn.args.defaults)}
+    out.update((a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d)
+    return out
+
+
+def test_every_private_default_is_passed_by_some_package_call():
+    # a defaulted parameter of a private function that no package call passes is an
+    # option only tests can set: its default is the behaviour, so it is a constant
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    defs = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            body = node.body if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.Module)) else []
+            for fn in body:
+                if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_") \
+                        and not fn.name.endswith("__"):
+                    defs.append((fn, isinstance(node, ast.ClassDef)))
+    passed = {}  # function name -> {positional count or parameter name it is called with}
+    for tree in trees:
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                seen = passed.setdefault(name, set())
+                seen.add(float("inf") if any(isinstance(a, ast.Starred) for a in call.args)
+                         else len(call.args))
+                seen.update(kw.arg or "**" for kw in call.keywords)
+    unpassed = []
+    for fn, method in defs:
+        seen = passed.get(fn.name, set())
+        for param, position in _defaulted(fn, method).items():
+            by_position = position is not None and any(
+                isinstance(n, (int, float)) and n > position for n in seen)
+            if not (by_position or param in seen or "**" in seen):
+                unpassed.append(f"{fn.name}({param}=)")
+    assert unpassed == []

@@ -20,10 +20,11 @@ from weylchow.steenrod import (
     steenrod_total,
     wu_convention,
 )
-from weylchow.weyl import CosetTable, WeylElement, coset_reps, longest_element
+from weylchow.weyl import CosetTable, WeylElement, coset_reps, longest_element, orbit_bound
 
 from oracles import (
-    all_reduced_words, bs_nu_by_reflections, is_reduced_by_reflections, steenrod_divisor_generated,
+    all_reduced_words, bs_nu_by_reflections, bs_pull_by_reflections, is_reduced_by_reflections,
+    steenrod_divisor_generated,
 )
 
 
@@ -113,7 +114,7 @@ def test_bs_ring_word_letters_checked():
         with pytest.raises(UsageError):
             BottSamelsonRing(rs, word)
         with pytest.raises(UsageError):
-            _direct_steenrod_pieces(rs, (), 0, wu_convention(), word=word)
+            steenrod._pushed_series(coset_reps(rs, ()), 0, word, (), 0)
     assert BottSamelsonRing(rs, [1, 2]).word == (1, 2)
 
 
@@ -126,7 +127,7 @@ def test_bs_ring_word_length_capped_before_allocation():
     with pytest.raises(ResourceLimitError):
         BottSamelsonRing(rs, w0.word)
     with pytest.raises(ResourceLimitError):
-        _direct_steenrod_pieces(rs, (2, 3, 4, 5, 6, 7), 0, wu_convention(), word=w0.word)
+        steenrod._pushed_series(coset_reps(rs, (2, 3, 4, 5, 6, 7)), 0, w0.word, (), 0)
     word = w0.word[:DIRECT_WORD_LIMIT + 1]
     with pytest.raises(ResourceLimitError):
         BottSamelsonRing(rs, word)
@@ -268,8 +269,7 @@ def test_cached_pieces_are_read_only():
 def unbounded_phi(rs, theta, idx):
     """Phi([X_idx]) at every degree, the series taken up to the word length."""
     ct = coset_reps(rs, theta)
-    eps = 1 if wu_convention() == "I" else -1
-    return steenrod._pushed_series(ct, idx, ct.words[idx], eps, (), ct.length(idx))
+    return steenrod._pushed_series(ct, idx, ct.words[idx], (), ct.length(idx))
 
 
 @pytest.mark.parametrize("name, theta", [("B3", ()), ("E6", (2, 3, 4, 5, 6))])
@@ -298,14 +298,7 @@ def test_packed_nu_matches_the_reflection_loop(name):
     rs = build_root_system(name)
     rng = random.Random(name)
     for _ in range(12):
-        word, y = [], rs.rho
-        while len(word) < DIRECT_WORD_LIMIT:
-            ascents = [i for i in range(rs.rank) if y[i] > 0]
-            if not ascents:
-                break  # w0 was reached
-            i = rng.choice(ascents)
-            word.append(i + 1)
-            y = rs.reflect_weight(i, y)
+        word = random_reduced_word(rs, rng)
         assert BottSamelsonRing(rs, word).nu == bs_nu_by_reflections(rs, word), word
     for _ in range(40):
         word = [rng.randint(1, rs.rank) for _ in range(rng.randint(1, DIRECT_WORD_LIMIT))]
@@ -314,6 +307,46 @@ def test_packed_nu_matches_the_reflection_loop(name):
         else:
             with pytest.raises(UsageError, match="is not reduced"):
                 BottSamelsonRing(rs, word)
+
+
+def random_reduced_word(rs, rng):
+    """A reduced word grown by random ascents of rho, up to the direct limit."""
+    word, y = [], rs.rho
+    while len(word) < DIRECT_WORD_LIMIT:
+        ascents = [i for i in range(rs.rank) if y[i] > 0]
+        if not ascents:
+            break  # w0 was reached
+        i = rng.choice(ascents)
+        word.append(i + 1)
+        y = rs.reflect_weight(i, y)
+    return word
+
+
+def test_packed_pullback_matches_the_reflection_loop():
+    # every root (the weights the routes pull) on random reduced words of the B3, G2
+    # and F4 full flags and on the E7/P1 canonical words the direct route can take
+    cases = []
+    for name in ("B3", "G2", "F4"):
+        rs = build_root_system(name)
+        rng = random.Random(name)
+        cases += [(rs, random_reduced_word(rs, rng)) for _ in range(12)]
+    rs = build_root_system("E7")
+    ct = coset_reps(rs, (2, 3, 4, 5, 6, 7))
+    cases += [(rs, ct.words[k]) for k in range(len(ct)) if ct.length(k) <= DIRECT_WORD_LIMIT]
+    for rs, word in cases:
+        ring = BottSamelsonRing(rs, word)
+        for pr in rs.positive_roots:
+            for mu in (pr.omega, tuple(-a for a in pr.omega)):
+                assert ring.pull_weight_class(mu) == bs_pull_by_reflections(rs, word, mu), (word, mu)
+    # a walk stays in the packed field while max |mu_j| times the largest coroot height does
+    for name in ("B3", "G2", "F4", "E7"):
+        rs = build_root_system(name)
+        ring = BottSamelsonRing(rs, random_reduced_word(rs, random.Random(name)))
+        top = 127 // orbit_bound(rs, ())
+        fits = tuple(top * a for a in rs.rho)
+        assert ring.pull_weight_class(fits) == bs_pull_by_reflections(rs, ring.word, fits), name
+        with pytest.raises(UsageError, match="packed field"):
+            ring.pull_weight_class(tuple((top + 1) * a for a in rs.rho))
 
 
 @st.composite
@@ -387,30 +420,30 @@ def test_calibration_picks_a_convention():
     assert wu_convention() in ("I", "II")
 
 
-def test_wu_convention_ii_fails_oracle():
+def test_wu_convention_ii_fails_oracle(monkeypatch):
     # A2 does not separate the two conventions; A3 does, so exactly one survives
+    monkeypatch.setattr(steenrod, "WU_CONVENTION", "II")
     for name, mismatches in (("A2", 0), ("A3", 8)):
         rs = build_root_system(name)
         ct = coset_reps(rs, ())
         bad = [
             idx for idx in range(len(ct))
-            if _direct_steenrod_pieces(rs, (), idx, "II") != steenrod_divisor_generated(rs, idx)
+            if _direct_steenrod_pieces(rs, (), idx) != steenrod_divisor_generated(rs, idx)
         ]
         assert len(bad) == mismatches, (name, bad)
 
 
 def test_direct_route_matches_divisor_oracle_a2_a3():
-    conv = wu_convention()
     for name in ("A2", "A3"):
         rs = build_root_system(name)
         ct = coset_reps(rs, ())
         for idx in range(len(ct)):
-            got = _direct_steenrod_pieces(rs, (), idx, conv)
+            got = _direct_steenrod_pieces(rs, (), idx)
             want = steenrod_divisor_generated(rs, idx)
             assert got == want, (name, idx)
 
 
-def test_cartan_check_separates_the_conventions_as_the_closed_form_does():
+def test_cartan_check_separates_the_conventions_as_the_closed_form_does(monkeypatch):
     # the calibration's Cartan-formula check fails exactly where the direct route
     # disagrees with the divisor-generated closed form: nowhere for convention I,
     # and for II on A3 but not on A2
@@ -419,8 +452,9 @@ def test_cartan_check_separates_the_conventions_as_the_closed_form_does():
         rs = build_root_system(name)
         classes = range(len(coset_reps(rs, ())))
         for conv in ("I", "II"):
-            failures = steenrod._cartan_failures(name, conv)
-            closed_form = [k for k in classes if _direct_steenrod_pieces(rs, (), k, conv)
+            monkeypatch.setattr(steenrod, "WU_CONVENTION", conv)
+            failures = steenrod._cartan_failures(name)
+            closed_form = [k for k in classes if _direct_steenrod_pieces(rs, (), k)
                            != steenrod_divisor_generated(rs, k)]
             assert bool(failures) == bool(closed_form), (name, conv)
             failing[name, conv] = len(failures)
@@ -524,17 +558,17 @@ def test_steenrod_total_requires_mod2():
 def test_steenrod_word_independent():
     # recomputing through a different reduced word of the same element gives
     # the same graded operation
-    conv = wu_convention()
     for name in ("A2", "B2"):
         rs = build_root_system(name)
         ct = coset_reps(rs, ())
+        weights = [pr.omega for pr in rs.positive_roots]  # the unipotent radical of B
         for idx in range(len(ct)):
             words = all_reduced_words(rs, ct.reps[idx])
             if len(words) < 2:
                 continue
-            base = _direct_steenrod_pieces(rs, (), idx, conv)
+            base = _direct_steenrod_pieces(rs, (), idx)
             for word in words[1:]:
-                alt = _direct_steenrod_pieces(rs, (), idx, conv, word=word)
+                alt = steenrod._pushed_series(ct, idx, word, weights, ct.codim(idx))
                 assert alt == base, (name, idx, word)
 
 
@@ -548,12 +582,11 @@ def test_duality_route_agrees_with_direct_on_e7():
     rs = build_root_system("E7")
     theta = (2, 3, 4, 5, 6, 7)
     ct = coset_reps(rs, theta)
-    conv = wu_convention()
     nonzero = 0
     for k in range(len(ct)):
         if ct.codim(k) != 16:
             continue
-        direct = _direct_steenrod_pieces(rs, theta, k, conv, up_to=1)
+        direct = _direct_steenrod_pieces(rs, theta, k, up_to=1)
         dualled = _steenrod_by_duality(rs, theta, k, 1)
         d1 = direct.get(1).coeffs if direct.get(1) else {}
         u1 = dualled.get(1).coeffs if dualled.get(1) else {}
@@ -570,12 +603,11 @@ def test_duality_route_agrees_with_direct_on_b3():
     rs = build_root_system("B3")
     theta = ()
     ct = coset_reps(rs, theta)
-    conv = wu_convention()
     for idx in range(len(ct)):
         codim = ct.codim(idx)
         if codim == 0:
             continue
-        direct = _direct_steenrod_pieces(rs, theta, idx, conv)
+        direct = _direct_steenrod_pieces(rs, theta, idx)
         dualled = _steenrod_by_duality(rs, theta, idx, codim)
         direct = {d: c for d, c in direct.items() if not c.is_zero() and d > 0}
         dualled = {d: c for d, c in dualled.items() if not c.is_zero() and d > 0}

@@ -155,10 +155,11 @@ def test_coset_minimality_exhaustive_rank_le_3():
                         assert (w * WeylElement.from_word(rs, [s])).length == w.length + 1
 
 
-def test_resource_cap():
+def test_resource_cap(monkeypatch):
     rs = build_root_system("E6")
+    monkeypatch.setattr("weylchow.weyl.DEFAULT_COSET_CAP", 100)
     with pytest.raises(ResourceLimitError):
-        CosetTable(rs, (), cap=100)
+        CosetTable(rs, ())
 
 
 def _edges(ct):
