@@ -90,21 +90,17 @@ def test_every_private_default_is_passed_by_some_package_call():
                 if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_") \
                         and not fn.name.endswith("__"):
                     defs.append((fn, isinstance(node, ast.ClassDef)))
-    passed = {}  # function name -> {positional count or parameter name it is called with}
+    most = {}      # function name -> most positional arguments a package call passes
+    keywords = {}  # function name -> keywords a package call passes ("**" for a mapping)
     for tree in trees:
         for call in ast.walk(tree):
             if isinstance(call, ast.Call):
                 name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
-                seen = passed.setdefault(name, set())
-                seen.add(float("inf") if any(isinstance(a, ast.Starred) for a in call.args)
-                         else len(call.args))
-                seen.update(kw.arg or "**" for kw in call.keywords)
-    unpassed = []
-    for fn, method in defs:
-        seen = passed.get(fn.name, set())
-        for param, position in _defaulted(fn, method).items():
-            by_position = position is not None and any(
-                isinstance(n, (int, float)) and n > position for n in seen)
-            if not (by_position or param in seen or "**" in seen):
-                unpassed.append(f"{fn.name}({param}=)")
+                starred = any(isinstance(a, ast.Starred) for a in call.args)
+                most[name] = max(most.get(name, 0), float("inf") if starred else len(call.args))
+                keywords.setdefault(name, set()).update(kw.arg or "**" for kw in call.keywords)
+    unpassed = [f"{fn.name}({param}=)" for fn, method in defs
+                for param, position in _defaulted(fn, method).items()
+                if not ((position is not None and most.get(fn.name, 0) > position)
+                        or {param, "**"} & keywords.get(fn.name, set()))]
     assert unpassed == []
