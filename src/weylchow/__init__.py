@@ -5,7 +5,7 @@ Modules:
   weyl       - Weyl group elements, coset tables, Bruhat order
   schubert   - Chow rings of G/P in the Schubert basis
   polynomial - polynomials in the fundamental weights, invariant generators
-  steenrod   - mod-2 Steenrod operations via Bott-Samelson resolutions
+  steenrod   - mod-2 Steenrod operations (Bott-Samelson resolutions, fixed points)
   motive     - motivic decompositions and correspondence arithmetic
   titsjinv   - Tits indices, automata, Kac data and J-invariant identities
   cli        - batch command line over everything
@@ -36,8 +36,7 @@ _EXPORTS = {
         ("schubert", ("ChowClass", "chern_tangent", "dual", "duality_product",
                       "invariant_generators", "multiply", "pullback_to_flags")),
         ("polynomial", ("Polynomial",)),
-        ("steenrod", ("BottSamelsonRing", "bs_pushforward", "steenrod_on_bs",
-                      "steenrod_total")),
+        ("steenrod", ("BottSamelsonRing", "bs_pushforward", "steenrod_total")),
         ("motive", ("Correspondence", "compose", "decompose", "idempotent_power",
                     "projector_rank", "refine_rost", "singleton_components")),
         ("titsjinv", ("Automaton", "HigherIndexSet", "JProfile", "KacEntry", "TitsIndex",

@@ -155,12 +155,18 @@ def _integral(cls: ChowClass):
     return L, {k: c.numerator * (L // c.denominator) for k, c in cls.coeffs.items()}
 
 
+def check_position(k, ct: CosetTable) -> int:
+    """k, or UsageError unless it is a position of ct: an int, not a bool, in
+    0..len(ct) - 1."""
+    if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k < len(ct):
+        raise UsageError(f"basis position {k!r} must be an integer in 0..{len(ct) - 1}")
+    return k
+
+
 def check_positions(cls: ChowClass, ct: CosetTable):
-    """UsageError unless every coefficient key of cls is a position of ct: an int,
-    not a bool, in 0..len(ct) - 1."""
+    """UsageError unless every coefficient key of cls is a position of ct."""
     for k in cls.coeffs:
-        if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k < len(ct):
-            raise UsageError(f"basis position {k!r} must be an integer in 0..{len(ct) - 1}")
+        check_position(k, ct)
 
 
 def _check_compatible(a: ChowClass, b: ChowClass):
@@ -252,13 +258,13 @@ def dual(ct: CosetTable, w) -> int:
         if k is None:
             raise UsageError("element is not a minimal coset representative")
     else:
-        k = int(w)
+        k = check_position(w, ct)
     return ct.dual_index(k)
 
 
 def duality_product(ct: CosetTable, a: int, b: int) -> int:
     """Coefficient of the point class in [X_a][X_b] for complementary codims."""
-    if ct.codim(a) + ct.codim(b) != ct.max_length:
+    if ct.codim(check_position(a, ct)) + ct.codim(check_position(b, ct)) != ct.max_length:
         raise UsageError("codimensions are not complementary")
     return 1 if ct.dual_index(a) == b else 0
 

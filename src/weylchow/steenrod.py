@@ -1,4 +1,4 @@
-"""Mod-2 Steenrod operations on Ch*(G/P_Theta) via Bott-Samelson resolutions.
+"""Mod-2 Steenrod operations on Ch*(G/P_Theta): Bott-Samelson resolutions, fixed points.
 
 For a reduced word (i_1..i_l) the resolution's Chow ring is
 
@@ -38,28 +38,30 @@ S(h b) = S(h) S(b) for every basis class b.  These rings are generated by
 their divisors, so an additive S that passes is the total square; a
 failure raises CalibrationError.
 
-For basis classes whose reduced word is too long to expand a 2^l ring, the
-graded pieces are recovered from duality pairings: with Phi(u) :=
-pi_*(c(T_Z)^{-or+1}) (convention-matched), the degree functional satisfies
-deg(S(g) . Phi(u)) = deg(g u) for all u, which gives the triangular
-recursion
-
-    <S^m(g), u> = sum_{m' < m} <S^{m'}(g), Phi(u)_{dim - codim(g) - m'}>,
-
-whose right side needs only Bott-Samelson data of complementary classes
-with short words.  Level m reads Phi(u) in degrees 1..m only, so Phi is
-expanded to degree m and no further; `_phi_pieces` is memoized per class
-and bound.
+A basis class whose canonical word is longer than DIRECT_WORD_LIMIT is
+solved at the torus-fixed points instead, as `schubert` solves products.
+Mod 2, S sends a character chi to chi + chi^2 and commutes with
+restriction, so S(xi^v)(x) is xi^v(x) at tau + tau^2 (squared
+coordinatewise), tau a point of GF(2^8) at which no root vanishes
+(`_point`).  Scaled by lambda, Billey's walk with the factors
+lambda (r + lambda r^2) gives S^i(xi^v)(x) as the coefficient of
+lambda^(n+i), n = l(v).  The triangular solve
+c^x = (S(xi^v)(x) - sum_{w<x} c^w xi^w(x)) / xi^x(x) then gives at
+lambda^(l(x)-n) the coefficient of xi^x in S^(l(x)-n)(xi^v): a constant in
+{0, 1} with nothing below it, or an internal error.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
+from operator import xor
 from types import MappingProxyType
 
 from .errors import CalibrationError, InternalComputationError, ResourceLimitError, UsageError
 from .rootdata import RootSystem, build_root_system
-from .schubert import ChowClass, check_positions, flag_context, multiply
+from .schubert import (
+    ENTRY_CAP, ChowClass, check_position, check_positions, flag_context, multiply,
+)
 from .weyl import (
     _BIAS, _MASK, CosetTable, checked_word, coset_reps, orbit_bound, pack_weight, packed_steps,
 )
@@ -137,20 +139,6 @@ class BottSamelsonRing:
     def one(self):
         return 1
 
-    @staticmethod
-    def masks(elem):
-        """The divisor masks of the monomials in `elem`, increasing."""
-        bits = bin(elem)[:1:-1]
-        out = []
-        m = bits.find("1")
-        while m >= 0:
-            out.append(m)
-            m = bits.find("1", m + 1)
-        return out
-
-    def mul_divisor(self, elem, k, max_degree=None):
-        return self.mul_linear(elem, (k,), max_degree=max_degree)
-
     def mul_linear(self, elem, form, max_degree=None):
         """Multiply by the sum of the divisors at the positions in `form`.
 
@@ -178,20 +166,6 @@ class BottSamelsonRing:
                 if x:
                     for m in self.nu[k]:
                         pending[m] ^= x
-        return out
-
-    def mul(self, a, b, max_degree=None):
-        if a.bit_count() > b.bit_count():
-            a, b = b, a
-        out = 0
-        for amask in self.masks(a):
-            term = b
-            m = amask
-            while m and term:
-                k = (m & -m).bit_length() - 1
-                term = self.mul_divisor(term, k, max_degree=max_degree)
-                m &= m - 1
-            out ^= term
         return out
 
     def mul_one_plus_series(self, elem, form, exponent, max_degree):
@@ -236,24 +210,6 @@ class BottSamelsonRing:
             raise UsageError(f"weight {list(mu)} can leave the packed field of its walk")
         return self._pull(pack_weight(mu), self.length)
 
-    def graded_piece(self, elem, d):
-        return elem & self.deg[d] if 0 <= d <= self.length else 0
-
-
-def steenrod_on_bs(ring: BottSamelsonRing, elem):
-    """The ring endomorphism generated by D |-> D + D^2 (the total square)."""
-    out = 0
-    for mask in ring.masks(elem):
-        term = 1
-        m = mask
-        while m:
-            k = (m & -m).bit_length() - 1
-            term = ring.mul_divisor(term, k)
-            term ^= ring.mul_divisor(term, k)  # * (1 + D_k)
-            m &= m - 1
-        out ^= term
-    return out
-
 
 def bs_pushforward(ring: BottSamelsonRing, elem, theta) -> ChowClass:
     """Push a ring element (an int bitset) to a mod-2 Schubert class on G/P_Theta.
@@ -274,12 +230,13 @@ def bs_pushforward(ring: BottSamelsonRing, elem, theta) -> ChowClass:
     return ChowClass(ring.rs.type.name(), ct.theta, "Z/2", dict.fromkeys(out, 1))
 
 
-def _pushed_series(ct: CosetTable, idx, word, weights, top):
-    """{d: pi_* of degree d of c(E)^eps c(T_Z)^-eps}, nonzero pieces only, d <= top.
+def _pushed_series(ct: CosetTable, idx, word, top):
+    """{d: S^d([X_idx])}, nonzero pieces only, d <= top, by the resolution of `word`.
 
-    Z is the resolution of `word`, a reduced word of the rep at position idx,
-    E the sum of the line bundles pulled back from the weights (omega
-    coordinates), and c(T_Z) = prod_j (1 + nu_j); eps is +1 under
+    `word` is a reduced word of the rep at position idx and Z its
+    resolution; the pieces are pi_* of degree d of c(T_X)^eps c(T_Z)^-eps,
+    with c(T_X) the product of the line bundles pulled back from the roots of
+    the unipotent radical and c(T_Z) = prod_j (1 + nu_j); eps is +1 under
     WU_CONVENTION I and -1 under II, and no other code picks the sign.  A
     degree-d monomial lands in codimension codim(idx) + d, so one push of
     the whole product is split by codimension; degree 0 must give [X_idx].
@@ -287,8 +244,8 @@ def _pushed_series(ct: CosetTable, idx, word, weights, top):
     eps = 1 if WU_CONVENTION == "I" else -1
     ring = BottSamelsonRing(ct.rs, word)
     elem = ring.one()
-    for mu in weights:
-        elem = ring.mul_one_plus_series(elem, ring.pull_weight_class(mu), eps, top)
+    for pr in flag_context(ct.rs, ct.theta).unipotent_roots:
+        elem = ring.mul_one_plus_series(elem, ring.pull_weight_class(pr.omega), eps, top)
     for nu in ring.nu:
         elem = ring.mul_one_plus_series(elem, nu, -eps, top)
     base = ct.codim(idx)
@@ -303,17 +260,6 @@ def _pushed_series(ct: CosetTable, idx, word, weights, top):
 
 # ---------------------------------------------------------------------------
 # Calibration of the Wu-formula convention
-
-
-def _direct_steenrod_pieces(rs, theta, idx, up_to=None):
-    """S^i([X_idx]) for all i <= up_to via the resolution ring of its canonical word."""
-    ctx = flag_context(rs, theta)
-    ct = ctx.ct
-    codim = ct.codim(idx)
-    emax = codim if up_to is None else min(up_to, codim)
-    # the tangent bundle of the base: one line bundle per root in the unipotent radical
-    weights = [pr.omega for pr in ctx.unipotent_roots]
-    return _pushed_series(ct, idx, ct.words[idx], weights, emax)
 
 
 def _cartan_failures(name):
@@ -335,8 +281,8 @@ def _cartan_failures(name):
         return ChowClass(type_name, (), "Z/2", dict.fromkeys(positions, 1))
 
     # S(b) for every basis class b, as the set of positions of its terms
-    total = [set().union(*(piece.coeffs for piece in _direct_steenrod_pieces(rs, (), k).values()))
-             for k in range(len(ct))]
+    pieces = [_pushed_series(ct, k, ct.words[k], ct.codim(k)) for k in range(len(ct))]
+    total = [set().union(*(piece.coeffs for piece in p.values())) for p in pieces]
     failures = []
     for h in ct.of_codim(1):
         sh, hh = cls(total[h]), cls([h])
@@ -366,99 +312,139 @@ def _calibrate():
 
 
 # ---------------------------------------------------------------------------
-# Phi classes and the duality route
+# Long words: localization over GF(2^8)
 
 
 @cache
-def _phi_pieces(rs, theta, idx, bound):
-    """Graded pieces of Phi([X_idx]) = pi_*(c(T_Z)^{-+1}), convention-matched, in degrees <= bound.
+def _field():
+    """(mul, inv) in GF(2^8) = F2[y]/(y^8 + y^4 + y^3 + y + 1): mul[c] is the
+    bytes.translate table of multiplication by c, inv[c] the inverse of c (inv[0] = 0).
+    Built on first use, each table by translating the log table through a turn of
+    the antilog table of the generator y + 1."""
+    exp = [1]
+    for _ in range(254):
+        a = exp[-1] ^ exp[-1] << 1
+        exp.append(a ^ 0x11B if a & 0x100 else a)
+    log = bytearray(256)
+    log[0] = 255  # every table maps it to 0
+    for k, a in enumerate(exp):
+        log[a] = k
+    turn = bytes(exp) * 2
+    mul = (bytes(256), *(log.translate(turn[log[c]:log[c] + 255] + b"\0") for c in range(1, 256)))
+    return mul, (0, *(exp[-log[c] % 255] for c in range(1, 256)))
 
-    This is the direct route's series without the base factors, truncated
-    at `bound` instead of the codimension, as a read-only mapping.  theta
-    must be normalized (sorted, no repeats), as `CosetTable.theta` is.
+
+@cache
+def _point(rs: RootSystem):
+    """tau in GF(2^8) on the simple roots, with no positive root vanishing there.
+
+    A root is primitive, so mod 2 its simple-root coordinates have an odd
+    support; tau_j is the least unit that keeps nonzero every root whose odd
+    support ends at j.  On every type under the positive-root cap the values
+    stay at most 32, far inside the field."""
+    odd = [[k for k, c in enumerate(pr.root) if c & 1] for pr in rs.positive_roots]
+    tau = []
+    for j in range(rs.rank):
+        taken = {reduce(xor, [tau[k] for k in ks[:-1]], 0) for ks in odd if ks[-1] == j}
+        tau.append(min(set(range(1, 256)) - taken))
+    return tuple(tau)
+
+
+def _steenrod_by_localization(rs, theta, idx, want):
+    """{d: S^d([X_idx])} for d <= want, nonzero pieces only, solved at the fixed points
+    x above v, for [X_idx] = xi^v and n = l(v) (see the module docstring).
+
+    A value is a series in lambda truncated at `size` terms, one int with
+    coefficient k in byte k.  One walk and the memo of columns hold at most
+    one entry per rep of length below n + size; past ENTRY_CAP the class is
+    refused before any walk.
     """
-    _calibrate()
     ct = coset_reps(rs, theta)
-    return MappingProxyType(_pushed_series(ct, idx, ct.words[idx], (), bound))
+    n, v = ct.codim(idx), ct.dual_index(idx)
+    size = min(want, ct.max_length - n) + 1
+    if (entries := ct.of_length(n + size - 1).stop) > ENTRY_CAP:
+        raise ResourceLimitError(
+            f"{entries} fixed-point states (S^<= {size - 1} of a codimension-{n} class) exceed "
+            f"the cap {ENTRY_CAP} for type {rs.type.name()}, theta={list(ct.theta)}")
+    mul, inv = _field()
+    odd = [[a & 1 for a in row] for row in rs.cartan]
+
+    def scale(series, c):
+        return int.from_bytes(series.to_bytes(size, "little").translate(mul[c]), "little")
+
+    def times(series, tables):  # series (r + lambda r^2), truncated, by the tables of r and r^2
+        raw = series.to_bytes(size, "little")
+        return (int.from_bytes(raw.translate(tables[0]), "little")
+                ^ int.from_bytes(raw[:-1].translate(tables[1]), "little") << 8)
+
+    col = {}  # x -> its nonzero column c^x
+    pieces = {}
+    for x in sorted(ct.upper_set([v], n + size - 1)):
+        word, t, factors = ct.words[x], list(_point(rs)), []
+        for b in word:  # Billey's factors r as `_FlagContext._row` walks them, mod 2
+            r = t[b - 1]
+            factors.append((mul[r], mul[mul[r][r]]))
+            t = [ti ^ r if a else ti for ti, a in zip(t, odd[b - 1])]
+        row = ct.subword_sums(word, factors, range(n, n + size), times)
+        acc = row.get(v, 0)
+        for w, c in col.items():
+            if w in row:
+                acc ^= scale(c, row[w] & 255)
+        acc = scale(acc, inv[row[x] & 255])
+        i = len(word) - n
+        if acc & (1 << 8 * i) - 1 or acc >> 8 * i & 255 > 1:
+            raise InternalComputationError(f"Steenrod coefficient at fixed point {x} is not in F2")
+        if acc:
+            col[x] = acc
+            if acc >> 8 * i & 1:
+                pieces.setdefault(i, {})[ct.dual_index(x)] = 1
+    if pieces.get(0) != {idx: 1}:
+        raise InternalComputationError("S^0 at the fixed points is not the identity")
+    return {d: ChowClass(rs.type.name(), ct.theta, "Z/2", pieces[d]) for d in sorted(pieces)}
 
 
-def _steenrod_by_duality(rs, theta, idx, up_to):
-    """S^m([X_idx]) for m <= up_to from pairings against Phi of complementary classes.
-
-    Level m reads Phi(u) in degrees 1..m only, so it asks for no more.
-    """
-    ct = coset_reps(rs, theta)
-    dim = ct.max_length
-    c = ct.codim(idx)
-    m_max = min(up_to, c)
-    known = {0: {idx: 1}}  # m -> coeff dict of S^m
-    for m in range(1, m_max + 1):
-        coeffs = {}
-        for u in ct.of_codim(dim - c - m):
-            phi = _phi_pieces(rs, ct.theta, u, m)
-            val = 0
-            for mp in range(m):
-                piece = phi.get(m - mp)
-                if not piece:
-                    continue
-                s_mp = known.get(mp, {})
-                for v, cv in piece.coeffs.items():
-                    sv = s_mp.get(ct.dual_index(v))
-                    if sv:
-                        val += cv * sv
-            val %= 2
-            if val:
-                coeffs[ct.dual_index(u)] = val
-        known[m] = coeffs
-    return {
-        m: ChowClass(rs.type.name(), ct.theta, "Z/2", cf)
-        for m, cf in known.items()
-        if cf
-    }
+def _check_degree(up_to):
+    if up_to is not None and (not isinstance(up_to, int) or isinstance(up_to, bool) or up_to < 0):
+        raise UsageError(f"Steenrod degree must be a nonnegative integer, got {up_to!r}")
 
 
 def steenrod_basis_element(rs, theta, idx, up_to=None):
     """Graded Steenrod pieces {i: S^i} of one mod-2 basis class, i <= up_to (cached).
 
     The bound is clipped to the class's codimension first, so every bound at
-    or above it shares one entry.
+    or above it shares one entry.  A position or bound of the wrong kind is
+    a usage error.
     """
+    _check_degree(up_to)
     ct = coset_reps(rs, theta)
+    check_position(idx, ct)
     codim = ct.codim(idx)
     return _basis_pieces(rs, ct.theta, idx, codim if up_to is None else min(up_to, codim))
 
 
 @cache
 def _basis_pieces(rs, theta, idx, want):
-    """S^0..S^want of [X_idx] by the direct ring or, for a long word, the duality route.
+    """S^0..S^want of [X_idx] by the direct ring or, for a long word, at the fixed points.
 
     Read-only, as every caller shares the cached mapping.
     """
     _calibrate()
     ct = coset_reps(rs, theta)
-    codim = ct.codim(idx)
-    word_len = ct.length(idx)
-    if word_len <= DIRECT_WORD_LIMIT:
-        return MappingProxyType(_direct_steenrod_pieces(rs, theta, idx, up_to=want))
-    if codim + want <= DIRECT_WORD_LIMIT:
-        return MappingProxyType(_steenrod_by_duality(rs, theta, idx, want))
-    raise ResourceLimitError(
-        f"S^<= {want} of a codimension-{codim} class (word length {word_len}) "
-        "is out of reach: neither the direct ring nor the duality route fits"
-    )
+    if ct.length(idx) <= DIRECT_WORD_LIMIT:
+        return MappingProxyType(_pushed_series(ct, idx, ct.words[idx], want))
+    return MappingProxyType(_steenrod_by_localization(rs, theta, idx, want))
 
 
 def steenrod_total(cls: ChowClass, up_to=None):
     """The graded list S^0(cls)..S^max(cls) for a mod-2 class.
 
     S is additive, so the class is expanded over the basis; each basis
-    element goes through its own resolution (or the duality route for long
-    words).
+    element goes through its own resolution (or, for a long word, the
+    fixed points).
     """
     if cls.ring != "Z/2":
         raise UsageError("steenrod_total expects a Z/2 class")
-    if up_to is not None and (not isinstance(up_to, int) or isinstance(up_to, bool) or up_to < 0):
-        raise UsageError(f"Steenrod degree must be a nonnegative integer, got {up_to!r}")
+    _check_degree(up_to)
     rs = build_root_system(cls.type_name)
     ct = coset_reps(rs, cls.theta)
     check_positions(cls, ct)

@@ -468,10 +468,12 @@ class CosetTable:
                 stack.append((pos - 1, p - (f - _BIAS) * col, mask, spare))
         return out
 
-    def subword_sums(self, word, factors, lengths=None) -> dict:
+    def subword_sums(self, word, factors, lengths=None, times=None) -> dict:
         """position k -> the sum, over the subwords of a reduced word that are reduced
         words of the representative at k, of the product of factors[j] over the letters
         j taken; with `lengths` (a collection of lengths), only the k of those lengths.
+        The values are integers, or with `times` elements of a ring of characteristic 2
+        stored as ints: added by xor, and multiplied by a factor as times(value, factor).
 
         The walk of `subword_positions` with one integer per point in place of
         the masks: going right to left, every state keeps its value (letter j
@@ -500,7 +502,7 @@ class CosetTable:
                 f = (p >> shift) & _MASK
                 if f > _BIAS:
                     q = p - (f - _BIAS) * col
-                    states[q] = get(q, 0) + v * r
+                    states[q] = get(q, 0) + v * r if times is None else get(q, 0) ^ times(v, r)
                     if lengths is not None:
                         size[q] = size[p] + 1
             if lengths is not None:

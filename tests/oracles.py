@@ -625,6 +625,58 @@ def bs_pull_by_reflections(rs, word, mu):
     return tuple(out)
 
 
+def bs_masks(elem):
+    """The divisor masks of the monomials in a Bott-Samelson ring element, increasing."""
+    bits = bin(elem)[:1:-1]
+    out = []
+    m = bits.find("1")
+    while m >= 0:
+        out.append(m)
+        m = bits.find("1", m + 1)
+    return out
+
+
+def bs_mul_divisor(ring, elem, k, max_degree=None):
+    """elem times the divisor D_{k+1} of the ring."""
+    return ring.mul_linear(elem, (k,), max_degree=max_degree)
+
+
+def bs_mul(ring, a, b, max_degree=None):
+    """The product of two ring elements, one divisor factor at a time."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    out = 0
+    for amask in bs_masks(a):
+        term = b
+        m = amask
+        while m and term:
+            k = (m & -m).bit_length() - 1
+            term = bs_mul_divisor(ring, term, k, max_degree=max_degree)
+            m &= m - 1
+        out ^= term
+    return out
+
+
+def bs_graded_piece(ring, elem, d):
+    """The degree-d monomials of elem."""
+    return elem & ring.deg[d] if 0 <= d <= ring.length else 0
+
+
+def steenrod_on_bs(ring, elem):
+    """The ring endomorphism generated by D |-> D + D^2 (the total square)."""
+    out = 0
+    for mask in bs_masks(elem):
+        term = 1
+        m = mask
+        while m:
+            k = (m & -m).bit_length() - 1
+            term = bs_mul_divisor(ring, term, k)
+            term ^= bs_mul_divisor(ring, term, k)  # * (1 + D_k)
+            m &= m - 1
+        out ^= term
+    return out
+
+
 def is_reduced_by_reflections(rs, word):
     """Whether each letter of word, appended in turn, goes up in length: the letter's
     coordinate of the image of rho so far, a coordinate tuple, is positive."""

@@ -23,7 +23,7 @@ from weylchow.schubert import (
     multiply,
 )
 from weylchow.steenrod import (
-    _direct_steenrod_pieces,
+    _pushed_series,
     steenrod_basis_element,
     steenrod_total,
     wu_convention,
@@ -223,7 +223,7 @@ def test_criterion_6_steenrod_calibration_and_axioms():
         rs = build_root_system(name)
         ct = coset_reps(rs, ())
         for idx in range(len(ct)):
-            got = _direct_steenrod_pieces(rs, (), idx)
+            got = _pushed_series(ct, idx, ct.words[idx], ct.codim(idx))
             want = steenrod_divisor_generated(rs, idx)
             assert got == want, (name, idx)
     # axioms exhaustively on A2/B2/A3

@@ -133,6 +133,24 @@ def test_steenrod_e7_point_through_cli():
     assert data["terms"] == [{"word": [], "coeff": 1}]  # the point class
 
 
+def test_steenrod_of_a_long_word_class_through_cli():
+    # E7/P1 position 88: codim 12 and a 21-letter word, past the resolution ring's limit
+    ct = coset_reps(build_root_system("E7"), (2, 3, 4, 5, 6, 7))
+    assert (ct.codim(88), ct.length(88)) == (12, 21)
+    cls = json.dumps({"type": "E7", "theta": [2, 3, 4, 5, 6, 7], "ring": "Z/2",
+                      "terms": [{"word": list(ct.words[88]), "coeff": 1}]})
+    base = ["--type", "E7", "--theta", "2,3,4,5,6,7"]
+    code, out = run(["steenrod", *base, "--class", cls])
+    assert code == 0
+    graded = json.loads(out)
+    assert len(graded) == 13 and graded[0] == json.loads(cls) | {"theta": [2, 3, 4, 5, 6, 7]}
+    # the top square is the square mod 2
+    code, square = run(["mult", *base, "--a", cls, "--b", cls])
+    assert code == 0 and graded[12] == json.loads(square)
+    assert len(graded[12]["terms"]) == 3
+    assert run(["steenrod", *base, "--class", cls, "--i", "12"]) == (0, square)
+
+
 def test_decompose_e7_paper_example():
     code, out = run(
         ["decompose", "--type", "E7", "--theta", "1,2,3,4,5,6", "--circled", "1,6,7", "--rost"]

@@ -30,7 +30,7 @@ EXPORTED = {
         "multiply", "pullback_to_flags",
     ],
     "polynomial": ["Polynomial"],
-    "steenrod": ["BottSamelsonRing", "bs_pushforward", "steenrod_on_bs", "steenrod_total"],
+    "steenrod": ["BottSamelsonRing", "bs_pushforward", "steenrod_total"],
     "motive": [
         "Correspondence", "compose", "decompose", "idempotent_power", "projector_rank",
         "refine_rost", "singleton_components",

@@ -99,6 +99,19 @@ def test_duality_product():
         duality_product(ct, 0, 0)
 
 
+def test_duality_helpers_refuse_bad_positions():
+    # positions as `check_positions` reads them: an int, not a bool, in 0..len - 1
+    ct = coset_reps(build_root_system("A2"), ())
+    for k in (2.5, True, -1, 6, "1"):
+        with pytest.raises(UsageError, match="basis position"):
+            dual(ct, k)
+        with pytest.raises(UsageError, match="basis position"):
+            duality_product(ct, k, 3)
+        with pytest.raises(UsageError, match="basis position"):
+            duality_product(ct, 3, k)
+    assert (dual(ct, 2), duality_product(ct, 2, ct.dual_index(2))) == (ct.dual_index(2), 1)
+
+
 def test_pieri_a1():
     rs = build_root_system("A1")
     w0 = WeylElement.from_word(rs, [1])

@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,23 +15,28 @@ from weylchow.schubert import ChowClass, _FlagContext, multiply
 from weylchow.steenrod import (
     DIRECT_WORD_LIMIT,
     BottSamelsonRing,
-    _direct_steenrod_pieces,
     bs_pushforward,
     steenrod_basis_element,
-    steenrod_on_bs,
     steenrod_total,
     wu_convention,
 )
 from weylchow.weyl import CosetTable, WeylElement, coset_reps, longest_element, orbit_bound
 
+import oracles
 from oracles import (
-    all_reduced_words, bs_nu_by_reflections, bs_pull_by_reflections, is_reduced_by_reflections,
-    steenrod_divisor_generated,
+    all_reduced_words, bs_graded_piece, bs_masks, bs_mul, bs_mul_divisor, bs_nu_by_reflections,
+    bs_pull_by_reflections, is_reduced_by_reflections, steenrod_divisor_generated, steenrod_on_bs,
 )
 
 
 def mod2_basis(rs, theta, k):
     return ChowClass(rs.type.name(), tuple(sorted(theta)), "Z/2", {k: 1})
+
+
+def direct_pieces(rs, theta, idx):
+    """Every S^i of a basis class by the resolution of its canonical word."""
+    ct = coset_reps(rs, theta)
+    return steenrod._pushed_series(ct, idx, ct.words[idx], ct.codim(idx))
 
 
 def to_mod2(cls):
@@ -62,7 +69,7 @@ def mul_div_mask(ring, k, mask, memo):
 def oracle_mul_linear(ring, elem, form, max_degree=None):
     out, memo = set(), {}
     for k in form:
-        for mask in ring.masks(elem):
+        for mask in bs_masks(elem):
             if max_degree is None or mask.bit_count() < max_degree:
                 out ^= mul_div_mask(ring, k, mask, memo)
     return bits(out)
@@ -95,7 +102,7 @@ def test_bs_ring_dimension_and_relations():
     # word, is D_2^2 = D_1 D_2 mod 2
     assert ring.nu[0] == ()
     assert ring.nu[1] == (0,)
-    sq = ring.mul_divisor(bits({0b10}), 1)
+    sq = bs_mul_divisor(ring, bits({0b10}), 1)
     assert sq == bits({0b11})
     # module rank 2^l: the four square-free monomials are independent
     assert ring.length == 2
@@ -114,7 +121,7 @@ def test_bs_ring_word_letters_checked():
         with pytest.raises(UsageError):
             BottSamelsonRing(rs, word)
         with pytest.raises(UsageError):
-            steenrod._pushed_series(coset_reps(rs, ()), 0, word, (), 0)
+            steenrod._pushed_series(coset_reps(rs, ()), 0, word, 0)
     assert BottSamelsonRing(rs, [1, 2]).word == (1, 2)
 
 
@@ -127,7 +134,7 @@ def test_bs_ring_word_length_capped_before_allocation():
     with pytest.raises(ResourceLimitError):
         BottSamelsonRing(rs, w0.word)
     with pytest.raises(ResourceLimitError):
-        steenrod._pushed_series(coset_reps(rs, (2, 3, 4, 5, 6, 7)), 0, w0.word, (), 0)
+        steenrod._pushed_series(coset_reps(rs, (2, 3, 4, 5, 6, 7)), 0, w0.word, 0)
     word = w0.word[:DIRECT_WORD_LIMIT + 1]
     with pytest.raises(ResourceLimitError):
         BottSamelsonRing(rs, word)
@@ -143,9 +150,9 @@ def test_bs_ring_commutative_associative():
         bits({0b1000, 0b0001}),
     ]
     for a, b in itertools.product(elems, elems):
-        assert ring.mul(a, b) == ring.mul(b, a)
+        assert bs_mul(ring, a, b) == bs_mul(ring, b, a)
     a, b, c = elems
-    assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
+    assert bs_mul(ring, bs_mul(ring, a, b), c) == bs_mul(ring, a, bs_mul(ring, b, c))
 
 
 def test_steenrod_on_bs_axioms():
@@ -156,11 +163,11 @@ def test_steenrod_on_bs_axioms():
     # S(D_j) = D_j + D_j^2
     d1 = bits({0b01})
     img = steenrod_on_bs(ring, d1)
-    assert img == d1 ^ ring.mul(d1, d1)
+    assert img == d1 ^ bs_mul(ring, d1, d1)
     # multiplicativity on a product of divisors
     d2 = bits({0b10})
-    prod = ring.mul(d1, d2)
-    assert steenrod_on_bs(ring, prod) == ring.mul(
+    prod = bs_mul(ring, d1, d2)
+    assert steenrod_on_bs(ring, prod) == bs_mul(ring, 
         steenrod_on_bs(ring, d1), steenrod_on_bs(ring, d2)
     )
 
@@ -214,27 +221,23 @@ def test_selectors_are_built_once_per_length():
 
 
 def test_production_path_lists_no_monomials(monkeypatch):
-    # the direct route, the duality route and the calibration push whole
-    # bitsets forward: none of them may list an element's monomials
+    # the direct route and the calibration push whole bitsets forward: none of
+    # them may list an element's monomials, which only the test oracles do
     a3 = build_root_system("A3")
     e6 = build_root_system("E6")
     e6p1 = coset_reps(e6, (2, 3, 4, 5, 6))
     classes = [mod2_basis(a3, (), k) for k in range(len(coset_reps(a3, ())))]
     classes += [mod2_basis(e6, e6p1.theta, k) for k in (1, 5, len(e6p1) // 2, len(e6p1) - 1)]
-    b3 = build_root_system("B3")
-    b3_k = coset_reps(b3, ()).of_codim(3)[2]
     want = [steenrod_total(cls) for cls in classes]
-    want_dual = steenrod._steenrod_by_duality(b3, (), b3_k, 3)
-    assert 1 in want_dual  # S^1 is read from Phi of codim-5 classes
 
     def no_masks(elem):
         raise AssertionError("a ring element's monomials were listed")
 
-    monkeypatch.setattr(BottSamelsonRing, "masks", staticmethod(no_masks))
-    for memo in (steenrod._basis_pieces, steenrod._phi_pieces, steenrod._calibrate):
+    assert not hasattr(BottSamelsonRing, "masks")
+    monkeypatch.setattr(oracles, "bs_masks", no_masks)
+    for memo in (steenrod._basis_pieces, steenrod._calibrate):
         memo.cache_clear()
     assert [steenrod_total(cls) for cls in classes] == want
-    assert steenrod._steenrod_by_duality(b3, (), b3_k, 3) == want_dual
 
 
 def test_basis_pieces_are_a_steenrod_memo():
@@ -260,29 +263,8 @@ def test_cached_pieces_are_read_only():
         pieces[1].coeffs[0] = 1
     with pytest.raises(TypeError):
         pieces[9] = pieces[1]
-    with pytest.raises(TypeError, match="does not support item assignment"):
-        steenrod._phi_pieces(rs, (), 3, 2)[0] = pieces[0]
     again = steenrod_basis_element(rs, (), 3)
     assert {d: (piece.ring, dict(piece.coeffs)) for d, piece in again.items()} == want
-
-
-def unbounded_phi(rs, theta, idx):
-    """Phi([X_idx]) at every degree, the series taken up to the word length."""
-    ct = coset_reps(rs, theta)
-    return steenrod._pushed_series(ct, idx, ct.words[idx], (), ct.length(idx))
-
-
-@pytest.mark.parametrize("name, theta", [("B3", ()), ("E6", (2, 3, 4, 5, 6))])
-def test_bounded_phi_pieces_are_the_low_degrees_of_the_unbounded(name, theta):
-    # every class and every bound from 0 to past the word length: the bounded
-    # pieces are the unbounded ones up to the bound
-    rs = build_root_system(name)
-    ct = coset_reps(rs, theta)
-    for idx in range(len(ct)):
-        full = unbounded_phi(rs, theta, idx)
-        for bound in range(ct.length(idx) + 2):
-            got = steenrod._phi_pieces(rs, theta, idx, bound)
-            assert dict(got) == {d: p for d, p in full.items() if d <= bound}, (idx, bound)
 
 
 RANK_TO_8 = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
@@ -363,10 +345,10 @@ def bs_elements(draw, max_masks=5):
 @given(bs_elements())
 def test_bs_ring_properties(case):
     ring, (a, b, c) = case
-    assert ring.mul(a, b) == ring.mul(b, a)
-    assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
-    assert ring.mul(a ^ b, c) == ring.mul(a, c) ^ ring.mul(b, c)
-    assert steenrod_on_bs(ring, ring.mul(a, b)) == ring.mul(
+    assert bs_mul(ring, a, b) == bs_mul(ring, b, a)
+    assert bs_mul(ring, bs_mul(ring, a, b), c) == bs_mul(ring, a, bs_mul(ring, b, c))
+    assert bs_mul(ring, a ^ b, c) == bs_mul(ring, a, c) ^ bs_mul(ring, b, c)
+    assert steenrod_on_bs(ring, bs_mul(ring, a, b)) == bs_mul(ring, 
         steenrod_on_bs(ring, a), steenrod_on_bs(ring, b)
     )
     assert a ^ a == 0
@@ -407,10 +389,10 @@ def test_bs_ring_matches_per_mask_oracles(case):
         assert ring.mul_one_plus_series(elem, form, exponent, top) == (
             oracle_mul_one_plus_series(ring, elem, form, exponent, top)
         )
-    masks = ring.masks(elem)
+    masks = bs_masks(elem)
     assert bits(masks) == elem
     for d in range(ring.length + 1):
-        assert ring.masks(ring.graded_piece(elem, d)) == [m for m in masks if m.bit_count() == d]
+        assert bs_masks(bs_graded_piece(ring, elem, d)) == [m for m in masks if m.bit_count() == d]
     got = bs_pushforward(ring, elem, theta)
     assert set(got.coeffs) == oracle_pushforward(ring, masks, theta)
     assert set(got.coeffs.values()) <= {1}
@@ -428,7 +410,7 @@ def test_wu_convention_ii_fails_oracle(monkeypatch):
         ct = coset_reps(rs, ())
         bad = [
             idx for idx in range(len(ct))
-            if _direct_steenrod_pieces(rs, (), idx) != steenrod_divisor_generated(rs, idx)
+            if direct_pieces(rs, (), idx) != steenrod_divisor_generated(rs, idx)
         ]
         assert len(bad) == mismatches, (name, bad)
 
@@ -438,7 +420,7 @@ def test_direct_route_matches_divisor_oracle_a2_a3():
         rs = build_root_system(name)
         ct = coset_reps(rs, ())
         for idx in range(len(ct)):
-            got = _direct_steenrod_pieces(rs, (), idx)
+            got = direct_pieces(rs, (), idx)
             want = steenrod_divisor_generated(rs, idx)
             assert got == want, (name, idx)
 
@@ -454,7 +436,7 @@ def test_cartan_check_separates_the_conventions_as_the_closed_form_does(monkeypa
         for conv in ("I", "II"):
             monkeypatch.setattr(steenrod, "WU_CONVENTION", conv)
             failures = steenrod._cartan_failures(name)
-            closed_form = [k for k in classes if _direct_steenrod_pieces(rs, (), k)
+            closed_form = [k for k in classes if direct_pieces(rs, (), k)
                            != steenrod_divisor_generated(rs, k)]
             assert bool(failures) == bool(closed_form), (name, conv)
             failing[name, conv] = len(failures)
@@ -561,54 +543,175 @@ def test_steenrod_word_independent():
     for name in ("A2", "B2"):
         rs = build_root_system(name)
         ct = coset_reps(rs, ())
-        weights = [pr.omega for pr in rs.positive_roots]  # the unipotent radical of B
         for idx in range(len(ct)):
             words = all_reduced_words(rs, ct.reps[idx])
             if len(words) < 2:
                 continue
-            base = _direct_steenrod_pieces(rs, (), idx)
+            base = direct_pieces(rs, (), idx)
             for word in words[1:]:
-                alt = steenrod._pushed_series(ct, idx, word, weights, ct.codim(idx))
+                alt = steenrod._pushed_series(ct, idx, word, ct.codim(idx))
                 assert alt == base, (name, idx, word)
 
 
-@pytest.mark.heavy
-def test_duality_route_agrees_with_direct_on_e7():
-    # both strategies are available for codim-16 classes on E7/P1 (word
-    # length 17); four of the seven have nonzero S^1, so agreement here is
-    # a nontrivial large-scale consistency check
-    from weylchow.steenrod import _steenrod_by_duality
-
-    rs = build_root_system("E7")
-    theta = (2, 3, 4, 5, 6, 7)
-    ct = coset_reps(rs, theta)
-    nonzero = 0
-    for k in range(len(ct)):
-        if ct.codim(k) != 16:
-            continue
-        direct = _direct_steenrod_pieces(rs, theta, k, up_to=1)
-        dualled = _steenrod_by_duality(rs, theta, k, 1)
-        d1 = direct.get(1).coeffs if direct.get(1) else {}
-        u1 = dualled.get(1).coeffs if dualled.get(1) else {}
-        assert d1 == u1, k
-        if d1:
-            nonzero += 1
-    assert nonzero == 4
+LOCALIZATION_SPACES = [("A3", ()), ("B2", ()), ("B3", ()), ("C3", ()), ("G2", ()), ("D4", ()),
+                       ("F4", (2, 3, 4)), ("F4", (1, 2, 3)), ("E6", (2, 3, 4, 5, 6)),
+                       ("E7", (1, 2, 3, 4, 5, 6)), ("E7", (2, 3, 4, 5, 6, 7))]
 
 
-def test_duality_route_agrees_with_direct_on_b3():
-    # force the pairing recursion on a small case and compare with the ring route
-    from weylchow.steenrod import _steenrod_by_duality
-
-    rs = build_root_system("B3")
-    theta = ()
+@pytest.mark.parametrize("name, theta", LOCALIZATION_SPACES,
+                         ids=["A3", "B2", "B3", "C3", "G2", "D4", "F4/P1", "F4/P4", "E6/P1",
+                              "E7/P7", "E7/P1"])
+def test_localization_agrees_with_the_bs_route(name, theta):
+    # every degree of every class the resolution ring reaches (words of up to
+    # DIRECT_WORD_LIMIT letters); B2 and C3 have roots that vanish mod 2 in omega
+    # coordinates, so the point is chosen on the simple roots
+    rs = build_root_system(name)
     ct = coset_reps(rs, theta)
     for idx in range(len(ct)):
-        codim = ct.codim(idx)
-        if codim == 0:
+        if ct.length(idx) > DIRECT_WORD_LIMIT:
             continue
-        direct = _direct_steenrod_pieces(rs, theta, idx)
-        dualled = _steenrod_by_duality(rs, theta, idx, codim)
-        direct = {d: c for d, c in direct.items() if not c.is_zero() and d > 0}
-        dualled = {d: c for d, c in dualled.items() if not c.is_zero() and d > 0}
-        assert direct == dualled, idx
+        codim = ct.codim(idx)
+        want = direct_pieces(rs, theta, idx)
+        assert steenrod._steenrod_by_localization(rs, ct.theta, idx, codim) == want, idx
+        bound = codim // 2
+        assert steenrod._steenrod_by_localization(rs, ct.theta, idx, bound) == {
+            d: p for d, p in want.items() if d <= bound}, idx
+
+
+def test_no_root_vanishes_at_the_point():
+    # every irreducible type under the positive-root cap (A44, B31, C31 and D32 are
+    # the largest); a reducible type takes each component's values
+    names = ["E6", "E7", "E8", "F4", "G2"] + [f"A{n}" for n in range(1, 45)]
+    names += [f"{family}{n}" for family in "BC" for n in range(2, 32)]
+    names += [f"D{n}" for n in range(4, 33)]
+    with pytest.raises(ResourceLimitError):
+        build_root_system("D33")
+    for name in names:
+        rs = build_root_system(name)
+        tau = steenrod._point(rs)
+        assert all(0 < t <= 32 for t in tau), name
+        for pr in rs.positive_roots:
+            value = 0
+            for c, t in zip(pr.root, tau):
+                value ^= t if c & 1 else 0
+            assert value, (name, pr.root)
+
+
+def test_field_tables_multiply_in_gf256():
+    mul, inv = steenrod._field()
+
+    def slow(a, b):  # carry-less product reduced by y^8 + y^4 + y^3 + y + 1
+        out = 0
+        for k in range(8):
+            if b >> k & 1:
+                out ^= a << k
+        for k in range(14, 7, -1):
+            if out >> k & 1:
+                out ^= 0x11B << (k - 8)
+        return out
+
+    rng = random.Random(256)
+    for a, b in [(rng.randrange(256), rng.randrange(256)) for _ in range(500)] + [(0, 7), (1, 1)]:
+        assert mul[a][b] == slow(a, b), (a, b)
+    assert all(mul[c][inv[c]] == 1 for c in range(1, 256))
+
+
+def test_a_vanishing_root_or_a_wrong_division_exits_4(monkeypatch):
+    # tau = 1 on every simple root kills alpha_1 + alpha_2, an inversion of w0, so the
+    # point class of the B3 full flags loses its S^0
+    rs = build_root_system("B3")
+    with monkeypatch.context() as patch:
+        patch.setattr(steenrod, "_point", lambda rs: [1] * rs.rank)
+        with pytest.raises(InternalComputationError, match="S\\^0"):
+            steenrod._steenrod_by_localization(rs, (), 0, 0)
+    # dividing by 1 instead of xi^x(x) leaves coefficients outside F2
+    mul, _ = steenrod._field()
+    monkeypatch.setattr(steenrod, "_field", lambda: (mul, (0,) + (1,) * 255))
+    for idx in (0, 5, 20):
+        with pytest.raises(InternalComputationError, match="not in F2"):
+            steenrod._steenrod_by_localization(rs, (), idx, 6)
+
+
+def test_localization_cap_refuses_before_any_walk(monkeypatch):
+    # S^<= 5 of the codim-12 E7/P1 class at position 88 solves at the x up to length 17,
+    # so the count is the reps of length <= 17
+    rs = build_root_system("E7")
+    ct = coset_reps(rs, (2, 3, 4, 5, 6, 7))
+    assert ct.codim(88) == 12
+    monkeypatch.setattr(steenrod, "ENTRY_CAP", ct.of_length(17).stop - 1)
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a restriction walk ran past the cap")
+
+    monkeypatch.setattr(CosetTable, "subword_sums", no_walk)
+    with pytest.raises(ResourceLimitError, match="exceed the cap"):
+        steenrod._steenrod_by_localization(rs, ct.theta, 88, 5)
+    monkeypatch.setattr(steenrod, "ENTRY_CAP", ct.of_length(17).stop)
+    with pytest.raises(AssertionError, match="past the cap"):
+        steenrod._steenrod_by_localization(rs, ct.theta, 88, 5)
+
+
+def test_basis_element_refuses_bad_positions_and_degrees():
+    # positions as `check_positions` reads them, degrees as `steenrod_total` does
+    rs = build_root_system("A2")
+    for idx in (6, -1, 2.5, True, "1"):
+        with pytest.raises(UsageError, match="basis position"):
+            steenrod_basis_element(rs, (), idx)
+    for up_to in (-1, 1.5, True, "2"):
+        with pytest.raises(UsageError, match="Steenrod degree"):
+            steenrod_basis_element(rs, (), 3, up_to=up_to)
+    assert steenrod_basis_element(rs, (), 5, up_to=0) == {0: mod2_basis(rs, (), 5)}
+
+
+def test_steenrod_outputs_match_the_benchmark_goldens():
+    # every pool entry of the benchmark's Steenrod goldens, recomputed in process
+    from weylchow.schubert import class_from_json, class_to_json
+
+    folder = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+    for name in ("steenrod-e7p1", "smoke-steenrod"):
+        golden = json.loads((folder / f"{name}.json").read_text(encoding="utf-8"))
+        ct = coset_reps(build_root_system(golden["type"]), golden["theta"])
+        for route in golden["routes"]:
+            for entry in route["pool"]:
+                cls = class_from_json(json.dumps(
+                    {"type": golden["type"], "theta": golden["theta"], "ring": "Z/2",
+                     "terms": [{"word": entry["word"], "coeff": 1}]}, sort_keys=True))
+                got = [class_to_json(c, ct) for c in steenrod_total(cls, up_to=route["up_to"])]
+                assert got == entry["out"], (name, route["name"], entry["word"])
+
+
+@pytest.mark.heavy
+def test_e8p8_squares_and_cartan_formula():
+    # every class of E8/P8, most of them past the resolution ring's word limit:
+    # S^0 is the identity, S^codim(x) = x^2 whenever 2 codim <= 57, and S is
+    # multiplicative on seeded pairs
+    rs = build_root_system("E8")
+    ct = coset_reps(rs, (1, 2, 3, 4, 5, 6, 7))
+    dim = ct.max_length
+    assert (len(ct), dim) == (240, 57)
+    total = {}
+    for idx in range(len(ct)):
+        cls = mod2_basis(rs, ct.theta, idx)
+        graded = steenrod_total(cls)
+        codim = ct.codim(idx)
+        assert graded[0] == cls, idx
+        if 2 * codim <= dim:
+            assert graded[codim] == to_mod2(multiply(cls, cls)), idx
+        total[idx] = graded
+
+    def flat(pieces):
+        out = set()
+        for piece in pieces:
+            out ^= set(piece.coeffs)
+        return out
+
+    rng = random.Random(88)
+    for _ in range(10):
+        a, b = rng.randrange(len(ct)), rng.randrange(len(ct))
+        prod = to_mod2(multiply(mod2_basis(rs, ct.theta, a), mod2_basis(rs, ct.theta, b)))
+        rhs = set()
+        for pa in total[a]:
+            for pb in total[b]:
+                if not (pa.is_zero() or pb.is_zero()):
+                    rhs ^= set(to_mod2(multiply(pa, pb)).coeffs)
+        assert flat(steenrod_total(prod)) == rhs, (a, b)
