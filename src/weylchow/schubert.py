@@ -187,9 +187,24 @@ def class_to_json(cls: ChowClass, ct: CosetTable) -> str:
     )
 
 
+#: the keys a class JSON object may have, and those of one of its terms
+_CLASS_KEYS = ("type", "theta", "ring", "terms")
+_TERM_KEYS = ("word", "coeff", "dual")
+
+
+def _check_keys(obj, keys, what):
+    """UsageError naming the first key of a JSON object outside `keys`: a misspelled key
+    would otherwise leave its field at the default."""
+    if isinstance(obj, dict):
+        for key in obj:
+            if key not in keys:
+                raise UsageError(f"unknown {what} key {key!r}: the keys are {', '.join(keys)}")
+
+
 def class_from_json(text: str) -> ChowClass:
     try:
         data = json.loads(text)
+        _check_keys(data, _CLASS_KEYS, "class JSON")
         rs = build_root_system(data["type"])
         theta = data.get("theta", [])
         if not isinstance(theta, list):  # a string or an object would iterate as vertices
@@ -203,6 +218,7 @@ def class_from_json(text: str) -> ChowClass:
             raise UsageError(f"terms {terms!r} must be a list of terms")
         coeffs: dict = {}
         for term in terms:
+            _check_keys(term, _TERM_KEYS, "term")
             word = term["word"]
             k = ct.index.get(checked_word(rs, word))  # checked first: True would hash as 1
             if k is None:  # not the canonical word of a rep: canonicalize and look again

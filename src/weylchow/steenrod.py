@@ -43,9 +43,19 @@ solved at the torus-fixed points instead, as `schubert` solves products.
 Mod 2, S sends a character chi to chi + chi^2 and commutes with
 restriction, so S(xi^v)(x) is xi^v(x) at tau + tau^2 (squared
 coordinatewise), tau a point of GF(2^8) at which no root vanishes
-(`_point`).  Scaled by lambda, Billey's walk with the factors
-lambda (r + lambda r^2) gives S^i(xi^v)(x) as the coefficient of
-lambda^(n+i), n = l(v).  The triangular solve
+(`_point`, chosen after one pass that groups the positive roots by the
+last index of their odd support).  Scaled by lambda, Billey's walk with
+the factors lambda (r + lambda r^2) gives S^i(xi^v)(x) as the coefficient
+of lambda^(n+i), n = l(v).  A factor acts on a series, one field element
+per byte, through the bytes.translate tables of r and r^2; the table of an
+element is built on that element's first use (`_table`), so a query builds
+only the tables of the elements it meets, not all 255.  The solve reads
+only xi^v(x) as a series and every other xi^w(x) at tau, its constant
+term, so the walk keeps only the constant term of a state longer than n
+(one table lookup per step), and it keeps only the lengths that can still
+reach one the solve reads.  The fixed points are the upper set of v, found
+by reflecting by every positive root with the pairings read off one coroot
+chain (`weyl.coroot_chain`).  The triangular solve
 c^x = (S(xi^v)(x) - sum_{w<x} c^w xi^w(x)) / xi^x(x) then gives at
 lambda^(l(x)-n) the coefficient of xi^x in S^(l(x)-n)(xi^v): a constant in
 {0, 1} with nothing below it, or an internal error.
@@ -316,22 +326,35 @@ def _calibrate():
 
 
 @cache
-def _field():
-    """(mul, inv) in GF(2^8) = F2[y]/(y^8 + y^4 + y^3 + y + 1): mul[c] is the
-    bytes.translate table of multiplication by c, inv[c] the inverse of c (inv[0] = 0).
-    Built on first use, each table by translating the log table through a turn of
-    the antilog table of the generator y + 1."""
+def _logs():
+    """(turn, log) in GF(2^8) = F2[y]/(y^8 + y^4 + y^3 + y + 1) for the generator y + 1:
+    turn[k] = (y + 1)^(k mod 255) as bytes for k < 510, and log[c] the k < 255 with
+    turn[k] = c, except log[0] = 255, which every table maps to 0."""
     exp = [1]
     for _ in range(254):
         a = exp[-1] ^ exp[-1] << 1
         exp.append(a ^ 0x11B if a & 0x100 else a)
     log = bytearray(256)
-    log[0] = 255  # every table maps it to 0
+    log[0] = 255
     for k, a in enumerate(exp):
         log[a] = k
-    turn = bytes(exp) * 2
-    mul = (bytes(256), *(log.translate(turn[log[c]:log[c] + 255] + b"\0") for c in range(1, 256)))
-    return mul, (0, *(exp[-log[c] % 255] for c in range(1, 256)))
+    return bytes(exp) * 2, bytes(log)
+
+
+@cache
+def _table(c):
+    """The bytes.translate table of multiplication by c in GF(2^8), built on c's first use
+    by translating the log table through a turn of the antilog table."""
+    if not c:
+        return bytes(256)
+    turn, log = _logs()
+    return log.translate(turn[log[c]:log[c] + 255] + b"\0")
+
+
+def _inverse(c):
+    """The inverse of c in GF(2^8), 0 for c = 0."""
+    turn, log = _logs()
+    return turn[255 - log[c]] if c else 0
 
 
 @cache
@@ -340,13 +363,17 @@ def _point(rs: RootSystem):
 
     A root is primitive, so mod 2 its simple-root coordinates have an odd
     support; tau_j is the least unit that keeps nonzero every root whose odd
-    support ends at j.  On every type under the positive-root cap the values
-    stay at most 32, far inside the field."""
-    odd = [[k for k, c in enumerate(pr.root) if c & 1] for pr in rs.positive_roots]
+    support ends at j, the roots grouped by that last index in one pass.  On
+    every type under the positive-root cap the values stay at most 32, far
+    inside the field."""
+    groups = [[] for _ in range(rs.rank)]
+    for pr in rs.positive_roots:
+        odd = [k for k, c in enumerate(pr.root) if c & 1]
+        groups[odd[-1]].append(odd[:-1])
     tau = []
-    for j in range(rs.rank):
-        taken = {reduce(xor, [tau[k] for k in ks[:-1]], 0) for ks in odd if ks[-1] == j}
-        tau.append(min(set(range(1, 256)) - taken))
+    for group in groups:
+        taken = {reduce(xor, [tau[k] for k in ks], 0) for ks in group}
+        tau.append(next(c for c in range(1, 256) if c not in taken))
     return tuple(tau)
 
 
@@ -366,16 +393,18 @@ def _steenrod_by_localization(rs, theta, idx, want):
         raise ResourceLimitError(
             f"{entries} fixed-point states (S^<= {size - 1} of a codimension-{n} class) exceed "
             f"the cap {ENTRY_CAP} for type {rs.type.name()}, theta={list(ct.theta)}")
-    mul, inv = _field()
     odd = [[a & 1 for a in row] for row in rs.cartan]
 
     def scale(series, c):
-        return int.from_bytes(series.to_bytes(size, "little").translate(mul[c]), "little")
+        return int.from_bytes(series.to_bytes(size, "little").translate(_table(c)), "little")
 
     def times(series, tables):  # series (r + lambda r^2), truncated, by the tables of r and r^2
         raw = series.to_bytes(size, "little")
         return (int.from_bytes(raw.translate(tables[0]), "little")
                 ^ int.from_bytes(raw[:-1].translate(tables[1]), "little") << 8)
+
+    def constant(series, tables):  # the constant term of series (r + lambda r^2): r series(0)
+        return tables[0][series & 255]
 
     col = {}  # x -> its nonzero column c^x
     pieces = {}
@@ -383,14 +412,17 @@ def _steenrod_by_localization(rs, theta, idx, want):
         word, t, factors = ct.words[x], list(_point(rs)), []
         for b in word:  # Billey's factors r as `_FlagContext._row` walks them, mod 2
             r = t[b - 1]
-            factors.append((mul[r], mul[mul[r][r]]))
+            table = _table(r)
+            factors.append((table, _table(table[r])))
             t = [ti ^ r if a else ti for ti, a in zip(t, odd[b - 1])]
-        row = ct.subword_sums(word, factors, range(n, n + size), times)
+        # only xi^v(x) is read whole; past length n a state keeps its constant term
+        row = ct.subword_sums(word, factors, range(n, n + size),
+                              [times] * (n + 1) + [constant] * (len(word) - n))
         acc = row.get(v, 0)
         for w, c in col.items():
             if w in row:
                 acc ^= scale(c, row[w] & 255)
-        acc = scale(acc, inv[row[x] & 255])
+        acc = scale(acc, _inverse(row[x] & 255))
         i = len(word) - n
         if acc & (1 << 8 * i) - 1 or acc >> 8 * i & 255 > 1:
             raise InternalComputationError(f"Steenrod coefficient at fixed point {x} is not in F2")

@@ -38,10 +38,16 @@ table checks that bound against 128 before its BFS.  The BFS, the Hasse
 edges, the descents of the motive cut, the Bott-Samelson subword walk and
 the fixed-point restriction walk (`subword_sums`) and the Bruhat-order
 test `bruhat_above` take this step inlined, one label at a time; the dual
-table calls `CosetTable._step`, and `upper_set` reflects packed points by
-every positive root the same way.  Every walk takes its (shift, column)
+table calls `CosetTable._step`.  Every walk takes its (shift, column)
 steps from `packed_steps`; the Bott-Samelson rings walk them too, for their
-reducedness check and normal classes.
+reducedness check and normal classes.  `upper_set` reflects packed points
+by every positive root beta, s_beta p = p - <p, beta^vee> beta, and reads
+the pairings off `coroot_chain`: each non-simple positive coroot is one a
+height lower plus a simple coroot, so one addition per root gives them all.
+With a window of wanted lengths the restriction walk keys each state by
+its point and its length, makes no state at a length that can no longer
+reach a wanted one, and deletes a length through the list of the states
+made there when it dies.
 
 The Poincare polynomial g(X) of G/P_Theta counts the representatives by
 length.  Solomon's formula gives it as a ratio of products of t^d - 1
@@ -55,7 +61,6 @@ import json
 from bisect import bisect_right
 from functools import cache, cached_property
 from itertools import chain, repeat
-from operator import mul
 
 from . import univar
 from .errors import InternalComputationError, ResourceLimitError, UsageError
@@ -96,6 +101,35 @@ def packed_steps(rs: RootSystem) -> tuple:
     and on a lambda_Theta-orbit, which `CosetTable` checks before its BFS.
     """
     return tuple((_BITS * i, pack_weight(rs.alpha_omega(i), 0)) for i in range(rs.rank))
+
+
+@cache
+def coroot_chain(rs: RootSystem) -> tuple:
+    """(a, j, col) for every positive root beta of rs, in coroot-height order, so that
+    the pairings of a weight p with the positive coroots are built one addition each.
+
+    Start from m = [p_0, ..., p_(rank-1), 0]; every entry appends
+    <p, beta^vee> = m[a] + m[j] to m, with col the packed omega-coordinates of
+    beta (s_beta p = p - <p, beta^vee> beta).  A simple coroot alpha_j^vee has
+    a = rank, the 0; any other beta^vee is beta'^vee + alpha_j^vee for a
+    positive coroot beta'^vee one height lower (the coroots are a root
+    system), whose pairing m[a] is already in m.
+    """
+    rank = rs.rank
+    by_height = sorted(rs.positive_roots, key=lambda pr: (sum(pr.coroot), pr.coroot))
+    slot = {(0,) * rank: rank}  # coroot -> the index of its pairing in m
+    out = []
+    for pr in by_height:
+        coroot = pr.coroot
+        for j in range(rank):
+            lower = coroot[:j] + (coroot[j] - 1,) + coroot[j + 1:]
+            if lower in slot:
+                break
+        else:
+            raise InternalComputationError(f"coroot {coroot} is no positive coroot plus a simple one")
+        slot[coroot] = rank + 1 + len(out)
+        out.append((slot[lower], j, pack_weight(pr.omega, 0)))
+    return tuple(out)
 
 
 def apply_word(rs: RootSystem, word, v):
@@ -246,7 +280,8 @@ class CosetTable:
     `_step` reflects it; the BFS, `hasse_edges`, `first_descents`,
     `subword_positions`, `subword_sums` and `bruhat_above` take the same step
     inlined, with each label's shift and Cartan column hoisted, and
-    `upper_set` reflects by every positive root alike.  Before the BFS the table
+    `upper_set` reflects by every positive root alike, its pairings read off
+    `coroot_chain` with one addition per root.  Before the BFS the table
     checks that `orbit_bound` is below 128, so every coordinate of the orbit
     fits its field and the packed reflection is exact; a larger bound raises
     InternalComputationError (no accepted type has one).
@@ -474,54 +509,95 @@ class CosetTable:
         j taken; with `lengths` (a collection of lengths), only the k of those lengths.
         The values are integers, or with `times` elements of a ring of characteristic 2
         stored as ints: added by xor, and multiplied by a factor as times(value, factor).
+        With `lengths`, `times` may also be a list with one such product per length m,
+        times[m] making the states of length m, so each length can keep its values in
+        the quotient it is read in.
 
         The walk of `subword_positions` with one integer per point in place of
         the masks: going right to left, every state keeps its value (letter j
         left out), and each state with p_j > 0 also adds its value times
         factors[j] into the state at s_j p (letter j taken).  Subwords that
         reach the same point are merged, so a pass holds at most one state per
-        representative below the word.  With `lengths`, a state of length m
-        with r letters still to walk ends at a length in m..m + r, and it is
-        dropped when none of those is wanted.  A walk that ends outside the
-        table raises InternalComputationError.
+        representative below the word.  With `lengths` the walk keeps only
+        the states that can still end at a wanted length (`_live_states`).  A
+        walk that ends outside the table raises InternalComputationError.
         """
-        points = self._points
-        states = {self._lam: 1}
-        get = states.get
         if lengths is not None:
-            wanted = sorted(set(lengths))
-            # reach[m]: the least wanted length >= m (past the word when there is none)
-            reach = [next((n for n in wanted if n >= m), len(word) + 1)
-                     for m in range(len(word) + 1)]
-            size = {self._lam: 0}  # letters taken, the length of the state's rep
-        left = len(word)
-        for i, r in zip(reversed(word), reversed(factors)):
-            shift, col = self._steps[i - 1]
-            left -= 1
-            for p, v in list(states.items()):  # the values before this letter
-                f = (p >> shift) & _MASK
-                if f > _BIAS:
-                    q = p - (f - _BIAS) * col
-                    states[q] = get(q, 0) + v * r if times is None else get(q, 0) ^ times(v, r)
-                    if lengths is not None:
-                        size[q] = size[p] + 1
-            if lengths is not None:
-                for p in [p for p in states if reach[size[p]] > size[p] + left]:
-                    del states[p]
+            found = self._live_states(word, factors, lengths, times)
+        else:
+            states = {self._lam: 1}
+            get = states.get
+            for i, r in zip(reversed(word), reversed(factors)):
+                shift, col = self._steps[i - 1]
+                for p, v in list(states.items()):  # the values before this letter
+                    f = (p >> shift) & _MASK
+                    if f > _BIAS:
+                        q = p - (f - _BIAS) * col
+                        states[q] = get(q, 0) + v * r if times is None else get(q, 0) ^ times(v, r)
+            found = states.items()
+        points = self._points
         out = {}
-        for p, v in states.items():
+        for p, v in found:
             k = points.get(p)
             if k is None:
                 raise InternalComputationError("subword image is not a coset representative")
-            if lengths is None or reach[size[p]] == size[p]:
-                out[k] = v
+            out[k] = v
         return out
 
-    @cached_property
-    def _reflections(self):
-        """(coroot, packed omega-coordinates) of every positive root beta, so that
-        s_beta p = p - <p, beta^vee> beta on packed points."""
-        return tuple((pr.coroot, pack_weight(pr.omega, 0)) for pr in self.rs.positive_roots)
+    def _live_states(self, word, factors, lengths, times):
+        """The (point, value) states of `subword_sums` that end at the wanted lengths.
+
+        A state of length m with r letters still to walk ends at a length in
+        m..m + r, so length m is live while r >= need[m], the distance from m
+        up to the least wanted length, and dies at one fixed letter.  A state
+        is keyed by its packed point with its length in the bits above the
+        fields, so a step reflects the point and adds one to the length
+        together.  No state is made at a length that is dead after its
+        letter (so none past the longest wanted length), and the keys made at
+        each length are listed, so a length is deleted through its list when
+        it dies: no state is rescanned.
+        """
+        n = len(word)
+        wanted = set(lengths)
+        need, reach = [0] * (n + 1), 2 * n + 1  # past the word: never reached
+        dying = [[] for _ in range(n)]  # dying[left]: the lengths dead once `left` letters are left
+        for m in range(n, -1, -1):
+            if m in wanted:
+                reach = m
+            need[m] = reach - m
+            if 0 < need[m] <= n:
+                dying[need[m] - 1].append(m)
+        products = times if isinstance(times, list) else [times] * (n + 1)
+        high = _BITS * self.rs.rank  # a key holds its length from this bit up
+        one = 1 << high
+        made = [[] for _ in range(n + 1)]  # made[m]: the keys of length m
+        states = {}
+        if need[0] <= n:
+            states[self._lam] = 1
+            made[0].append(self._lam)
+        get = states.get
+        for left in range(n - 1, -1, -1):  # the letters still to walk after this one
+            shift, col = self._steps[word[left] - 1]
+            r = factors[left]
+            for p, v in list(states.items()):  # the values before this letter
+                f = (p >> shift) & _MASK
+                if f > _BIAS:
+                    m = (p >> high) + 1
+                    if left >= need[m]:  # length m is live after this letter
+                        q = p - (f - _BIAS) * col + one
+                        product = products[m]
+                        w = v * r if product is None else product(v, r)
+                        old = get(q)
+                        if old is None:
+                            made[m].append(q)
+                            states[q] = w
+                        else:
+                            states[q] = old + w if product is None else old ^ w
+            for m in dying[left]:
+                for p in made[m]:
+                    del states[p]
+        low = one - 1
+        return ((p & low, v) for p, v in states.items())
 
     def upper_set(self, starts, top: int):
         """Yield once each position x with l(x) <= top that lies above the rep at some
@@ -530,24 +606,30 @@ class CosetTable:
         For a positive root beta with <p, beta^vee> > 0 at the point p of u,
         the rep of s_beta u lies above u; every x above u is reached from u
         through such steps, one cover (one length) at a time, so a search that
-        never leaves length <= top finds them all.
+        never leaves length <= top finds them all.  The pairings come from
+        `coroot_chain`, one addition per root, and table order is by length,
+        so l(x) <= top is x < end.
         """
         points, order, rank = self._points, self._order, self.rs.rank
-        reflections = self._reflections
-        seen = {k for k in starts if self.length(k) <= top}
+        roots = coroot_chain(self.rs)
+        shifts = range(0, _BITS * rank, _BITS)
+        end = len(self) if top >= self.max_length else self.of_length(top).stop
+        seen = {k for k in starts if k < end}
         todo = list(seen)
         while todo:
             k = todo.pop()
             yield k
             p = order[k]
-            coords = [((p >> (_BITS * j)) & _MASK) - _BIAS for j in range(rank)]
-            for coroot, col in reflections:
-                m = sum(map(mul, coroot, coords))
-                if m > 0:
-                    q = points.get(p - m * col)
+            m = [((p >> shift) & _MASK) - _BIAS for shift in shifts]
+            m.append(0)
+            for a, j, col in roots:
+                mb = m[a] + m[j]
+                m.append(mb)
+                if mb > 0:
+                    q = points.get(p - mb * col)
                     if q is None:
                         raise InternalComputationError("a reflection leaves the coset table")
-                    if q not in seen and self.length(q) <= top:
+                    if q < end and q not in seen:
                         seen.add(q)
                         todo.append(q)
 

@@ -3,8 +3,10 @@
 import json
 import weakref
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import comb, gcd, lcm
+from operator import xor
 
 from weylchow.errors import InternalComputationError, UsageError
 from weylchow.motive import MotiveSummand, decompose, refine_rost
@@ -22,7 +24,7 @@ from weylchow.schubert import (
 from weylchow.titsjinv import HigherIndexSet, _doublings, _v_p
 from weylchow.weyl import (
     CosetTable, WeylElement, _canonical_from_image, apply_word, checked_word, coset_reps,
-    hasse_edges,
+    hasse_edges, pack_weight,
 )
 
 
@@ -677,6 +679,36 @@ def steenrod_on_bs(ring, elem):
     return out
 
 
+def gf256_tables_whole():
+    """(mul, inv) in GF(2^8) = F2[y]/(y^8 + y^4 + y^3 + y + 1), built whole: mul[c] is
+    the bytes.translate table of multiplication by c, inv[c] the inverse of c (inv[0] = 0),
+    each table a translate of the log table through a turn of the antilog table of the
+    generator y + 1.  The package builds one table per element on its first use."""
+    exp = [1]
+    for _ in range(254):
+        a = exp[-1] ^ exp[-1] << 1
+        exp.append(a ^ 0x11B if a & 0x100 else a)
+    log = bytearray(256)
+    log[0] = 255  # every table maps it to 0
+    for k, a in enumerate(exp):
+        log[a] = k
+    turn = bytes(exp) * 2
+    mul = (bytes(256), *(log.translate(turn[log[c]:log[c] + 255] + b"\0") for c in range(1, 256)))
+    return mul, (0, *(exp[-log[c] % 255] for c in range(1, 256)))
+
+
+def point_by_root_scans(rs):
+    """tau on the simple roots: tau_j the least unit of GF(2^8) keeping nonzero every
+    positive root whose odd simple-root support ends at j, scanning every root once per
+    vertex (the package groups the roots by that last index in one pass)."""
+    odd = [[k for k, c in enumerate(pr.root) if c & 1] for pr in rs.positive_roots]
+    tau = []
+    for j in range(rs.rank):
+        taken = {reduce(xor, [tau[k] for k in ks[:-1]], 0) for ks in odd if ks[-1] == j}
+        tau.append(min(set(range(1, 256)) - taken))
+    return tuple(tau)
+
+
 def is_reduced_by_reflections(rs, word):
     """Whether each letter of word, appended in turn, goes up in length: the letter's
     coordinate of the image of rho so far, a coordinate tuple, is positive."""
@@ -928,6 +960,32 @@ def coset_table_by_membership_probe(rs, theta):
     ct.parent, ct.parent_label, ct._layers = tuple(parent), tuple(parent_label), tuple(layers)
     ct._order, ct._points = tuple(order), points
     return ct
+
+
+def upper_set_by_dot_products(ct, starts, top):
+    """The positions x with l(x) <= top above some start in the Bruhat order, as a set.
+
+    Every positive root beta with <p, beta^vee> > 0 at the point p of u
+    gives the rep of s_beta u above u, its pairing a dot product of the
+    point's coordinates with the coroot; the package builds the pairings
+    along a coroot chain, one addition per root.
+    """
+    reflections = [(pr.coroot, pack_weight(pr.omega, 0)) for pr in ct.rs.positive_roots]
+    seen = {k for k in starts if ct.length(k) <= top}
+    todo = list(seen)
+    while todo:
+        p = ct._order[todo.pop()]
+        coords = [((p >> (8 * j)) & 255) - 128 for j in range(ct.rs.rank)]
+        for coroot, col in reflections:
+            m = sum(c * a for c, a in zip(coroot, coords))
+            if m > 0:
+                q = ct._points.get(p - m * col)
+                if q is None:
+                    raise InternalComputationError("a reflection leaves the coset table")
+                if q not in seen and ct.length(q) <= top:
+                    seen.add(q)
+                    todo.append(q)
+    return seen
 
 
 def words_by_greedy_descent(rs, order):

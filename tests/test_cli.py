@@ -82,6 +82,21 @@ def test_steenrod_command():
     assert graded[0]["terms"] == [{"word": [1], "coeff": 1}]
 
 
+def test_mult_refuses_a_misspelled_class_key():
+    # "coef" used to be read as coefficient 1, "thetta" as theta [] and "rng" as ring Z,
+    # each exiting 0 with another class's answer
+    good = {"type": "A2", "theta": [], "ring": "Z", "terms": [{"word": [1, 2], "coeff": 5}]}
+    divisor = {**good, "terms": [{"word": [1, 2]}]}
+    argv = ["mult", "--type", "A2", "--theta", "", "--b", json.dumps(divisor)]
+    code, out = run(argv + ["--a", json.dumps(good)])
+    assert code == 0 and json.loads(out)["terms"] == [{"word": [2], "coeff": 5}], out
+    for key, bad in [("coef", {**good, "terms": [{"word": [1, 2], "coef": 5}]}),
+                     ("thetta", {**good, "thetta": []}),
+                     ("rng", {**good, "rng": "Z/2"})]:
+        code, out = run(argv + ["--a", json.dumps(bad)])
+        assert code == 2 and f"'{key}'" in out, (key, out)
+
+
 def test_class_json_type_and_theta_are_normalized():
     # a lower-case type and a repeated theta vertex name the same variety as
     # their canonical spellings: the class matches --type/--theta and prints

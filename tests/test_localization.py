@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weylchow import steenrod
 from weylchow.cli import run
 from weylchow.errors import ResourceLimitError, UsageError
 from weylchow.rootdata import build_root_system
@@ -26,7 +27,7 @@ from weylchow.weyl import CosetTable, WeylElement, apply_word, coset_reps
 
 from oracles import (
     chern_classes_by_polynomials, elementary_symmetric_by_recurrence, multiply_by_borel,
-    pieri_multiply,
+    pieri_multiply, upper_set_by_dot_products,
 )
 
 E7P1 = ("E7", (2, 3, 4, 5, 6, 7))
@@ -148,6 +149,63 @@ def test_subword_sums_add_the_subword_products():
             lengths = set(rng.sample(range(len(word) + 1), min(3, len(word) + 1)))
             assert ct.subword_sums(word, factors, lengths) == {
                 v: c for v, c in want.items() if ct.length(v) in lengths}, (name, k, lengths)
+
+
+def _random_reduced_word(ct, rng, length):
+    """A reduced word of a representative, grown by a random ascent at each step (so
+    seldom the canonical one), stopping early at the top."""
+    word, p = [], ct._lam
+    for _ in range(length):
+        ascents = [i for i in range(1, ct.rs.rank + 1) if ct._step(p, i - 1)[0] > 0]
+        if not ascents:
+            break
+        i = rng.choice(ascents)
+        word.insert(0, i)
+        p = ct._step(p, i - 1)[1]
+    return tuple(word)
+
+
+def test_windowed_walk_in_characteristic_2_matches_the_unwindowed_walk():
+    # values are series over GF(2^8), a byte per coefficient, each factor applied as
+    # r + lambda r^2 through two tables, as the fixed-point Steenrod solve walks them;
+    # the live-length walk must keep exactly the unwindowed sums at the wanted lengths,
+    # and with one product per length (constant terms above a cut) their constant terms
+    table = steenrod._table
+    size = 6
+
+    def times(series, tables):
+        raw = series.to_bytes(size, "little")
+        return (int.from_bytes(raw.translate(tables[0]), "little")
+                ^ int.from_bytes(raw[:-1].translate(tables[1]), "little") << 8)
+
+    def constant(series, tables):
+        return tables[0][series & 255]
+
+    rng = random.Random(2)
+    spaces = [("B3", (), 10), ("C3", (), 10), ("G2", (), 7), ("F4", (), 25), ("E6", (2, 3, 4, 5, 6), 17),
+              (*E7P1, 27)]
+    for name, theta, longest in spaces:
+        ct = coset_reps(build_root_system(name), theta)
+        for _ in range(12):
+            shortest = 19 if name == "E7" else 0
+            word = _random_reduced_word(ct, rng, rng.randint(shortest, min(longest, ct.max_length)))
+            n = len(word)
+            factors = []
+            for _ in word:
+                r = rng.randrange(1, 256)
+                factors.append((table(r), table(table(r)[r])))
+            full = ct.subword_sums(word, factors, times=times)
+            a, b = sorted(rng.sample(range(n + 1), 2)) if n else (0, 0)
+            windows = [set(), {0}, {n}, set(range(0, a + 1)), set(range(b, n + 1)), set(range(a, b)),
+                       set(rng.sample(range(n + 1), min(3, n + 1))), {n + 1, n + 5}, {a, n + 2}]
+            for window in windows:
+                want = {k: v for k, v in full.items() if ct.length(k) in window}
+                assert ct.subword_sums(word, factors, window, times) == want, (name, word, window)
+                cut = rng.randint(0, n)
+                split = [times] * (cut + 1) + [constant] * (n - cut)
+                assert ct.subword_sums(word, factors, window, split) == {
+                    k: v if ct.length(k) <= cut else v & 255 for k, v in want.items()
+                }, (name, word, window, cut)
 
 
 def test_row_factors_are_the_roots_r_j_at_2_rho_vee():
@@ -519,6 +577,23 @@ def test_upper_sets_and_bruhat_order_match_the_rows():
         for x in range(len(ct)):
             for us in ([0], [len(ct) - 1], list(ct.of_length(ct.length(x))), range(0, len(ct), 5)):
                 assert ct.bruhat_above(x, us) == any(x in above[u] for u in us), (name, x, us)
+
+
+def test_upper_sets_on_e_types_match_the_dot_product_walk():
+    # every start and two tops on E6/P1 and E7/P1, sampled starts on E8/P8, against
+    # the walk that pairs every point with every positive coroot by a dot product
+    rng = random.Random(8)
+    for (name, theta), sample in [(("E6", (2, 3, 4, 5, 6)), None), (E7P1, None), (E8P8, 24)]:
+        ct = coset_reps(build_root_system(name), theta)
+        starts = range(len(ct)) if sample is None else rng.sample(range(len(ct)), sample)
+        for u in starts:
+            for top in (ct.length(u) + 2, ct.max_length):
+                got = list(ct.upper_set([u], top))
+                assert len(got) == len(set(got)), (name, u, top)
+                assert set(got) == upper_set_by_dot_products(ct, [u], top), (name, u, top)
+        pair = rng.sample(range(len(ct)), 2)
+        assert set(ct.upper_set(pair, ct.max_length - 3)) == upper_set_by_dot_products(
+            ct, pair, ct.max_length - 3), (name, pair)
 
 
 def test_a_corrupted_row_exits_4(monkeypatch):

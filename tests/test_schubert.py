@@ -601,6 +601,25 @@ def test_class_json_roundtrip():
             class_from_json('{"type": "A2", "ring": "Z", "terms": [{"word": %s}]}' % word)
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("class", {"thetta": [2]}), ("class", {"rng": "Z/2"}), ("class", {"Type": "B2"}),
+    ("term", {"coef": 5}), ("term", {"duel": True}), ("term", {"words": [1]}),
+])
+def test_class_json_refuses_unknown_keys(field, bad):
+    # a misspelled key would leave its field at the default: coefficient 1, theta [],
+    # ring Z; the refusal names the key
+    data = {"type": "B2", "theta": [2], "ring": "Z", "terms": [{"word": [1], "coeff": 3}]}
+    class_from_json(json.dumps(data))
+    (key,) = bad
+    if field == "class":
+        data.update(bad)
+    else:
+        data["terms"].append({"word": [2, 1], **bad})
+    with pytest.raises(UsageError, match=f"unknown {'class JSON' if field == 'class' else 'term'} "
+                                         f"key '{key}'"):
+        class_from_json(json.dumps(data))
+
+
 @pytest.mark.parametrize(
     "name,theta",
     [("F4", (1, 2, 3)), ("F4", (2, 3, 4)), ("E6", (2, 3, 4, 5, 6)), ("E6", (1, 2, 3, 4, 5))],

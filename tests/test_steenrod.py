@@ -598,7 +598,6 @@ def test_no_root_vanishes_at_the_point():
 
 
 def test_field_tables_multiply_in_gf256():
-    mul, inv = steenrod._field()
 
     def slow(a, b):  # carry-less product reduced by y^8 + y^4 + y^3 + y + 1
         out = 0
@@ -612,8 +611,57 @@ def test_field_tables_multiply_in_gf256():
 
     rng = random.Random(256)
     for a, b in [(rng.randrange(256), rng.randrange(256)) for _ in range(500)] + [(0, 7), (1, 1)]:
-        assert mul[a][b] == slow(a, b), (a, b)
-    assert all(mul[c][inv[c]] == 1 for c in range(1, 256))
+        assert steenrod._table(a)[b] == slow(a, b), (a, b)
+    assert all(steenrod._table(c)[steenrod._inverse(c)] == 1 for c in range(1, 256))
+
+
+def test_on_demand_tables_match_the_whole_field():
+    # one table per element, built on its first use, against all 256 built at once
+    mul, inv = oracles.gf256_tables_whole()
+    steenrod._table.cache_clear()
+    for c in range(256):
+        assert steenrod._table(c) == mul[c], c
+        assert steenrod._inverse(c) == inv[c], c
+    assert steenrod._table.cache_info().currsize == 256
+
+
+def _types_up_to_rank(top):
+    """Every Dynkin type of rank <= top, each product of simple types once."""
+    simple = ([f"A{n}" for n in range(1, top + 1)] + [f"{f}{n}" for f in "BC" for n in range(2, top + 1)]
+              + [f"D{n}" for n in range(3, top + 1)] + ["E6", "E7", "E8", "F4", "G2"])
+    simple = [name for name in simple if int(name[1:]) <= top]
+    names = []
+
+    def extend(prefix, start, left):
+        if prefix:
+            names.append("x".join(prefix))
+        for i in range(start, len(simple)):
+            if int(simple[i][1:]) <= left:
+                extend(prefix + [simple[i]], i, left - int(simple[i][1:]))
+
+    extend([], 0, top)
+    return names
+
+
+def test_point_matches_the_root_scan_on_every_type_up_to_rank_8():
+    names = _types_up_to_rank(8)
+    assert len(names) == 723 and "E8" in names and "A1xA1xA1xA1xA1xA1xA1xA1" in names
+    for name in names:
+        rs = build_root_system(name)
+        assert steenrod._point(rs) == oracles.point_by_root_scans(rs), name
+
+
+def test_a_long_word_query_builds_only_the_tables_it_meets():
+    # each S^<=5 query of the benchmark's CH^8 pool of E7/P1 (25-letter words) builds
+    # well under half of the 255 tables of the whole field, and the full square of the
+    # 21-letter class at position 88 still fewer than all of them
+    rs = build_root_system("E7")
+    ct = coset_reps(rs, (2, 3, 4, 5, 6, 7))
+    for idx, want in [(108, 5), (109, 5), (110, 5), (111, 5), (88, 12)]:
+        assert ct.length(idx) > DIRECT_WORD_LIMIT, idx
+        steenrod._table.cache_clear()
+        steenrod._steenrod_by_localization(rs, ct.theta, idx, want)
+        assert 0 < steenrod._table.cache_info().currsize < (128 if want == 5 else 255), idx
 
 
 def test_a_vanishing_root_or_a_wrong_division_exits_4(monkeypatch):
@@ -625,8 +673,7 @@ def test_a_vanishing_root_or_a_wrong_division_exits_4(monkeypatch):
         with pytest.raises(InternalComputationError, match="S\\^0"):
             steenrod._steenrod_by_localization(rs, (), 0, 0)
     # dividing by 1 instead of xi^x(x) leaves coefficients outside F2
-    mul, _ = steenrod._field()
-    monkeypatch.setattr(steenrod, "_field", lambda: (mul, (0,) + (1,) * 255))
+    monkeypatch.setattr(steenrod, "_inverse", lambda c: 1)
     for idx in (0, 5, 20):
         with pytest.raises(InternalComputationError, match="not in F2"):
             steenrod._steenrod_by_localization(rs, (), idx, 6)
