@@ -54,7 +54,6 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left
-from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import accumulate, repeat
 from math import lcm, prod
@@ -87,7 +86,8 @@ class ChowClass(Record):
     when built: over Z/p every coefficient is reduced into [0, p) (a Fraction
     through the inverse of its denominator), over Z an integral Fraction
     becomes an int, over Q values are kept as given, and zero coefficients
-    are dropped.
+    are dropped.  A coefficient is an int or a Fraction (see `_from_fraction`);
+    anything else, a bool or a float included, is a usage error.
     """
 
     __slots__ = (
@@ -101,17 +101,10 @@ class ChowClass(Record):
         p = ring_modulus(ring)
         out = {}
         for k, c in coeffs.items():
-            if p is not None:
-                if isinstance(c, Fraction):
-                    if c.denominator % p == 0:
-                        raise InternalComputationError(f"denominator not invertible mod {p}")
-                    c = c.numerator * pow(c.denominator, -1, p)
-                c = c % p
-            elif ring == "Z":
-                if isinstance(c, Fraction):
-                    if c.denominator != 1:
-                        raise InternalComputationError("non-integral coefficient in Z-class")
-                    c = int(c)
+            if not isinstance(c, int) or isinstance(c, bool):
+                c = _from_fraction(c, p, ring)
+            elif p is not None:
+                c %= p
             if c:
                 out[k] = c
         object.__setattr__(self, "type_name", type_name)
@@ -147,6 +140,28 @@ class ChowClass(Record):
         return ChowClass(self.type_name, self.theta, self.ring, out)
 
 
+def _from_fraction(c, p, ring):
+    """A coefficient that is not an int, read into `ring`: a Fraction reduced into [0, p)
+    over Z/p through the inverse of its denominator, made an int over Z, kept over Q.
+
+    Only here, in a rational JSON coefficient and in a product over Q or with a
+    scale other than 1 is `fractions` loaded, so queries in integers never load it.
+    """
+    from fractions import Fraction
+
+    if not isinstance(c, Fraction):
+        raise UsageError(f"coefficient {c!r} must be an int or a Fraction")
+    if p is not None:
+        if c.denominator % p == 0:
+            raise InternalComputationError(f"denominator not invertible mod {p}")
+        return c.numerator * pow(c.denominator, -1, p) % p
+    if ring == "Z":
+        if c.denominator != 1:
+            raise InternalComputationError("non-integral coefficient in Z-class")
+        return c.numerator
+    return c
+
+
 def _integral(cls: ChowClass):
     """(L, {position: L * coefficient}): cls read over the integers, L the common
     denominator of its coefficients.  A Z/p coefficient is its representative in
@@ -178,7 +193,7 @@ def _check_compatible(a: ChowClass, b: ChowClass):
 
 def class_to_json(cls: ChowClass, ct: CosetTable) -> str:
     terms = [
-        {"word": list(ct.words[k]), "coeff": int(c) if not isinstance(c, Fraction) else str(c)}
+        {"word": list(ct.words[k]), "coeff": c if isinstance(c, int) else str(c)}
         for k, c in sorted(cls.coeffs.items())
     ]
     return json.dumps(
@@ -238,7 +253,7 @@ def class_from_json(text: str) -> ChowClass:
         raise UsageError(f"malformed class JSON: {exc}") from exc
     p = ring_modulus(ring)
     for c in coeffs.values():
-        den = c.denominator if isinstance(c, Fraction) else 1
+        den = c.denominator  # 1 for an int
         if p is not None and den % p == 0:
             raise UsageError(f"coefficient {c} has a denominator that is not invertible in {ring}")
         if ring == "Z" and den != 1:
@@ -256,6 +271,8 @@ def _coefficient_from_json(c):
         return c
     # Fraction() alone would also read "1_0", " 3", "+3", "1e2", "1.5" and non-ASCII digits
     if isinstance(c, str) and _RATIONAL.fullmatch(c):
+        from fractions import Fraction
+
         try:
             return Fraction(c)
         except ZeroDivisionError:
@@ -635,6 +652,8 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
             if den == 1 and a.ring != "Q":  # an integer is its own coefficient over Z and Z/p
                 coeffs.update(layer)
             else:
+                from fractions import Fraction
+
                 coeffs.update((k, Fraction(c, den)) for k, c in layer.items())
     return ChowClass(a.type_name, a.theta, a.ring, coeffs)
 

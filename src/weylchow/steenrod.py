@@ -36,7 +36,11 @@ as WU_CONVENTION and checked before the first answer with products alone:
 on the A2 and A3 full flags, S(h) = h + h^2 for every divisor h and
 S(h b) = S(h) S(b) for every basis class b.  These rings are generated by
 their divisors, so an additive S that passes is the total square; a
-failure raises CalibrationError.
+failure raises CalibrationError.  The products h [X_b] are taken once by
+`multiply` and serve both sides: once S(h) = h + h^2 holds,
+S(h) S(b) = h S(b) + h (h S(b)) is a sum of them, and S(h) S(b) is
+multiplied out only for an h that fails it, so the checks are the same as
+with every product multiplied out.
 
 A basis class whose canonical word is longer than DIRECT_WORD_LIMIT is
 solved at the torus-fixed points instead, as `schubert` solves products.
@@ -282,6 +286,12 @@ def _cartan_failures(name):
     check.  A full flag ring of type A is generated by its divisors, so an
     additive map that passes every check is the ring map with S(h) = h + h^2,
     the total square itself.
+
+    Every product is taken by `multiply`, and those of two single classes,
+    h [X_b], are taken once and reused: once S(h) = h + h^2 holds, S(h) S(b)
+    = h S(b) + h (h S(b)) is read off them, and only an h that fails it
+    multiplies S(h) S(b) out.  Classes mod 2 are sets of positions, added by
+    symmetric difference.
     """
     rs = build_root_system(name)
     ct = coset_reps(rs, ())
@@ -293,16 +303,25 @@ def _cartan_failures(name):
     # S(b) for every basis class b, as the set of positions of its terms
     pieces = [_pushed_series(ct, k, ct.words[k], ct.codim(k)) for k in range(len(ct))]
     total = [set().union(*(piece.coeffs for piece in p.values())) for p in pieces]
+
+    def summed(rows, positions):  # the sum of the classes rows[k] over k in positions
+        return reduce(xor, [rows[k] for k in positions], set())
+
     failures = []
     for h in ct.of_codim(1):
-        sh, hh = cls(total[h]), cls([h])
-        if sh != hh + multiply(hh, hh):
+        hh = cls([h])
+        # h [X_b] for every b; position 0 is the point class, and h pt = 0
+        times_h = [set()] + [set(multiply(hh, cls([b])).coeffs) for b in range(1, len(ct))]
+        square = total[h] == {h} ^ times_h[h]
+        if not square:
             failures.append((h, None))
-        for b in range(1, len(ct)):  # position 0 is the point class
-            image = set()
-            for k in multiply(hh, cls([b])).coeffs:
-                image ^= total[k]
-            if cls(image) != multiply(sh, cls(total[b])):
+        for b in range(1, len(ct)):
+            if square:
+                hs = summed(times_h, total[b])
+                product = hs ^ summed(times_h, hs)
+            else:
+                product = set(multiply(cls(total[h]), cls(total[b])).coeffs)
+            if summed(total, times_h[b]) != product:
                 failures.append((h, b))
     return failures
 

@@ -18,8 +18,9 @@ from weylchow.rootdata import (
     DynkinType, PositiveRoot, build_root_system, checked_vertices, ring_modulus, root_subsystem,
     weyl_degrees,
 )
+from weylchow import steenrod
 from weylchow.schubert import (
-    ChowClass, _check_compatible, _integral, flag_context, invariant_generators,
+    ChowClass, _check_compatible, _integral, flag_context, invariant_generators, multiply,
 )
 from weylchow.titsjinv import HigherIndexSet, _doublings, _v_p
 from weylchow.weyl import (
@@ -596,6 +597,34 @@ def steenrod_divisor_generated(rs, idx):
         if not img2.is_zero():
             graded[d - ct.codim(idx)] = img2
     return graded
+
+
+def cartan_failures_by_products(name):
+    """The failing Cartan-formula checks of `steenrod._cartan_failures`, every product by
+    `multiply`: S(h) against h + h h, and S(h b) against S(h) S(b) multiplied out, for
+    every divisor h and every basis class b but the point (the package reads S(h) S(b) off
+    the products h [X_b] once S(h) = h + h^2 holds)."""
+    rs = build_root_system(name)
+    ct = coset_reps(rs, ())
+    type_name = rs.type.name()
+
+    def cls(positions):
+        return ChowClass(type_name, (), "Z/2", dict.fromkeys(positions, 1))
+
+    pieces = [steenrod._pushed_series(ct, k, ct.words[k], ct.codim(k)) for k in range(len(ct))]
+    total = [set().union(*(piece.coeffs for piece in p.values())) for p in pieces]
+    failures = []
+    for h in ct.of_codim(1):
+        sh, hh = cls(total[h]), cls([h])
+        if sh != hh + multiply(hh, hh):
+            failures.append((h, None))
+        for b in range(1, len(ct)):
+            image = set()
+            for k in multiply(hh, cls([b])).coeffs:
+                image ^= total[k]
+            if cls(image) != multiply(sh, cls(total[b])):
+                failures.append((h, b))
+    return failures
 
 
 def bs_nu_by_reflections(rs, word):

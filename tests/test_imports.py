@@ -45,7 +45,7 @@ EXPORTED = {
 
 
 #: stdlib modules no command needs: `dataclasses` brings `inspect`, `ast`, `dis` and
-#: `tokenize`; the Weyl, motive, Tits and Poincare commands need no `fractions`
+#: `tokenize`; no command in integers or mod p needs `fractions`
 NO_DATACLASSES = {"dataclasses", "inspect"}
 NO_FRACTIONS = {"fractions", "decimal", "numbers"}
 
@@ -159,6 +159,32 @@ def test_no_command_loads_dataclasses_or_inspect(argv):
 def test_weyl_motive_and_tits_commands_load_no_fractions(argv):
     _, stdlib = _modules_loaded_by(argv)
     assert stdlib & NO_FRACTIONS == set()
+
+
+@_params(SCHUBERT_COMMANDS)
+def test_schubert_commands_in_integers_load_no_fractions(argv):
+    # `fractions` is loaded only for a rational coefficient or a product over Q
+    _, stdlib = _modules_loaded_by(argv)
+    assert stdlib & NO_FRACTIONS == set()
+
+
+def test_rational_product_loads_fractions_and_prints_as_before():
+    def a2_class(x, y):
+        return json.dumps({"type": "A2", "theta": [], "ring": "Q", "terms": [
+            {"word": [1, 2], "coeff": x}, {"word": [2, 1], "coeff": y}]})
+
+    argv = ["mult", "--type", "A2", "--theta", "", "--a", a2_class("1/2", "1/3"),
+            "--b", a2_class(1, 0)]
+    script = (
+        "import json, sys\n"
+        "from weylchow.cli import run\n"
+        f"code, out = run({argv!r})\n"
+        "print(json.dumps([code, out, 'fractions' in sys.modules]))\n"
+    )
+    code, out, loaded = json.loads(_last_line_of_python(script))
+    assert (code, loaded) == (0, True)
+    assert out == ('{"ring": "Q", "terms": [{"coeff": "1/3", "word": [1]}, '
+                   '{"coeff": "5/6", "word": [2]}], "theta": [], "type": "A2"}')
 
 
 def test_no_weylchow_module_imports_dataclasses_or_inspect():

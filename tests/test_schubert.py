@@ -601,6 +601,19 @@ def test_class_json_roundtrip():
             class_from_json('{"type": "A2", "ring": "Z", "terms": [{"word": %s}]}' % word)
 
 
+@pytest.mark.parametrize("ring", ["Z", "Z/2", "Q"])
+def test_chow_class_refuses_inexact_coefficients(ring):
+    # a float would print as a truncated int, fail a product or vanish mod 2
+    for c in (1.5, 2.0, True, False, "1", "1/2"):
+        with pytest.raises(UsageError, match="must be an int or a Fraction"):
+            ChowClass("A2", (), ring, {1: c})
+    exact = ChowClass("A2", (), ring, {1: 3, 2: Fraction(5, 1)})
+    assert exact.coeffs == ({1: 1, 2: 1} if ring == "Z/2" else {1: 3, 2: 5})
+    # an integral Fraction becomes an int except over Q, where values are kept as given
+    assert {k: type(c) for k, c in exact.coeffs.items()} == {
+        1: int, 2: Fraction if ring == "Q" else int}
+
+
 @pytest.mark.parametrize("field,bad", [
     ("class", {"thetta": [2]}), ("class", {"rng": "Z/2"}), ("class", {"Type": "B2"}),
     ("term", {"coef": 5}), ("term", {"duel": True}), ("term", {"words": [1]}),

@@ -454,6 +454,58 @@ def test_calibration_refuses_convention_ii(monkeypatch):
         steenrod._calibrate.cache_clear()
 
 
+def test_calibration_fails_the_checks_the_all_products_loop_fails(monkeypatch):
+    # S(h) S(b) read off the products h [X_b] fails exactly where it fails multiplied out
+    for conv in ("I", "II"):
+        monkeypatch.setattr(steenrod, "WU_CONVENTION", conv)
+        for name in ("A2", "A3"):
+            assert steenrod._cartan_failures(name) == oracles.cartan_failures_by_products(name)
+    failures = steenrod._cartan_failures("A3")
+    assert (len(failures), failures[0]) == (22, (20, 9))
+    steenrod._calibrate.cache_clear()
+    try:
+        with pytest.raises(CalibrationError) as err:
+            steenrod._calibrate()
+    finally:
+        steenrod._calibrate.cache_clear()
+    assert str(err.value) == ("Wu convention II fails 22 Cartan-formula checks on the A3 full "
+                              "flags, the first at (divisor, class) (20, 9)")
+
+
+def test_calibration_multiplies_out_where_a_divisor_square_fails(monkeypatch):
+    # with S(h) = h for one divisor, S(h) S(b) is multiplied out, and the checks still
+    # fail where the all-products loop fails them
+    h = coset_reps(build_root_system("A3"), ()).of_codim(1)[0]
+    pushed = steenrod._pushed_series
+
+    def without_square(ct, idx, word, top):
+        pieces = pushed(ct, idx, word, top)
+        return {0: pieces[0]} if idx == h else pieces
+
+    monkeypatch.setattr(steenrod, "_pushed_series", without_square)
+    failures = steenrod._cartan_failures("A3")
+    assert (h, None) in failures
+    assert failures == oracles.cartan_failures_by_products("A3")
+
+
+def test_calibration_multiplies_single_classes_79_times(monkeypatch):
+    # A2: 2 divisors x 5 classes, A3: 3 x 23; the all-products loop took 163
+    factors = []
+
+    def counting(a, b):
+        factors.append((len(a.coeffs), len(b.coeffs)))
+        return multiply(a, b)
+
+    monkeypatch.setattr(steenrod, "multiply", counting)
+    steenrod._calibrate.cache_clear()
+    try:
+        assert steenrod._calibrate() == "I"
+    finally:
+        steenrod._calibrate.cache_clear()
+    assert len(factors) == 79
+    assert set(factors) == {(1, 1)}
+
+
 @pytest.mark.parametrize("name", ["A2", "B2", "A3"])
 def test_axioms_exhaustive(name):
     rs = build_root_system(name)
