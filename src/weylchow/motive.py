@@ -22,8 +22,7 @@ from itertools import chain
 from . import univar
 from .errors import UsageError
 from .rootdata import (
-    DynkinType, Record, RootSystem, build_root_system, checked_vertices, ring_modulus,
-    root_subsystem,
+    Record, RootSystem, build_root_system, checked_vertices, ring_modulus, root_subsystem,
 )
 from .weyl import coset_reps, graph_to_dot, join_pieces
 
@@ -37,12 +36,6 @@ class MotiveSummand(Record):
         "profile",         # vertex counts per codimension offset from twist
         "kernel_type",
     )
-
-    def __init__(self, vertices: tuple, twist: int, profile: tuple, kernel_type: DynkinType):
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "twist", twist)
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "kernel_type", kernel_type)
 
     @property
     def is_lefschetz(self) -> bool:
@@ -178,15 +171,12 @@ class Correspondence(Record):
     )
 
     def __init__(self, type_name: str, theta: tuple, ring: str, pairs: tuple):
-        object.__setattr__(self, "type_name", type_name)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "pairs", pairs)
-        if self.modulus is None:
+        if ring_modulus(ring) is None:
             raise UsageError("correspondences require a finite coefficient ring Z/p")
         for a, b in pairs:
             if a.ring != ring or b.ring != ring:
                 raise UsageError("component classes must match the correspondence ring")
+        super().__init__(type_name, theta, ring, pairs)
 
     @property
     def modulus(self):

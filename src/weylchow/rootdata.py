@@ -47,9 +47,16 @@ def is_small_prime(p: int) -> bool:
     return 2 <= p < 1 << 31 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
-@cache
 def ring_modulus(ring: str):
-    """None for Z and Q, p for Z/p; a non-prime p is a usage error (inverses mod p need a field)."""
+    """None for Z and Q, p for Z/p; a ring that is not a str, or a non-prime p, is a
+    usage error (inverses mod p need a field)."""
+    if not isinstance(ring, str):  # before the cache, which would hash it or read it as text
+        raise UsageError(f"ring {ring!r} must be a string such as \"Z/2\"")
+    return _ring_modulus(ring)
+
+
+@cache
+def _ring_modulus(ring: str):
     if ring in ("Z", "Q"):
         return None
     if ring.startswith("Z/"):
@@ -89,13 +96,29 @@ class Record:
     """Base of the package's immutable value records.
 
     A subclass names its fields in `__slots__`, in constructor order, and
-    its own `__init__` checks or normalizes them and stores each once with
-    `object.__setattr__`.  Records refuse assignment and deletion, compare
-    and hash by their fields (never equal to a record of another class),
-    and print as `Class(field=value, ...)`.
+    `Record.__init__` stores them, each given once by position or by name (a
+    missing, unknown or repeated field is a TypeError); a subclass that checks
+    them ends its own `__init__` with `super().__init__(...)`.  Records refuse
+    assignment and deletion, compare and hash by their fields (never equal to
+    a record of another class), and print as `Class(field=value, ...)`.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        slots = self.__slots__
+        if len(values) > len(slots):
+            raise TypeError(f"{type(self).__qualname__}() takes {len(slots)} fields")
+        for name, value in zip(slots, values):
+            object.__setattr__(self, name, value)
+        for name in slots[len(values):]:
+            if name not in named:
+                raise TypeError(f"{type(self).__qualname__}() is missing field {name!r}")
+            object.__setattr__(self, name, named.pop(name))
+        if named:
+            name = next(iter(named))
+            kind = "a repeated" if name in slots else "an unknown"
+            raise TypeError(f"{type(self).__qualname__}() got {kind} field {name!r}")
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -131,7 +154,7 @@ class DynkinType(Record):
     def __init__(self, components: tuple):
         for family, rank in components:
             _check_family_rank(family, rank)
-        object.__setattr__(self, "components", components)
+        super().__init__(components)
 
     @staticmethod
     def parse(text: str) -> "DynkinType":
@@ -237,11 +260,6 @@ class PositiveRoot(Record):
         "omega",           # fundamental-weight coordinates (A @ root)
         "coroot",          # coordinates of beta^vee over the simple coroots
     )
-
-    def __init__(self, root: tuple, omega: tuple, coroot: tuple):
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "coroot", coroot)
 
 
 class RootSystem:

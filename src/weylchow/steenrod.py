@@ -74,7 +74,7 @@ from types import MappingProxyType
 from .errors import CalibrationError, InternalComputationError, ResourceLimitError, UsageError
 from .rootdata import RootSystem, build_root_system
 from .schubert import (
-    ENTRY_CAP, ChowClass, check_position, check_positions, flag_context, multiply,
+    ENTRY_CAP, ChowClass, check_degree, check_position, check_positions, flag_context, multiply,
 )
 from .weyl import (
     _BIAS, _MASK, CosetTable, checked_word, coset_reps, orbit_bound, pack_weight, packed_steps,
@@ -454,11 +454,6 @@ def _steenrod_by_localization(rs, theta, idx, want):
     return {d: ChowClass(rs.type.name(), ct.theta, "Z/2", pieces[d]) for d in sorted(pieces)}
 
 
-def _check_degree(up_to):
-    if up_to is not None and (not isinstance(up_to, int) or isinstance(up_to, bool) or up_to < 0):
-        raise UsageError(f"Steenrod degree must be a nonnegative integer, got {up_to!r}")
-
-
 def steenrod_basis_element(rs, theta, idx, up_to=None):
     """Graded Steenrod pieces {i: S^i} of one mod-2 basis class, i <= up_to (cached).
 
@@ -466,7 +461,7 @@ def steenrod_basis_element(rs, theta, idx, up_to=None):
     or above it shares one entry.  A position or bound of the wrong kind is
     a usage error.
     """
-    _check_degree(up_to)
+    check_degree(up_to, "Steenrod degree")
     ct = coset_reps(rs, theta)
     check_position(idx, ct)
     codim = ct.codim(idx)
@@ -495,7 +490,7 @@ def steenrod_total(cls: ChowClass, up_to=None):
     """
     if cls.ring != "Z/2":
         raise UsageError("steenrod_total expects a Z/2 class")
-    _check_degree(up_to)
+    check_degree(up_to, "Steenrod degree")
     rs = build_root_system(cls.type_name)
     ct = coset_reps(rs, cls.theta)
     check_positions(cls, ct)

@@ -32,8 +32,7 @@ class TitsIndex(Record):
 
     def __init__(self, type: DynkinType, circled: tuple):
         checked_vertices(type.rank, circled, "circled vertex")
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "circled", circled)
+        super().__init__(type, circled)
 
 
 def anisotropic_kernel(idx: TitsIndex) -> DynkinType:
@@ -71,8 +70,7 @@ class HigherIndexSet(Record):
         minimal = [m for m in members if not any(o < m for o in members)]
         if len(minimal) != 1:
             raise UsageError("higher index set must have a unique minimal element")
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "indices", indices)
+        super().__init__(type, indices)
 
     @staticmethod
     def build(dtype: DynkinType, subsets) -> "HigherIndexSet":
@@ -91,12 +89,6 @@ class Automaton(Record):
         "labels",          # display name per state
         "transitions",     # (from_state_pos, to_state_pos, label vertex)
     )
-
-    def __init__(self, type: DynkinType, states: tuple, labels: tuple, transitions: tuple):
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "transitions", transitions)
 
 
 def automaton(omega: HigherIndexSet) -> Automaton:
@@ -240,11 +232,6 @@ class KacEntry(Record):
         "pairs",  # sorted by d
     )
 
-    def __init__(self, type: DynkinType, p: int, pairs: tuple):
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "pairs", pairs)
-
     @property
     def r(self):
         return len(self.pairs)
@@ -322,10 +309,6 @@ def kac_entry(dtype, p: int) -> KacEntry:
 
 class JProfile(Record):
     __slots__ = ("p", "values")
-
-    def __init__(self, p: int, values: tuple):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "values", values)
 
     def validate(self, entry: KacEntry):
         if self.p != entry.p:

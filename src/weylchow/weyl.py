@@ -171,10 +171,6 @@ class WeylElement(Record):
 
     __slots__ = ("rs", "word")
 
-    def __init__(self, rs: RootSystem, word: tuple):
-        object.__setattr__(self, "rs", rs)
-        object.__setattr__(self, "word", word)
-
     @staticmethod
     def from_word(rs: RootSystem, word) -> "WeylElement":
         word = checked_word(rs, word)
@@ -507,11 +503,10 @@ class CosetTable:
         """position k -> the sum, over the subwords of a reduced word that are reduced
         words of the representative at k, of the product of factors[j] over the letters
         j taken; with `lengths` (a collection of lengths), only the k of those lengths.
-        The values are integers, or with `times` elements of a ring of characteristic 2
-        stored as ints: added by xor, and multiplied by a factor as times(value, factor).
-        With `lengths`, `times` may also be a list with one such product per length m,
-        times[m] making the states of length m, so each length can keep its values in
-        the quotient it is read in.
+        The values are integers, or, given `lengths` and `times`, elements of a ring of
+        characteristic 2 stored as ints: added by xor, and multiplied by a factor as
+        times[m](value, factor) for the states made at length m, so each length can
+        keep its values in the quotient it is read in.
 
         The walk of `subword_positions` with one integer per point in place of
         the masks: going right to left, every state keeps its value (letter j
@@ -533,7 +528,7 @@ class CosetTable:
                     f = (p >> shift) & _MASK
                     if f > _BIAS:
                         q = p - (f - _BIAS) * col
-                        states[q] = get(q, 0) + v * r if times is None else get(q, 0) ^ times(v, r)
+                        states[q] = get(q, 0) + v * r
             found = states.items()
         points = self._points
         out = {}
@@ -567,7 +562,7 @@ class CosetTable:
             need[m] = reach - m
             if 0 < need[m] <= n:
                 dying[need[m] - 1].append(m)
-        products = times if isinstance(times, list) else [times] * (n + 1)
+        products = times or [None] * (n + 1)
         high = _BITS * self.rs.rank  # a key holds its length from this bit up
         one = 1 << high
         made = [[] for _ in range(n + 1)]  # made[m]: the keys of length m

@@ -1017,6 +1017,20 @@ def upper_set_by_dot_products(ct, starts, top):
     return seen
 
 
+def subword_sums_in_characteristic_2(ct, word, factors, times):
+    """`CosetTable.subword_sums` in characteristic 2 without a window, one subword at a
+    time: position k -> the xor, over the masks of `subword_positions` that end at k, of
+    1 multiplied by factors[j] as times(value, factors[j]) for every letter j taken."""
+    out = {}
+    for mask, k in ct.subword_positions(word, len(word)).items():
+        value = 1
+        for j, f in enumerate(factors):
+            if not mask >> j & 1:
+                value = times(value, f)
+        out[k] = out.get(k, 0) ^ value
+    return out
+
+
 def words_by_greedy_descent(rs, order):
     """Canonical word of every tuple point, by greedy descent to order[0] = lambda_Theta.
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from weylchow import steenrod
 from weylchow.cli import run
 from weylchow.errors import ResourceLimitError, UsageError
+from weylchow.motive import Correspondence
 from weylchow.rootdata import build_root_system
 from weylchow.schubert import (
     ENTRY_CAP, ChowClass, _elementary_symmetric, _FlagContext, chern_tangent, flag_context,
@@ -27,7 +28,7 @@ from weylchow.weyl import CosetTable, WeylElement, apply_word, coset_reps
 
 from oracles import (
     chern_classes_by_polynomials, elementary_symmetric_by_recurrence, multiply_by_borel,
-    pieri_multiply, upper_set_by_dot_products,
+    pieri_multiply, subword_sums_in_characteristic_2, upper_set_by_dot_products,
 )
 
 E7P1 = ("E7", (2, 3, 4, 5, 6, 7))
@@ -168,8 +169,9 @@ def _random_reduced_word(ct, rng, length):
 def test_windowed_walk_in_characteristic_2_matches_the_unwindowed_walk():
     # values are series over GF(2^8), a byte per coefficient, each factor applied as
     # r + lambda r^2 through two tables, as the fixed-point Steenrod solve walks them;
-    # the live-length walk must keep exactly the unwindowed sums at the wanted lengths,
-    # and with one product per length (constant terms above a cut) their constant terms
+    # the live-length walk must keep exactly the unwindowed sums (added subword by subword
+    # in `oracles`) at the wanted lengths, and with one product per length (constant terms
+    # above a cut) their constant terms
     table = steenrod._table
     size = 6
 
@@ -194,13 +196,14 @@ def test_windowed_walk_in_characteristic_2_matches_the_unwindowed_walk():
             for _ in word:
                 r = rng.randrange(1, 256)
                 factors.append((table(r), table(table(r)[r])))
-            full = ct.subword_sums(word, factors, times=times)
+            full = subword_sums_in_characteristic_2(ct, word, factors, times)
             a, b = sorted(rng.sample(range(n + 1), 2)) if n else (0, 0)
             windows = [set(), {0}, {n}, set(range(0, a + 1)), set(range(b, n + 1)), set(range(a, b)),
                        set(rng.sample(range(n + 1), min(3, n + 1))), {n + 1, n + 5}, {a, n + 2}]
             for window in windows:
                 want = {k: v for k, v in full.items() if ct.length(k) in window}
-                assert ct.subword_sums(word, factors, window, times) == want, (name, word, window)
+                assert ct.subword_sums(word, factors, window, [times] * (n + 1)) == want, (
+                    name, word, window)
                 cut = rng.randint(0, n)
                 split = [times] * (cut + 1) + [constant] * (n - cut)
                 assert ct.subword_sums(word, factors, window, split) == {
@@ -310,7 +313,7 @@ def test_the_cut_under_the_cap_matches_the_upper_set_walk(name, theta, monkeypat
         if top is None:
             continue
         with monkeypatch.context() as m:
-            m.setattr("weylchow.schubert.ENTRY_CAP", ctx._layers[top][1] - 1)
+            m.setattr("weylchow.schubert.ENTRY_CAP", ctx._layers[top] - 1)
             walked, real = [], CosetTable.upper_set
             m.setattr(CosetTable, "upper_set",
                       lambda ct, starts, top: walked.append(top) or real(ct, starts, top))
@@ -455,7 +458,7 @@ def test_product_above_the_cap_exits_3_before_any_row(monkeypatch):
     ct = ctx.ct
     layer = ct.of_codim(8)
     a, b = (_basis_json("E6", (), ct.words[k]) for k in (layer[0], layer[-1]))
-    assert ctx._layers[16][1] > ENTRY_CAP
+    assert ctx._layers[16] > ENTRY_CAP
     _no_rows(monkeypatch)
     t0 = time.perf_counter()
     code, out = run(["mult", "--type", "E6", "--theta", "", "--a", a, "--b", b])
@@ -467,7 +470,7 @@ def test_every_e8p1_query_passes_the_cap(monkeypatch):
     # the top degree needs all 2,160 rows; a refusal would raise before the first row
     rs = build_root_system(E8P1[0])
     ctx = _FlagContext(rs, E8P1[1])
-    assert len(ctx.ct) == 2160 and ctx._layers[-1][1] <= ENTRY_CAP
+    assert len(ctx.ct) == 2160 and ctx._layers[-1] <= ENTRY_CAP
     _no_rows(monkeypatch)
     with pytest.raises(_Started):
         ctx.chern_classes()
@@ -475,7 +478,7 @@ def test_every_e8p1_query_passes_the_cap(monkeypatch):
     monkeypatch.setattr("weylchow.schubert._class_context", lambda name, theta: ctx)
     with pytest.raises(_Started):
         multiply(point, fundamental)
-    monkeypatch.setattr("weylchow.schubert.ENTRY_CAP", ctx._layers[-1][1] - 1)
+    monkeypatch.setattr("weylchow.schubert.ENTRY_CAP", ctx._layers[-1] - 1)
     with pytest.raises(ResourceLimitError):  # one state over the cap is refused before any row
         ctx.chern_classes()
     # a product is cut to the fixed points above both factors: here the one point
@@ -489,7 +492,7 @@ def test_a_product_under_the_cap_builds_only_the_rows_from_its_factors_lengths(m
     rs = build_root_system(E8P1[0])
     ctx = _FlagContext(rs, E8P1[1])
     ct = ctx.ct
-    assert ctx._layers[-1][1] <= ENTRY_CAP
+    assert ctx._layers[-1] <= ENTRY_CAP
     monkeypatch.setattr("weylchow.schubert._class_context", lambda name, theta: ctx)
     built, real = [], _FlagContext._row
     monkeypatch.setattr(_FlagContext, "_row",
@@ -522,6 +525,31 @@ def test_a_bad_ring_is_refused_before_any_row(ring, monkeypatch):
     assert code == 2 and time.perf_counter() - t0 < 1.0, out
 
 
+@pytest.mark.parametrize("max_codim", [True, False, 1.5, 2.0, "1", -1])
+def test_a_bad_codimension_is_refused_before_any_row(max_codim, monkeypatch):
+    # as `steenrod_total` refuses a bound: True would read as 1 and a float or a string
+    # would fail inside the solve
+    rs = build_root_system(E7P1[0])
+    ctx = _FlagContext(rs, E7P1[1])
+    _no_rows(monkeypatch)
+    with pytest.raises(UsageError, match="codimension must be a nonnegative integer"):
+        ctx.chern_classes(max_codim)
+    with pytest.raises(UsageError, match="codimension must be a nonnegative integer"):
+        chern_tangent(rs, E7P1[1], max_codim)
+
+
+@pytest.mark.parametrize("ring", [2, None, ["Z"], b"Z/2"])
+def test_a_ring_that_is_not_a_string_is_refused(ring, monkeypatch):
+    # refused before the ring cache, which would hash it or call str methods on it
+    rs = build_root_system("A2")
+    _no_rows(monkeypatch)
+    builds = [lambda: ChowClass("A2", (), ring, {}), lambda: chern_tangent(rs, (), 1, ring),
+              lambda: Correspondence("A2", (), ring, ())]
+    for build in builds:
+        with pytest.raises(UsageError, match="must be a string"):
+            build()
+
+
 def test_chern_above_the_cap_exits_3():
     t0 = time.perf_counter()
     code, out = run(["chern", "--type", "E6", "--theta", "", "--codim", "20", "--mod", "2"])
@@ -536,7 +564,7 @@ def test_near_complementary_products_past_the_prefix_count_are_answered(name, da
     rs = build_root_system(name)
     ctx = flag_context(rs, ())
     ct = ctx.ct
-    assert ctx._layers[da + db][1] > ENTRY_CAP
+    assert ctx._layers[da + db] > ENTRY_CAP
     ka, kb = ct.of_codim(da)[-1], ct.of_codim(db)[0]
     a, b = (_basis_json(name, (), ct.words[k]) for k in (ka, kb))
     t0 = time.perf_counter()
@@ -555,7 +583,7 @@ def test_monk_products_past_the_prefix_count_match_chevalley(name, lengths):
     ct = ctx.ct
     rng = random.Random(6)
     for length in lengths:
-        assert ctx._layers[ctx.dim - length + 1][1] > ENTRY_CAP
+        assert ctx._layers[ctx.dim - length + 1] > ENTRY_CAP
         for k in rng.sample(ct.of_length(length), 2):
             alpha = rng.randint(1, rs.rank)
             h = ChowClass(name, (), "Z", {ct.index[(ct.w0 * WeylElement(rs, (alpha,))).word]: 1})
@@ -628,7 +656,7 @@ def test_row_memo_is_shared_and_stays_under_the_cap(monkeypatch):
     for name, theta in (("F4", (2, 3, 4)), ("E6", (2, 3, 4, 5, 6))):
         ctx = _FlagContext(build_root_system(name), theta)
         ct, top = ctx.ct, 6
-        monkeypatch.setattr("weylchow.schubert.ENTRY_CAP", ctx._layers[top][1])
+        monkeypatch.setattr("weylchow.schubert.ENTRY_CAP", ctx._layers[top])
         monkeypatch.setattr("weylchow.schubert._class_context", lambda type_name, theta: ctx)
         ctx.chern_classes(max_codim=top)
         rng = random.Random(name)
@@ -644,4 +672,4 @@ def test_row_memo_is_shared_and_stays_under_the_cap(monkeypatch):
         assert min(degrees) <= top < max(degrees), name
         counts = ctx._counts(ctx.dim)
         assert max(ctx._rows) < ct.of_length(top).stop, name
-        assert sum(counts[ct.length(x)] for x in ctx._rows) <= ctx._layers[top][1], name
+        assert sum(counts[ct.length(x)] for x in ctx._rows) <= ctx._layers[top], name

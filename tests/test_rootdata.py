@@ -320,10 +320,6 @@ def test_records_are_immutable_values(case):
     class Twin(Record):  # another record class with the same fields
         __slots__ = cls.__slots__
 
-        def __init__(self, *fields):
-            for name, value in zip(self.__slots__, fields):
-                object.__setattr__(self, name, value)
-
     twin = Twin(*(getattr(a, name) for name in cls.__slots__))
     assert a != twin and twin != a and not a == twin
 
@@ -342,6 +338,16 @@ def test_records_are_immutable_values(case):
             cls(*bad)
         with pytest.raises(error, match=message):
             cls(**dict(zip(cls.__slots__, bad)))
+
+    # every field exactly once, by position or by name, as under a written-out signature
+    named = dict(zip(cls.__slots__, values))
+    first = cls.__slots__[0]
+    missing = [(values[:-1], {}), ((), {k: v for k, v in named.items() if k != first})]
+    unknown = [((*values, values[-1]), {}), (values, {"extra": 1}), ((), {**named, "extra": 1})]
+    twice = [(values, {first: values[0]}), (values[:1], named)]
+    for args, kwargs in missing + unknown + twice:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
 
 
 def test_record_repr_lists_fields():
